@@ -49,6 +49,7 @@ from .geodesy import (
     distance_field,
     distance_matrix,
     face_distance,
+    min_antipodal_distance,
     radius,
     set_radius_exact,
     set_radius_upper,

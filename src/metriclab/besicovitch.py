@@ -113,7 +113,7 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
         lo = [b for b in range(nbits) if not (b >> k) & 1]
         hk = xy[:, 1 << k, k] - xy[:, 0, k]
         J[:, :, k] = (fvals[:, hi, :].mean(axis=1) - fvals[:, lo, :].mean(axis=1)) / hk[:, None]
-    gbar = measure._cell_tensors(field)[full]
+    gbar = field.cell_tensors()[full]
     det_g = np.linalg.det(gbar)
     jac = np.abs(np.linalg.det(J)) / np.sqrt(np.maximum(det_g, 1e-300))
     ginv = np.linalg.inv(gbar)

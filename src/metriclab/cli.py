@@ -21,8 +21,6 @@ def _add_common(p):
     p.add_argument("--resolution", type=int, help="override: run only this resolution")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--figures", action="store_true", help="emit SVG figures")
-    p.add_argument("--threads", type=int, default=1,
-                   help="max worker threads (execution is deterministic regardless)")
 
 
 def build_parser():
@@ -52,6 +50,8 @@ def build_parser():
 def _load_config(args):
     if args.config:
         sections = mio.parse_config(args.config)
+        if args.seed is not None:  # a seed the config lacks can come from --seed
+            sections.setdefault("experiment", {})["seed"] = str(args.seed)
         return gal.config_from_sections(sections)
     if args.gallery_name:
         return gal.gallery_item(args.gallery_name)
@@ -67,8 +67,7 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         rows = gal.run_config(config, out_dir=args.out, resolution=args.resolution,
-                              seed=args.seed, figures=args.figures,
-                              threads=args.threads)
+                              seed=args.seed, figures=args.figures)
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 3

@@ -38,10 +38,7 @@ class Cover:
     radii: list
 
     def multiplicity(self, num_vertices: int) -> int:
-        count = np.zeros(num_vertices, dtype=np.int64)
-        for s in self.sets:
-            count[s] += 1
-        return int(count.max())
+        return int(self.membership_counts(num_vertices).max())
 
     def membership_counts(self, num_vertices: int) -> np.ndarray:
         count = np.zeros(num_vertices, dtype=np.int64)

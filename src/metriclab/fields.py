@@ -38,6 +38,9 @@ class MetricField:
         self._edge_lengths = None
         self._csr = None
         self._lambda_min = None
+        self._lambda_max = None
+        self._cell_tensors = None
+        self._cell_sqrt_det = None
         if validate:
             _check_spd(self)
             _check_quotient_invariance(self)
@@ -77,6 +80,22 @@ class MetricField:
     def lambda_max(self) -> float:
         self.lambda_min()
         return self._lambda_max
+
+    def cell_tensors(self) -> np.ndarray:
+        """Per-cell mean of the tensors at the cell's valid corners."""
+        if self._cell_tensors is None:
+            cells = self.grid.cells
+            valid = cells >= 0
+            t = self.tensors[np.where(valid, cells, 0)] * valid[:, :, None, None]
+            self._cell_tensors = t.sum(axis=1) / valid.sum(axis=1)[:, None, None]
+        return self._cell_tensors
+
+    def cell_sqrt_det(self) -> np.ndarray:
+        """Per-cell sqrt(det) of cell_tensors(), clamped at 0."""
+        if self._cell_sqrt_det is None:
+            det = np.linalg.det(self.cell_tensors())
+            self._cell_sqrt_det = np.sqrt(np.maximum(det, 0.0))
+        return self._cell_sqrt_det
 
     def tensor_at(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of the tensor field at chart points.

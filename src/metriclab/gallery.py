@@ -52,8 +52,10 @@ class ExperimentConfig:
         res = list(self.resolutions)
         if any(b <= a for a, b in zip(res, res[1:])):
             raise GalleryError("resolutions must be strictly increasing")
-        if self.metric in ("random_spd", "conformal_bumps") and self.seed is None:
+        if self.metric in ("random_spd", "conformal_bump") and self.seed is None:
             raise GalleryError(f"metric {self.metric!r} requires a seed")
+        if self.operation in ("besicovitch_sweep", "loewner_bumps") and self.seed is None:
+            raise GalleryError(f"operation {self.operation!r} requires a seed")
 
     def tol(self, quantity: str, default: float) -> float:
         return float(self.tolerance_overrides.get(quantity, default))
@@ -91,7 +93,7 @@ def build_metric(config: ExperimentConfig, grid) -> F.MetricField:
         return F.random_spd_metric(grid, int(config.seed),
                                    (float(p.get("eig_lo", 0.25)), float(p.get("eig_hi", 4.0))))
     if name == "conformal_bump":
-        u = _bump_field(grid, int(config.seed or 0), float(p.get("amplitude", 0.25)))
+        u = _bump_field(grid, int(config.seed), float(p.get("amplitude", 0.25)))
         base = p.get("base", "flat")
         if base == "hexagonal":
             return F.MetricField(
@@ -159,7 +161,8 @@ def _op_besicovitch(config, field, N):
 
 def _op_besicovitch_sweep(config, field, N):
     eid = config.experiment_id
-    seeds = range(1, int(config.operation_params.get("count", 20)) + 1)
+    count = int(config.operation_params.get("count", 20))
+    seeds = range(int(config.seed), int(config.seed) + count)
     rel_tol = config.tol("slack", 0.01)
     worst = math.inf
     npass = 0
@@ -171,7 +174,7 @@ def _op_besicovitch_sweep(config, field, N):
         worst = min(worst, rep.slack / rep.product)
         npass += rep.passed
     rows = [
-        mio.make_row(eid, N, "sweep_all_pass", float(npass), float(len(list(seeds))),
+        mio.make_row(eid, N, "sweep_all_pass", float(npass), float(count),
                      "derived", 0.0),
         mio.make_row(eid, N, "worst_slack_over_product", worst, 0.0, "derived",
                      rel_tol, mode="ge"),
@@ -235,11 +238,7 @@ def _op_pu(config, field, N):
 
 
 def _op_involution(config, field, N):
-    g = field.grid
-    anti = g.antipode_map
-    half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    D = geo.distance_matrix(field, half)
-    sep = float(D[np.arange(len(half)), anti[half]].min())
+    sep, _ = geo.min_antipodal_distance(field)
     area = M.volume(field)
     eid = config.experiment_id
     rows = [
@@ -386,13 +385,11 @@ _OPERATIONS = {
 
 
 def run_config(config: ExperimentConfig, out_dir=None, resolution=None, seed=None,
-               figures=False, threads=1):
+               figures=False):
     """Execute an experiment at each resolution; returns all ReportRows.
 
-    Deterministic for fixed config and seed; `threads` is accepted for
-    interface compatibility (execution is sequential either way).
+    Deterministic for fixed config and seed.
     """
-    del threads
     if config.operation not in _OPERATIONS:
         raise GalleryError(f"unknown operation {config.operation!r}")
     if seed is not None:
@@ -441,15 +438,11 @@ def _write_artifacts(config, field, N, figs, out_dir, figures):
             fh.write(mio.certificate_text(figs["certificate"], field.grid,
                                           os.path.basename(base + "-field.txt")))
     if figures and field.grid.n == 2 and field.grid.topology.kind != "rp2":
-        try:
-            src = [0]
-            vals = geo.distance_field(field, src, quotient=False).dist
-            overlays = figs.get("curves", []) + figs.get("loops", [])
-            svg = mio.svg_heatmap(field.grid, vals, curves=overlays)
-            with open(base + ".svg", "w", newline="\n") as fh:
-                fh.write(svg)
-        except Exception:
-            pass
+        vals = geo.distance_field(field, [0], quotient=False).dist
+        overlays = figs.get("curves", []) + figs.get("loops", [])
+        svg = mio.svg_heatmap(field.grid, vals, curves=overlays)
+        with open(base + ".svg", "w", newline="\n") as fh:
+            fh.write(svg)
 
 
 def refine(config: ExperimentConfig, quantity: str, out_dir=None):

@@ -5,13 +5,18 @@ weights from MetricField.edge_lengths), computed with scipy's Dijkstra.
 Metrication against the continuum is bounded by the stencil distortion
 (about 2.75 percent for the 16-neighbor stencil).
 
-Noncontractible loops on torus2/cylinder are found by lifting to a window of
-fundamental-domain copies: the shortest loop through a base vertex v in deck
-class c equals the lifted distance from v to its translate by c.  Any loop
-with a nonzero first winding must pass through one of the two lattice columns
-next to the seam (stencil moves span at most two columns), so minimizing over
-those base vertices is exact; symmetrically for the second axis.  On rp2,
-noncontractible loops lift to antipodal paths on the sphere double cover.
+Every noncontractible loop goes through one engine: a chunked search for the
+minimum of d(sources[i], targets[i]), each Dijkstra cut off at the running
+best, then one witness Dijkstra and one predecessor-chain walk.
+
+On torus2/cylinder the graph is a window of fundamental-domain copies: the
+shortest loop through a base vertex v in deck class c equals the lifted
+distance from v to its translate by c.  Any loop with a nonzero first winding
+must pass through one of the two lattice columns next to the seam (stencil
+moves span at most two columns), so minimizing over those base vertices is
+exact; symmetrically for the second axis.  On rp2, noncontractible loops lift
+to paths from v to its antipode on the sphere double cover, searched over the
+vertices of the southern half.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ class GeodesyError(ValueError):
     pass
 
 
-_NO_PRED = -9999
-
-
 @dataclass
 class DistanceField:
     """Multi-source shortest-path distances with predecessors."""
@@ -46,33 +48,36 @@ class DistanceField:
 
     def path_to(self, v: int) -> np.ndarray:
         """Unwrapped chart polyline from the nearest source to v."""
-        chain = [v]
-        while self.parent[chain[-1]] >= 0:
-            chain.append(int(self.parent[chain[-1]]))
-        chain.reverse()
-        return _unwrap_chain(self.field.grid, chain)
+        return _unwrap_chain(self.field.grid, _chain(self.parent, v))
+
+
+def _chain(pred, v) -> list:
+    """Vertices from the root of a predecessor array to v."""
+    chain = [int(v)]
+    while pred[chain[-1]] >= 0:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
+    return chain
 
 
 def _unwrap_chain(grid, chain) -> np.ndarray:
-    disp = _edge_disp_lookup(grid)
-    pts = np.empty((len(chain), grid.n))
-    pts[0] = grid.coords[chain[0]]
-    for i in range(1, len(chain)):
-        pts[i] = pts[i - 1] + disp[(chain[i - 1], chain[i])]
-    return pts
+    """Chart polyline of a vertex chain, unwrapped by summing edge displacements.
 
-
-def _edge_disp_lookup(grid) -> dict:
-    cache = getattr(grid, "_disp_lookup", None)
-    if cache is None:
-        cache = {}
-        e, d = grid.edges, grid.edge_disp
-        for i in range(len(e)):
-            a, b = int(e[i, 0]), int(e[i, 1])
-            cache[(a, b)] = d[i]
-            cache[(b, a)] = -d[i]
-        grid._disp_lookup = cache
-    return cache
+    Where two stencil edges join the same vertex pair (tiny periodic grids),
+    the one listed last in grid.edges gives the step, in either orientation.
+    """
+    chain = np.asarray(chain, dtype=np.int64)
+    e = grid.edges
+    V = grid.num_vertices
+    keys = e.min(axis=1) * V + e.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    a, b = chain[:-1], chain[1:]
+    want = np.minimum(a, b) * V + np.maximum(a, b)
+    i = order[np.searchsorted(keys[order], want, side="right") - 1]
+    if (keys[i] != want).any():
+        raise GeodesyError("vertex chain leaves the edge set")
+    steps = grid.edge_disp[i] * np.where(e[i, 0] == a, 1.0, -1.0)[:, None]
+    return np.cumsum(np.vstack([grid.coords[chain[0]], steps]), axis=0)
 
 
 def distance_field(field: MetricField, sources, quotient: bool = True) -> DistanceField:
@@ -233,38 +238,61 @@ def _straight_upper_bound(field, base, cls) -> float:
     return float(best)
 
 
-def _lifted_graph(field, kx_range, ky_range):
-    """CSR over window copies of the fundamental domain; vertex id = c*V + v."""
+def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
+    """CSR over an nx-by-ny window of fundamental-domain copies.
+
+    Copy (i, j) of the window is c = i * ny + j and holds vertex ids
+    c*V .. c*V + V-1; edges that leave the window are dropped.  Copies are
+    built one at a time to keep the peak memory near that of the result.
+    """
     g = field.grid
     V = g.num_vertices
     e, w = g.edges, g.edge_wrap
     wt = field.edge_lengths()
-    kxs = list(kx_range)
-    kys = list(ky_range)
-    index = {}
-    copies = []
-    for kx in kxs:
-        for ky in kys:
-            index[(kx, ky)] = len(copies)
-            copies.append((kx, ky))
-    rows, cols, data = [], [], []
     wx = w[:, 0].astype(np.int64)
     wy = w[:, 1].astype(np.int64) if g.n > 1 else np.zeros(len(e), dtype=np.int64)
-    for ci, (kx, ky) in enumerate(copies):
-        tgt = np.array(
-            [index.get((kx + int(a), ky + int(b)), -1) for a, b in zip(wx, wy)]
-        )
-        ok = tgt >= 0
-        src_ids = ci * V + e[ok, 0]
-        dst_ids = tgt[ok] * V + e[ok, 1]
+    rows, cols, data = [], [], []
+    for c in range(nx * ny):
+        tx, ty = c // ny + wx, c % ny + wy
+        ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
+        src_ids = c * V + e[ok, 0]
+        dst_ids = (tx[ok] * ny + ty[ok]) * V + e[ok, 1]
         rows += [src_ids, dst_ids]
         cols += [dst_ids, src_ids]
         data += [wt[ok], wt[ok]]
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     data = np.concatenate(data)
-    nverts = len(copies) * V
-    return csr_matrix((data, (rows, cols)), shape=(nverts, nverts)), index, copies
+    nverts = nx * ny * V
+    return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
+
+
+def _loop_search(graph, sources, targets, ub):
+    """(min over i of d(sources[i], targets[i]), first minimizing i).
+
+    Dijkstras run 64 sources at a time, each cut off at the best value so far
+    (at first at ub); returns (inf, -1) when no pair lies within ub.
+    """
+    incumbent = ub * (1 + 1e-12) + 1e-12
+    best = (np.inf, -1)
+    chunk = 64
+    for k0 in range(0, len(sources), chunk):
+        sub = sources[k0:k0 + chunk]
+        # index the (chunk, V) block at once, so that no two blocks are alive together
+        vals = dijkstra(graph, directed=True, indices=sub, limit=incumbent)[
+            np.arange(len(sub)), targets[k0:k0 + chunk]]
+        j = int(np.argmin(vals))
+        if vals[j] < best[0]:
+            best = (float(vals[j]), k0 + j)
+            incumbent = min(incumbent, best[0] * (1 + 1e-12) + 1e-12)
+    return best
+
+
+def _witness_chain(graph, source: int, target: int, length: float) -> list:
+    """Vertex chain of a shortest source-target path whose length is known."""
+    _, pred = dijkstra(graph, directed=True, indices=source,
+                       limit=length * (1 + 1e-9) + 1e-9, return_predecessors=True)
+    return _chain(pred, target)
 
 
 def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
@@ -294,12 +322,26 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
     straight = _straight_upper_bound(field, base,
                                      (p, q) if kind == "torus2" else (p, 0.0))
     pad = 0.05 * straight + 4 * max(g.spacing) * math.sqrt(field.lambda_max())
+    lam = math.sqrt(field.lambda_min())
+    V = g.num_vertices
     best = (np.inf, -1)
     for attempt in range(3):
         ub = min(straight + pad * 2 ** attempt, upper)
         if not np.isfinite(ub):
             raise GeodesyError("unbounded loop search")
-        best = _loop_search(field, base, p, q, kind, ub)
+        # a loop of length <= ub stays within ub / (2 lam) chart units of its base
+        margin = ub / (2.0 * lam) + 2 * max(g.spacing)
+        kx0 = math.floor(min(0, p) - margin)
+        nx = math.ceil(max(0, p) + margin) - kx0
+        if kind == "torus2":
+            ky0 = math.floor(min(0, q) - margin)
+            ny = math.ceil(max(0, q) + margin) - ky0
+        else:
+            ky0, ny = 0, 1
+        lifted = _lifted_graph(field, nx, ny)
+        c0 = -kx0 * ny - ky0
+        ct = (p - kx0) * ny + (q - ky0)
+        best = _loop_search(lifted, c0 * V + base, ct * V + base, ub)
         if np.isfinite(best[0]) or ub >= upper:
             break
     if not np.isfinite(best[0]):
@@ -307,53 +349,11 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
             return None
         raise GeodesyError(f"no loop found in class {cls} within bound {upper}")
 
-    v = best[1]
-    lifted, index, copies = _loop_window(field, p, q, kind, best[0])
-    V = g.num_vertices
-    c0 = index[(0, 0)]
-    ct = index[(p, q)]
-    dist, pred = dijkstra(
-        lifted, directed=True, indices=c0 * V + v, limit=best[0] * (1 + 1e-9) + 1e-9,
-        return_predecessors=True,
-    )
-    chain = [ct * V + v]
-    while pred[chain[-1]] >= 0:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    pts = np.array([g.coords[c % V] + np.array(copies[c // V]) for c in chain])
-    return LoopWitness((p, q) if kind == "torus2" else p, v, pts, best[0])
-
-
-def _loop_window(field, p, q, kind, bound):
-    g = field.grid
-    lam = math.sqrt(field.lambda_min())
-    margin = bound / (2.0 * lam) + 2 * max(g.spacing)
-    kx_range = range(math.floor(min(0, p) - margin), math.ceil(max(0, p) + margin))
-    if kind == "torus2":
-        ky_range = range(math.floor(min(0, q) - margin), math.ceil(max(0, q) + margin))
-    else:
-        ky_range = [0]
-    return _lifted_graph(field, kx_range, ky_range)
-
-
-def _loop_search(field, base, p, q, kind, ub):
-    g = field.grid
-    V = g.num_vertices
-    lifted, index, _ = _loop_window(field, p, q, kind, ub)
-    c0 = index[(0, 0)]
-    ct = index[(p, q)]
-    incumbent = ub * (1 + 1e-12) + 1e-12
-    best = (np.inf, -1)
-    chunk = 64
-    for k0 in range(0, len(base), chunk):
-        sub = base[k0:k0 + chunk]
-        D = dijkstra(lifted, directed=True, indices=c0 * V + sub, limit=incumbent)
-        vals = D[np.arange(len(sub)), ct * V + sub]
-        j = int(np.argmin(vals))
-        if vals[j] < best[0]:
-            best = (float(vals[j]), int(sub[j]))
-            incumbent = min(incumbent, best[0] * (1 + 1e-12) + 1e-12)
-    return best
+    length, v = best[0], int(base[best[1]])
+    chain = np.array(_witness_chain(lifted, c0 * V + v, ct * V + v, length))
+    copy_x, copy_y = np.divmod(chain // V, ny)
+    pts = g.coords[chain % V] + np.stack([kx0 + copy_x, ky0 + copy_y], axis=1)
+    return LoopWitness((p, q) if kind == "torus2" else p, v, pts, length)
 
 
 def _primitive_classes(window: int):
@@ -402,22 +402,23 @@ def systole(field: MetricField) -> LoopWitness:
         window = nxt
 
 
+def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
+    """(min over v of d(v, antipode(v)), first minimizing v) on sphere2/rp2.
+
+    Distances are taken on the sphere double cover.  Sources are the vertices
+    with latitude coordinate <= 1/2; the antipodal map swaps the two halves,
+    so every pair {v, antipode(v)} is seen.
+    """
+    g = field.grid
+    if g.antipode_map is None:
+        raise GeodesyError(f"{g.topology.kind} has no antipodal map")
+    half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
+    length, i = _loop_search(field.graph(), half, g.antipode_map[half], np.inf)
+    return length, int(half[i])
+
+
 def _systole_rp2(field: MetricField) -> LoopWitness:
     g = field.grid
-    anti = g.antipode_map
-    half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    D = distance_matrix(field, half)
-    vals = D[np.arange(len(half)), anti[half]]
-    j = int(np.argmin(vals))
-    v = int(half[j])
-    length = float(vals[j])
-    dist, pred, _ = dijkstra(
-        field.graph(), directed=True, indices=[v], min_only=True,
-        return_predecessors=True,
-    )
-    chain = [int(anti[v])]
-    while pred[chain[-1]] >= 0:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    pts = _unwrap_chain(g, chain)
-    return LoopWitness("antipodal", v, pts, length)
+    length, v = min_antipodal_distance(field)
+    chain = _witness_chain(field.graph(), v, int(g.antipode_map[v]), length)
+    return LoopWitness("antipodal", v, _unwrap_chain(g, chain), length)

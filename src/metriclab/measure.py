@@ -28,31 +28,10 @@ class MeasureError(ValueError):
     pass
 
 
-def _cell_tensors(field: MetricField) -> np.ndarray:
-    cached = getattr(field, "_cell_tensor_cache", None)
-    if cached is None:
-        cells = field.grid.cells
-        valid = cells >= 0
-        t = field.tensors[np.where(valid, cells, 0)]
-        t = t * valid[:, :, None, None]
-        cached = t.sum(axis=1) / valid.sum(axis=1)[:, None, None]
-        field._cell_tensor_cache = cached
-    return cached
-
-
-def _cell_sqrt_det(field: MetricField) -> np.ndarray:
-    cached = getattr(field, "_cell_sqrtdet_cache", None)
-    if cached is None:
-        det = np.linalg.det(_cell_tensors(field))
-        cached = np.sqrt(np.maximum(det, 0.0))
-        field._cell_sqrtdet_cache = cached
-    return cached
-
-
 def volume(field: MetricField) -> float:
     """Total volume: sum over cells of chart volume times sqrt(det gbar)."""
     g = field.grid
-    return float((g.cell_chart_vol * _cell_sqrt_det(field)).sum()) * g.quotient_volume_factor
+    return float((g.cell_chart_vol * field.cell_sqrt_det()).sum()) * g.quotient_volume_factor
 
 
 def region_volume(field: MetricField, region) -> float:
@@ -67,7 +46,7 @@ def region_volume(field: MetricField, region) -> float:
     valid = cells >= 0
     inside = region[np.where(valid, cells, 0)] & valid
     frac = inside.sum(axis=1) / valid.sum(axis=1)
-    return float((g.cell_chart_vol * _cell_sqrt_det(field) * frac).sum()) * g.quotient_volume_factor
+    return float((g.cell_chart_vol * field.cell_sqrt_det() * frac).sum()) * g.quotient_volume_factor
 
 
 def ball_volume(field: MetricField, p: int, r: float, dist=None) -> float:
@@ -81,7 +60,7 @@ def ball_volume(field: MetricField, p: int, r: float, dist=None) -> float:
     valid = cells >= 0
     d = np.where(valid, dist[np.where(valid, cells, 0)], -np.inf)
     inside = (d < r).all(axis=1)
-    return float((g.cell_chart_vol * _cell_sqrt_det(field))[inside].sum()) * g.quotient_volume_factor
+    return float((g.cell_chart_vol * field.cell_sqrt_det())[inside].sum()) * g.quotient_volume_factor
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,7 @@ def test_criterion_13_involution_bound():
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
     D = geo.distance_matrix(f, half)
     sep = float(D[np.arange(len(half)), anti[half]].min())
+    assert geo.min_antipodal_distance(f)[0] == sep
     area = M.volume(f)
     assert sep == pytest.approx(1.0, rel=0.02)
     assert area >= 0.5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
@@ -194,3 +196,138 @@ def test_radius_disconnected_is_flagged():
     assert not r.connected
     assert len(r.per_component) >= 2
     assert r.value == pytest.approx(max(v for v, _ in r.per_component))
+
+
+# ---------------------------------------------------------------------------
+# the loop engine: values pinned from the dense / dict-built implementation
+
+def _rp2_bump(g):
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    u = (0.15 * np.cos(4 * math.pi * x) * np.sin(math.pi * y) ** 2
+         + 0.1 * np.cos(2 * math.pi * y))
+    return F.conformal_rescale(F.round_sphere_metric(g, 1.0), u)
+
+
+def _pinned_field(kind, N, metric):
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    if metric == "flat":
+        return F.flat_metric(g)
+    if metric == "hex":
+        return F.constant_metric(g, HEX)
+    if metric == "spd":
+        return F.random_spd_metric(g, 7 if kind == "torus2" else 3, (0.5, 2.0))
+    if metric == "round":
+        return F.round_sphere_metric(g, 1.0)
+    return _rp2_bump(g)
+
+
+# (kind, N, metric): [(class or None for the systole, length, class)]
+PINNED_LOOPS = {
+    ("torus2", 16, "flat"): [(None, 1.0, (0, 1)), ((1, -1), 1.4142135623730956, (1, -1)),
+                             ((2, 1), 2.23606797749979, (2, 1))],
+    ("torus2", 32, "flat"): [(None, 1.0, (0, 1)), ((1, -1), 1.4142135623730947, (1, -1)),
+                             ((2, 1), 2.236067977499788, (2, 1))],
+    ("torus2", 16, "hex"): [(None, 1.0, (0, 1)), ((1, 1), 1.7320508075688776, (1, 1)),
+                            ((2, 1), 2.6457513110645907, (2, 1))],
+    ("torus2", 32, "hex"): [(None, 1.0, (0, 1)), ((1, 1), 1.7320508075688765, (1, 1)),
+                            ((2, 1), 2.6457513110645903, (2, 1))],
+    ("torus2", 16, "spd"): [(None, 0.9928984214833244, (1, 0)),
+                            ((0, 1), 0.9966160036264422, (0, 1)),
+                            ((1, -1), 1.307788249366042, (1, -1)),
+                            ((2, 1), 2.1840472518302825, (2, 1))],
+    ("torus2", 32, "spd"): [(None, 0.9962892826612797, (1, 0)),
+                            ((0, 1), 0.997018465880028, (0, 1)),
+                            ((1, -1), 1.3057751541383913, (1, -1)),
+                            ((2, 1), 2.183597290988225, (2, 1))],
+    ("cylinder", 16, "spd"): [(None, 0.9982516955983567, 1), (2, 1.9965033911967134, 2)],
+    ("rp2", 16, "round"): [(None, 3.141592653589793, "antipodal")],
+    ("rp2", 24, "round"): [(None, 3.141592653589792, "antipodal")],
+    ("rp2", 16, "bump"): [(None, 2.860987751012129, "antipodal")],
+    ("rp2", 24, "bump"): [(None, 2.8597163036699986, "antipodal")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LOOPS), ids=lambda c: "-".join(map(str, c)))
+def test_loop_lengths_and_classes_are_pinned(case):
+    f = _pinned_field(*case)
+    for cls, length, want_cls in PINNED_LOOPS[case]:
+        w = geo.systole(f) if cls is None else geo.shortest_loop_in_class(f, cls)
+        assert w.cls == want_cls
+        assert abs(w.length - length) <= 1e-12 * length
+        assert w.check_length(f)
+
+
+@pytest.mark.parametrize("kind,N", [("rp2", 16), ("rp2", 24), ("sphere2", 16)])
+def test_min_antipodal_distance_matches_dense_oracle(kind, N):
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    fields = [F.round_sphere_metric(g, 1.0 / math.pi)]
+    if kind == "rp2":
+        fields.append(_rp2_bump(g))
+    for f in fields:
+        half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
+        D = geo.distance_matrix(f, half)
+        vals = D[np.arange(len(half)), g.antipode_map[half]]
+        length, v = geo.min_antipodal_distance(f)
+        assert length == vals.min()
+        assert v == half[int(np.argmin(vals))]
+    with pytest.raises(geo.GeodesyError):
+        geo.min_antipodal_distance(F.flat_metric(G.build_grid(G.torus2(), 8, 3)))
+
+
+def test_rp2_systole_memory_is_bounded():
+    import tracemalloc
+
+    f = F.round_sphere_metric(G.build_grid(G.rp2(), 64, 3), 1.0)
+    tracemalloc.start()
+    try:
+        w = geo.systole(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.length == pytest.approx(math.pi, rel=0.02)
+    assert peak < 16 * 2 ** 20
+
+
+def test_rp2_path_through_pole_and_seam_matches_distance():
+    g = G.build_grid(G.rp2(), 24, 3)
+    f = F.round_sphere_metric(g, 1.0)
+    south, north = 0, 1
+    d = geo.distance_field(f, [south], quotient=False)
+    pts = d.path_to(north)
+    assert F.polyline_length(f, pts) == pytest.approx(d.dist[north], abs=1e-10)
+    # from just left of the longitude seam to just right of it, at mid-latitude
+    j = g.lattice_shape[1] // 3
+    left, right = int(g.lattice_vid[-1, j]), int(g.lattice_vid[2, j])
+    d = geo.distance_field(f, [left], quotient=False)
+    pts = d.path_to(right)
+    assert pts[-1, 0] > 1.0  # unwrapped across the seam
+    assert F.polyline_length(f, pts) == pytest.approx(d.dist[right], abs=1e-10)
+
+
+@pytest.mark.parametrize("top", [G.torus2(), G.cylinder()], ids=["torus2", "cylinder"])
+def test_unwrap_uses_last_listed_edge_of_a_repeated_pair(top):
+    g = G.build_grid(top, 4, 3)
+    e, disp = g.edges, g.edge_disp
+    oracle = {}
+    for i in range(len(e)):
+        a, b = int(e[i, 0]), int(e[i, 1])
+        oracle[(a, b)] = disp[i]
+        oracle[(b, a)] = -disp[i]
+    pairs = np.sort(e, axis=1)
+    assert len(np.unique(pairs, axis=0)) < len(pairs)  # repeated pairs occur at N = 4
+    for (a, b), step in oracle.items():
+        pts = geo._unwrap_chain(g, [a, b])
+        assert (pts == [g.coords[a], g.coords[a] + step]).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(6, 12), seed=st.integers(0, 10_000),
+       cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1),
+                            (1, -2)]))
+def test_witness_closes_in_its_class(N, seed, cls):
+    g = G.build_grid(G.torus2(), N, 3)
+    f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    w = geo.shortest_loop_in_class(f, cls)
+    assert w.cls == cls
+    assert np.allclose(w.points[-1] - w.points[0], cls, atol=1e-12)
+    assert w.check_length(f)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from metriclab import besicovitch as B
 from metriclab import cli
 from metriclab import fields as F
 from metriclab import gallery as gal
@@ -170,14 +171,45 @@ def test_cli_execution_error_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
-def test_cli_threads_flag_does_not_change_output(tmp_path):
-    a, b = tmp_path / "t1", tmp_path / "t4"
-    assert cli.main(["run", "--gallery", "flat-torus-systole", "--resolution", "16",
-                     "--out", str(a), "--threads", "1"]) == 0
-    assert cli.main(["run", "--gallery", "flat-torus-systole", "--resolution", "16",
-                     "--out", str(b), "--threads", "4"]) == 0
-    assert (a / "flat-torus-systole.csv").read_bytes() == \
-        (b / "flat-torus-systole.csv").read_bytes()
+def test_cli_rejects_threads_flag():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--gallery", "flat-torus-systole", "--threads", "4"])
+    assert exc.value.code == 2
+
+
+def test_cli_figure_error_is_an_execution_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no figure")
+
+    monkeypatch.setattr(mio, "svg_heatmap", broken)
+    assert cli.main(["run", "--gallery", "flat-torus-systole", "--out", str(tmp_path),
+                     "--resolution", "16", "--figures"]) == 3
+
+
+def test_seeded_operations_require_a_seed(tmp_path):
+    for metric, op in (("conformal_bump", "volume"), ("flat", "besicovitch_sweep"),
+                       ("hexagonal", "loewner_bumps")):
+        with pytest.raises(gal.GalleryError, match="requires a seed"):
+            gal.ExperimentConfig("x", "torus2", metric, op, [16])
+    cfg = tmp_path / "bumps.ini"
+    cfg.write_text(
+        "[domain]\nkind = torus2\n\n[metric]\nbuilder = hexagonal\n\n"
+        "[experiment]\nid = bumps\noperation = loewner_bumps\nresolutions = 16\n"
+        "count = 1\n"
+    )
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                     "--seed", "3"]) in (0, 1)
+
+
+def test_besicovitch_sweep_uses_the_config_seed():
+    item = gal.ExperimentConfig("sweep", "square", "flat", "besicovitch_sweep", [16],
+                                seed=5, operation_params={"count": 2})
+    rows = gal.run_config(item)
+    g = G.build_grid(G.square(), 16, 3)
+    reps = [B.verify_besicovitch(F.random_spd_metric(g, s, (0.25, 4.0))) for s in (5, 6)]
+    worst = [r for r in rows if r.quantity == "worst_slack_over_product"][0]
+    assert worst.computed == min(r.slack / r.product for r in reps)
 
 
 def test_run_emits_witness_and_certificate_artifacts(tmp_path):
