@@ -56,16 +56,26 @@ class MetricField:
         return self._edge_lengths
 
     def graph(self) -> sp.csr_matrix:
-        """Symmetric weighted adjacency (both edge directions stored)."""
+        """Symmetric weighted adjacency (both edge directions stored).
+
+        Where two stencil edges join one vertex pair (4 lattice points on a
+        periodic axis), the pair keeps the shorter of their lengths.
+        """
         if self._csr is None:
             e = self.grid.edges
             w = self.edge_lengths()
             rows = np.concatenate([e[:, 0], e[:, 1]])
             cols = np.concatenate([e[:, 1], e[:, 0]])
             data = np.concatenate([w, w])
-            self._csr = sp.csr_matrix(
-                (data, (rows, cols)), shape=(self.grid.num_vertices,) * 2
-            )
+            shape = (self.grid.num_vertices,) * 2
+            csr = sp.csr_matrix((data, (rows, cols)), shape=shape)
+            if csr.nnz < len(data):  # the COO conversion summed repeated pairs
+                order = np.lexsort((data, cols, rows))
+                r, c = rows[order], cols[order]
+                first = np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+                order = order[first]
+                csr = sp.csr_matrix((data[order], (rows[order], cols[order])), shape=shape)
+            self._csr = csr
         return self._csr
 
     def lambda_min(self) -> float:

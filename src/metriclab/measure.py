@@ -7,6 +7,12 @@ linear interpolation (2-D only); ambiguous saddle cells are resolved by the
 cell-average rule.  Lengths of level polylines use the same mean-endpoint
 tensor rule as polyline_length, and rp2 quantities carry the quotient factor
 of the double cover.
+
+One segment core and one case table serve two entry points:
+_marching_segments returns the geometry and graph keys of one level, and
+ladder_lengths returns the length of every level of a ladder from a single
+pass over the cells, bit-identical to one _marching_segments pass per level.
+Coarea profiles and separating-cut ladders use the latter.
 """
 
 from __future__ import annotations
@@ -80,89 +86,140 @@ class LevelSegments:
     lengths: np.ndarray        # g-length per segment
 
 
-def _marching_segments(field: MetricField, fvals: np.ndarray, t: float,
-                       cell_mask=None) -> LevelSegments:
+# Crossed-edge pairs (ea, eb) of each case's segments, -1 padded; cell edge j
+# joins CCW corners j and j+1.  The saddle codes 5 and 10 never index the
+# table: the cell-average rule turns them into case 16 (segments e0-e1 and
+# e2-e3) or case 17 (segments e3-e0 and e1-e2).
+_CASE_EDGES = np.array([
+    [[-1, -1], [-1, -1]], [[3, 0], [-1, -1]], [[0, 1], [-1, -1]], [[3, 1], [-1, -1]],
+    [[1, 2], [-1, -1]], [[-1, -1], [-1, -1]], [[0, 2], [-1, -1]], [[3, 2], [-1, -1]],
+    [[2, 3], [-1, -1]], [[2, 0], [-1, -1]], [[-1, -1], [-1, -1]], [[2, 1], [-1, -1]],
+    [[1, 3], [-1, -1]], [[1, 0], [-1, -1]], [[0, 3], [-1, -1]], [[-1, -1], [-1, -1]],
+    [[0, 1], [2, 3]], [[3, 0], [1, 2]],
+])
+_NEXT = np.array([1, 2, 3, 0])
+
+# (cell, level) pairs per block of a level ladder; bounds the ladder's memory
+_LADDER_BLOCK_PAIRS = 2048
+
+
+def _full_cells(field: MetricField, cell_mask):
+    """Ids, CCW corner vertices and CCW corner chart coords of the cells that
+    have four valid corners (and pass cell_mask)."""
     g = field.grid
     if g.n != 2:
         raise MeasureError("level sets are implemented for 2-D fields only")
-    cells = g.cells
-    full = (cells >= 0).all(axis=1)
+    full = (g.cells >= 0).all(axis=1)
     if cell_mask is not None:
         full = full & cell_mask
     cid = np.where(full)[0]
-    corners = cells[cid][:, _CCW]
-    xy = g.cell_corner_xy[cid][:, _CCW, :]
-    s = fvals[corners] - t
+    return cid, g.cells[cid][:, _CCW], g.cell_corner_xy[cid][:, _CCW, :]
+
+
+def _segments(tensors, corners, xy, s):
+    """Marching-squares segments of cells with corner values s = f - t.
+
+    corners, xy and s hold each cell's four CCW corners; a corner is inside
+    when s > 0.  Returns (rows, ea, eb, pa, pb, gbar): the row of each
+    segment's cell (ascending, a saddle's two segments in table order), its
+    crossed edges and crossing points, and the mean of the tensors blended
+    linearly along the two crossed edges.
+    """
     inside = s > 0.0
-    code = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
-    active = (code > 0) & (code < 15)
-    cid, corners, xy, s, inside, code = (
-        cid[active], corners[active], xy[active], s[active], inside[active], code[active]
-    )
+    case = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
+    saddle = np.where((case == 5) | (case == 10))[0]
+    # saddles follow the average rule: code 5 with its average inside, or
+    # code 10 with its average outside, joins (e0, e1) and (e2, e3)
+    avg_in = s[saddle].mean(axis=1) > 0
+    case[saddle] = np.where(avg_in != (case[saddle] == 10), 16, 17)
+    pairs = _CASE_EDGES[case]
+    rows, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    ea, eb = pairs[rows, slot, 0], pairs[rows, slot, 1]
 
-    # crossing data for the four CCW cell edges
-    nxt = np.array([1, 2, 3, 0])
-    pts = np.zeros((len(cid), 4, 2))
-    keys = np.zeros((len(cid), 4, 2), dtype=np.int64)
-    tens = np.zeros((len(cid), 4, 2, 2))
-    crossed = np.zeros((len(cid), 4), dtype=bool)
-    all_t = field.tensors[corners]
-    for j in range(4):
-        a, b = j, nxt[j]
-        cr = inside[:, a] != inside[:, b]
-        crossed[:, j] = cr
-        denom = s[:, a] - s[:, b]
-        alpha = np.where(cr, s[:, a] / np.where(denom == 0, 1.0, denom), 0.0)
-        pts[:, j] = xy[:, a] + alpha[:, None] * (xy[:, b] - xy[:, a])
-        lohi = np.sort(np.stack([corners[:, a], corners[:, b]], axis=1), axis=1)
-        keys[:, j] = lohi
-        tens[:, j] = (1 - alpha)[:, None, None] * all_t[:, a] + alpha[:, None, None] * all_t[:, b]
+    def crossing(j):
+        a, b = j, _NEXT[j]
+        sa, sb = s[rows, a], s[rows, b]
+        alpha = sa / (sa - sb)
+        xa = xy[rows, a]
+        pt = xa + alpha[:, None] * (xy[rows, b] - xa)
+        ten = ((1 - alpha)[:, None, None] * tensors[corners[rows, a]]
+               + alpha[:, None, None] * tensors[corners[rows, b]])
+        return pt, ten
 
-    # segment edge pairs per marching-squares case; saddles use the average rule
-    pair_table = {
-        1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
-        3: [(3, 1)], 6: [(0, 2)], 12: [(1, 3)], 9: [(2, 0)],
-        7: [(3, 2)], 11: [(2, 1)], 13: [(1, 0)], 14: [(0, 3)],
-    }
-    seg_cell, seg_a, seg_b = [], [], []
-    for c, pairs in pair_table.items():
-        rows = np.where(code == c)[0]
-        for (ea, eb) in pairs:
-            seg_cell.append(rows)
-            seg_a.append(np.full(len(rows), ea))
-            seg_b.append(np.full(len(rows), eb))
-    for c, flip in ((5, False), (10, True)):
-        rows = np.where(code == c)[0]
-        if len(rows) == 0:
-            continue
-        avg_in = s[rows].mean(axis=1) > 0
-        connect = avg_in != flip
-        # corners 0 and 2 inside (code 5): avg inside joins (e0,e1),(e2,e3)
-        for sel, pairs in ((connect, [(0, 1), (2, 3)]), (~connect, [(3, 0), (1, 2)])):
-            rr = rows[sel]
-            for (ea, eb) in pairs:
-                seg_cell.append(rr)
-                seg_a.append(np.full(len(rr), ea))
-                seg_b.append(np.full(len(rr), eb))
-    if seg_cell:
-        rows = np.concatenate(seg_cell)
-        ea = np.concatenate(seg_a)
-        eb = np.concatenate(seg_b)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        ea = eb = np.empty(0, dtype=np.int64)
+    pa, ta = crossing(ea)
+    pb, tb = crossing(eb)
+    return rows, ea, eb, pa, pb, 0.5 * (ta + tb)
 
-    pa = pts[rows, ea]
-    pb = pts[rows, eb]
-    gbar = 0.5 * (tens[rows, ea] + tens[rows, eb])
+
+def _segment_lengths(pa, pb, gbar):
+    """g-lengths sqrt(d^T gbar d), d = pb - pa, of one level's segments.
+
+    einsum's rounding depends on how many segments it is given (one
+    segment sums in another order than many), so each level's segments go
+    through one call of their own.
+    """
     d = pb - pa
     q = np.einsum("si,sij,sj->s", d, gbar, d)
-    lengths = np.sqrt(np.maximum(q, 0.0))
-    order = np.argsort(rows, kind="stable")
-    return LevelSegments(
-        t, cid[rows][order], keys[rows, ea][order], keys[rows, eb][order],
-        pa[order], pb[order], lengths[order],
-    )
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _marching_segments(field: MetricField, fvals: np.ndarray, t: float,
+                       cell_mask=None) -> LevelSegments:
+    """Segments of the level {f = t} over the full cells that pass cell_mask."""
+    cid, corners, xy = _full_cells(field, cell_mask)
+    rows, ea, eb, pa, pb, gbar = _segments(field.tensors, corners, xy, fvals[corners] - t)
+
+    def keys(j):
+        return np.sort(np.stack([corners[rows, j], corners[rows, _NEXT[j]]], axis=1), axis=1)
+
+    return LevelSegments(t, cid[rows], keys(ea), keys(eb), pa, pb,
+                         _segment_lengths(pa, pb, gbar))
+
+
+def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndarray:
+    """g-length of the level set {f = t} for every t in levels, in one pass.
+
+    A cell is crossed by level t exactly when min corner <= t < max corner,
+    so a binary search of the sorted ladder gives each cell its range of
+    levels.  The (cell, level) pairs run through the segment arithmetic of
+    _marching_segments in level-major, cell-ascending order, in blocks of at
+    most _LADDER_BLOCK_PAIRS pairs (one level may exceed that).  Entry k is
+    bit-identical to _marching_segments(field, fvals, levels[k],
+    cell_mask).lengths.sum().  Lengths are those of the cover (no quotient
+    factor).
+    """
+    fvals = np.asarray(fvals, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    _, corners, xy = _full_cells(field, cell_mask)
+    fc = fvals[corners]
+    order = np.argsort(levels, kind="stable")
+    tl = levels[order]
+    L = len(tl)
+    ext = np.where(np.isnan(fc), -np.inf, fc)  # a NaN corner is never inside
+    lo = np.searchsorted(tl, ext.min(axis=1), side="left")
+    hi = np.searchsorted(tl, ext.max(axis=1), side="left")
+    per_level = np.cumsum(np.bincount(lo, minlength=L + 1) - np.bincount(hi, minlength=L + 1))
+    done = np.concatenate([[0], np.cumsum(per_level[:L])])  # pairs before level k
+    out = np.zeros(L)
+    k0 = 0
+    while k0 < L:
+        k1 = max(k0 + 1, int(np.searchsorted(done, done[k0] + _LADDER_BLOCK_PAIRS,
+                                              side="right")) - 1)
+        sel = np.where((lo < k1) & (hi > k0))[0]
+        first = np.maximum(lo[sel], k0)
+        count = np.minimum(hi[sel], k1) - first
+        # cell sel[i] takes levels first[i] .. first[i] + count[i] - 1
+        pc = np.repeat(sel, count)
+        pl = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pc))
+        level_major = np.argsort(pl, kind="stable")
+        pc, pl = pc[level_major], pl[level_major]
+        rows, _, _, pa, pb, gbar = _segments(field.tensors, corners[pc], xy[pc],
+                                             fc[pc] - tl[pl][:, None])
+        bounds = np.searchsorted(pl[rows], np.arange(k0, k1 + 1))
+        for k, a, b in zip(range(k0, k1), bounds[:-1], bounds[1:]):
+            out[order[k]] = _segment_lengths(pa[a:b], pb[a:b], gbar[a:b]).sum()
+        k0 = k1
+    return out
 
 
 def level_set_measure(field: MetricField, fvals, t: float) -> float:
@@ -213,8 +270,7 @@ def coarea_profile(field: MetricField, fvals, t_count: int = 256) -> CoareaProfi
         return CoareaProfile(t_grid, a, 0.0, vol, vol)
     step = (hi - lo) / t_count
     t_grid = lo + step * (np.arange(t_count) + 0.5)
-    qfac = field.grid.quotient_volume_factor
-    a = np.array([_marching_segments(field, fvals, t).lengths.sum() * qfac for t in t_grid])
+    a = ladder_lengths(field, fvals, t_grid) * field.grid.quotient_volume_factor
     total = float(np.trapezoid(a, t_grid))
     vol = volume(field)
     return CoareaProfile(t_grid, a, total, vol, vol - total)

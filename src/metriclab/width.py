@@ -6,7 +6,11 @@ field from that component's farthest-point center, scan a uniform ladder of
 levels inside (r0, r1), keep the level whose curve is shortest (the discrete
 pigeonhole surrogate: some level in the band is no longer than
 vol(B(p, r1)) / (r1 - r0)), remove every component-internal edge straddling
-the level, and recompute components.  Cut curves become one-ring vertex sets
+the level, and recompute components.  The whole ladder is scanned at once:
+binary searches of the sorted ladder give each level's nudge off vertex
+values and its count of straddling edges, and measure.ladder_lengths gives
+every level's curve length from one pass over the cells; only the chosen
+level's segments are built.  Cut curves become one-ring vertex sets
 (endpoints of straddled edges), optionally thickened by one tenth of their
 separation from other curves, and are appended to the complement components
 as cover sets.  Certificates store per-set centers so an independent
@@ -31,7 +35,6 @@ from .covers import Cover
 from .fields import MetricField
 from .geodesy import (
     distance_field,
-    distance_matrix,
     set_radius_exact,
     set_radius_upper,
     systole,
@@ -91,6 +94,27 @@ def _kept_components(field: MetricField, removed_mask: np.ndarray):
     return comps
 
 
+def _ladder(fcomp, r0: float, r1: float, level_count: int) -> np.ndarray:
+    """Midpoint levels of level_count equal steps of (r0, r1); a level within
+    1e-13 of a component value moves up by a millionth of a step."""
+    step = (r1 - r0) / level_count
+    t = r0 + step * (np.arange(level_count) + 0.5)
+    # fl(x - t) is monotone in x, so the value nearest t is a sorted neighbour
+    fs = np.sort(fcomp)
+    i = np.searchsorted(fs, t)
+    near = np.minimum(np.abs(fs[np.minimum(i, len(fs) - 1)] - t),
+                      np.abs(fs[np.maximum(i - 1, 0)] - t))
+    return np.where(near < 1e-13, t + step * 1e-6, t)
+
+
+def _straddle_counts(fu, fv, levels) -> np.ndarray:
+    """Number of edges with min(fu, fv) < t < max(fu, fv), for each level t."""
+    lo, hi = np.minimum(fu, fv), np.maximum(fu, fv)
+    keep = lo < hi
+    lo, hi = np.sort(lo[keep]), np.sort(hi[keep])
+    return np.searchsorted(lo, levels, side="left") - np.searchsorted(hi, levels, side="right")
+
+
 def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = None,
                    budget: int = 32, level_count: int = 256,
                    radius_rounds: int = 4) -> SeparatingCut:
@@ -116,14 +140,11 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
     comps = _kept_components(field, removed)
     radii = {}
 
-    def comp_key(comp):
-        return (len(comp), hash(comp.tobytes()))
-
     iterations = 0
     while iterations < budget:
         todo = None
         for ci, comp in enumerate(comps):
-            key = comp_key(comp)
+            key = comp.tobytes()
             if key not in radii:
                 radii[key] = set_radius_upper(field, comp, rounds=radius_rounds,
                                               within=comp)
@@ -131,7 +152,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
                 todo = (ci, comp, radii[key])
                 break
         if todo is None:
-            comp_radii = [radii[comp_key(c)] for c in comps]
+            comp_radii = [radii[c.tobytes()] for c in comps]
             total = float(sum(c.length for c in curves))
             return SeparatingCut(R, r0, r1, curves, removed, comps, comp_radii,
                                  True, iterations, reasons, total)
@@ -147,25 +168,21 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         edge_candidate = in_comp[e[:, 0]] & in_comp[e[:, 1]] & ~removed
         fu, fv = fvals[e[:, 0]], fvals[e[:, 1]]
 
-        step = (r1 - r0) / level_count
+        levels = _ladder(fvals[comp], r0, r1, level_count)
+        ncut = _straddle_counts(fu[edge_candidate], fv[edge_candidate], levels)
+        lengths = measure.ladder_lengths(field, fvals, levels, cell_mask=cells_ok)
         best = None
-        for k in range(level_count):
-            t = r0 + step * (k + 0.5)
-            if np.abs(fvals[comp] - t).min() < 1e-13:
-                t += step * 1e-6
-            cut_edges = edge_candidate & ((fu - t) * (fv - t) < 0)
-            ncut = int(cut_edges.sum())
-            if ncut == 0:
-                continue
-            segs = measure._marching_segments(field, fvals, t, cell_mask=cells_ok)
-            length = float(segs.lengths.sum())
-            if best is None or length < best[0] - 1e-15:
-                best = (length, t, cut_edges, segs)
+        for k in np.where(ncut > 0)[0]:
+            if best is None or lengths[k] < lengths[best] - 1e-15:
+                best = k
         if best is None:
             reasons.append(f"no level in ({r0:.4g}, {r1:.4g}) separates component "
                            f"with radius {rad_ub:.4g}")
             break
-        length, t, cut_edges, segs = best
+        t = float(levels[best])
+        cut_edges = edge_candidate & ((fu - t) * (fv - t) < 0)
+        segs = measure._marching_segments(field, fvals, t, cell_mask=cells_ok)
+        length = float(segs.lengths.sum())
         bound = measure.ball_volume(field, center, r1, dist=fvals_all) / (r1 - r0)
         removed |= cut_edges
         mids = 0.5 * (segs.points_a + segs.points_b)
@@ -178,7 +195,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         reasons.append(f"iteration budget {budget} exhausted")
     comp_radii = []
     for c in comps:
-        key = comp_key(c)
+        key = c.tobytes()
         if key not in radii:
             radii[key] = set_radius_upper(field, c, rounds=radius_rounds, within=c)
         comp_radii.append(radii[key])

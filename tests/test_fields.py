@@ -242,3 +242,19 @@ def test_spd_validation():
     t[5] = [[1.0, 0.0], [0.0, -1.0]]
     with pytest.raises(F.FieldError):
         F.MetricField(g, t)
+
+
+@pytest.mark.parametrize("top", [G.torus2(), G.cylinder()])
+def test_graph_keeps_shorter_edge_of_a_repeated_pair(top):
+    g = G.build_grid(top, 4, 3)
+    pairs = np.sort(g.edges, axis=1)
+    assert len(np.unique(pairs, axis=0)) < len(pairs)  # repeated pairs occur at N = 4
+    for f in (F.flat_metric(g), F.random_spd_metric(g, 1, (0.5, 2.0))):
+        w = f.edge_lengths()
+        shortest = {}
+        for (a, b), length in zip(map(tuple, pairs), w):
+            shortest[(a, b)] = min(shortest.get((a, b), np.inf), length)
+        A = f.graph()
+        assert A.nnz == 2 * len(shortest)
+        for (a, b), length in shortest.items():
+            assert A[a, b] == length and A[b, a] == length

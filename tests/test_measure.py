@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
@@ -127,6 +130,101 @@ def test_cylinder_coarea_levels_at_least_circumference():
     inner = (prof.t_grid > 0.05) & (prof.t_grid < 0.95)
     assert prof.a[inner].min() >= 1.0 - 1e-9
     assert prof.total >= 1.0 - 0.01
+
+
+def _per_level(f, fvals, levels, cell_mask=None):
+    """Oracle: one marching-squares pass per level."""
+    return np.array([M._marching_segments(f, fvals, t, cell_mask).lengths.sum()
+                     for t in levels])
+
+
+def _cases_seen(f, fvals, levels, cell_mask=None):
+    """Marching-squares codes that occur over the ladder."""
+    _, corners, _ = M._full_cells(f, cell_mask)
+    inside = fvals[corners][None, :, :] - np.asarray(levels)[:, None, None] > 0
+    return set(np.unique((inside * np.array([1, 2, 4, 8])).sum(axis=2)).tolist())
+
+
+def test_marching_segments_match_pinned_outputs():
+    # digest of every LevelSegments array, taken from the per-level
+    # implementation that predates the shared segment core
+    g = G.build_grid(G.torus2(), 16, 3)
+    f = F.random_spd_metric(g, 3, (0.5, 2.0))
+    fv = np.random.default_rng(0).random(g.num_vertices)
+    h = hashlib.sha256()
+    for t in (0.25, 0.5, float(fv[7]), 0.75):
+        s = M._marching_segments(f, fv, t)
+        for a in (s.cells, s.keys_a, s.keys_b, s.points_a, s.points_b, s.lengths):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == "5ae69412cd525f8a"
+
+
+@pytest.mark.parametrize("name", ["flat torus", "hexagonal torus", "spd square",
+                                  "spd cylinder", "round sphere", "spd hexagon",
+                                  "masked spd torus"])
+def test_ladder_lengths_equal_per_level_passes(name):
+    rng = np.random.default_rng(4)
+    top, metric = {
+        "flat torus": (G.torus2(), F.flat_metric),
+        "hexagonal torus": (G.torus2(), lambda g: F.constant_metric(g, HEX)),
+        "spd square": (G.square(), lambda g: F.random_spd_metric(g, 7, (0.5, 2.0))),
+        "spd cylinder": (G.cylinder(), lambda g: F.random_spd_metric(g, 8, (0.5, 2.0))),
+        "round sphere": (G.sphere2(), F.round_sphere_metric),
+        "spd hexagon": (G.hexagon(), lambda g: F.random_spd_metric(g, 5, (0.5, 2.0))),
+        "masked spd torus": (G.torus2(), lambda g: F.random_spd_metric(g, 9, (0.5, 2.0))),
+    }[name]
+    g = G.build_grid(top, 20, 3)
+    f = metric(g)
+    mask = rng.random(len(g.cells)) < 0.6 if name.startswith("masked") else None
+    seen = set()
+    for fvals in (geo.distance_field(f, [g.num_vertices // 3], quotient=False).dist,
+                  rng.random(g.num_vertices)):
+        # levels equal to vertex values, unsorted and repeated, plus a sweep
+        levels = np.concatenate([fvals[rng.integers(0, g.num_vertices, 30)],
+                                 np.linspace(fvals.min() - 0.1, fvals.max() + 0.1, 60)])
+        got = M.ladder_lengths(f, fvals, levels, cell_mask=mask)
+        assert np.array_equal(got, _per_level(f, fvals, levels, mask))
+        seen |= _cases_seen(f, fvals, levels, mask)
+    assert {5, 10} <= seen  # both saddle codes are exercised
+
+
+def test_ladder_lengths_blocks_do_not_change_lengths(monkeypatch):
+    g = G.build_grid(G.square(), 24, 3)
+    f = F.random_spd_metric(g, 2, (0.5, 2.0))
+    fvals = geo.distance_field(f, [0]).dist
+    levels = np.linspace(0.0, fvals.max(), 200)
+    want = M.ladder_lengths(f, fvals, levels)
+    for pairs in (1, 7, 100):
+        monkeypatch.setattr(M, "_LADDER_BLOCK_PAIRS", pairs)
+        assert np.array_equal(M.ladder_lengths(f, fvals, levels), want)
+    assert np.array_equal(want, _per_level(f, fvals, levels))
+
+
+def test_ladder_lengths_empty_ladder_and_3d_grid():
+    g = G.build_grid(G.square(), 8, 1)
+    f = F.flat_metric(g)
+    assert M.ladder_lengths(f, g.coords[:, 0], []).shape == (0,)
+    g3 = G.build_grid(G.cube(3), 4, 1)
+    with pytest.raises(M.MeasureError):
+        M.ladder_lengths(F.flat_metric(g3), np.zeros(g3.num_vertices), [0.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(4, 10), seed=st.integers(0, 10_000),
+       top=st.sampled_from(["square", "torus2", "cylinder"]),
+       quantized=st.booleans(), masked=st.booleans())
+def test_ladder_lengths_property(N, seed, top, quantized, masked):
+    rng = np.random.default_rng(seed)
+    g = G.build_grid(getattr(G, top)(), N, 3)
+    f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    fvals = rng.random(g.num_vertices)
+    if quantized:  # ties between corners and levels
+        fvals = np.round(4 * fvals) / 4
+    levels = np.concatenate([rng.choice(fvals, 5), rng.uniform(-0.1, 1.1, 10),
+                             np.round(4 * rng.random(5)) / 4])
+    mask = rng.random(len(g.cells)) < 0.5 if masked else None
+    got = M.ladder_lengths(f, fvals, levels, cell_mask=mask)
+    assert np.array_equal(got, _per_level(f, fvals, levels, mask))
 
 
 def test_volume_profile_small_disk():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +165,81 @@ def test_field_hash_stability(square65):
     assert h1 == h2
     h3 = W.field_hash(square65.scaled(4.0))
     assert h3 != h1
+
+
+def _digest(ids):
+    return hashlib.sha256(np.ascontiguousarray(ids, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+# separating_cut outputs of the one-pass-per-level implementation: chosen
+# levels (exact), lengths, and a digest of each curve's removed edge ids
+PINNED_CUTS = {
+    "square65 R=0.55": dict(
+        iterations=1, reasons=[], levels=[0.5494628906250001],
+        lengths=[1.703181619923892], removed=["be3840df82303fe3"]),
+    "square65 R=0.2 budget 12": dict(
+        iterations=12, reasons=["iteration budget 12 exhausted"],
+        levels=[0.10019531250000001] * 12,
+        lengths=[0.6227337942477336, 0.4028324521391741, 0.3985174934655366,
+                 0.39851749346553667, 0.39851749346553667, 0.3985174934655366,
+                 0.3985174934655366, 0.28674439766732324, 0.2888971755808901,
+                 0.1912577542548822, 0.20325651511937148, 0.2011037372058046],
+        removed=["8ee4333bc07eb9e6", "70a654e413471f6a", "60f9c3ec46b430b2",
+                 "8077ff3cf834f8c4", "132b79f98115dbad", "ab6a663b43523626",
+                 "cbbca8fd13d7850c", "148ed1996e36cb52", "d9f7c7b0e362b859",
+                 "d0dd52568e2a722f", "bb6a5a01ae6fe608", "9066ac7fc6a9e0cd"]),
+    "torus48 R=0.5": dict(
+        iterations=3, reasons=[], levels=[0.25048828125, 0.25048828125, 0.49951171875],
+        lengths=[1.5581606649890567, 1.0404541908694454, 1.5246593910273523],
+        removed=["24871a84646b21de", "fab804dfc0447cc6", "c6ee9439a5ad6e79"]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CUTS))
+def test_separating_cut_matches_pinned_outputs(name, square65, torus48_flat):
+    field, kwargs = {
+        "square65 R=0.55": (square65, dict(R=0.55)),
+        "square65 R=0.2 budget 12": (square65, dict(R=0.2, budget=12)),
+        "torus48 R=0.5": (torus48_flat, dict(R=0.5)),
+    }[name]
+    want = PINNED_CUTS[name]
+    cut = W.separating_cut(field, **kwargs)
+    assert cut.iterations == want["iterations"]
+    assert cut.reasons == want["reasons"]
+    assert [c.level for c in cut.curves] == want["levels"]
+    assert [c.length for c in cut.curves] == pytest.approx(want["lengths"], abs=1e-12)
+    assert [_digest(c.removed_edges) for c in cut.curves] == want["removed"]
+
+
+def test_ladder_nudge_and_straddle_counts_match_per_level_tests():
+    rng = np.random.default_rng(1)
+    r0, r1, count = 0.3, 0.6, 64
+    step = (r1 - r0) / count
+    plain = r0 + step * (np.arange(count) + 0.5)
+    # component values on, just off and far from the levels
+    fcomp = np.concatenate([plain[::5], plain[1::7] + 5e-14, plain[2::9] - 2e-13,
+                            rng.uniform(0, 1, 200)])
+    levels = W._ladder(fcomp, r0, r1, count)
+    want = [t + step * 1e-6 if np.abs(fcomp - t).min() < 1e-13 else t for t in plain]
+    assert levels.tolist() == want
+    assert (levels != plain).sum() == len(set(range(0, count, 5)) | set(range(1, count, 7)))
+
+    fu = np.concatenate([rng.uniform(0.2, 0.7, 300), levels[:10], [0.4, 0.45]])
+    fv = np.concatenate([rng.uniform(0.2, 0.7, 300), levels[5:15], [0.4, 0.45]])
+    counts = W._straddle_counts(fu, fv, levels)
+    assert counts.tolist() == [int(((fu - t) * (fv - t) < 0).sum()) for t in levels]
+
+
+def test_separating_cut_ladder_memory_is_bounded():
+    # blocks of the level ladder keep the cut's peak (4.5 MB) near that of
+    # one marching-squares pass per level (4.3 MB); an unblocked ladder
+    # reaches 10.2 MB here
+    f = F.flat_metric(G.build_grid(G.square(), 65, 3))
+    f.graph()
+    tracemalloc.start()
+    try:
+        W.separating_cut(f, 0.2, budget=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
