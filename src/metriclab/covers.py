@@ -158,6 +158,13 @@ def slicing_cover(field: MetricField, p: int, R: float,
     return Cover(sets, centers, radii)
 
 
+def _edge_components(num_vertices: int, edges) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of a vertex-pair list."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(num_vertices,) * 2)
+    return connected_components(m, directed=False)
+
+
 # ---------------------------------------------------------------------------
 # 1-D Riemannian polyhedra (metric graphs)
 
@@ -199,50 +206,31 @@ class MetricGraph:
         return max(self.ball_length(p, r) for p in range(self.num_vertices))
 
     def vertex_radius(self) -> float:
-        """min over vertices of eccentricity (includes edge interiors).
+        """min over vertices of eccentricity (includes edge interiors); inf
+        when the graph is disconnected."""
+        return self._least_eccentricity(np.arange(self.num_vertices), self.edges)
 
-        The eccentricity against edge interiors uses the midpoint formula
-        (d(p,u) + d(p,v) + L) / 2 when the far point lies inside the edge.
+    def component_radii(self) -> list:
+        ncomp, labels = _edge_components(self.num_vertices, [e[:2] for e in self.edges])
+        return [self._least_eccentricity(np.where(labels == c)[0],
+                                         [e for e in self.edges if labels[e[0]] == c])
+                for c in range(ncomp)]
+
+    def _least_eccentricity(self, verts, edges) -> float:
+        """min over p in verts of the max distance to verts and to the points
+        of edges.  The far point of an edge is interior when the midpoint
+        formula (d(p,u) + d(p,v) + L) / 2 puts it inside the edge.
         """
         d = self.distances()
         best = np.inf
-        for p in range(self.num_vertices):
-            ecc = d[p].max()
-            for (u, v, L) in self.edges:
+        for p in verts:
+            ecc = d[p, verts].max()
+            for (u, v, L) in edges:
                 t = (d[p, v] - d[p, u] + L) / 2.0
                 if 0.0 < t < L:
                     ecc = max(ecc, d[p, u] + t)
             best = min(best, ecc)
         return float(best)
-
-    def component_radii(self) -> list:
-        d = self.distances()
-        u = np.array([e[0] for e in self.edges])
-        v = np.array([e[1] for e in self.edges])
-        m = sp.csr_matrix(
-            (np.ones(2 * len(self.edges)), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(self.num_vertices,) * 2,
-        )
-        ncomp, labels = connected_components(m, directed=False)
-        out = []
-        for c in range(ncomp):
-            verts = np.where(labels == c)[0]
-            sub = MetricGraph(
-                self.num_vertices,
-                [e for e in self.edges if labels[e[0]] == c],
-            )
-            subd = d[np.ix_(verts, verts)]
-            ecc = subd.max(axis=1)
-            best = np.inf
-            for i, p in enumerate(verts):
-                e = ecc[i]
-                for (a, b, L) in sub.edges:
-                    t = (d[p, b] - d[p, a] + L) / 2.0
-                    if 0.0 < t < L:
-                        e = max(e, d[p, a] + t)
-                best = min(best, e)
-            out.append(float(best))
-        return out
 
 
 def star_graph(legs: int, leg_length: float, segments_per_leg: int = 8) -> MetricGraph:

@@ -332,7 +332,8 @@ def polyline_length(field: MetricField, points) -> float:
 
     Points are unwrapped chart coordinates (integer parts encode seam wraps).
     Consecutive points must stay within stencil reach (2 lattice cells per
-    axis); additivity under concatenation is exact.
+    axis).  Additivity under concatenation holds only to rounding: einsum
+    may sum a lone segment's quadratic form in another order than a batch's.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

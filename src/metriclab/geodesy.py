@@ -5,9 +5,10 @@ weights from MetricField.edge_lengths), computed with scipy's Dijkstra.
 Metrication against the continuum is bounded by the stencil distortion
 (about 2.75 percent for the 16-neighbor stencil).
 
-Every noncontractible loop goes through one engine: a chunked search for the
-minimum of d(sources[i], targets[i]), each Dijkstra cut off at the running
-best, then one witness Dijkstra and one predecessor-chain walk.
+Every minimum over sources goes through one engine: Dijkstras from 64 sources
+at a time, each cut off at the running best, reduced to one value per source.
+Loops minimize d(sources[i], targets[i]), then take one witness Dijkstra and
+one predecessor-chain walk; radii minimize eccentricities.
 
 On torus2/cylinder the graph is a window of fundamental-domain copies: the
 shortest loop through a base vertex v in deck class c equals the lifted
@@ -34,6 +35,9 @@ from .grid import GridError
 
 class GeodesyError(ValueError):
     pass
+
+
+_CHUNK = 64  # sources per Dijkstra block in every search
 
 
 @dataclass
@@ -129,34 +133,39 @@ class RadiusResult:
 
 
 def radius(field: MetricField, quotient: bool = True) -> RadiusResult:
-    """Exact min-max radius via all-pairs distances (moderate resolutions)."""
+    """Exact min-max radius: one cut-off search per connected component for
+    the least row max (on rp2 with quotient=True, of min(d(v, u), d(v, -u))).
+    """
     g = field.grid
-    D = distance_matrix(field, np.arange(g.num_vertices))
-    if quotient and g.topology.kind == "rp2":
-        D = np.minimum(D, D[:, g.antipode_map])
-    if np.isinf(D).any():
-        ncomp, labels = connected_components(field.graph(), directed=False)
-        per = []
-        worst = (0.0, 0)
-        for c in range(ncomp):
-            verts = np.where(labels == c)[0]
-            sub = D[np.ix_(verts, verts)]
-            ecc = sub.max(axis=1)
-            k = int(np.argmin(ecc))
-            per.append((float(ecc[k]), int(verts[k])))
-            if ecc[k] > worst[0]:
-                worst = (float(ecc[k]), int(verts[k]))
-        return RadiusResult(worst[0], worst[1], False, per)
-    ecc = D.max(axis=1)
-    c = int(np.argmin(ecc))
-    return RadiusResult(float(ecc[c]), c, True)
+    graph = field.graph()
+    ncomp, labels = connected_components(graph, directed=False)
+    fold = g.antipode_map if quotient and g.topology.kind == "rp2" else None
+    per = []
+    for c in range(ncomp):
+        verts = np.where(labels == c)[0]
+
+        def ecc(D, rows):
+            if fold is not None:
+                np.minimum(D, D[:, fold], out=D)
+            return D[:, verts].max(axis=1)
+
+        value, k = _loop_search(graph, verts, ecc, np.inf)
+        per.append((value, int(verts[k])))
+    if ncomp == 1:
+        return RadiusResult(per[0][0], per[0][1], True)
+    worst = max(per, key=lambda vc: vc[0])
+    return RadiusResult(worst[0], worst[1], False, per)
 
 
 def set_radius_exact(field: MetricField, subset) -> tuple[float, int]:
-    """Exact radius of a vertex subset (center anywhere in the space)."""
+    """Exact radius of a vertex subset (center anywhere in the space), from
+    column maxima kept over chunks of _CHUNK sources."""
     subset = np.asarray(subset, dtype=np.int64)
-    D = distance_matrix(field, subset)
-    ecc = D.max(axis=0)
+    if len(subset) == 0:
+        raise GeodesyError("subset must be nonempty")
+    ecc = -np.inf
+    for k0 in range(0, len(subset), _CHUNK):
+        ecc = np.maximum(ecc, distance_matrix(field, subset[k0:k0 + _CHUNK]).max(axis=0))
     c = int(np.argmin(ecc))
     return float(ecc[c]), c
 
@@ -165,9 +174,10 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
                      within=None) -> tuple[float, int]:
     """Sound upper bound on the radius of a subset via farthest-point centers.
 
-    Returns (ecc, center) with ecc = max over subset of d(center, .), computed
-    with one Dijkstra per round.  `within` optionally restricts candidate
-    centers to a vertex set (default: anywhere).
+    Returns (ecc, center) with ecc = max over subset of d(center, .).  The
+    `rounds` vertices of least max(d(a, .), d(b, .)), for a far pair (a, b),
+    are tried as centers in one search.  `within` optionally restricts
+    candidate centers to a vertex set (default: anywhere).
     """
     subset = np.asarray(subset, dtype=np.int64)
     d0 = distance_matrix(field, subset[:1])[0]
@@ -180,13 +190,12 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
         mask = np.full(len(cand_scores), np.inf)
         mask[np.asarray(within, dtype=np.int64)] = 0.0
         cand_scores = cand_scores + mask
-    for _ in range(rounds):
-        c = int(np.argmin(cand_scores))
-        dc = distance_matrix(field, [c])[0]
-        ecc = float(dc[subset].max())
-        if ecc < best[0]:
-            best = (ecc, c)
-        cand_scores[c] = np.inf
+    cand = np.argsort(cand_scores, kind="stable")[:rounds]
+    cand = cand[np.isfinite(cand_scores[cand])]
+    ecc, i = _loop_search(field.graph(), cand, lambda D, rows: D[:, subset].max(axis=1),
+                          best[0])
+    if ecc < best[0]:
+        best = (ecc, int(cand[i]))
     return best
 
 
@@ -267,25 +276,31 @@ def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
 
 
-def _loop_search(graph, sources, targets, ub):
-    """(min over i of d(sources[i], targets[i]), first minimizing i).
+def _loop_search(graph, sources, value, ub):
+    """(min over i of value for sources[i], first minimizing i).
 
-    Dijkstras run 64 sources at a time, each cut off at the best value so far
-    (at first at ub); returns (inf, -1) when no pair lies within ub.
+    Dijkstras run _CHUNK sources at a time, each cut off at the best value so
+    far (at first at ub); value(block, rows) maps the block of sources[rows]
+    to one value per row, exact when within the cut-off, as maxima and pair
+    distances are.  Returns (inf, -1) when no value lies within ub.
     """
     incumbent = ub * (1 + 1e-12) + 1e-12
     best = (np.inf, -1)
-    chunk = 64
-    for k0 in range(0, len(sources), chunk):
-        sub = sources[k0:k0 + chunk]
-        # index the (chunk, V) block at once, so that no two blocks are alive together
-        vals = dijkstra(graph, directed=True, indices=sub, limit=incumbent)[
-            np.arange(len(sub)), targets[k0:k0 + chunk]]
+    for k0 in range(0, len(sources), _CHUNK):
+        rows = slice(k0, k0 + _CHUNK)
+        # reduce the block at once, so that no two blocks are alive together
+        vals = value(dijkstra(graph, directed=True, indices=sources[rows], limit=incumbent),
+                     rows)
         j = int(np.argmin(vals))
         if vals[j] < best[0]:
             best = (float(vals[j]), k0 + j)
             incumbent = min(incumbent, best[0] * (1 + 1e-12) + 1e-12)
     return best
+
+
+def _pair_value(targets):
+    """_loop_search value of d(sources[i], targets[i])."""
+    return lambda D, rows: D[np.arange(len(D)), targets[rows]]
 
 
 def _witness_chain(graph, source: int, target: int, length: float) -> list:
@@ -341,7 +356,7 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
         lifted = _lifted_graph(field, nx, ny)
         c0 = -kx0 * ny - ky0
         ct = (p - kx0) * ny + (q - ky0)
-        best = _loop_search(lifted, c0 * V + base, ct * V + base, ub)
+        best = _loop_search(lifted, c0 * V + base, _pair_value(ct * V + base), ub)
         if np.isfinite(best[0]) or ub >= upper:
             break
     if not np.isfinite(best[0]):
@@ -413,7 +428,7 @@ def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
     if g.antipode_map is None:
         raise GeodesyError(f"{g.topology.kind} has no antipodal map")
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    length, i = _loop_search(field.graph(), half, g.antipode_map[half], np.inf)
+    length, i = _loop_search(field.graph(), half, _pair_value(g.antipode_map[half]), np.inf)
     return length, int(half[i])
 
 

@@ -27,11 +27,9 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import measure
-from .covers import Cover
+from .covers import Cover, _edge_components
 from .fields import MetricField
 from .geodesy import (
     distance_field,
@@ -43,6 +41,10 @@ from .geodesy import (
 
 class WidthError(ValueError):
     pass
+
+
+_LEVEL_COUNT = 256   # levels in each cut's ladder
+_RADIUS_ROUNDS = 4   # farthest-point rounds per component radius
 
 
 def field_hash(field: MetricField) -> str:
@@ -82,13 +84,7 @@ class SeparatingCut:
 
 def _kept_components(field: MetricField, removed_mask: np.ndarray):
     g = field.grid
-    e = g.edges[~removed_mask]
-    m = sp.csr_matrix(
-        (np.ones(2 * len(e)), (np.concatenate([e[:, 0], e[:, 1]]),
-                               np.concatenate([e[:, 1], e[:, 0]]))),
-        shape=(g.num_vertices,) * 2,
-    )
-    ncomp, labels = connected_components(m, directed=False)
+    ncomp, labels = _edge_components(g.num_vertices, g.edges[~removed_mask])
     comps = [np.where(labels == c)[0] for c in range(ncomp)]
     comps.sort(key=lambda a: int(a[0]))
     return comps
@@ -116,8 +112,7 @@ def _straddle_counts(fu, fv, levels) -> np.ndarray:
 
 
 def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = None,
-                   budget: int = 32, level_count: int = 256,
-                   radius_rounds: int = 4) -> SeparatingCut:
+                   budget: int = 32) -> SeparatingCut:
     """Cut level curves until every complement component has radius < R."""
     g = field.grid
     if g.n != 2 or g.topology.kind == "rp2":
@@ -146,7 +141,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         for ci, comp in enumerate(comps):
             key = comp.tobytes()
             if key not in radii:
-                radii[key] = set_radius_upper(field, comp, rounds=radius_rounds,
+                radii[key] = set_radius_upper(field, comp, rounds=_RADIUS_ROUNDS,
                                               within=comp)
             if radii[key][0] >= R:
                 todo = (ci, comp, radii[key])
@@ -168,7 +163,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         edge_candidate = in_comp[e[:, 0]] & in_comp[e[:, 1]] & ~removed
         fu, fv = fvals[e[:, 0]], fvals[e[:, 1]]
 
-        levels = _ladder(fvals[comp], r0, r1, level_count)
+        levels = _ladder(fvals[comp], r0, r1, _LEVEL_COUNT)
         ncut = _straddle_counts(fu[edge_candidate], fv[edge_candidate], levels)
         lengths = measure.ladder_lengths(field, fvals, levels, cell_mask=cells_ok)
         best = None
@@ -197,7 +192,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
     for c in comps:
         key = c.tobytes()
         if key not in radii:
-            radii[key] = set_radius_upper(field, c, rounds=radius_rounds, within=c)
+            radii[key] = set_radius_upper(field, c, rounds=_RADIUS_ROUNDS, within=c)
         comp_radii.append(radii[key])
     total = float(sum(c.length for c in curves))
     return SeparatingCut(R, r0, r1, curves, removed, comps, comp_radii,
@@ -218,17 +213,8 @@ def _curve_ring_groups(field: MetricField, cut: SeparatingCut):
     in_ring = np.zeros(g.num_vertices, dtype=bool)
     in_ring[ring_verts] = True
     e = g.edges
-    local = in_ring[e[:, 0]] & in_ring[e[:, 1]]
-    le = e[local]
-    m = sp.csr_matrix(
-        (np.ones(2 * len(le)), (np.concatenate([le[:, 0], le[:, 1]]),
-                                np.concatenate([le[:, 1], le[:, 0]]))),
-        shape=(g.num_vertices,) * 2,
-    )
-    ncomp, labels = connected_components(m, directed=False)
-    groups = []
-    for c in np.unique(labels[ring_verts]):
-        groups.append(ring_verts[labels[ring_verts] == c])
+    _, labels = _edge_components(g.num_vertices, e[in_ring[e[:, 0]] & in_ring[e[:, 1]]])
+    groups = [ring_verts[labels[ring_verts] == c] for c in np.unique(labels[ring_verts])]
     groups.sort(key=lambda a: int(a[0]))
     return groups
 

@@ -113,6 +113,18 @@ def test_one_dimensional_volume_profile_bounds_width():
             assert circle.vertex_radius() < R
 
 
+def test_metric_graph_component_radii_of_a_disjoint_union():
+    star, circle = C.star_graph(4, 0.3, 5), C.circle_graph(0.9, 11)
+    shift = star.num_vertices
+    union = C.MetricGraph(shift + circle.num_vertices + 1,  # plus one isolated vertex
+                          star.edges + [(u + shift, v + shift, L) for u, v, L in circle.edges])
+    with np.errstate(invalid="ignore"):
+        assert union.vertex_radius() == np.inf
+    assert union.component_radii() == [star.vertex_radius(), circle.vertex_radius(), 0.0]
+    assert star.vertex_radius() == pytest.approx(0.3)
+    assert circle.vertex_radius() == pytest.approx(0.45)
+
+
 def test_slicing_cover_interval():
     g = G.build_grid(G.interval(), 33, 1)
     f = F.flat_metric(g)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
@@ -196,6 +197,137 @@ def test_radius_disconnected_is_flagged():
     assert not r.connected
     assert len(r.per_component) >= 2
     assert r.value == pytest.approx(max(v for v, _ in r.per_component))
+
+
+# ---------------------------------------------------------------------------
+# radii: the cut-off searches against dense all-pairs oracles
+
+def _dense_radius(f, quotient=True):
+    g = f.grid
+    D = geo.distance_matrix(f, np.arange(g.num_vertices))
+    if quotient and g.topology.kind == "rp2":
+        D = np.minimum(D, D[:, g.antipode_map])
+    if not np.isinf(D).any():
+        ecc = D.max(axis=1)
+        return float(ecc.min()), int(np.argmin(ecc)), True, []
+    _, labels = connected_components(f.graph(), directed=False)
+    per = []
+    for c in range(labels.max() + 1):
+        verts = np.where(labels == c)[0]
+        ecc = D[np.ix_(verts, verts)].max(axis=1)
+        per.append((float(ecc.min()), int(verts[np.argmin(ecc)])))
+    worst = (0.0, 0)
+    for value, center in per:
+        if value > worst[0]:
+            worst = (value, center)
+    return worst[0], worst[1], False, per
+
+
+def _dense_set_radius_exact(f, subset):
+    ecc = geo.distance_matrix(f, subset).max(axis=0)
+    return float(ecc.min()), int(np.argmin(ecc))
+
+
+def _dense_set_radius_upper(f, subset, rounds, within=None):
+    subset = np.asarray(subset)
+    d0 = geo.distance_matrix(f, subset[:1])[0]
+    far = int(subset[np.argmax(d0[subset])])
+    d1 = geo.distance_matrix(f, [far])[0]
+    best = (float(d1[subset].max()), far)
+    d2 = geo.distance_matrix(f, [int(subset[np.argmax(d1[subset])])])[0]
+    scores = np.maximum(d1, d2)
+    if within is not None:
+        scores[np.setdiff1d(np.arange(len(scores)), within)] = np.inf
+    for _ in range(rounds):
+        c = int(np.argmin(scores))
+        if not np.isfinite(scores[c]):
+            break
+        ecc = float(geo.distance_matrix(f, [c])[0][subset].max())
+        if ecc < best[0]:
+            best = (ecc, c)
+        scores[c] = np.inf
+    return best
+
+
+def _tripod():
+    g = G.build_grid(G.hexagon("tripod:0.46:0.004"), 33, 3)
+    return F.MetricField(g, np.broadcast_to(np.eye(2), (g.num_vertices, 2, 2)).copy(),
+                         validate=False)
+
+
+RADIUS_FIELDS = {
+    "flat-square": lambda: F.flat_metric(G.build_grid(G.square(), 17, 3)),
+    "spd-square": lambda: F.random_spd_metric(G.build_grid(G.square(), 20, 3), 5, (0.5, 2.0)),
+    "spd-torus": lambda: F.random_spd_metric(G.build_grid(G.torus2(), 16, 3), 7, (0.5, 2.0)),
+    "round-rp2": lambda: F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0),
+    "tripod": _tripod,
+    "interval": lambda: F.flat_metric(G.build_grid(G.interval(), 33, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_FIELDS))
+def test_radius_matches_dense_oracle(name):
+    f = RADIUS_FIELDS[name]()
+    for quotient in (True, False):
+        r = geo.radius(f, quotient=quotient)
+        assert (r.value, r.center, r.connected, r.per_component) == _dense_radius(f, quotient)
+    assert r.connected == (name != "tripod")
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_FIELDS))
+def test_set_radii_match_dense_oracle(name):
+    f = RADIUS_FIELDS[name]()
+    V = f.grid.num_vertices
+    rng = np.random.default_rng(3)
+    subsets = [np.arange(min(V, 5)), rng.choice(V, 3, replace=False),
+               rng.choice(V, min(V, 150), replace=False), np.arange(0, V, 7), np.array([V - 1])]
+    for S in subsets:
+        assert geo.set_radius_exact(f, S) == _dense_set_radius_exact(f, S)
+        for rounds in (1, 4):
+            assert geo.set_radius_upper(f, S, rounds) == _dense_set_radius_upper(f, S, rounds)
+            assert (geo.set_radius_upper(f, S, rounds, within=S)
+                    == _dense_set_radius_upper(f, S, rounds, within=S))
+    with pytest.raises(geo.GeodesyError):
+        geo.set_radius_exact(f, [])
+
+
+def test_set_radius_upper_center_stays_within():
+    g = G.build_grid(G.square(), 9, 3)
+    f = F.flat_metric(g)
+    a, b = g.vertex_at((0, 2)), g.vertex_at((2, 0))
+    ecc, center = geo.set_radius_upper(f, [a, b], rounds=4, within=[a, b])
+    assert center in (a, b)
+    assert ecc == geo.distance_field(f, [center]).dist[[a, b]].max()
+
+
+def test_radius_memory_is_bounded():
+    import tracemalloc
+
+    f = F.flat_metric(G.build_grid(G.square(), 48, 3))
+    tracemalloc.start()
+    try:
+        r = geo.radius(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.value == pytest.approx(math.sqrt(2) / 2, rel=0.03)
+    # one (64, V) block at a time peaks near 2.8 MiB; an all-pairs matrix took 46 MiB
+    assert peak < 8 * 2 ** 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(5, 12), seed=st.integers(0, 10_000), data=st.data())
+def test_set_radius_upper_bounds_exact_from_within(N, seed, data):
+    g = G.build_grid(G.square(), N, 3)
+    f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    S = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=20,
+                           unique=True))
+    rounds = data.draw(st.integers(1, 6))
+    exact, _ = geo.set_radius_exact(f, S)
+    upper, center = geo.set_radius_upper(f, S, rounds=rounds, within=S)
+    assert exact <= upper
+    assert center in S
+    assert upper == geo.distance_field(f, [center]).dist[S].max()
 
 
 # ---------------------------------------------------------------------------
