@@ -226,6 +226,8 @@ class MetricGraph:
         for p in verts:
             ecc = d[p, verts].max()
             for (u, v, L) in edges:
+                if np.isinf(d[p, u]):  # another component: ecc is inf already
+                    continue
                 t = (d[p, v] - d[p, u] + L) / 2.0
                 if 0.0 < t < L:
                     ecc = max(ecc, d[p, u] + t)

@@ -7,17 +7,31 @@ Metrication against the continuum is bounded by the stencil distortion
 
 Every minimum over sources goes through one engine: Dijkstras from 64 sources
 at a time, each cut off at the running best, reduced to one value per source.
-Loops minimize d(sources[i], targets[i]), then take one witness Dijkstra and
-one predecessor-chain walk; radii minimize eccentricities.
+Radii minimize eccentricities.  Loops meet in the middle: a deck translation
+t (or the antipodal map on sphere2/rp2) is an isometry of the lifted graph, so
+d(v, t v) = min over w of d(v, w) + d(v, t^-1 w), and the minimum is met at a
+w halfway along a shortest path.  One Dijkstra from v, cut off at half the
+running best plus the longest edge, gives both terms.  The witness joins the
+winner's chain to w with the t-image of its reversed chain to t^-1 w, and
+must pass check_length before it is returned.
 
 On torus2/cylinder the graph is a window of fundamental-domain copies: the
 shortest loop through a base vertex v in deck class c equals the lifted
 distance from v to its translate by c.  Any loop with a nonzero first winding
 must pass through one of the two lattice columns next to the seam (stencil
 moves span at most two columns), so minimizing over those base vertices is
-exact; symmetrically for the second axis.  On rp2, noncontractible loops lift
-to paths from v to its antipode on the sphere double cover, searched over the
-vertices of the southern half.
+exact; symmetrically for the second axis.  Both halves of a loop of length at
+most ub stay within (ub / 2 + longest edge) / sqrt(lambda_min) chart units of
+the base lines, and the window holds those copies only; ub is the graph length
+of a stencil walk in the class, a true upper bound.
+
+On rp2, noncontractible loops lift to paths from v to its antipode on the
+sphere double cover.  The antipodal map sends the meridian circle (longitudes
+0 and 1/2, and the poles) to itself and swaps the two hemispheres it bounds,
+so every such path meets the band of lattice columns 0, 1, N/2 and N/2 + 1
+(stencil moves span at most two columns), poles included.  The map sends
+columns N/2 and N/2 + 1 onto columns 0 and 1, so those two, with both poles,
+are the sources: 2N of them, instead of half the sphere.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .fields import MetricField, polyline_length
-from .grid import GridError
+from .grid import GridError, stencil_offsets
 
 
 class GeodesyError(ValueError):
@@ -38,6 +52,11 @@ class GeodesyError(ValueError):
 
 
 _CHUNK = 64  # sources per Dijkstra block in every search
+
+
+def _padded(bound: float) -> float:
+    """A bound widened by the rounding slack that every cut-off allows."""
+    return bound * (1 + 1e-12) + 1e-12
 
 
 @dataclass
@@ -64,24 +83,52 @@ def _chain(pred, v) -> list:
     return chain
 
 
-def _unwrap_chain(grid, chain) -> np.ndarray:
-    """Chart polyline of a vertex chain, unwrapped by summing edge displacements.
-
-    Where two stencil edges join the same vertex pair (tiny periodic grids),
-    the one listed last in grid.edges gives the step, in either orientation.
-    """
-    chain = np.asarray(chain, dtype=np.int64)
+def _edge_index(grid, a, b) -> np.ndarray:
+    """Index in grid.edges of the edge joining a[k] and b[k], in either
+    orientation; where two stencil edges join one vertex pair (tiny periodic
+    grids), the one listed last."""
     e = grid.edges
     V = grid.num_vertices
     keys = e.min(axis=1) * V + e.max(axis=1)
     order = np.argsort(keys, kind="stable")
-    a, b = chain[:-1], chain[1:]
     want = np.minimum(a, b) * V + np.maximum(a, b)
     i = order[np.searchsorted(keys[order], want, side="right") - 1]
     if (keys[i] != want).any():
         raise GeodesyError("vertex chain leaves the edge set")
-    steps = grid.edge_disp[i] * np.where(e[i, 0] == a, 1.0, -1.0)[:, None]
-    return np.cumsum(np.vstack([grid.coords[chain[0]], steps]), axis=0)
+    return i
+
+
+def _unwrap_chain(grid, chain) -> np.ndarray:
+    """Chart polyline of a vertex chain, unwrapped by summing edge displacements.
+
+    A pole edge stores a pure meridian step, so a pole sits on its row at the
+    longitude of its neighbour in the chain.  Where the chain passes through
+    a pole, the polyline runs along the degenerate pole row, which adds no
+    length, to the next neighbour's longitude, in steps of at most one
+    lattice spacing.
+    """
+    chain = np.asarray(chain, dtype=np.int64)
+    a, b = chain[:-1], chain[1:]
+    i = _edge_index(grid, a, b)
+    steps = grid.edge_disp[i] * np.where(grid.edges[i, 0] == a, 1.0, -1.0)[:, None]
+    start = grid.coords[chain[0]].copy()
+    pole = grid.chart_degenerate[chain]
+    if pole[0] and len(chain) > 1:
+        start[0] = grid.coords[chain[1], 0]
+    pts = np.cumsum(np.vstack([start, steps]), axis=0)
+    if not pole[1:].any():
+        return pts
+    x = grid.coords[chain, 0]
+    mid = np.flatnonzero(pole[1:-1]) + 1
+    turn = np.zeros(len(chain))
+    turn[mid] = (x[mid + 1] - x[mid - 1] + 0.5) % 1.0 - 0.5
+    pts[1:, 0] += np.cumsum(turn)[:-1]
+    pts[pole, 1] = grid.coords[chain[pole], 1]
+    for k in mid[::-1]:
+        m = math.ceil(abs(turn[k]) / grid.spacing[0])
+        row = pts[k] + np.arange(1, m + 1)[:, None] / m * [turn[k], 0.0]
+        pts = np.insert(pts, k + 1, row, axis=0)
+    return pts
 
 
 def distance_field(field: MetricField, sources, quotient: bool = True) -> DistanceField:
@@ -233,18 +280,56 @@ def _loop_base_vertices(grid, cls):
     return out[out >= 0]
 
 
-def _straight_upper_bound(field, base, cls) -> float:
+def _stencil_walk_length(field, base, cls) -> float:
+    """Least graph length, over base vertices v, of a walk from v to v + cls.
+
+    The walk is N repetitions of cls split greedily into stencil offsets, so
+    it is a path of the lift and its length a true upper bound on the class's
+    shortest loop.  Walks that leave a bounded axis count as inf.
+    """
     g = field.grid
-    h = min(g.spacing)
-    cls = np.asarray(cls, dtype=float)
-    m = max(2, int(np.ceil(np.abs(cls).max() / h)))
-    t = np.linspace(0.0, 1.0, m + 1)
-    best = np.inf
-    step = max(1, len(base) // 16)
-    for v in base[::step]:
-        pts = g.coords[v] + t[:, None] * cls
-        best = min(best, polyline_length(field, pts))
-    return float(best)
+    e = g.edges
+    off = np.rint(g.edge_disp / np.asarray(g.spacing)).astype(np.int64)
+
+    def key(v, o):  # (vertex, lattice offset) of a directed step; offsets are within +-2
+        return (v * 5 + o[..., 0] + 2) * 5 + o[..., 1] + 2
+
+    keys = np.concatenate([key(e[:, 0], off), key(e[:, 1], -off)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = np.concatenate([e[:, 1], e[:, 0]])[order]
+    lengths = np.tile(field.edge_lengths(), 2)[order]
+    half = stencil_offsets(g.n, g.stencil_order)
+    moves = np.concatenate([half, -half])
+    rest, split = np.asarray(cls, dtype=np.int64), []
+    while rest.any():
+        o = min(moves, key=lambda o: (((rest - o) ** 2).sum(), (o ** 2).sum(), tuple(o)))
+        split.append(o)
+        rest = rest - o
+    v, total = base.copy(), np.zeros(len(base))
+    for o in split * g.lattice_shape[0]:
+        want = key(v, o)
+        k = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        total = np.where(keys[k] == want, total + lengths[k], np.inf)
+        v = heads[k]
+    return float(total.min())
+
+
+def _deck_window(field, cls, ub: float, reach: float):
+    """(kx0, nx, ky0, ny): the copies of the lift that hold every vertex within
+    (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines, plus
+    one lattice spacing.  A path of graph length l spans at most
+    l / sqrt(lambda_min) chart units, so this holds both halves of every
+    loop of length <= ub met halfway (see _meet_search)."""
+    g = field.grid
+    r = (_padded(ub) / 2 + reach) / math.sqrt(field.lambda_min()) + max(g.spacing)
+    across = 0 if cls[0] != 0 else 1
+    out = []
+    for k in range(2 if g.topology.kind == "torus2" else 1):
+        top = g.spacing[k] * (1 if k == across else g.lattice_shape[k] - 1)
+        k0 = math.floor(-r)
+        out += [k0, math.floor(top + r) - k0 + 1]
+    return tuple(out) if len(out) == 4 else (*out, 0, 1)
 
 
 def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
@@ -276,48 +361,90 @@ def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
 
 
-def _loop_search(graph, sources, value, ub):
+def _loop_search(graph, sources, value, ub, reach=None):
     """(min over i of value for sources[i], first minimizing i).
 
     Dijkstras run _CHUNK sources at a time, each cut off at the best value so
     far (at first at ub); value(block, rows) maps the block of sources[rows]
-    to one value per row, exact when within the cut-off, as maxima and pair
-    distances are.  Returns (inf, -1) when no value lies within ub.
+    to one value per row, exact when within the cut-off, as maxima are.
+    Loop searches pass reach, the longest edge: their values are sums of two
+    distances met halfway, exact when each half is within incumbent / 2 +
+    reach, which becomes the cut-off.  Returns (inf, -1) when no value lies
+    within ub.
     """
-    incumbent = ub * (1 + 1e-12) + 1e-12
+    incumbent = _padded(ub)
     best = (np.inf, -1)
     for k0 in range(0, len(sources), _CHUNK):
         rows = slice(k0, k0 + _CHUNK)
+        limit = incumbent if reach is None else incumbent / 2 + reach
         # reduce the block at once, so that no two blocks are alive together
-        vals = value(dijkstra(graph, directed=True, indices=sources[rows], limit=incumbent),
-                     rows)
+        vals = value(dijkstra(graph, directed=True, indices=sources[rows], limit=limit), rows)
         j = int(np.argmin(vals))
-        if vals[j] < best[0]:
+        if vals[j] < best[0] and vals[j] <= incumbent:
             best = (float(vals[j]), k0 + j)
-            incumbent = min(incumbent, best[0] * (1 + 1e-12) + 1e-12)
+            incumbent = min(incumbent, _padded(best[0]))
     return best
 
 
-def _pair_value(targets):
-    """_loop_search value of d(sources[i], targets[i])."""
-    return lambda D, rows: D[np.arange(len(D)), targets[rows]]
+def _meet_search(graph, sources, pairs, ub: float, reach: float):
+    """Shortest path from some sources[i] to its image under an isometry s of
+    the graph, as (length, i, chains), or None when none is within ub.
+
+    d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and the minimum is met
+    at a w halfway along a shortest path, where both terms are within
+    length / 2 + reach of v.  pairs lists column indices (a, b) with b the
+    preimages of a; each pair is reduced on its own, so that no second
+    block-sized array is alive.  chains() gives the vertex chains from
+    sources[i] to w and to s^-1 w, from one more Dijkstra, cut off at the
+    first cut-off of the search, which held both.
+    """
+    cols = np.arange(graph.shape[0])
+    meet = np.zeros((len(sources), 2), dtype=np.int64)
+
+    def value(D, rows):
+        best = np.full(len(D), np.inf)
+        r = np.arange(len(D))
+        for a, b in pairs:
+            s = D[:, a] + D[:, b]
+            k = np.argmin(s, axis=1)
+            m = s[r, k]
+            won = m < best
+            best[won] = m[won]
+            meet[rows.start + r[won]] = np.stack([cols[a][k[won]], cols[b][k[won]]], axis=1)
+        return best
+
+    length, i = _loop_search(graph, sources, value, ub, reach)
+    if i < 0:
+        return None
+
+    def chains():
+        _, pred = dijkstra(graph, directed=True, indices=sources[i],
+                           limit=_padded(ub) / 2 + reach, return_predecessors=True)
+        return _chain(pred, meet[i, 0]), _chain(pred, meet[i, 1])
+
+    return length, i, chains
 
 
-def _witness_chain(graph, source: int, target: int, length: float) -> list:
-    """Vertex chain of a shortest source-target path whose length is known."""
-    _, pred = dijkstra(graph, directed=True, indices=source,
-                       limit=length * (1 + 1e-9) + 1e-9, return_predecessors=True)
-    return _chain(pred, target)
+def _checked(field: MetricField, witness: LoopWitness) -> LoopWitness:
+    """The witness, once its polyline is seen to have its graph length."""
+    if not witness.check_length(field):
+        raise GeodesyError(
+            f"loop witness in class {witness.cls} fails its length check: polyline "
+            f"{polyline_length(field, witness.points)!r} != graph {witness.length!r}")
+    return witness
 
 
 def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
                            prunable: bool = False):
     """Shortest closed loop in a deck-transformation class (torus2/cylinder).
 
-    `upper` prunes the search: with prunable=True, classes whose minimum
-    exceeds it return None instead of raising (systole enumeration).  The
-    internal bound pads the straight-chart-path length by the stencil factor
-    and doubles on retry, since no grid path follows the straight line.
+    Base vertices are the two lattice lines every class-cls loop crosses; the
+    returned base vertex is a minimizing one among them.  `upper` prunes the
+    search: with prunable=True, classes whose minimum exceeds it return None
+    instead of raising (systole enumeration).  The first bound is the graph
+    length of a stencil walk in the class, and the window holds every loop
+    within it met halfway (_deck_window), so one search always suffices.  The
+    witness passes check_length before it is returned.
     """
     g = field.grid
     kind = g.topology.kind
@@ -334,41 +461,34 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
         raise GeodesyError(f"{kind} has no free abelian deck group")
 
     base = _loop_base_vertices(g, (p, q))
-    straight = _straight_upper_bound(field, base,
-                                     (p, q) if kind == "torus2" else (p, 0.0))
-    pad = 0.05 * straight + 4 * max(g.spacing) * math.sqrt(field.lambda_max())
-    lam = math.sqrt(field.lambda_min())
+    ub = min(_stencil_walk_length(field, base, (p, q)), upper)
+    reach = float(field.edge_lengths().max())
+    kx0, nx, ky0, ny = _deck_window(field, (p, q), ub, reach)
     V = g.num_vertices
-    best = (np.inf, -1)
-    for attempt in range(3):
-        ub = min(straight + pad * 2 ** attempt, upper)
-        if not np.isfinite(ub):
-            raise GeodesyError("unbounded loop search")
-        # a loop of length <= ub stays within ub / (2 lam) chart units of its base
-        margin = ub / (2.0 * lam) + 2 * max(g.spacing)
-        kx0 = math.floor(min(0, p) - margin)
-        nx = math.ceil(max(0, p) + margin) - kx0
-        if kind == "torus2":
-            ky0 = math.floor(min(0, q) - margin)
-            ny = math.ceil(max(0, q) + margin) - ky0
-        else:
-            ky0, ny = 0, 1
-        lifted = _lifted_graph(field, nx, ny)
-        c0 = -kx0 * ny - ky0
-        ct = (p - kx0) * ny + (q - ky0)
-        best = _loop_search(lifted, c0 * V + base, _pair_value(ct * V + base), ub)
-        if np.isfinite(best[0]) or ub >= upper:
-            break
-    if not np.isfinite(best[0]):
+    # the deck translation's preimages of copy (i, j) are copy (i - p, j - q)
+    pairs = []
+    for i0 in range(max(0, p), min(nx, nx + p)):
+        for j0 in range(max(0, q), min(ny, ny + q)):
+            a, b = i0 * ny + j0, (i0 - p) * ny + j0 - q
+            pairs.append((slice(a * V, (a + 1) * V), slice(b * V, (b + 1) * V)))
+    c0 = -kx0 * ny - ky0
+    found = _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, pairs, ub, reach)
+    if found is None:
         if prunable:
             return None
         raise GeodesyError(f"no loop found in class {cls} within bound {upper}")
 
-    length, v = best[0], int(base[best[1]])
-    chain = np.array(_witness_chain(lifted, c0 * V + v, ct * V + v, length))
-    copy_x, copy_y = np.divmod(chain // V, ny)
-    pts = g.coords[chain % V] + np.stack([kx0 + copy_x, ky0 + copy_y], axis=1)
-    return LoopWitness((p, q) if kind == "torus2" else p, v, pts, length)
+    length, i, chains = found
+    to_w, to_pre = chains()
+
+    def chart(chain):
+        copy, vertex = np.divmod(np.asarray(chain), V)
+        copy_x, copy_y = np.divmod(copy, ny)
+        return g.coords[vertex] + np.stack([kx0 + copy_x, ky0 + copy_y], axis=1)
+
+    pts = np.vstack([chart(to_w), chart(to_pre)[-2::-1] + [p, q]])
+    return _checked(field, LoopWitness((p, q) if kind == "torus2" else p, int(base[i]), pts,
+                                       length))
 
 
 def _primitive_classes(window: int):
@@ -385,7 +505,8 @@ def _primitive_classes(window: int):
 
 
 def systole(field: MetricField) -> LoopWitness:
-    """Shortest noncontractible loop (torus2, cylinder, rp2)."""
+    """Shortest noncontractible loop (torus2, cylinder, rp2); its witness has
+    passed check_length (GeodesyError otherwise)."""
     g = field.grid
     kind = g.topology.kind
     if kind == "cylinder":
@@ -417,23 +538,43 @@ def systole(field: MetricField) -> LoopWitness:
         window = nxt
 
 
-def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
-    """(min over v of d(v, antipode(v)), first minimizing v) on sphere2/rp2.
-
-    Distances are taken on the sphere double cover.  Sources are the vertices
-    with latitude coordinate <= 1/2; the antipodal map swaps the two halves,
-    so every pair {v, antipode(v)} is seen.
-    """
+def _antipodal_search(field: MetricField):
+    """(length, band vertex, chains): the shortest path from a band vertex to
+    its antipode, met halfway (_meet_search)."""
     g = field.grid
     if g.antipode_map is None:
         raise GeodesyError(f"{g.topology.kind} has no antipodal map")
+    anti = g.antipode_map
+    wt = field.edge_lengths()
+    if not np.allclose(wt[_edge_index(g, anti[g.edges[:, 0]], anti[g.edges[:, 1]])], wt,
+                       rtol=1e-9, atol=0.0):
+        raise GeodesyError("the antipodal map is not an isometry of this metric")
+    graph = field.graph()
+    band = np.unique(g.lattice_vid[:2].ravel())
+    # d(v, w) + d(v, -w) is symmetric in w and -w: the southern half holds
+    # one of each; taken in two parts, no temporary is block-sized
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    length, i = _loop_search(field.graph(), half, _pair_value(g.antipode_map[half]), np.inf)
-    return length, int(half[i])
+    pairs = [(h, anti[h]) for h in np.array_split(half, 2)]
+    meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
+    ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
+    length, i, chains = _meet_search(graph, band, pairs, ub, float(wt.max()))
+    return length, int(band[i]), chains
+
+
+def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
+    """(min over v of d(v, antipode(v)), a minimizing v from the band) on sphere2/rp2.
+
+    Distances are taken on the sphere double cover.  The antipodal map must be
+    an isometry of the metric (GeodesyError otherwise).  Sources are the band
+    of lattice columns 0 and 1, poles included, which every v-to-antipode
+    path meets (module docstring).
+    """
+    return _antipodal_search(field)[:2]
 
 
 def _systole_rp2(field: MetricField) -> LoopWitness:
     g = field.grid
-    length, v = min_antipodal_distance(field)
-    chain = _witness_chain(field.graph(), v, int(g.antipode_map[v]), length)
-    return LoopWitness("antipodal", v, _unwrap_chain(g, chain), length)
+    length, v, chains = _antipodal_search(field)
+    to_w, to_anti = chains()
+    chain = np.concatenate([to_w, g.antipode_map[to_anti[-2::-1]]])
+    return _checked(field, LoopWitness("antipodal", v, _unwrap_chain(g, chain), length))

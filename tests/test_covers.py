@@ -125,6 +125,15 @@ def test_metric_graph_component_radii_of_a_disjoint_union():
     assert circle.vertex_radius() == pytest.approx(0.45)
 
 
+@pytest.mark.filterwarnings("error")
+def test_vertex_radius_of_a_disconnected_graph_warns_nothing():
+    star, circle = C.star_graph(3, 0.5, 4), C.circle_graph(1.0, 8)
+    shift = star.num_vertices
+    union = C.MetricGraph(shift + circle.num_vertices,
+                          star.edges + [(u + shift, v + shift, L) for u, v, L in circle.edges])
+    assert union.vertex_radius() == np.inf
+
+
 def test_slicing_cover_interval():
     g = G.build_grid(G.interval(), 33, 1)
     f = F.flat_metric(g)

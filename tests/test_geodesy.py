@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from metriclab import fields as F
+from metriclab import gallery
 from metriclab import geodesy as geo
 from metriclab import grid as G
 from metriclab import covers as C
@@ -389,21 +390,57 @@ def test_loop_lengths_and_classes_are_pinned(case):
         assert w.check_length(f)
 
 
-@pytest.mark.parametrize("kind,N", [("rp2", 16), ("rp2", 24), ("sphere2", 16)])
+def _oracle_antipodal(f):
+    """d(v, antipode(v)) for each vertex v of the southern half, from
+    full-radius Dijkstras, 64 sources at a time."""
+    g = f.grid
+    half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
+    return np.concatenate([
+        geo.distance_matrix(f, rows)[np.arange(len(rows)), g.antipode_map[rows]]
+        for rows in np.array_split(half, -(-len(half) // 64))])
+
+
+@pytest.mark.parametrize("kind,N", [("rp2", 16), ("rp2", 24), ("sphere2", 16),
+                                    ("sphere2", 48), ("rp2", 32)])
 def test_min_antipodal_distance_matches_dense_oracle(kind, N):
     g = G.build_grid(G.topology_from_name(kind), N, 3)
     fields = [F.round_sphere_metric(g, 1.0 / math.pi)]
     if kind == "rp2":
         fields.append(_rp2_bump(g))
     for f in fields:
-        half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-        D = geo.distance_matrix(f, half)
-        vals = D[np.arange(len(half)), g.antipode_map[half]]
+        vals = _oracle_antipodal(f)
         length, v = geo.min_antipodal_distance(f)
-        assert length == vals.min()
-        assert v == half[int(np.argmin(vals))]
+        assert abs(length - vals.min()) <= 1e-12 * vals.min()
+        # v comes from the band; ties may pick another minimizer than the oracle's
+        attained = geo.distance_field(f, [v], quotient=False).dist[g.antipode_map[v]]
+        assert attained <= vals.min() * (1 + 1e-12)
+        if kind == "rp2":
+            w = geo.systole(f)
+            assert (w.length, w.base_vertex) == (length, v)
     with pytest.raises(geo.GeodesyError):
         geo.min_antipodal_distance(F.flat_metric(G.build_grid(G.torus2(), 8, 3)))
+
+
+def test_min_antipodal_distance_needs_an_isometric_antipode():
+    g = G.build_grid(G.sphere2(), 16, 3)
+    lopsided = F.conformal_rescale(F.round_sphere_metric(g, 1.0), 0.2 * g.coords[:, 1])
+    with pytest.raises(geo.GeodesyError, match="isometry"):
+        geo.min_antipodal_distance(lopsided)
+
+
+def test_min_antipodal_distance_searches_the_band_only(monkeypatch):
+    N = 64
+    f = F.round_sphere_metric(G.build_grid(G.rp2(), N, 3), 1.0)
+    sources = []
+    real = geo.dijkstra
+
+    def counting(graph, *args, **kwargs):
+        sources.append(np.size(kwargs["indices"]))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "dijkstra", counting)
+    geo.min_antipodal_distance(f)
+    assert sum(sources) <= 2 * N
 
 
 def test_rp2_systole_memory_is_bounded():
@@ -463,3 +500,179 @@ def test_witness_closes_in_its_class(N, seed, cls):
     assert w.cls == cls
     assert np.allclose(w.points[-1] - w.points[0], cls, atol=1e-12)
     assert w.check_length(f)
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle loop engine against the full-radius pair search
+
+
+def _oracle_class(f, cls, length):
+    """Base vertices and d(v, v + cls) for each, from full-radius Dijkstras.
+
+    The window spans the base lines, copy cls and length / (2 sqrt(lambda_min))
+    more, so it holds every loop of length <= length through a base vertex.
+    """
+    g = f.grid
+    V = g.num_vertices
+    p, q = cls if g.topology.kind == "torus2" else (cls, 0)
+    base = geo._loop_base_vertices(g, (p, q))
+    m = length / (2 * math.sqrt(f.lambda_min())) + 2 * max(g.spacing)
+    k0, n = [], []
+    for axis, c in enumerate((p, q)):
+        if axis == 1 and g.topology.kind == "cylinder":
+            k0.append(0), n.append(1)
+            continue
+        lo = math.floor(min(0, c) + g.coords[base, axis].min() - m)
+        k0.append(lo), n.append(math.floor(max(0, c) + g.coords[base, axis].max() + m) - lo + 1)
+    lifted = geo._lifted_graph(f, *n)
+    c0 = -k0[0] * n[1] - k0[1]
+    ct = (p - k0[0]) * n[1] + q - k0[1]
+    vals = np.empty(len(base))
+    for rows in np.array_split(np.arange(len(base)), -(-len(base) // 64)):
+        D = dijkstra(lifted, indices=c0 * V + base[rows], limit=length * 1.001 + 1e-9)
+        vals[rows] = D[np.arange(len(rows)), ct * V + base[rows]]
+    return base, vals
+
+
+def _assert_matches_oracle(f, cls):
+    w = geo.shortest_loop_in_class(f, cls)
+    base, vals = _oracle_class(f, cls, w.length)
+    assert w.cls == cls
+    assert abs(w.length - vals.min()) <= 1e-12 * vals.min()
+    # the base vertex attains the minimum; ties may pick another than the oracle's
+    assert vals[base == w.base_vertex][0] <= vals.min() * (1 + 1e-12)
+    return vals.min()
+
+
+def _bump_torus(N, seed, base):
+    cfg = gallery.ExperimentConfig(f"bump-{base}", "torus2", "conformal_bump", "systolic_ratio",
+                                   [N], seed=seed, metric_params={"base": base, "amplitude": 0.25})
+    return gallery.build_metric(cfg, G.build_grid(G.torus2(), N, 3))
+
+
+def _valley_torus(N):
+    """A cheap valley that wanders across y = 1: its loops cross the base
+    column near the top of the fundamental domain and leave it upwards."""
+    g = G.build_grid(G.torus2(), N, 3)
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    dy = (y - 0.97 - 0.06 * np.sin(2 * math.pi * x) + 0.5) % 1.0 - 0.5
+    return F.conformal_metric(g, -0.6 * np.exp(-dy ** 2 / 0.003))
+
+
+SHORT = [(1, 0), (0, 1), (1, -1), (1, 1)]
+ORACLE_LOOPS = {
+    ("torus2", 16, "flat"): SHORT + [(2, 1)],
+    ("torus2", 32, "hex"): SHORT + [(2, 1), (1, -2)],
+    ("torus2", 64, "hex"): [(1, 0), (0, 1), (1, -1)],
+    ("torus2", 16, "spd"): SHORT + [(2, 1)],
+    ("torus2", 32, "spd"): SHORT,
+    ("cylinder", 16, "spd"): [1, 2],
+    ("cylinder", 32, "spd"): [1, 2],
+    ("bump-flat", 32, 0): SHORT,
+    ("bump-flat", 32, 1): SHORT,
+    ("bump-hexagonal", 32, 0): SHORT,
+    ("bump-hexagonal", 32, 3): SHORT,
+    ("valley", 32, None): SHORT,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_LOOPS, key=str), ids=lambda c: "-".join(map(str, c)))
+def test_loop_engine_matches_full_radius_oracle(case):
+    kind, N, metric = case
+    if kind == "valley":
+        f = _valley_torus(N)
+    elif kind.startswith("bump"):
+        f = _bump_torus(N, metric, kind[5:])
+    else:
+        f = _pinned_field(kind, N, metric)
+    best = {cls: _assert_matches_oracle(f, cls) for cls in ORACLE_LOOPS[case]}
+    if kind != "cylinder":
+        w = geo.systole(f)
+        least = min(best.values())
+        assert abs(w.length - least) <= 1e-12 * least
+        assert best[w.cls] <= least * (1 + 1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(8, 16), seed=st.integers(0, 10_000),
+       base=st.sampled_from(["flat", "hexagonal"]),
+       cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
+def test_loop_engine_matches_oracle_on_bump_tori(N, seed, base, cls):
+    _assert_matches_oracle(_bump_torus(N, seed, base), cls)
+
+
+def test_hexagonal_windows_at_N128_are_no_larger():
+    f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), HEX)
+    reach = float(f.edge_lengths().max())
+    # copies of the former window, which spanned copy cls and the loop's reach
+    former = {(1, 0): 6, (0, 1): 6, (1, -1): 9, (1, 1): 25}
+    pinned = {(1, 0): (2, 3), (1, -1): (2, 3)}
+    for cls, copies in former.items():
+        ub = geo._stencil_walk_length(f, geo._loop_base_vertices(f.grid, cls), cls)
+        _, nx, _, ny = geo._deck_window(f, cls, ub, reach)
+        assert nx * ny <= copies
+        assert (nx, ny) == pinned.get(cls, (nx, ny))
+
+
+def test_stencil_walk_is_a_true_upper_bound():
+    g = G.build_grid(G.torus2(), 16, 3)
+    f = F.constant_metric(g, HEX)
+    for cls in [(1, 0), (1, -1), (2, 1), (3, 1)]:
+        ub = geo._stencil_walk_length(f, geo._loop_base_vertices(g, cls), cls)
+        exact = math.sqrt(np.asarray(cls) @ HEX @ np.asarray(cls))
+        assert ub >= geo.shortest_loop_in_class(f, cls).length
+        assert ub == pytest.approx(exact, rel=0.2)
+    gc = G.build_grid(G.cylinder(), 12, 3)
+    fc = F.random_spd_metric(gc, 5, (0.5, 2.0))
+    ub = geo._stencil_walk_length(fc, geo._loop_base_vertices(gc, (3, 0)), (3, 0))
+    assert np.isfinite(ub) and ub >= geo.shortest_loop_in_class(fc, 3).length
+
+
+def test_witness_that_fails_its_length_check_raises(monkeypatch):
+    f = F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0)
+    real_unwrap = geo._unwrap_chain
+
+    def shifted(grid, chain):
+        pts = real_unwrap(grid, chain)
+        pts[len(pts) // 2, 0] += 0.5 * grid.spacing[0]
+        return pts
+
+    monkeypatch.setattr(geo, "_unwrap_chain", shifted)
+    with pytest.raises(geo.GeodesyError, match="length check"):
+        geo.systole(f)
+
+    ft = F.flat_metric(G.build_grid(G.torus2(), 16, 3))
+    real_lift = geo._lifted_graph
+    monkeypatch.setattr(geo, "_lifted_graph", lambda *a: real_lift(*a) * 0.9)
+    with pytest.raises(geo.GeodesyError, match="length check"):
+        geo.systole(ft)
+
+
+# ---------------------------------------------------------------------------
+# paths through the poles
+
+
+def test_paths_from_a_pole_keep_their_length():
+    g = G.build_grid(G.rp2(), 24, 3)
+    f = _rp2_bump(g)
+    for pole in (0, 1):
+        d = geo.distance_field(f, [pole], quotient=False)
+        for v in range(g.num_vertices):
+            assert abs(F.polyline_length(f, d.path_to(v)) - d.dist[v]) <= 1e-12 * (1 + d.dist[v])
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["sphere2", "rp2"]), half_n=st.integers(4, 8),
+       k=st.integers(1, 3), amp=st.floats(0.05, 0.4), phase=st.floats(0.0, 6.3),
+       data=st.data())
+def test_path_lengths_match_distances_with_longitude_dependent_metrics(kind, half_n, k, amp,
+                                                                       phase, data):
+    g = G.build_grid(G.topology_from_name(kind), 2 * half_n, 3)
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    freq = 2 * k if kind == "rp2" else k  # even frequencies respect the antipodal map
+    u = amp * np.cos(2 * math.pi * freq * x + phase) * np.sin(math.pi * y) ** 2
+    f = F.conformal_rescale(F.round_sphere_metric(g, 1.0), u)
+    src = data.draw(st.integers(0, g.num_vertices - 1))
+    d = geo.distance_field(f, [src], quotient=False)
+    for v in range(g.num_vertices):
+        assert abs(F.polyline_length(f, d.path_to(v)) - d.dist[v]) <= 1e-12 * (1 + d.dist[v])
