@@ -45,9 +45,10 @@ class BesicovitchReport:
     per_cell_jac: np.ndarray = dataclass_field(repr=False, default=None)
     flatness: float = float("nan")
 
-    def jac_histogram(self, bins: int = 16):
+    def jac_histogram(self):
+        """(edges, counts) of per-cell |jac| in 16 bins from 0 to max(1, jac_max)."""
         hi = max(1.0 + 1e-9, float(self.per_cell_jac.max()))
-        edges = np.linspace(0.0, hi, bins + 1)
+        edges = np.linspace(0.0, hi, 16 + 1)
         counts, _ = np.histogram(self.per_cell_jac, bins=edges)
         return edges, counts
 
@@ -242,14 +243,14 @@ class CylinderReport:
     applicable: bool
 
 
-def cylinder_check(field: MetricField, tol: float = 0.01,
-                   interior_margin: float = 0.02) -> CylinderReport:
+def cylinder_check(field: MetricField, tol: float = 0.01) -> CylinderReport:
     """Check area >= 1 for cylinders with unit boundary separation and systole.
 
     Hypotheses (boundary-to-boundary distance >= 1, systole >= 1) are measured
     first; when they fail the checker reports not-applicable rather than
     failing.  The conclusion asserts every interior level of the distance to
-    the bottom circle has length >= 1 - tol and the coarea total >= 1 - tol.
+    the bottom circle has length >= 1 - tol and the coarea total >= 1 - tol;
+    interior levels leave out 2% of the level range at each end.
     """
     if field.grid.topology.kind != "cylinder":
         raise BesicovitchError("cylinder_check needs cylinder topology")
@@ -263,9 +264,7 @@ def cylinder_check(field: MetricField, tol: float = 0.01,
     f = distance_field(field, face_vertices(field.grid, "B")).dist
     prof = measure.coarea_profile(field, f)
     span = f.max() - f.min()
-    inner = (prof.t_grid > f.min() + interior_margin * span) & (
-        prof.t_grid < f.max() - interior_margin * span
-    )
+    inner = (prof.t_grid > f.min() + 0.02 * span) & (prof.t_grid < f.max() - 0.02 * span)
     min_level = float(prof.a[inner].min())
     passed = bool(prof.total >= 1.0 - tol and min_level >= 1.0 - tol)
     return CylinderReport(True, bdist, s, area, prof.total, min_level,

@@ -121,14 +121,13 @@ class MetricField:
         x = pts / hs
         base = np.floor(x).astype(np.int64)
         frac = x - base
-        at_top = []
         for k in range(n):
             if g.topology.periodic[k]:
                 base[:, k] %= shape[k]
             else:
-                hi = base[:, k] >= shape[k] - 1
+                # a point past either end of a bounded axis reads that end's row
                 base[:, k] = np.clip(base[:, k], 0, shape[k] - 2)
-                frac[:, k] = np.where(hi, 1.0, frac[:, k])
+                frac[:, k] = np.clip(x[:, k] - base[:, k], 0.0, 1.0)
         out = np.zeros((len(pts), n, n))
         wsum = np.zeros(len(pts))
         for bit in range(2 ** n):

@@ -10,7 +10,7 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -330,12 +330,9 @@ def _op_width_volume(config, field, N):
     force_R = config.operation_params.get("force_R")
     if force_R is not None:
         cut = W.separating_cut(field, float(force_R))
-        prof_r1 = cut.r1
-        volpro = M.volume_profile(field, [prof_r1], center_sample=64)
-        vp = volpro.volpro[0]
-        for c in cut.curves:
-            vp = max(vp, M.ball_volume(field, c.center, prof_r1))
-        bound = vp / (cut.r1 - cut.r0)
+        volpro = M.volume_profile(field, [cut.r1], center_sample=64)
+        # each ball_bound is vol(B(center, r1)) / (r1 - r0): the max commutes with the division
+        bound = max([volpro.volpro[0] / (cut.r1 - cut.r0)] + [c.ball_bound for c in cut.curves])
         worst = max((c.length for c in cut.curves), default=0.0)
         rows.append(mio.make_row(eid, N, "forced_cut_valid", float(cut.valid), 1.0,
                                  "derived", 0.0))
@@ -393,11 +390,7 @@ def run_config(config: ExperimentConfig, out_dir=None, resolution=None, seed=Non
     if config.operation not in _OPERATIONS:
         raise GalleryError(f"unknown operation {config.operation!r}")
     if seed is not None:
-        config = ExperimentConfig(
-            config.experiment_id, config.domain, config.metric, config.operation,
-            config.resolutions, config.stencil_order, dict(config.metric_params),
-            dict(config.operation_params), int(seed), dict(config.tolerance_overrides),
-        )
+        config = replace(config, seed=int(seed))
     resolutions = [int(resolution)] if resolution else config.resolutions
     top = topology_from_name(config.domain)
     all_rows = []

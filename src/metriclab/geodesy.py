@@ -36,6 +36,7 @@ are the sources: 2N of them, instead of half the sphere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -83,21 +84,6 @@ def _chain(pred, v) -> list:
     return chain
 
 
-def _edge_index(grid, a, b) -> np.ndarray:
-    """Index in grid.edges of the edge joining a[k] and b[k], in either
-    orientation; where two stencil edges join one vertex pair (tiny periodic
-    grids), the one listed last."""
-    e = grid.edges
-    V = grid.num_vertices
-    keys = e.min(axis=1) * V + e.max(axis=1)
-    order = np.argsort(keys, kind="stable")
-    want = np.minimum(a, b) * V + np.maximum(a, b)
-    i = order[np.searchsorted(keys[order], want, side="right") - 1]
-    if (keys[i] != want).any():
-        raise GeodesyError("vertex chain leaves the edge set")
-    return i
-
-
 def _unwrap_chain(grid, chain) -> np.ndarray:
     """Chart polyline of a vertex chain, unwrapped by summing edge displacements.
 
@@ -109,7 +95,7 @@ def _unwrap_chain(grid, chain) -> np.ndarray:
     """
     chain = np.asarray(chain, dtype=np.int64)
     a, b = chain[:-1], chain[1:]
-    i = _edge_index(grid, a, b)
+    i = grid.edge_index(a, b)
     steps = grid.edge_disp[i] * np.where(grid.edges[i, 0] == a, 1.0, -1.0)[:, None]
     start = grid.coords[chain[0]].copy()
     pole = grid.chart_degenerate[chain]
@@ -147,10 +133,10 @@ def distance_field(field: MetricField, sources, quotient: bool = True) -> Distan
     return DistanceField(field, sources, dist, pred, src)
 
 
-def distance_matrix(field: MetricField, sources, limit=np.inf) -> np.ndarray:
+def distance_matrix(field: MetricField, sources) -> np.ndarray:
     """(len(sources), V) matrix of exact distances."""
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    return dijkstra(field.graph(), directed=True, indices=sources, limit=limit)
+    return dijkstra(field.graph(), directed=True, indices=sources)
 
 
 def face_distance(field: MetricField, face_a: str, face_b: str) -> float:
@@ -263,10 +249,10 @@ class LoopWitness:
     points: np.ndarray
     length: float
 
-    def check_length(self, field: MetricField, tol: float = 1e-12) -> bool:
-        return abs(polyline_length(field, self.points) - self.length) <= max(
-            tol, 1e-12 * (1 + abs(self.length))
-        )
+    def check_length(self, field: MetricField) -> bool:
+        """The polyline's length equals the graph length within 1e-12 (1 + length)."""
+        return abs(polyline_length(field, self.points) - self.length) <= 1e-12 * (
+            1 + abs(self.length))
 
 
 def _loop_base_vertices(grid, cls):
@@ -434,17 +420,16 @@ def _checked(field: MetricField, witness: LoopWitness) -> LoopWitness:
     return witness
 
 
-def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
-                           prunable: bool = False):
+def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
     """Shortest closed loop in a deck-transformation class (torus2/cylinder).
 
     Base vertices are the two lattice lines every class-cls loop crosses; the
-    returned base vertex is a minimizing one among them.  `upper` prunes the
-    search: with prunable=True, classes whose minimum exceeds it return None
-    instead of raising (systole enumeration).  The first bound is the graph
-    length of a stencil walk in the class, and the window holds every loop
-    within it met halfway (_deck_window), so one search always suffices.  The
-    witness passes check_length before it is returned.
+    returned base vertex is a minimizing one among them.  A finite `upper`
+    prunes the search: a class with no loop within it returns None (systole
+    enumeration); with upper = inf a class without a loop raises.  The first
+    bound is the graph length of a stencil walk in the class, and the window
+    holds every loop within it met halfway (_deck_window), so one search
+    always suffices.  The witness passes check_length before it is returned.
     """
     g = field.grid
     kind = g.topology.kind
@@ -474,7 +459,7 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
     c0 = -kx0 * ny - ky0
     found = _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, pairs, ub, reach)
     if found is None:
-        if prunable:
+        if upper < np.inf:
             return None
         raise GeodesyError(f"no loop found in class {cls} within bound {upper}")
 
@@ -491,22 +476,27 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf,
                                        length))
 
 
-def _primitive_classes(window: int):
-    out = []
-    for p in range(0, window + 1):
-        for q in range(-window, window + 1):
-            if p == 0 and q <= 0:
-                continue
-            if math.gcd(p, abs(q)) != 1:
-                continue
-            out.append((p, q))
-    out.sort(key=lambda c: (c[0] ** 2 + c[1] ** 2, c))
-    return out
+def _primitive_classes():
+    """Primitive deck classes (p, q), one of each pair +-c (p > 0, or p = 0 < q),
+    without end, in increasing p^2 + q^2 and by the tuple among equals."""
+    for norm2 in itertools.count(1):
+        shell = []
+        for p in range(math.isqrt(norm2) + 1):
+            q = math.isqrt(norm2 - p * p)
+            if q * q == norm2 - p * p and math.gcd(p, q) == 1:
+                shell += [(p, -q), (p, q)] if p and q else [(p, q)]
+        yield from sorted(shell)
 
 
 def systole(field: MetricField) -> LoopWitness:
     """Shortest noncontractible loop (torus2, cylinder, rp2); its witness has
-    passed check_length (GeodesyError otherwise)."""
+    passed check_length (GeodesyError otherwise).
+
+    On torus2 the primitive classes c are searched once each, in increasing
+    |c|, each pruned at the shortest loop so far; the walk ends at the first
+    class whose lower bound sqrt(lambda_min) |c| reaches it, since every later
+    class's bound is no smaller.
+    """
     g = field.grid
     kind = g.topology.kind
     if kind == "cylinder":
@@ -518,24 +508,12 @@ def systole(field: MetricField) -> LoopWitness:
 
     lam = math.sqrt(field.lambda_min())
     best = None
-    window = 2
-    while True:
-        classes = [c for c in _primitive_classes(window)
-                   if max(abs(c[0]), abs(c[1])) <= window]
-        for c in classes:
-            lb = lam * math.hypot(c[0], c[1])
-            if best is not None and lb >= best.length:
-                continue
-            w = shortest_loop_in_class(field, c,
-                                       upper=np.inf if best is None else best.length,
-                                       prunable=best is not None)
-            if w is not None and (best is None or w.length < best.length - 1e-15):
-                best = w
-        nxt = window + 1
-        ring = [c for c in _primitive_classes(nxt) if max(abs(c[0]), abs(c[1])) == nxt]
-        if all(lam * math.hypot(c[0], c[1]) >= best.length for c in ring):
+    for c in _primitive_classes():
+        if best is not None and lam * math.hypot(c[0], c[1]) >= best.length:
             return best
-        window = nxt
+        w = shortest_loop_in_class(field, c, np.inf if best is None else best.length)
+        if w is not None and (best is None or w.length < best.length - 1e-15):
+            best = w
 
 
 def _antipodal_search(field: MetricField):
@@ -546,7 +524,7 @@ def _antipodal_search(field: MetricField):
         raise GeodesyError(f"{g.topology.kind} has no antipodal map")
     anti = g.antipode_map
     wt = field.edge_lengths()
-    if not np.allclose(wt[_edge_index(g, anti[g.edges[:, 0]], anti[g.edges[:, 1]])], wt,
+    if not np.allclose(wt[g.edge_index(anti[g.edges[:, 0]], anti[g.edges[:, 1]])], wt,
                        rtol=1e-9, atol=0.0):
         raise GeodesyError("the antipodal map is not an isometry of this metric")
     graph = field.graph()

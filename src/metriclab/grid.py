@@ -39,19 +39,18 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class DomainTopology:
-    """Domain kind plus boundary-face labels and identification rules.
+    """Domain kind, periodic axes and boundary-face labels.
 
-    identifications lists rule descriptors: ("wrap", axis) for periodic axes
-    and ("antipodal",) for sphere2/rp2.  The antipodal rule is an involution
-    on grid vertices; wrap rules act on edges (see Grid.edge_wrap), since the
-    quotient representation stores no duplicated seam vertices.
+    The identifications follow from the kind: periodic axes wrap through
+    edges (see Grid.edge_wrap), since the quotient representation stores no
+    duplicated seam vertices, and sphere2/rp2 carry the antipodal involution
+    on grid vertices (Grid.antipode_map).
     """
 
     kind: str
     dim: int
     periodic: tuple[bool, ...]
     boundary_faces: tuple[str, ...]
-    identifications: tuple[tuple, ...] = ()
     mask_name: str = ""
 
     @property
@@ -105,27 +104,19 @@ def hexagon(mask: str = "regular") -> DomainTopology:
 
 
 def cylinder() -> DomainTopology:
-    return DomainTopology(
-        "cylinder", 2, (True, False), ("B", "B'"), identifications=(("wrap", 0),)
-    )
+    return DomainTopology("cylinder", 2, (True, False), ("B", "B'"))
 
 
 def torus2() -> DomainTopology:
-    return DomainTopology(
-        "torus2", 2, (True, True), (), identifications=(("wrap", 0), ("wrap", 1))
-    )
+    return DomainTopology("torus2", 2, (True, True), ())
 
 
 def sphere2() -> DomainTopology:
-    return DomainTopology(
-        "sphere2", 2, (True, False), (), identifications=(("wrap", 0), ("antipodal",))
-    )
+    return DomainTopology("sphere2", 2, (True, False), ())
 
 
 def rp2() -> DomainTopology:
-    return DomainTopology(
-        "rp2", 2, (True, False), (), identifications=(("wrap", 0), ("antipodal",))
-    )
+    return DomainTopology("rp2", 2, (True, False), ())
 
 
 def topology_from_name(name: str) -> DomainTopology:
@@ -215,16 +206,16 @@ _HEX_VERTS = np.array(
 _TRIPOD_ANGLES = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
 
 
-def _tripod_frames(ell: float, w: float):
+def _tripod_frames():
     c = np.array([0.5, 0.5])
     u = np.stack([np.cos(_TRIPOD_ANGLES), np.sin(_TRIPOD_ANGLES)], axis=1)
     nrm = np.stack([-np.sin(_TRIPOD_ANGLES), np.cos(_TRIPOD_ANGLES)], axis=1)
     return c, u, nrm
 
 
-def _tripod_coords(points: np.ndarray, ell: float, w: float):
+def _tripod_coords(points: np.ndarray):
     """Per-leg (along, across) coordinates, shape (npts, 3)."""
-    c, u, nrm = _tripod_frames(ell, w)
+    c, u, nrm = _tripod_frames()
     rel = points - c
     s = rel @ u.T
     t = rel @ nrm.T
@@ -241,7 +232,7 @@ def _mask_inside(points: np.ndarray, mask_spec) -> np.ndarray:
             inside &= cross >= -1e-12
         return inside
     _, ell, w = mask_spec
-    s, t = _tripod_coords(pts, ell, w)
+    s, t = _tripod_coords(pts)
     in_leg = (s >= -w / 2 - 1e-12) & (s <= ell + 1e-12) & (np.abs(t) <= w / 2 + 1e-12)
     return in_leg.any(axis=1)
 
@@ -251,7 +242,7 @@ def _hexagon_polygons(mask_spec) -> list[np.ndarray]:
     if mask_spec[0] == "regular":
         return [_HEX_VERTS.copy()]
     _, ell, w = mask_spec
-    c, u, nrm = _tripod_frames(ell, w)
+    c, u, nrm = _tripod_frames()
     polys = []
     for i in range(3):
         a = c + u[i] * (-w / 2)
@@ -345,6 +336,7 @@ class Grid:
         )
         self.quotient_volume_factor = quotient_volume_factor
         self._neighbor_cache = None
+        self._edge_key_cache = None
 
     @property
     def num_vertices(self) -> int:
@@ -371,6 +363,22 @@ class Grid:
             self._neighbor_cache = (starts, tails)
         starts, tails = self._neighbor_cache
         return tails[starts[v]:starts[v + 1]]
+
+    def edge_index(self, a, b) -> np.ndarray:
+        """Index in edges of the edge joining a[k] and b[k], in either
+        orientation; where two stencil edges join one vertex pair (tiny
+        periodic grids), the one listed last."""
+        V = self.num_vertices
+        if self._edge_key_cache is None:
+            keys = self.edges.min(axis=1) * V + self.edges.max(axis=1)
+            order = np.argsort(keys, kind="stable")
+            self._edge_key_cache = (keys[order], order)
+        keys, order = self._edge_key_cache
+        want = np.minimum(a, b) * V + np.maximum(a, b)
+        k = np.searchsorted(keys, want, side="right") - 1
+        if (keys[k] != want).any():
+            raise GridError("vertex pair is not an edge")
+        return order[k]
 
     def vertex_at(self, lattice_index: tuple[int, ...]) -> int:
         v = int(self.lattice_vid[tuple(lattice_index)])
@@ -399,9 +407,7 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
     if stencil_order not in (1, 2, 3):
         raise GridError("stencil_order must be 1, 2, or 3")
     kind = topology.kind
-    if kind in CUBE_KINDS or kind == "hexagon":
-        return _build_cubelike(topology, resolution, stencil_order)
-    if kind in PERIODIC_KINDS:
+    if kind in CUBE_KINDS or kind in PERIODIC_KINDS or kind == "hexagon":
         return _build_cubelike(topology, resolution, stencil_order)
     if kind in SPHERE_KINDS:
         if resolution % 2:
@@ -603,7 +609,7 @@ def _hexagon_face_labels(pts, mask_spec):
             dists[:, k] = np.linalg.norm(pts - proj, axis=1)
         return np.argmin(dists, axis=1)
     _, ell, w = mask_spec
-    s, t = _tripod_coords(pts, ell, w)
+    s, t = _tripod_coords(pts)
     in_leg = (s >= -w / 2 - 1e-12) & (np.abs(t) <= w / 2 + 1e-12)
     s_masked = np.where(in_leg, s, -np.inf)
     leg = np.argmax(s_masked, axis=1)

@@ -103,7 +103,7 @@ def read_field(path) -> MetricField:
         seen += 1
     if seen != grid.num_vertices:
         raise GridError(f"field file has {seen} rows, expected {grid.num_vertices}")
-    return MetricField(grid, tensors, validate=False)
+    return MetricField(grid, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,8 @@ def witness_text(witness, grid: Grid) -> str:
     return "\n".join(out) + "\n"
 
 
-def profile_text(xs, ys, labels=("t", "a")) -> str:
-    out = [f"# {labels[0]} {labels[1]}"]
+def profile_text(xs, ys) -> str:
+    out = ["# t a"]
     for x, y in zip(xs, ys):
         out.append(f"{fmt(x)} {fmt(y)}")
     return "\n".join(out) + "\n"
@@ -143,7 +143,7 @@ def besicovitch_text(report) -> str:
     for key in ("jac_ok", "degree_ok", "degree_checked", "face_containment_ok", "passed"):
         lines.append(f"{key} = {str(getattr(report, key)).lower()}")
     lines.append(f"rel_tol = {fmt(report.rel_tol)}")
-    edges, counts = report.jac_histogram(16)
+    edges, counts = report.jac_histogram()
     lines.append("")
     lines.append("[jac_histogram]")
     lines.append("# bin_lo bin_hi count")
@@ -333,8 +333,9 @@ def _color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def svg_heatmap(grid: Grid, values, curves=(), loops=(), size: int = 480) -> str:
+def svg_heatmap(grid: Grid, values, curves=()) -> str:
     """Vertex-value heatmap with optional polyline overlays (chart space)."""
+    size = 480  # pixels, both ways
     vals = np.asarray(values, dtype=float)
     finite = np.isfinite(vals)
     lo, hi = vals[finite].min(), vals[finite].max()
@@ -350,7 +351,7 @@ def svg_heatmap(grid: Grid, values, curves=(), loops=(), size: int = 480) -> str
         c = _color((vals[v] - lo) / span)
         parts.append(f'<rect x="{size * x - px / 2:.1f}" y="{size * (1 - y) - px / 2:.1f}" '
                      f'width="{px:.1f}" height="{px:.1f}" fill="{c}"/>')
-    for pts, color in list(curves) + list(loops):
+    for pts, color in curves:
         chain = " ".join(f"{size * p[0]:.1f},{size * (1 - p[-1]):.1f}" for p in pts)
         parts.append(f'<polyline points="{chain}" fill="none" stroke="{color}" stroke-width="2"/>')
     parts.append("</svg>")

@@ -250,21 +250,18 @@ class WidthCertificate:
         return [(c.length, c.ball_bound) for c in self.curves]
 
 
-def width_upper_bound(field: MetricField, R: float, r0: float = None,
-                      r1: float = None, budget: int = 32) -> WidthCertificate:
+def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCertificate:
     """Certificate that width_1 < R (multiplicity <= 3 cover, radii < R).
 
-    Tries the default band ((n-1)/n R, R) and one fallback band; emits an
-    invalid certificate with reasons when no attempt produces a cover that
-    survives the checks.  No false certificate is possible: validity is
-    determined by direct radius / multiplicity / union re-checks.
+    Cuts in the band ((n-1)/n R, R) first and in (0.6 R, 0.9 R) if that
+    fails; emits an invalid certificate with reasons when neither band
+    produces a cover that survives the checks.  No false certificate is
+    possible: validity is determined by direct radius / multiplicity / union
+    re-checks.
     """
-    attempts = [(r0, r1)] if (r0 is not None or r1 is not None) else [
-        (None, None), (0.6 * R, 0.9 * R)
-    ]
     fh = field_hash(field)
     last_reasons = []
-    for (a0, a1) in attempts:
+    for (a0, a1) in [(None, None), (0.6 * R, 0.9 * R)]:
         cut = separating_cut(field, R, a0, a1, budget=budget)
         if not cut.valid:
             last_reasons = cut.reasons

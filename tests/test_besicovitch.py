@@ -154,7 +154,7 @@ def test_cube4_flat_degree_skipped():
 def test_jac_histogram_shape():
     g = G.build_grid(G.square(), 24, 3)
     rep = B.verify_besicovitch(F.flat_metric(g))
-    edges, counts = rep.jac_histogram(16)
+    edges, counts = rep.jac_histogram()
     assert len(edges) == 17 and len(counts) == 16
     assert counts.sum() == len(rep.per_cell_jac)
 

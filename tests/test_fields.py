@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
@@ -258,3 +260,77 @@ def test_graph_keeps_shorter_edge_of_a_repeated_pair(top):
         assert A.nnz == 2 * len(shortest)
         for (a, b), length in shortest.items():
             assert A[a, b] == length and A[b, a] == length
+
+
+# ---------------------------------------------------------------------------
+# interpolation at the ends of a bounded axis
+
+
+def _reference_tensor_at(field, points):
+    """tensor_at as it was before bounded coordinates were clamped: the
+    oracle for points inside the domain."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    g = field.grid
+    n, shape = g.n, g.lattice_shape
+    x = pts / np.asarray(g.spacing)
+    base = np.floor(x).astype(np.int64)
+    frac = x - base
+    for k in range(n):
+        if g.topology.periodic[k]:
+            base[:, k] %= shape[k]
+        else:
+            hi = base[:, k] >= shape[k] - 1
+            base[:, k] = np.clip(base[:, k], 0, shape[k] - 2)
+            frac[:, k] = np.where(hi, 1.0, frac[:, k])
+    out = np.zeros((len(pts), n, n))
+    wsum = np.zeros(len(pts))
+    for bit in range(2 ** n):
+        idx = base.copy()
+        wgt = np.ones(len(pts))
+        for k in range(n):
+            if (bit >> k) & 1:
+                idx[:, k] += 1
+                if g.topology.periodic[k]:
+                    idx[:, k] %= shape[k]
+                wgt *= frac[:, k]
+            else:
+                wgt *= 1.0 - frac[:, k]
+        vid = g.lattice_vid[tuple(idx.T)]
+        ok = vid >= 0
+        wgt = np.where(ok, wgt, 0.0)
+        out += wgt[:, None, None] * field.tensors[np.where(ok, vid, 0)]
+        wsum += wgt
+    return out / wsum[:, None, None]
+
+
+def test_tensor_at_just_below_a_bounded_axis_reads_the_boundary_row():
+    g = G.build_grid(G.sphere2(), 24, 3)
+    f = F.round_sphere_metric(g, 1.0)
+    below, at = f.tensor_at([[0.3, -1e-17], [0.3, 0.0]])
+    assert np.array_equal(below, at)
+    assert below[0, 0] < 1e-30  # the pole's degenerate tensor, not row 1's 0.673
+    g = G.build_grid(G.square(), 9, 3)
+    f = F.random_spd_metric(g, 3, (0.5, 2.0))
+    for inside, outside in (([0.4, 0.0], [0.4, -1e-17]), ([0.0, 0.4], [-1e-17, 0.4]),
+                            ([0.4, 1.0], [0.4, 1.0 + 1e-15])):
+        assert np.array_equal(f.tensor_at(outside), f.tensor_at(inside))
+
+
+_INTERP_FIELDS = {
+    "square": lambda: F.random_spd_metric(G.build_grid(G.square(), 9, 3), 3, (0.5, 2.0)),
+    "cylinder": lambda: F.random_spd_metric(G.build_grid(G.cylinder(), 8, 3), 4, (0.5, 2.0)),
+    "torus2": lambda: F.random_spd_metric(G.build_grid(G.torus2(), 8, 3), 5, (0.5, 2.0)),
+    "cube3": lambda: F.random_spd_metric(G.build_grid(G.cube(3), 5, 1), 6, (0.5, 2.0)),
+    "sphere2": lambda: F.round_sphere_metric(G.build_grid(G.sphere2(), 12, 3), 1.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_INTERP_FIELDS)), data=st.data())
+def test_tensor_at_is_unchanged_inside_the_domain(name, data):
+    f = _INTERP_FIELDS[name]()
+    g = f.grid
+    coord = [st.floats(-2.0, 3.0) if g.topology.periodic[k] else st.floats(0.0, 1.0)
+             for k in range(g.n)]
+    pts = np.array(data.draw(st.lists(st.tuples(*coord), min_size=1, max_size=8)))
+    assert np.array_equal(f.tensor_at(pts), _reference_tensor_at(f, pts))

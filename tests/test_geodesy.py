@@ -676,3 +676,123 @@ def test_path_lengths_match_distances_with_longitude_dependent_metrics(kind, hal
     d = geo.distance_field(f, [src], quotient=False)
     for v in range(g.num_vertices):
         assert abs(F.polyline_length(f, d.path_to(v)) - d.dist[v]) <= 1e-12 * (1 + d.dist[v])
+
+
+# ---------------------------------------------------------------------------
+# the torus class walk against the former windowed enumeration
+
+
+def _window_classes(window):
+    out = [(p, q) for p in range(window + 1) for q in range(-window, window + 1)
+           if not (p == 0 and q <= 0) and math.gcd(p, abs(q)) == 1]
+    return sorted(out, key=lambda c: (c[0] ** 2 + c[1] ** 2, c))
+
+
+def _windowed_systole(f):
+    """The former torus2 enumeration, kept as the oracle: square windows of
+    classes, grown by one ring while a ring class's lower bound undercuts the
+    best loop, with the inner classes searched again at each growth."""
+    lam = math.sqrt(f.lambda_min())
+    best = None
+    window = 2
+    while True:
+        for c in _window_classes(window):
+            if best is not None and lam * math.hypot(*c) >= best.length:
+                continue
+            w = geo.shortest_loop_in_class(f, c, np.inf if best is None else best.length)
+            if w is not None and (best is None or w.length < best.length - 1e-15):
+                best = w
+        ring = [c for c in _window_classes(window + 1) if max(abs(c[0]), abs(c[1])) > window]
+        if all(lam * math.hypot(*c) >= best.length for c in ring):
+            return best
+        window += 1
+
+
+SHEARED = np.array([[1.0, 3.0], [3.0, 10.0]])
+SYSTOLE_CASES = {
+    "hex-32": lambda: F.constant_metric(G.build_grid(G.torus2(), 32, 3), HEX),
+    "hex-64": lambda: F.constant_metric(G.build_grid(G.torus2(), 64, 3), HEX),
+    "flat-32": lambda: F.flat_metric(G.build_grid(G.torus2(), 32, 3)),
+    "sheared-1-3-10": lambda: F.constant_metric(G.build_grid(G.torus2(), 32, 3), SHEARED),
+    "sheared-1-2-5": lambda: F.constant_metric(G.build_grid(G.torus2(), 32, 3),
+                                               [[1.0, 2.0], [2.0, 5.0]]),
+}
+# the first four loewner-strictness bump tori
+SYSTOLE_CASES.update({f"bump-{100 + k}": lambda k=k: _bump_torus(
+    48, 100 + k, "hexagonal" if k % 2 else "flat") for k in range(4)})
+
+
+@pytest.mark.parametrize("name", sorted(SYSTOLE_CASES))
+def test_systole_matches_windowed_enumeration(name):
+    f = SYSTOLE_CASES[name]()
+    w, ref = geo.systole(f), _windowed_systole(f)
+    assert (w.cls, w.base_vertex, w.length) == (ref.cls, ref.base_vertex, ref.length)
+    assert np.array_equal(w.points, ref.points)
+
+
+def test_systole_searches_each_class_once(monkeypatch):
+    f = SYSTOLE_CASES["sheared-1-3-10"]()
+    searched = []
+    real = geo.shortest_loop_in_class
+
+    def counting(field, cls, *args):
+        searched.append(cls)
+        return real(field, cls, *args)
+
+    monkeypatch.setattr(geo, "shortest_loop_in_class", counting)
+    _windowed_systole(f)
+    assert (len(searched), len(set(searched))) == (20, 12)
+    searched.clear()
+    w = geo.systole(f)
+    assert (len(searched), len(set(searched))) == (12, 12)
+    norms = [c[0] ** 2 + c[1] ** 2 for c in searched]
+    assert norms == sorted(norms)
+    assert math.sqrt(f.lambda_min()) * math.hypot(*searched[-1]) < w.length
+
+
+def test_pruned_class_returns_none_and_unbounded_class_raises(monkeypatch):
+    f = SYSTOLE_CASES["hex-32"]()
+    assert geo.shortest_loop_in_class(f, (2, 1), upper=1.0) is None
+    fc = F.flat_metric(G.build_grid(G.cylinder(), 8, 3))
+    assert geo.shortest_loop_in_class(fc, 1, upper=0.5) is None
+    monkeypatch.setattr(geo, "_meet_search", lambda *args: None)
+    with pytest.raises(geo.GeodesyError, match="no loop found"):
+        geo.shortest_loop_in_class(fc, 1)
+
+
+# ---------------------------------------------------------------------------
+# the edge lookup behind path_to
+
+
+def _reference_edge_index(grid, a, b):
+    """The former per-call lookup: argsort every edge key, then search."""
+    e, V = grid.edges, grid.num_vertices
+    keys = e.min(axis=1) * V + e.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    want = np.minimum(a, b) * V + np.maximum(a, b)
+    i = order[np.searchsorted(keys[order], want, side="right") - 1]
+    assert (keys[i] == want).all()
+    return i
+
+
+@pytest.mark.parametrize("kind,N", [("rp2", 24), ("sphere2", 16), ("torus2", 16),
+                                    ("torus2", 4), ("cylinder", 4)])
+def test_edge_index_matches_the_per_call_lookup(kind, N):
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    e = g.edges
+    for a, b in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
+        assert np.array_equal(g.edge_index(a, b), _reference_edge_index(g, a, b))
+    far = next(v for v in range(1, g.num_vertices) if v not in g.neighbors(0))
+    with pytest.raises(G.GridError):
+        g.edge_index(np.array([0]), np.array([far]))
+
+
+@pytest.mark.parametrize("kind", ["rp2", "sphere2", "torus2"])
+def test_path_to_polylines_are_unchanged(kind, monkeypatch):
+    g = G.build_grid(G.topology_from_name(kind), 16, 3)
+    f = _rp2_bump(g) if kind != "torus2" else F.random_spd_metric(g, 2, (0.5, 2.0))
+    d = geo.distance_field(f, [0, g.num_vertices // 3], quotient=False)
+    paths = [d.path_to(v) for v in range(g.num_vertices)]
+    monkeypatch.setattr(G.Grid, "edge_index", _reference_edge_index)
+    for v, pts in enumerate(paths):
+        assert np.array_equal(pts, d.path_to(v))

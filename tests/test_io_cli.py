@@ -28,6 +28,36 @@ def test_field_roundtrip(tmp_path):
     assert W.field_hash(back) == W.field_hash(f)
 
 
+def test_degenerate_field_file_gives_no_certificate(tmp_path, capsys):
+    g = G.build_grid(G.square(), 33, 3)
+    cert = W.width_upper_bound(F.flat_metric(g), 0.6)
+    zero = F.MetricField(g, np.zeros((g.num_vertices, 2, 2)), validate=False)
+    mio.write_field(zero, tmp_path / "zero.txt")
+    text = mio.certificate_text(cert, g, "zero.txt")
+    text = text.replace(f"R = {mio.fmt(cert.R)}", "R = 1e-06")
+    (tmp_path / "cert.txt").write_text(text.replace(cert.field_hash, W.field_hash(zero)))
+    # every edge of the zero field has length 0, so every set radius is below R
+    rc = cli.main(["validate-certificate", str(tmp_path / "cert.txt")])
+    out, err = capsys.readouterr()
+    assert rc != 0
+    assert "certificate OK" not in out
+    assert "positive definite" in err
+    with pytest.raises(F.FieldError, match="positive definite"):
+        mio.read_field(tmp_path / "zero.txt")
+
+
+def test_read_field_checks_the_antipodal_identification(tmp_path):
+    g = G.build_grid(G.rp2(), 16, 3)
+    f = F.round_sphere_metric(g, 1.0)
+    mio.write_field(f, tmp_path / "round.txt")
+    assert (mio.read_field(tmp_path / "round.txt").tensors == f.tensors).all()
+    lopsided = F.MetricField(g, np.exp(0.4 * g.coords[:, 1])[:, None, None] * f.tensors,
+                             validate=False)
+    mio.write_field(lopsided, tmp_path / "lopsided.txt")
+    with pytest.raises(F.FieldError, match="antipodal"):
+        mio.read_field(tmp_path / "lopsided.txt")
+
+
 def test_run_encoding_roundtrip():
     idx = np.array([0, 1, 2, 3, 7, 9, 10, 11, 40])
     text = mio.encode_runs(idx)
