@@ -175,7 +175,7 @@ class MetricGraph:
 
     num_vertices: int
     edges: list  # (u, v, length)
-    _dist: np.ndarray = dataclass_field(default=None, repr=False)
+    _dist: np.ndarray = dataclass_field(default=None, init=False, repr=False)
 
     def distances(self) -> np.ndarray:
         if self._dist is None:

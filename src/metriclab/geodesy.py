@@ -7,7 +7,23 @@ Metrication against the continuum is bounded by the stencil distortion
 
 Every minimum over sources goes through one engine: Dijkstras from 64 sources
 at a time, each cut off at the running best, reduced to one value per source.
-Radii minimize eccentricities.  Loops meet in the middle: a deck translation
+
+Radii search from proven bounds.  A computed distance is a sum of at most
+V - 1 edge lengths, so it lies within (V - 1) 2^-53 (relative) of its path's
+length; the reversed distance, or the true one, lies within 4 V 2^-52 of it
+(the reversal slack).  A cut-off at a bound widened by that slack keeps every
+value within the bound exact.  Eccentricities obey the bounds of Takes &
+Kosters (Algorithms, 2013): after the row of u, every v has
+ecc(v) >= max(d(u, v), ecc(u) - d(u, v)).  radius() lowers each such bound by
+twice the slack of ecc(u), to cover the reversal and the subtraction (on rp2
+with quotient=True also by the antipode's distortion of edge lengths), takes
+sources in order of least bound, and never searches one whose bound is above
+the least eccentricity so far; ties are never pruned, so the center is the
+first minimizing vertex, as in a search over every vertex.  A set radius
+cuts its members' searches off at the eccentricity of one center, which
+bounds the least one.
+
+Loops meet in the middle: a deck translation
 t (or the antipodal map on sphere2/rp2) is an isometry of the lifted graph, so
 d(v, t v) = min over w of d(v, w) + d(v, t^-1 w), and the minimum is met at a
 w halfway along a shortest path.  One Dijkstra from v, cut off at half the
@@ -165,24 +181,73 @@ class RadiusResult:
     per_component: list = dataclass_field(default_factory=list)
 
 
+def _reversal_slack(graph) -> float:
+    """Relative slack between a computed distance and the true one, or the one
+    computed in reverse: each is a sum of at most V - 1 edge lengths, rounded
+    within (V - 1) 2^-53 of the path's length, so 4 V 2^-52 covers both."""
+    return 4 * graph.shape[0] * 2.0 ** -52
+
+
+def _widened(bound: float, graph) -> float:
+    """A bound on distances computed one way, valid for those computed in
+    reverse."""
+    return _padded(bound * (1 + _reversal_slack(graph)))
+
+
+def _fold_distortion(graph, fold) -> float:
+    """Least eta with w(fold a, fold b) <= (1 + eta) w(a, b) on every edge
+    (a, b): 0 when fold is an exact isometry, inf when it does not map edges
+    to edges."""
+    image = graph[fold][:, fold]
+    image.sort_indices()
+    if not (graph.has_sorted_indices and np.array_equal(image.indptr, graph.indptr)
+            and np.array_equal(image.indices, graph.indices)):
+        return np.inf
+    moved = image.data != graph.data
+    with np.errstate(divide="ignore"):
+        return float(np.max(np.abs(image.data - graph.data)[moved] / graph.data[moved],
+                            initial=0.0))
+
+
 def radius(field: MetricField, quotient: bool = True) -> RadiusResult:
-    """Exact min-max radius: one cut-off search per connected component for
-    the least row max (on rp2 with quotient=True, of min(d(v, u), d(v, -u))).
+    """Exact min-max radius: one pruned cut-off search per connected component
+    for the least row max (on rp2 with quotient=True, of min(d(v, u), d(v, -u))).
+
+    Each searched row u bounds every v of its component from below by
+    max(d(u, v), ecc(u) - d(u, v)) (Takes & Kosters), less the rounding slack
+    (module docstring); sources go in order of least bound, and one whose
+    bound is above the least eccentricity so far is never searched.  The
+    value and the center (the first minimizing vertex) are those of the
+    search over every vertex.
     """
     g = field.grid
     graph = field.graph()
     ncomp, labels = connected_components(graph, directed=False)
     fold = g.antipode_map if quotient and g.topology.kind == "rp2" else None
+    slack = _reversal_slack(graph) + (0.0 if fold is None else 2 * _fold_distortion(graph, fold))
     per = []
     for c in range(ncomp):
         verts = np.where(labels == c)[0]
+        cols = slice(None) if ncomp == 1 else verts
 
         def ecc(D, rows):
             if fold is not None:
                 np.minimum(D, D[:, fold], out=D)
-            return D[:, verts].max(axis=1)
+            return D[:, cols].max(axis=1)
 
-        value, k = _loop_search(graph, verts, ecc, np.inf)
+        def bounds(D, vals, limit):
+            # max(d, e - d) = |d - e / 2| + e / 2, in place; an entry cut off
+            # counts as the limit, and so does ecc(u)
+            half = np.minimum(vals, limit)[:, None] / 2
+            d = D[:, cols]
+            np.minimum(d, limit, out=d)
+            d -= half
+            np.abs(d, out=d)
+            d += half * (1 - 4 * slack)
+            return d.max(axis=0)
+
+        value, k = _loop_search(graph, verts, ecc, np.inf,
+                                bounds=bounds if np.isfinite(slack) else None)
         per.append((value, int(verts[k])))
     if ncomp == 1:
         return RadiusResult(per[0][0], per[0][1], True)
@@ -192,14 +257,33 @@ def radius(field: MetricField, quotient: bool = True) -> RadiusResult:
 
 def set_radius_exact(field: MetricField, subset) -> tuple[float, int]:
     """Exact radius of a vertex subset (center anywhere in the space), from
-    column maxima kept over chunks of _CHUNK sources."""
+    column maxima kept over chunks of _CHUNK sources.
+
+    The rows of a = subset[0] and of its far member b give a center c, and
+    one more Dijkstra from c the bound U = max over the subset of d(c, .),
+    widened by the reversal slack (module docstring).  The other members run
+    cut off at U: every column whose maximum is within U, the least among
+    them, comes out exact, and every other one inf.
+    """
     subset = np.asarray(subset, dtype=np.int64)
     if len(subset) == 0:
         raise GeodesyError("subset must be nonempty")
-    ecc = -np.inf
-    for k0 in range(0, len(subset), _CHUNK):
-        ecc = np.maximum(ecc, distance_matrix(field, subset[k0:k0 + _CHUNK]).max(axis=0))
+    graph = field.graph()
+    da = distance_matrix(field, subset[:1])[0]
+    b = int(subset[np.argmax(da[subset])])
+    ecc = np.maximum(da, distance_matrix(field, [b])[0])
+    rest = subset[(subset != subset[0]) & (subset != b)]
+    bound = np.inf
+    if len(rest):
+        c = int(np.argmin(ecc))
+        bound = _widened(max(ecc[c], dijkstra(graph, directed=True, indices=c)[rest].max()),
+                         graph)
+    for k0 in range(0, len(rest), _CHUNK):
+        block = dijkstra(graph, directed=True, indices=rest[k0:k0 + _CHUNK], limit=bound)
+        np.maximum(ecc, block.max(axis=0), out=ecc)
     c = int(np.argmin(ecc))
+    if ecc[c] == np.inf and bound < np.inf:
+        raise GeodesyError(f"no center within the proven bound {bound!r}")
     return float(ecc[c]), c
 
 
@@ -210,14 +294,18 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     Returns (ecc, center) with ecc = max over subset of d(center, .).  The
     `rounds` vertices of least max(d(a, .), d(b, .)), for a far pair (a, b),
     are tried as centers in one search.  `within` optionally restricts
-    candidate centers to a vertex set (default: anywhere).
+    candidate centers to a vertex set (default: anywhere).  The row of b is
+    cut off at the best ecc so far, widened by the reversal slack: a vertex
+    beyond it has a larger ecc, so it could never be the center.
     """
     subset = np.asarray(subset, dtype=np.int64)
+    graph = field.graph()
     d0 = distance_matrix(field, subset[:1])[0]
     far = int(subset[np.argmax(d0[subset])])
     d1 = distance_matrix(field, [far])[0]
     best = (float(d1[subset].max()), far)
-    d2 = distance_matrix(field, [int(subset[np.argmax(d1[subset])])])[0]
+    d2 = dijkstra(graph, directed=True, indices=int(subset[np.argmax(d1[subset])]),
+                  limit=_widened(best[0], graph))
     cand_scores = np.maximum(d1, d2)
     if within is not None:
         mask = np.full(len(cand_scores), np.inf)
@@ -225,8 +313,7 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
         cand_scores = cand_scores + mask
     cand = np.argsort(cand_scores, kind="stable")[:rounds]
     cand = cand[np.isfinite(cand_scores[cand])]
-    ecc, i = _loop_search(field.graph(), cand, lambda D, rows: D[:, subset].max(axis=1),
-                          best[0])
+    ecc, i = _loop_search(graph, cand, lambda D, rows: D[:, subset].max(axis=1), best[0])
     if ecc < best[0]:
         best = (ecc, int(cand[i]))
     return best
@@ -301,6 +388,15 @@ def _stencil_walk_length(field, base, cls) -> float:
     return float(total.min())
 
 
+def _sqrt_lambda_min(field) -> float:
+    """sqrt(lambda_min): the least length of a chart unit step (GeodesyError
+    on a degenerate metric, whose chart windows would be unbounded)."""
+    lam = field.lambda_min()
+    if not lam > 0:
+        raise GeodesyError(f"degenerate metric: least tensor eigenvalue {lam!r} is not positive")
+    return math.sqrt(lam)
+
+
 def _deck_window(field, cls, ub: float, reach: float):
     """(kx0, nx, ky0, ny): the copies of the lift that hold every vertex within
     (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines, plus
@@ -308,7 +404,7 @@ def _deck_window(field, cls, ub: float, reach: float):
     l / sqrt(lambda_min) chart units, so this holds both halves of every
     loop of length <= ub met halfway (see _meet_search)."""
     g = field.grid
-    r = (_padded(ub) / 2 + reach) / math.sqrt(field.lambda_min()) + max(g.spacing)
+    r = (_padded(ub) / 2 + reach) / _sqrt_lambda_min(field) + max(g.spacing)
     across = 0 if cls[0] != 0 else 1
     out = []
     for k in range(2 if g.topology.kind == "torus2" else 1):
@@ -347,8 +443,8 @@ def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
 
 
-def _loop_search(graph, sources, value, ub, reach=None):
-    """(min over i of value for sources[i], first minimizing i).
+def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
+    """(min over i of value for sources[i], least minimizing i).
 
     Dijkstras run _CHUNK sources at a time, each cut off at the best value so
     far (at first at ub); value(block, rows) maps the block of sources[rows]
@@ -357,19 +453,39 @@ def _loop_search(graph, sources, value, ub, reach=None):
     distances met halfway, exact when each half is within incumbent / 2 +
     reach, which becomes the cut-off.  Returns (inf, -1) when no value lies
     within ub.
+
+    bounds(block, vals, limit) maps a searched block (which it may overwrite)
+    to a lower bound on the value of every source, rounding slack already
+    taken off.  Sources are then searched in order of least bound, in blocks
+    of 1, 2, 4, ... up to _CHUNK, and a source whose bound is above the best
+    value is never searched; ties are never pruned, so the least minimizing i
+    still wins.  Without bounds, sources run in order, _CHUNK at a time.
     """
     incumbent = _padded(ub)
     best = (np.inf, -1)
-    for k0 in range(0, len(sources), _CHUNK):
-        rows = slice(k0, k0 + _CHUNK)
+    lower = np.full(len(sources), -np.inf)
+    todo = np.ones(len(sources), dtype=bool)
+    size = _CHUNK if bounds is None else 1
+    while True:
+        open_ = np.flatnonzero(todo & (lower <= best[0]))
+        rows = open_[np.argsort(lower[open_], kind="stable")[:size]]
+        if len(rows) == 0:
+            return best
+        todo[rows] = False
+        size = min(2 * size, _CHUNK)
         limit = incumbent if reach is None else incumbent / 2 + reach
-        # reduce the block at once, so that no two blocks are alive together
-        vals = value(dijkstra(graph, directed=True, indices=sources[rows], limit=limit), rows)
-        j = int(np.argmin(vals))
-        if vals[j] < best[0] and vals[j] <= incumbent:
-            best = (float(vals[j]), k0 + j)
-            incumbent = min(incumbent, _padded(best[0]))
-    return best
+        # reduce the block at once and free it before anything else is
+        # allocated, so that no two blocks are alive together
+        block = dijkstra(graph, directed=True, indices=sources[rows], limit=limit)
+        vals = value(block, rows)
+        if bounds is not None:
+            np.maximum(lower, bounds(block, vals, limit), out=lower)
+        del block
+        m = vals.min()
+        i = int(rows[vals == m].min())
+        if m <= incumbent and (m < best[0] or m == best[0] and i < best[1]):
+            best = (float(m), i)
+            incumbent = min(incumbent, _padded(m))
 
 
 def _meet_search(graph, sources, pairs, ub: float, reach: float):
@@ -396,7 +512,7 @@ def _meet_search(graph, sources, pairs, ub: float, reach: float):
             m = s[r, k]
             won = m < best
             best[won] = m[won]
-            meet[rows.start + r[won]] = np.stack([cols[a][k[won]], cols[b][k[won]]], axis=1)
+            meet[rows[won]] = np.stack([cols[a][k[won]], cols[b][k[won]]], axis=1)
         return best
 
     length, i = _loop_search(graph, sources, value, ub, reach)
@@ -444,6 +560,7 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
             raise GeodesyError("trivial deck class")
     else:
         raise GeodesyError(f"{kind} has no free abelian deck group")
+    _sqrt_lambda_min(field)  # a degenerate metric fails here, before any search
 
     base = _loop_base_vertices(g, (p, q))
     ub = min(_stencil_walk_length(field, base, (p, q)), upper)
@@ -506,7 +623,7 @@ def systole(field: MetricField) -> LoopWitness:
     if kind != "torus2":
         raise GeodesyError(f"{kind} is simply connected or unsupported")
 
-    lam = math.sqrt(field.lambda_min())
+    lam = _sqrt_lambda_min(field)
     best = None
     for c in _primitive_classes():
         if best is not None and lam * math.hypot(c[0], c[1]) >= best.length:

@@ -21,7 +21,6 @@ OPTIONS = [
     "Grid(chart_degenerate)",
     "Grid(quotient_volume_factor)",
     "MetricField(validate)",
-    "MetricGraph(_dist)",
     "RadiusResult(per_component)",
     "SeparatingCut(total_length)",
     "WidthCertificate(curves)",

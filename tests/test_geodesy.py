@@ -263,7 +263,20 @@ RADIUS_FIELDS = {
     "round-rp2": lambda: F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0),
     "tripod": _tripod,
     "interval": lambda: F.flat_metric(G.build_grid(G.interval(), 33, 1)),
+    # every vertex ties, so no source can be pruned
+    "flat-torus": lambda: F.flat_metric(G.build_grid(G.torus2(), 16, 3)),
+    "flat-square-odd": lambda: F.flat_metric(G.build_grid(G.square(), 33, 3)),
+    # the antipode is an isometry only up to rounding at N = 24, and not at all
+    # for the skewed field
+    "bump-rp2": lambda: _rp2_bump(G.build_grid(G.rp2(), 24, 3)),
+    "skewed-rp2": lambda: _skewed_rp2(),
 }
+
+
+def _skewed_rp2():
+    f = F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0)
+    return F.MetricField(f.grid, f.tensors * (1 + 0.5 * f.grid.coords[:, 1])[:, None, None],
+                         validate=False)
 
 
 @pytest.mark.parametrize("name", sorted(RADIUS_FIELDS))
@@ -312,7 +325,8 @@ def test_radius_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert r.value == pytest.approx(math.sqrt(2) / 2, rel=0.03)
-    # one (64, V) block at a time peaks near 2.8 MiB; an all-pairs matrix took 46 MiB
+    # at most one (64, V) block is alive: the peak is near 1.6 MiB; an all-pairs
+    # matrix took 46 MiB
     assert peak < 8 * 2 ** 20
 
 
@@ -329,6 +343,90 @@ def test_set_radius_upper_bounds_exact_from_within(N, seed, data):
     assert exact <= upper
     assert center in S
     assert upper == geo.distance_field(f, [center]).dist[S].max()
+
+
+def test_set_radii_of_a_subset_across_two_components():
+    f = _tripod()
+    _, labels = connected_components(f.graph(), directed=False)
+    big = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    b = int(np.flatnonzero(labels != labels[big[0]])[0])
+    for S in ([big[0], b], [big[0], b, *big[1::3]], [*big[1::2], b]):
+        S = np.array(S)
+        assert geo.set_radius_exact(f, S) == _dense_set_radius_exact(f, S)
+        assert geo.set_radius_exact(f, S)[0] == np.inf
+        for rounds in (1, 4):
+            assert geo.set_radius_upper(f, S, rounds) == _dense_set_radius_upper(f, S, rounds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["square", "torus2"]), N=st.integers(4, 11),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_radii_match_dense_oracles_on_random_fields(kind, N, seed, data):
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    r = geo.radius(f)
+    assert (r.value, r.center, r.connected, r.per_component) == _dense_radius(f)
+    S = np.array(data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1,
+                                    max_size=40)))
+    rounds = data.draw(st.integers(1, 5))
+    assert geo.set_radius_exact(f, S) == _dense_set_radius_exact(f, S)
+    assert geo.set_radius_upper(f, S, rounds) == _dense_set_radius_upper(f, S, rounds)
+    assert (geo.set_radius_upper(f, S, rounds, within=S)
+            == _dense_set_radius_upper(f, S, rounds, within=S))
+
+
+def _counting_dijkstra(monkeypatch):
+    """Record (sources, limit) of every Dijkstra that geodesy runs."""
+    calls = []
+    real = geo.dijkstra
+
+    def counting(graph, *args, **kwargs):
+        calls.append((np.size(kwargs["indices"]), kwargs.get("limit", np.inf)))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "dijkstra", counting)
+    return calls
+
+
+@pytest.mark.parametrize("N, most", [(48, 32), (128, 32)])
+def test_radius_prunes_sources_on_the_flat_square(monkeypatch, N, most):
+    # the search over every vertex ran all 2,304 (N = 48) or 16,384 sources
+    f = F.flat_metric(G.build_grid(G.square(), N, 3))
+    calls = _counting_dijkstra(monkeypatch)
+    r = geo.radius(f)
+    assert sum(n for n, _ in calls) <= most
+    assert r.value == pytest.approx(math.sqrt(2) / 2, rel=0.03)
+
+
+def test_radius_searches_every_source_when_all_tie(monkeypatch):
+    f = F.flat_metric(G.build_grid(G.torus2(), 16, 3))
+    calls = _counting_dijkstra(monkeypatch)
+    r = geo.radius(f)
+    assert sum(n for n, _ in calls) == f.grid.num_vertices
+    assert max(n for n, _ in calls) == geo._CHUNK
+    assert r.center == 0
+
+
+def test_set_radius_exact_cuts_off_at_a_proven_bound(monkeypatch):
+    f = F.random_spd_metric(G.build_grid(G.square(), 20, 3), 5, (0.5, 2.0))
+    calls = _counting_dijkstra(monkeypatch)
+    S = np.arange(0, f.grid.num_vertices, 5)
+    assert geo.set_radius_exact(f, S) == _dense_set_radius_exact(f, S)
+    assert any(n > 1 and limit < np.inf for n, limit in calls)
+    calls.clear()
+    geo.set_radius_exact(f, S[:2])
+    assert len(calls) == 2  # the rows of a and b, and no bound to prove
+
+
+def test_loops_on_a_degenerate_metric_raise_a_geodesy_error():
+    g = G.build_grid(G.torus2(), 12, 3)
+    t = np.broadcast_to(np.eye(2), (g.num_vertices, 2, 2)).copy()
+    t[5] = np.diag([1.0, 0.0])
+    f = F.MetricField(g, t, validate=False)
+    with pytest.raises(geo.GeodesyError, match="degenerate metric"):
+        geo.systole(f)
+    with pytest.raises(geo.GeodesyError, match="degenerate metric"):
+        geo.shortest_loop_in_class(f, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +529,9 @@ def test_min_antipodal_distance_needs_an_isometric_antipode():
 def test_min_antipodal_distance_searches_the_band_only(monkeypatch):
     N = 64
     f = F.round_sphere_metric(G.build_grid(G.rp2(), N, 3), 1.0)
-    sources = []
-    real = geo.dijkstra
-
-    def counting(graph, *args, **kwargs):
-        sources.append(np.size(kwargs["indices"]))
-        return real(graph, *args, **kwargs)
-
-    monkeypatch.setattr(geo, "dijkstra", counting)
+    calls = _counting_dijkstra(monkeypatch)
     geo.min_antipodal_distance(f)
-    assert sum(sources) <= 2 * N
+    assert sum(n for n, _ in calls) <= 2 * N
 
 
 def test_rp2_systole_memory_is_bounded():
