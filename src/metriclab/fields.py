@@ -39,6 +39,7 @@ class MetricField:
         self._csr = None
         self._lambda_min = None
         self._lambda_max = None
+        self._exact_translations = None  # per axis, set by geodesy's loop engine
         self._cell_tensors = None
         self._cell_sqrt_det = None
         if validate:
@@ -234,13 +235,18 @@ def round_sphere_metric(grid: Grid, radius: float = 1.0) -> MetricField:
 
     Chart axes are (longitude u in [0,1), latitude v in [0,1]); the tensor is
     diag((2 pi r cos(lat))^2, (pi r)^2), with lat = pi (v - 1/2).  Pole
-    vertices carry the degenerate limit tensor.
+    vertices carry the degenerate limit tensor.  The latitude of lattice row
+    j (v = j / N) is computed as pi (2 j - N) / (2 N), so the antipodal rows
+    j and N - j get exactly opposite latitudes and bit-equal tensors.
     """
     if grid.topology.kind not in ("sphere2", "rp2"):
         raise FieldError("round metric needs sphere2 or rp2 topology")
     if radius <= 0:
         raise FieldError("radius must be positive")
-    lat = math.pi * (grid.coords[:, 1] - 0.5)
+    N, rows = grid.lattice_shape
+    row = np.empty(grid.num_vertices, dtype=np.int64)
+    row[grid.lattice_vid] = np.arange(rows)
+    lat = math.pi * ((2 * row - N) / (2 * N))
     t = np.zeros((grid.num_vertices, 2, 2))
     t[:, 0, 0] = (2.0 * math.pi * radius * np.cos(lat)) ** 2
     t[:, 1, 1] = (math.pi * radius) ** 2

@@ -48,6 +48,23 @@ so every such path meets the band of lattice columns 0, 1, N/2 and N/2 + 1
 (stencil moves span at most two columns), poles included.  The map sends
 columns N/2 and N/2 + 1 onto columns 0 and 1, so those two, with both poles,
 are the sources: 2N of them, instead of half the sphere.
+
+One source per symmetry orbit.  A unit lattice translation T along a periodic
+axis that maps every edge to an edge of bit-equal length (_distortion 0) is an
+automorphism of the graph; it commutes with the deck group and with the
+antipode (on sphere2/rp2 it is a longitude rotation, the poles fixed).  The
+check costs O(E) per axis, once per field.  scipy's computed distances within
+a cut-off are the unique fixed point of d(x) = min over d(u) < d(x) of
+fl(d(u) + w(u, x)), which does not depend on heap order, and the window holds
+every ball of the cut-off radius around a base vertex; so the row of T v is
+the row of v moved by T, bit for bit, and d(v, t v) = d(T v, t T v) exactly.
+Every base vertex of an orbit ties, the least minimizing index of the search
+over every source is the first of its orbit, and only the first of each orbit
+is searched.  Searched blocks keep their positions in the list of every
+source (_loop_search), so length, base vertex and witness are those of the
+search over every source.  On a flat or hexagonal torus that is one source
+per class instead of 2N; on round sphere2/rp2 N + 1 instead of 2N; a field
+with no exact translation keeps every source.
 """
 
 from __future__ import annotations
@@ -194,11 +211,12 @@ def _widened(bound: float, graph) -> float:
     return _padded(bound * (1 + _reversal_slack(graph)))
 
 
-def _fold_distortion(graph, fold) -> float:
-    """Least eta with w(fold a, fold b) <= (1 + eta) w(a, b) on every edge
-    (a, b): 0 when fold is an exact isometry, inf when it does not map edges
-    to edges."""
-    image = graph[fold][:, fold]
+def _distortion(graph, perm) -> float:
+    """Least eta with w(perm a, perm b) <= (1 + eta) w(a, b) on every edge
+    (a, b) of a vertex map: 0 when perm is an exact automorphism (every edge's
+    image an edge of bit-equal length), inf when it does not map edges to
+    edges."""
+    image = graph[perm][:, perm]
     image.sort_indices()
     if not (graph.has_sorted_indices and np.array_equal(image.indptr, graph.indptr)
             and np.array_equal(image.indices, graph.indices)):
@@ -224,7 +242,7 @@ def radius(field: MetricField, quotient: bool = True) -> RadiusResult:
     graph = field.graph()
     ncomp, labels = connected_components(graph, directed=False)
     fold = g.antipode_map if quotient and g.topology.kind == "rp2" else None
-    slack = _reversal_slack(graph) + (0.0 if fold is None else 2 * _fold_distortion(graph, fold))
+    slack = _reversal_slack(graph) + (0.0 if fold is None else 2 * _distortion(graph, fold))
     per = []
     for c in range(ncomp):
         verts = np.where(labels == c)[0]
@@ -342,6 +360,35 @@ class LoopWitness:
             1 + abs(self.length))
 
 
+def _orbit_representatives(field: MetricField, base) -> np.ndarray:
+    """Mask of the base vertices that come first in base among their orbit
+    under the unit lattice translations along periodic axes that are exact
+    automorphisms of the graph (module docstring).  The check costs O(E) per
+    axis and is made once per field."""
+    g = field.grid
+    vid = g.lattice_vid
+    if field._exact_translations is None:
+        graph = field.graph()
+
+        def step(k):  # vertex map of one lattice step along axis k
+            out = np.empty(g.num_vertices, dtype=np.int64)
+            out[vid] = np.roll(vid, -1, axis=k)
+            return out
+
+        field._exact_translations = tuple(
+            bool(periodic) and _distortion(graph, step(k)) == 0
+            for k, periodic in enumerate(g.topology.periodic))
+    orbit = vid
+    for k, exact in enumerate(field._exact_translations):
+        if exact:
+            orbit = np.take(orbit, np.zeros(vid.shape[k], dtype=np.int64), axis=k)
+    label = np.empty(g.num_vertices, dtype=np.int64)
+    label[vid] = orbit
+    keep = np.zeros(len(base), dtype=bool)
+    keep[np.unique(label[base], return_index=True)[1]] = True
+    return keep
+
+
 def _loop_base_vertices(grid, cls):
     """Base vertices every class-cls loop must visit (two lattice lines)."""
     vid = grid.lattice_vid
@@ -443,7 +490,7 @@ def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
 
 
-def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
+def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
     """(min over i of value for sources[i], least minimizing i).
 
     Dijkstras run _CHUNK sources at a time, each cut off at the best value so
@@ -460,19 +507,27 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
     of 1, 2, 4, ... up to _CHUNK, and a source whose bound is above the best
     value is never searched; ties are never pruned, so the least minimizing i
     still wins.  Without bounds, sources run in order, _CHUNK at a time.
+
+    keep masks the sources that are searched (default: all).  Without bounds
+    a block is still one run of _CHUNK positions of sources, so a kept source
+    is searched at the cut-off that a search of every source gives it; its
+    meet point, which may depend on the cut-off, is then that search's too.
     """
     incumbent = _padded(ub)
     best = (np.inf, -1)
     lower = np.full(len(sources), -np.inf)
-    todo = np.ones(len(sources), dtype=bool)
-    size = _CHUNK if bounds is None else 1
+    todo = np.ones(len(sources), dtype=bool) if keep is None else keep.copy()
+    size = 1
     while True:
         open_ = np.flatnonzero(todo & (lower <= best[0]))
-        rows = open_[np.argsort(lower[open_], kind="stable")[:size]]
-        if len(rows) == 0:
+        if len(open_) == 0:
             return best
+        if bounds is None:
+            rows = open_[open_ // _CHUNK == open_[0] // _CHUNK]
+        else:
+            rows = open_[np.argsort(lower[open_], kind="stable")[:size]]
+            size = min(2 * size, _CHUNK)
         todo[rows] = False
-        size = min(2 * size, _CHUNK)
         limit = incumbent if reach is None else incumbent / 2 + reach
         # reduce the block at once and free it before anything else is
         # allocated, so that no two blocks are alive together
@@ -488,7 +543,7 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
             incumbent = min(incumbent, _padded(m))
 
 
-def _meet_search(graph, sources, pairs, ub: float, reach: float):
+def _meet_search(graph, sources, pairs, ub: float, reach: float, keep):
     """Shortest path from some sources[i] to its image under an isometry s of
     the graph, as (length, i, chains), or None when none is within ub.
 
@@ -496,7 +551,8 @@ def _meet_search(graph, sources, pairs, ub: float, reach: float):
     at a w halfway along a shortest path, where both terms are within
     length / 2 + reach of v.  pairs lists column indices (a, b) with b the
     preimages of a; each pair is reduced on its own, so that no second
-    block-sized array is alive.  chains() gives the vertex chains from
+    block-sized array is alive.  keep masks the sources searched
+    (_loop_search).  chains() gives the vertex chains from
     sources[i] to w and to s^-1 w, from one more Dijkstra, cut off at the
     first cut-off of the search, which held both.
     """
@@ -515,7 +571,7 @@ def _meet_search(graph, sources, pairs, ub: float, reach: float):
             meet[rows[won]] = np.stack([cols[a][k[won]], cols[b][k[won]]], axis=1)
         return best
 
-    length, i = _loop_search(graph, sources, value, ub, reach)
+    length, i = _loop_search(graph, sources, value, ub, reach, keep=keep)
     if i < 0:
         return None
 
@@ -540,7 +596,9 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
     """Shortest closed loop in a deck-transformation class (torus2/cylinder).
 
     Base vertices are the two lattice lines every class-cls loop crosses; the
-    returned base vertex is a minimizing one among them.  A finite `upper`
+    returned base vertex is the first minimizing one among them.  Only the
+    first base vertex of each orbit of exact lattice translations is searched
+    (module docstring); the others tie with it.  A finite `upper`
     prunes the search: a class with no loop within it returns None (systole
     enumeration); with upper = inf a class without a loop raises.  The first
     bound is the graph length of a stencil walk in the class, and the window
@@ -574,7 +632,8 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
             a, b = i0 * ny + j0, (i0 - p) * ny + j0 - q
             pairs.append((slice(a * V, (a + 1) * V), slice(b * V, (b + 1) * V)))
     c0 = -kx0 * ny - ky0
-    found = _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, pairs, ub, reach)
+    found = _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, pairs, ub, reach,
+                         _orbit_representatives(field, base))
     if found is None:
         if upper < np.inf:
             return None
@@ -612,7 +671,8 @@ def systole(field: MetricField) -> LoopWitness:
     On torus2 the primitive classes c are searched once each, in increasing
     |c|, each pruned at the shortest loop so far; the walk ends at the first
     class whose lower bound sqrt(lambda_min) |c| reaches it, since every later
-    class's bound is no smaller.
+    class's bound is no smaller.  Each class search runs one source per orbit
+    of exact lattice translations: one on a constant (flat, hexagonal) torus.
     """
     g = field.grid
     kind = g.topology.kind
@@ -652,7 +712,8 @@ def _antipodal_search(field: MetricField):
     pairs = [(h, anti[h]) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
-    length, i, chains = _meet_search(graph, band, pairs, ub, float(wt.max()))
+    length, i, chains = _meet_search(graph, band, pairs, ub, float(wt.max()),
+                                     _orbit_representatives(field, band))
     return length, int(band[i]), chains
 
 
@@ -662,7 +723,9 @@ def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
     Distances are taken on the sphere double cover.  The antipodal map must be
     an isometry of the metric (GeodesyError otherwise).  Sources are the band
     of lattice columns 0 and 1, poles included, which every v-to-antipode
-    path meets (module docstring).
+    path meets (module docstring); when a longitude rotation is an exact
+    automorphism, as on the round metric, column 1 ties with column 0 and is
+    not searched.
     """
     return _antipodal_search(field)[:2]
 

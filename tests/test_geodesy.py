@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -887,3 +888,145 @@ def test_path_to_polylines_are_unchanged(kind, monkeypatch):
     monkeypatch.setattr(G.Grid, "edge_index", _reference_edge_index)
     for v, pts in enumerate(paths):
         assert np.array_equal(pts, d.path_to(v))
+
+
+# ---------------------------------------------------------------------------
+# one loop source per symmetry orbit, against the search of every source
+
+
+def _every_source(field, base):
+    return np.ones(len(base), dtype=bool)
+
+
+def _loop_outcomes(f, classes):
+    """(cls, base vertex, length, points) of the systole (None for a cylinder)
+    and of each class's shortest loop, or, on sphere2, of the antipodal search."""
+    if f.grid.topology.kind == "sphere2":
+        length, v, chains = geo._antipodal_search(f)
+        return [(length, v, *chains())]
+    loops = [geo.shortest_loop_in_class(f, c) for c in classes]
+    if f.grid.topology.kind != "cylinder":
+        loops.append(geo.systole(f))
+    return [(w.cls, w.base_vertex, w.length, w.points) for w in loops]
+
+
+def _assert_same_as_every_source(f, classes=()):
+    got = _loop_outcomes(f, classes)
+    with mock.patch.object(geo, "_orbit_representatives", _every_source):
+        want = _loop_outcomes(f, classes)
+    for a, b in zip(got, want, strict=True):
+        assert a[:-1] == b[:-1]
+        assert np.array_equal(a[-1], b[-1])
+
+
+def _round(kind, N):
+    return F.round_sphere_metric(G.build_grid(G.topology_from_name(kind), N, 3), 1.0)
+
+
+ORBIT_CASES = {
+    "flat-torus-16": (lambda: _pinned_field("torus2", 16, "flat"), SHORT + [(2, 1)]),
+    "flat-torus-32": (lambda: _pinned_field("torus2", 32, "flat"), [(1, 0), (1, -1)]),
+    "hex-torus-32": (lambda: _pinned_field("torus2", 32, "hex"), SHORT + [(2, 1)]),
+    "hex-torus-64": (lambda: _pinned_field("torus2", 64, "hex"), [(1, -1)]),
+    "sheared-torus-32": (SYSTOLE_CASES["sheared-1-3-10"], [(3, -1)]),
+    "flat-cylinder-16": (lambda: F.flat_metric(G.build_grid(G.cylinder(), 16, 3)), [1, 2]),
+    "flat-cylinder-64": (lambda: F.flat_metric(G.build_grid(G.cylinder(), 64, 3)), [1]),
+    "bump-flat-32": (lambda: _bump_torus(32, 0, "flat"), SHORT),
+    "bump-hexagonal-32": (lambda: _bump_torus(32, 3, "hexagonal"), SHORT),
+    **{f"round-{kind}-{N}": (lambda kind=kind, N=N: _round(kind, N), [])
+       for kind in ("rp2", "sphere2") for N in (16, 24, 32, 64)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_orbit_sources_match_the_search_of_every_source(name):
+    make, classes = ORBIT_CASES[name]
+    _assert_same_as_every_source(make(), classes)
+
+
+def test_orbit_sources_keep_the_cut_offs_of_the_search_of_every_source():
+    # y-translations are exact: each base column is one orbit, sources 0 and
+    # 80.  Source 80 wins, and the search of every source reaches it in its
+    # second block, cut off at the first block's best; searched in one block
+    # with source 0, at the first bound, it would meet its image at another
+    # vertex, and the witness would differ.
+    N = 80
+    g = G.build_grid(G.torus2(), N, 3)
+    f = F.conformal_metric(g, 0.3 * np.cos(2 * math.pi * (g.coords[:, 0] - 1 / N)))
+    base = geo._loop_base_vertices(g, (1, 1))
+    assert np.flatnonzero(geo._orbit_representatives(f, base)).tolist() == [0, N]
+    w = geo.shortest_loop_in_class(f, (1, 1))
+    with mock.patch.object(geo, "_orbit_representatives", _every_source):
+        ref = geo.shortest_loop_in_class(f, (1, 1))
+    assert (w.base_vertex, w.length) == (ref.base_vertex, ref.length) == (N, w.length)
+    assert np.array_equal(w.points, ref.points)
+
+
+def test_orbit_sources_are_counted(monkeypatch):
+    calls = _counting_dijkstra(monkeypatch)
+    checks = []
+    real_distortion = geo._distortion
+    monkeypatch.setattr(geo, "_distortion", lambda *a: checks.append(1) or real_distortion(*a))
+    f = _pinned_field("torus2", 64, "hex")
+    for cls in SHORT:
+        calls.clear()
+        geo.shortest_loop_in_class(f, cls)
+        assert [n for n, _ in calls] == [1, 1]  # the search and the witness's chains
+    assert f._exact_translations == (True, True)
+    assert len(checks) == 2  # one per axis, for all four classes
+    f = _bump_torus(32, 0, "flat")
+    for cls in [(1, 0), (0, 1)]:
+        calls.clear()
+        geo.shortest_loop_in_class(f, cls)
+        assert sum(n for n, _ in calls) == len(geo._loop_base_vertices(f.grid, cls)) + 1
+    assert f._exact_translations == (False, False)
+    N = 64
+    f = _round("rp2", N)
+    calls.clear()
+    geo.systole(f)
+    assert sum(n for n, _ in calls) <= N + 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(N=st.integers(6, 14), k=st.integers(1, 3), amp=st.floats(0.05, 0.5),
+       phase=st.floats(0.0, 6.3))
+def test_orbits_collapse_along_exact_axes_only(N, k, amp, phase):
+    g = G.build_grid(G.torus2(), N, 3)
+    f = F.conformal_metric(g, amp * np.cos(2 * math.pi * k * g.coords[:, 1] + phase))
+    _assert_same_as_every_source(f, [(1, 0), (0, 1), (1, 1)])
+    assert f._exact_translations == (True, False)
+    # x-translations join the two base columns, and each base row into one orbit
+    assert geo._orbit_representatives(f, geo._loop_base_vertices(g, (1, 0))).sum() == N
+    assert geo._orbit_representatives(f, geo._loop_base_vertices(g, (0, 1))).sum() == 2
+
+
+def test_a_tensor_entry_one_ulp_off_gets_no_reduction(monkeypatch):
+    g = G.build_grid(G.torus2(), 16, 3)
+    f = F.constant_metric(g, [[1.3, 0.3], [0.3, 0.9]])
+    t = f.tensors.copy()
+    t[37, 0, 0] = np.nextafter(t[37, 0, 0], 0.0)  # an ulp that reaches six edge lengths
+    off = F.MetricField(g, t)
+    moved = off.edge_lengths() != f.edge_lengths()
+    assert moved.sum() == 6
+    assert np.allclose(off.edge_lengths(), f.edge_lengths(), rtol=1e-15, atol=0)
+    base = geo._loop_base_vertices(g, (1, 0))
+    assert geo._orbit_representatives(f, base).sum() == 1
+    assert geo._orbit_representatives(off, base).all()
+    assert off._exact_translations == (False, False)
+    calls = _counting_dijkstra(monkeypatch)
+    geo.shortest_loop_in_class(off, (1, 0))
+    assert sum(n for n, _ in calls) == len(base) + 1
+    _assert_same_as_every_source(off, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("kind", ["rp2", "sphere2"])
+def test_round_metric_antipode_is_an_exact_isometry(kind):
+    for N in (16, 24, 48, 64):
+        g = G.build_grid(G.topology_from_name(kind), N, 3)
+        f = F.round_sphere_metric(g, 1.0)
+        # the tensors come from the integer lattice row, so antipodal rows are
+        # bit-equal (the distortion read 1.8e-15 at N = 24 and 3.2e-15 at 48)
+        assert geo._distortion(f.graph(), g.antipode_map) == 0
+        if N in (16, 64):  # powers of two: the same tensors as from v - 1/2
+            lat = math.pi * (g.coords[:, 1] - 0.5)
+            assert np.array_equal(f.tensors[:, 0, 0], (2.0 * math.pi * np.cos(lat)) ** 2)

@@ -151,15 +151,21 @@ def test_gallery_list_is_stable():
 
 
 def test_cli_run_deterministic_reports(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    rc1 = cli.main(["run", "--gallery", "sphere-volume", "--out", str(out1)])
-    rc2 = cli.main(["run", "--gallery", "sphere-volume", "--out", str(out2)])
-    assert rc1 == 0 and rc2 == 0
-    b1 = (out1 / "sphere-volume.csv").read_bytes()
-    b2 = (out2 / "sphere-volume.csv").read_bytes()
-    assert b1 == b2
-    assert b1.decode().count("\r") == 0
+    # a volume item, a loop item (witness files) and a certificate item
+    items = {"sphere-volume": [], "loewner-hexagonal": ["loewner-hexagonal-N128-witness.txt"],
+             "width-square": ["width-square-N65-certificate.txt"]}
+    for item, artifacts in items.items():
+        out1 = tmp_path / item / "a"
+        out2 = tmp_path / item / "b"
+        rc1 = cli.main(["run", "--gallery", item, "--out", str(out1)])
+        rc2 = cli.main(["run", "--gallery", item, "--out", str(out2)])
+        assert rc1 == 0 and rc2 == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert set(artifacts + [f"{item}.csv"]) <= set(names)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert (out1 / f"{item}.csv").read_bytes().decode().count("\r") == 0
 
 
 def test_cli_config_and_exit_codes(tmp_path):
