@@ -508,10 +508,12 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
     value is never searched; ties are never pruned, so the least minimizing i
     still wins.  Without bounds, sources run in order, _CHUNK at a time.
 
-    keep masks the sources that are searched (default: all).  Without bounds
-    a block is still one run of _CHUNK positions of sources, so a kept source
-    is searched at the cut-off that a search of every source gives it; its
-    meet point, which may depend on the cut-off, is then that search's too.
+    keep masks the sources that are searched (default: all); each one left
+    out must tie with a kept one before it, so it never changes the best
+    value or the cut-off.  Without bounds a block is still one run of _CHUNK
+    positions of sources, so every kept source is searched at the cut-off
+    that the search of every source gives it, and its meet point, which may
+    depend on the cut-off, is that search's too.
     """
     incumbent = _padded(ub)
     best = (np.inf, -1)
