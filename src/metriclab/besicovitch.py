@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import measure
-from .fields import MetricField
+from .fields import MetricField, _det, _inv
 from .geodesy import distance_field, face_distance, systole
 from .grid import face_vertices
 
@@ -98,7 +98,10 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
     """Per-cell |jac f| in a g-orthonormal frame plus row-norm maxima.
 
     Cell differentials come from corner-mean finite differences; |jac| =
-    |det J_chart| / sqrt(det gbar).  Returns (jac_max, per_cell, row_norm_max).
+    |det J_chart| / sqrt(det gbar).  Determinants and the inverse of gbar are
+    in closed form for n = 2 and from LAPACK for every other n.  A cell whose
+    tensor has no positive determinant raises.  Returns (jac_max, per_cell,
+    row_norm_max).
     """
     g = field.grid
     n = g.n
@@ -115,9 +118,14 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
         hk = xy[:, 1 << k, k] - xy[:, 0, k]
         J[:, :, k] = (fvals[:, hi, :].mean(axis=1) - fvals[:, lo, :].mean(axis=1)) / hk[:, None]
     gbar = field.cell_tensors()[full]
-    det_g = np.linalg.det(gbar)
-    jac = np.abs(np.linalg.det(J)) / np.sqrt(np.maximum(det_g, 1e-300))
-    ginv = np.linalg.inv(gbar)
+    det_g = field.cell_det()[full]
+    bad = ~(det_g > 0)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise BesicovitchError(f"cell tensor {gbar[k].tolist()} has determinant {det_g[k]!r}: "
+                               "the metric is not positive definite there")
+    jac = np.abs(_det(J)) / np.sqrt(det_g)
+    ginv = _inv(gbar, det_g)
     row_sq = np.einsum("cik,ckl,cil->ci", J, ginv, J)
     row_norms = np.sqrt(np.maximum(row_sq, 0.0))
     hadamard = row_norms.prod(axis=1)

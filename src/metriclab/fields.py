@@ -1,10 +1,14 @@
 """Per-vertex SPD metric tensors and g-lengths of edges and polylines.
 
 A MetricField stores one symmetric positive definite n x n tensor per grid
-vertex (chart units: squared length per squared chart unit).  Edge lengths use
-the arithmetic mean of the endpoint tensors, sqrt(dx^T g dx); the same rule
-measures polyline segments, with tensors at non-vertex points obtained by
-multilinear interpolation on the lattice.
+vertex (chart units: squared length per squared chart unit).  An edge's length
+is sqrt(dx^T g dx) with g the arithmetic mean of the endpoint tensors.  It is
+computed as the square root of the mean of the endpoint quadratic forms, one
+form per vertex and displacement class (see Grid.displacement_classes); by
+linearity that is the form of the mean tensor, equal to it up to an ulp.
+The same rule measures polyline segments, with tensors at non-vertex points
+obtained by multilinear interpolation on the lattice.  A field's graph fills
+the grid's stencil CSR pattern with its edge lengths.
 
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
@@ -41,6 +45,7 @@ class MetricField:
         self._lambda_max = None
         self._exact_translations = None  # per axis, set by geodesy's loop engine
         self._cell_tensors = None
+        self._cell_det = None
         self._cell_sqrt_det = None
         if validate:
             _check_spd(self)
@@ -50,10 +55,10 @@ class MetricField:
 
     def edge_lengths(self) -> np.ndarray:
         if self._edge_lengths is None:
-            e, d = self.grid.edges, self.grid.edge_disp
-            gbar = 0.5 * (self.tensors[e[:, 0]] + self.tensors[e[:, 1]])
-            q = np.einsum("ei,eij,ej->e", d, gbar, d)
-            self._edge_lengths = np.sqrt(np.maximum(q, 0.0))
+            disp, index = self.grid.displacement_classes()
+            forms = np.einsum("ki,vij,kj->vk", disp, self.tensors, disp).ravel()
+            ends = forms[index]
+            self._edge_lengths = np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
         return self._edge_lengths
 
     def graph(self) -> sp.csr_matrix:
@@ -63,29 +68,18 @@ class MetricField:
         periodic axis), the pair keeps the shorter of their lengths.
         """
         if self._csr is None:
-            e = self.grid.edges
-            w = self.edge_lengths()
-            rows = np.concatenate([e[:, 0], e[:, 1]])
-            cols = np.concatenate([e[:, 1], e[:, 0]])
-            data = np.concatenate([w, w])
-            shape = (self.grid.num_vertices,) * 2
-            csr = sp.csr_matrix((data, (rows, cols)), shape=shape)
-            if csr.nnz < len(data):  # the COO conversion summed repeated pairs
-                order = np.lexsort((data, cols, rows))
-                r, c = rows[order], cols[order]
-                first = np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
-                order = order[first]
-                csr = sp.csr_matrix((data[order], (rows[order], cols[order])), shape=shape)
-            self._csr = csr
+            s = self.grid.stencil()
+            data = np.take(self.edge_lengths(), s.edge)
+            if s.pair_start is not None:
+                data = np.minimum.reduceat(data, s.pair_start)
+            V = self.grid.num_vertices
+            self._csr = sp.csr_matrix((data, s.indices, s.indptr), shape=(V, V))
         return self._csr
 
     def lambda_min(self) -> float:
         """Smallest tensor eigenvalue over non-degenerate vertices."""
         if self._lambda_min is None:
-            keep = ~self.grid.chart_degenerate
-            ev = np.linalg.eigvalsh(self.tensors[keep])
-            self._lambda_min = float(ev.min())
-            self._lambda_max = float(ev.max())
+            _eigen_range(self)
         return self._lambda_min
 
     def lambda_max(self) -> float:
@@ -95,17 +89,27 @@ class MetricField:
     def cell_tensors(self) -> np.ndarray:
         """Per-cell mean of the tensors at the cell's valid corners."""
         if self._cell_tensors is None:
-            cells = self.grid.cells
+            cells, n = self.grid.cells, self.grid.n
             valid = cells >= 0
-            t = self.tensors[np.where(valid, cells, 0)] * valid[:, :, None, None]
-            self._cell_tensors = t.sum(axis=1) / valid.sum(axis=1)[:, None, None]
+            flat = self.tensors.reshape(-1, n * n)
+            for k in range(cells.shape[1]):  # corner by corner, as a sum over corners adds
+                t = np.take(flat, np.where(valid[:, k], cells[:, k], 0), axis=0)
+                if not valid[:, k].all():
+                    t *= valid[:, k, None]
+                total = t if k == 0 else total + t
+            self._cell_tensors = (total / valid.sum(axis=1)[:, None]).reshape(-1, n, n)
         return self._cell_tensors
+
+    def cell_det(self) -> np.ndarray:
+        """Per-cell determinant of cell_tensors()."""
+        if self._cell_det is None:
+            self._cell_det = _det(self.cell_tensors())
+        return self._cell_det
 
     def cell_sqrt_det(self) -> np.ndarray:
         """Per-cell sqrt(det) of cell_tensors(), clamped at 0."""
         if self._cell_sqrt_det is None:
-            det = np.linalg.det(self.cell_tensors())
-            self._cell_sqrt_det = np.sqrt(np.maximum(det, 0.0))
+            self._cell_sqrt_det = np.sqrt(np.maximum(self.cell_det(), 0.0))
         return self._cell_sqrt_det
 
     def tensor_at(self, points: np.ndarray) -> np.ndarray:
@@ -159,13 +163,41 @@ class MetricField:
         return MetricField(self.grid, self.tensors * factor, validate=False)
 
 
+def _eigen_range(field: MetricField):
+    """Cache the least and largest tensor eigenvalue over non-degenerate vertices."""
+    ev = np.linalg.eigvalsh(field.tensors[~field.grid.chart_degenerate])
+    field._lambda_min = float(ev.min())
+    field._lambda_max = float(ev.max())
+
+
 def _check_spd(field: MetricField):
-    keep = ~field.grid.chart_degenerate
-    t = field.tensors[keep]
+    t = field.tensors[~field.grid.chart_degenerate]
     if not np.allclose(t, np.swapaxes(t, 1, 2), atol=1e-12):
         raise FieldError("tensors must be symmetric")
-    if len(t) and np.linalg.eigvalsh(t).min() <= 0:
-        raise FieldError("tensors must be positive definite")
+    if len(t):
+        _eigen_range(field)
+        if field._lambda_min <= 0:
+            raise FieldError("tensors must be positive definite")
+
+
+def _det(t: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of n x n matrices, in closed form for n = 2."""
+    if t.shape[-1] == 2:
+        return t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
+    return np.linalg.det(t)
+
+
+def _inv(t: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of n x n matrices with determinants det (nonzero),
+    in closed form for n = 2."""
+    if t.shape[-1] != 2:
+        return np.linalg.inv(t)
+    out = np.empty_like(t)
+    out[:, 0, 0] = t[:, 1, 1] / det
+    out[:, 0, 1] = -t[:, 0, 1] / det
+    out[:, 1, 0] = -t[:, 1, 0] / det
+    out[:, 1, 1] = t[:, 0, 0] / det
+    return out
 
 
 def _check_quotient_invariance(field: MetricField, tol: float = 1e-9):

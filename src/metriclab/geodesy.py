@@ -465,29 +465,32 @@ def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
     """CSR over an nx-by-ny window of fundamental-domain copies.
 
     Copy (i, j) of the window is c = i * ny + j and holds vertex ids
-    c*V .. c*V + V-1; edges that leave the window are dropped.  Copies are
-    built one at a time to keep the peak memory near that of the result.
+    c*V .. c*V + V-1; edges that leave the window are dropped.  The grid's
+    lifted entry order is already each row's column order, so each copy's
+    rows are one mask and one gather of it.
     """
     g = field.grid
     V = g.num_vertices
-    e, w = g.edges, g.edge_wrap
-    wt = field.edge_lengths()
-    wx = w[:, 0].astype(np.int64)
-    wy = w[:, 1].astype(np.int64) if g.n > 1 else np.zeros(len(e), dtype=np.int64)
-    rows, cols, data = [], [], []
-    for c in range(nx * ny):
-        tx, ty = c // ny + wx, c % ny + wy
-        ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
-        src_ids = c * V + e[ok, 0]
-        dst_ids = (tx[ok] * ny + ty[ok]) * V + e[ok, 1]
-        rows += [src_ids, dst_ids]
-        cols += [dst_ids, src_ids]
-        data += [wt[ok], wt[ok]]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
+    entries = g.lifted_order()
+    edge = entries >> 1
+    sign = 1 - 2 * (entries & 1).astype(np.int64)
+    wx = g.edge_wrap[edge, 0] * sign
+    wy = g.edge_wrap[edge, 1] * sign if g.n > 1 else np.zeros_like(wx)
+    wt = field.edge_lengths()[edge]
     nverts = nx * ny * V
-    return csr_matrix((data, (rows, cols)), shape=(nverts, nverts))
+    idx = np.int32 if max(nverts, nx * ny * len(entries)) <= np.iinfo(np.int32).max else np.int64
+    shift = ((wx * ny + wy) * V + g.edges.ravel()[entries ^ 1]).astype(idx)  # column - c*V
+    row_end = np.cumsum(g.degrees())  # entries are grouped by row, in row order
+    indptr, indices, data = [np.zeros(1, dtype=idx)], [], []
+    for c in range(nx * ny):
+        i, j = divmod(c, ny)
+        ok = (wx >= -i) & (wx < nx - i) & (wy >= -j) & (wy < ny - j)
+        kept = np.concatenate([[0], np.cumsum(ok)])[row_end]
+        indptr.append((indptr[-1][-1] + kept).astype(idx))
+        indices.append(shift[ok] + c * V)
+        data.append(wt[ok])
+    return csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+                      shape=(nverts, nverts))
 
 
 def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):

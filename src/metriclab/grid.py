@@ -16,6 +16,19 @@ spacing 1/N; bounded axes use 1/(N-1).  The sphere is a latitude-longitude
 lattice with each pole row collapsed to a single vertex; rp2 is the sphere
 grid plus the antipodal involution, and rp2 quantities are computed on this
 double cover.
+
+The grid also owns the structure that every metric field on it shares,
+built on first use and kept for the grid's lifetime:
+
+* the CSR pattern of the 2E directed stencil entries (Grid.stencil), whose
+  entry order, by (row, column, edge), lets a field fill in its graph
+  weights with one gather and no sort,
+* a second order of the directed entries, by (row, wrap per axis, column)
+  (Grid.lifted_order), which is the column order of every window of
+  fundamental-domain copies, so a lifted graph is one gather per copy,
+* the displacement classes of the edges (Grid.displacement_classes): edges
+  with one integer lattice offset share a bit-equal chart displacement, so
+  a field evaluates one quadratic form per vertex and class.
 """
 
 from __future__ import annotations
@@ -307,6 +320,24 @@ def _clipped_cell_area(cell_poly: np.ndarray, polys: list[np.ndarray]) -> float:
 # Grid
 
 
+@dataclass(frozen=True)
+class StencilCSR:
+    """CSR pattern of the directed stencil entries, shared by every field's graph.
+
+    Directed entry j = 2 e + s runs along edge e from edges[e, s] to its other
+    end, so edges.ravel() lists the row of every entry.  edge holds the edge of
+    each entry in order of (row, column, edge).  Where two stencil edges join
+    one vertex pair (4 lattice points on a periodic axis), pair_start marks
+    where each pair's run starts in that order; without repeated pairs it is
+    None and the entries are the slots of the pattern.
+    """
+
+    indptr: np.ndarray                # (V + 1,) int32
+    indices: np.ndarray               # (nnz,) int32, ascending within a row
+    edge: np.ndarray                  # (2E,) int32
+    pair_start: np.ndarray | None     # (nnz,) int32
+
+
 class Grid:
     """Immutable discrete domain; see module docstring for the data layout."""
 
@@ -335,8 +366,9 @@ class Grid:
             else np.zeros(len(coords), dtype=bool)
         )
         self.quotient_volume_factor = quotient_volume_factor
-        self._neighbor_cache = None
-        self._edge_key_cache = None
+        self._stencil = None        # StencilCSR, built on first use
+        self._lifted_order = None   # directed entries by (row, wraps, column)
+        self._classes = None        # (class_disp, form_index)
 
     @property
     def num_vertices(self) -> int:
@@ -347,38 +379,91 @@ class Grid:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
+
+    def stencil(self) -> StencilCSR:
+        """The CSR pattern of the directed stencil entries (see StencilCSR)."""
+        if self._stencil is None:
+            V = self.num_vertices
+            keys = self.edges.ravel() * V + self.edges[:, ::-1].ravel()
+            order = np.argsort(keys, kind="stable")  # entry 2e + s: ties by edge
+            keys = keys[order]
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            pair_start = None if first.all() else np.flatnonzero(first).astype(np.int32)
+            keys = keys[first]
+            indptr = np.zeros(V + 1, dtype=np.int32)
+            np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
+            self._stencil = StencilCSR(indptr, (keys % V).astype(np.int32),
+                                       (order >> 1).astype(np.int32), pair_start)
+        return self._stencil
+
+    def lifted_order(self) -> np.ndarray:
+        """Directed entries (2 e + s, see StencilCSR) by (row, wrap along each
+        axis, column), with the wrap counted in the entry's direction.  Within
+        a row this is the column order of any window of fundamental-domain
+        copies whose copy index grows with the copy's position along each
+        axis, the last axis fastest."""
+        if self._lifted_order is None:
+            sign = np.array([1, -1], dtype=np.int64)
+            code = np.zeros(2 * self.num_edges, dtype=np.int64)
+            for k in range(self.n):  # wraps are -1, 0 or 1: stencil steps are shorter than N
+                code = code * 3 + (self.edge_wrap[:, k, None] * sign + 1).ravel()
+            keys = ((self.edges.ravel() * 3 ** self.n + code) * self.num_vertices
+                    + self.edges[:, ::-1].ravel())
+            self._lifted_order = np.argsort(keys, kind="stable").astype(np.int32)
+        return self._lifted_order
+
+    def displacement_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(class_disp, form_index): the edges grouped by integer lattice offset.
+
+        class_disp (K, n) holds each class's chart displacement, which every
+        edge of the class has bit for bit (checked once; GridError if not).
+        form_index[e, s] = edges[e, s] * K + (class of e) indexes a
+        row-major (V, K) table of per-vertex, per-class values.
+        """
+        if self._classes is None:
+            offs = np.rint(self.edge_disp / np.asarray(self.spacing)).astype(np.int64)
+            if len(offs) and np.abs(offs).max() > 2:
+                raise GridError("edge displacement is longer than a stencil step")
+            key = np.zeros(len(offs), dtype=np.int64)
+            for k in range(self.n):
+                key = key * 5 + offs[:, k] + 2
+            present = np.bincount(key, minlength=5 ** self.n) > 0
+            cls = (np.cumsum(present) - 1)[key]
+            class_disp = np.zeros((int(present.sum()), self.n))
+            class_disp[cls] = self.edge_disp  # some edge of each class
+            if not np.array_equal(class_disp[cls], self.edge_disp):
+                raise GridError("edges with one lattice offset differ in chart displacement")
+            form_index = (self.edges * len(class_disp) + cls[:, None]).astype(np.int32)
+            self._classes = (class_disp, form_index)
+        return self._classes
 
     def neighbors(self, v: int) -> np.ndarray:
-        if self._neighbor_cache is None:
-            order = np.argsort(
-                np.concatenate([self.edges[:, 0], self.edges[:, 1]]), kind="stable"
-            )
-            heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]])[order]
-            tails = np.concatenate([self.edges[:, 1], self.edges[:, 0]])[order]
-            starts = np.searchsorted(heads, np.arange(self.num_vertices + 1))
-            self._neighbor_cache = (starts, tails)
-        starts, tails = self._neighbor_cache
-        return tails[starts[v]:starts[v + 1]]
+        """The distinct neighbours of v, ascending."""
+        s = self.stencil()
+        return s.indices[s.indptr[v]:s.indptr[v + 1]]
 
     def edge_index(self, a, b) -> np.ndarray:
         """Index in edges of the edge joining a[k] and b[k], in either
         orientation; where two stencil edges join one vertex pair (tiny
         periodic grids), the one listed last."""
-        V = self.num_vertices
-        if self._edge_key_cache is None:
-            keys = self.edges.min(axis=1) * V + self.edges.max(axis=1)
-            order = np.argsort(keys, kind="stable")
-            self._edge_key_cache = (keys[order], order)
-        keys, order = self._edge_key_cache
-        want = np.minimum(a, b) * V + np.maximum(a, b)
-        k = np.searchsorted(keys, want, side="right") - 1
-        if (keys[k] != want).any():
+        s = self.stencil()
+        a, b = np.asarray(a), np.asarray(b)
+        lo, hi = s.indptr[a], s.indptr[a + 1]
+        end = hi
+        while (lo < hi).any():  # first slot of row a whose column is not below b
+            active = lo < hi
+            mid = (lo + hi) >> 1
+            below = active & (s.indices[np.minimum(mid, len(s.indices) - 1)] < b)
+            lo, hi = np.where(below, mid + 1, lo), np.where(active & ~below, mid, hi)
+        slot = np.minimum(lo, len(s.indices) - 1)
+        if ((lo == end) | (s.indices[slot] != b)).any():
             raise GridError("vertex pair is not an edge")
-        return order[k]
+        if s.pair_start is None:
+            return s.edge[slot]
+        last = np.append(s.pair_start[1:], len(s.edge)) - 1
+        return s.edge[last[slot]]
 
     def vertex_at(self, lattice_index: tuple[int, ...]) -> int:
         v = int(self.lattice_vid[tuple(lattice_index)])

@@ -246,6 +246,22 @@ def test_spd_validation():
         F.MetricField(g, t)
 
 
+def test_a_validated_field_computes_its_eigenvalues_once(monkeypatch):
+    g = G.build_grid(G.torus2(), 16, 3)
+    t = F.conformal_metric(g, 0.2 * np.sin(2 * np.pi * g.coords[:, 0])).tensors
+    real = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
+    f = F.MetricField(g, t)
+    assert calls == [g.num_vertices]
+    lo, hi = f.lambda_min(), f.lambda_max()
+    geo.systole(f)  # the loop engine's chart windows read lambda_min
+    assert calls == [g.num_vertices]
+    raw = F.MetricField(g, t, validate=False)
+    assert (raw.lambda_min(), raw.lambda_max()) == (lo, hi)  # the same call: bit-equal
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("top", [G.torus2(), G.cylinder()])
 def test_graph_keeps_shorter_edge_of_a_repeated_pair(top):
     g = G.build_grid(top, 4, 3)
