@@ -35,7 +35,6 @@ from .fields import (
     conformal_metric,
     conformal_rescale,
     constant_metric,
-    edge_length,
     flat_metric,
     piecewise_metric,
     polyline_length,

@@ -23,7 +23,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, GridError
+from .grid import Grid
 
 
 class FieldError(ValueError):
@@ -62,16 +62,10 @@ class MetricField:
         return self._edge_lengths
 
     def graph(self) -> sp.csr_matrix:
-        """Symmetric weighted adjacency (both edge directions stored).
-
-        Where two stencil edges join one vertex pair (4 lattice points on a
-        periodic axis), the pair keeps the shorter of their lengths.
-        """
+        """Symmetric weighted adjacency (both edge directions stored)."""
         if self._csr is None:
             s = self.grid.stencil()
             data = np.take(self.edge_lengths(), s.edge)
-            if s.pair_start is not None:
-                data = np.minimum.reduceat(data, s.pair_start)
             V = self.grid.num_vertices
             self._csr = sp.csr_matrix((data, s.indices, s.indptr), shape=(V, V))
         return self._csr
@@ -325,14 +319,9 @@ def random_spd_metric(grid: Grid, seed: int, eig_range=(0.5, 2.0)) -> MetricFiel
         return MetricField(grid, t, validate=False)
     theta = trig_field()
     c, s = np.cos(theta), np.sin(theta)
-    if n == 2:
-        rot = np.empty((grid.num_vertices, 2, 2))
-        rot[:, 0, 0], rot[:, 0, 1] = c, -s
-        rot[:, 1, 0], rot[:, 1, 1] = s, c
-    else:
-        rot = np.broadcast_to(np.eye(n), (grid.num_vertices, n, n)).copy()
-        rot[:, 0, 0], rot[:, 0, 1] = c, -s
-        rot[:, 1, 0], rot[:, 1, 1] = s, c
+    rot = np.broadcast_to(np.eye(n), (grid.num_vertices, n, n)).copy()
+    rot[:, 0, 0], rot[:, 0, 1] = c, -s
+    rot[:, 1, 0], rot[:, 1, 1] = s, c
     lam = np.stack(lams, axis=1)
     t = np.einsum("vij,vj,vkj->vik", rot, lam, rot)
     t = 0.5 * (t + np.swapaxes(t, 1, 2))  # exactly symmetric for export round-trips
@@ -352,16 +341,6 @@ def piecewise_metric(grid: Grid, region, g1: MetricField, g2: MetricField) -> Me
 
 # ---------------------------------------------------------------------------
 # lengths
-
-
-def edge_length(field: MetricField, v: int, w: int) -> float:
-    """g-length of a grid edge (mean endpoint tensor, one midpoint sample)."""
-    g = field.grid
-    e = g.edges
-    hit = np.where(((e[:, 0] == v) & (e[:, 1] == w)) | ((e[:, 0] == w) & (e[:, 1] == v)))[0]
-    if len(hit) == 0:
-        raise GridError(f"({v}, {w}) is not a grid edge")
-    return float(field.edge_lengths()[hit[0]])
 
 
 def polyline_length(field: MetricField, points) -> float:

@@ -646,15 +646,9 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
 
     length, i, chains = found
     to_w, to_pre = chains()
-
-    def chart(chain):
-        copy, vertex = np.divmod(np.asarray(chain), V)
-        copy_x, copy_y = np.divmod(copy, ny)
-        return g.coords[vertex] + np.stack([kx0 + copy_x, ky0 + copy_y], axis=1)
-
-    pts = np.vstack([chart(to_w), chart(to_pre)[-2::-1] + [p, q]])
-    return _checked(field, LoopWitness((p, q) if kind == "torus2" else p, int(base[i]), pts,
-                                       length))
+    chain = np.concatenate([to_w, to_pre[-2::-1]]) % V
+    return _checked(field, LoopWitness((p, q) if kind == "torus2" else p, int(base[i]),
+                                       _unwrap_chain(g, chain), length))
 
 
 def _primitive_classes():
@@ -705,11 +699,9 @@ def _antipodal_search(field: MetricField):
     if g.antipode_map is None:
         raise GeodesyError(f"{g.topology.kind} has no antipodal map")
     anti = g.antipode_map
-    wt = field.edge_lengths()
-    if not np.allclose(wt[g.edge_index(anti[g.edges[:, 0]], anti[g.edges[:, 1]])], wt,
-                       rtol=1e-9, atol=0.0):
-        raise GeodesyError("the antipodal map is not an isometry of this metric")
     graph = field.graph()
+    if not _distortion(graph, anti) <= 1e-9:
+        raise GeodesyError("the antipodal map is not an isometry of this metric")
     band = np.unique(g.lattice_vid[:2].ravel())
     # d(v, w) + d(v, -w) is symmetric in w and -w: the southern half holds
     # one of each; taken in two parts, no temporary is block-sized
@@ -717,7 +709,7 @@ def _antipodal_search(field: MetricField):
     pairs = [(h, anti[h]) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
-    length, i, chains = _meet_search(graph, band, pairs, ub, float(wt.max()),
+    length, i, chains = _meet_search(graph, band, pairs, ub, float(field.edge_lengths().max()),
                                      _orbit_representatives(field, band))
     return length, int(band[i]), chains
 

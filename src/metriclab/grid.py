@@ -10,6 +10,11 @@ coordinates in [0,1]^n and carries everything downstream modules need:
 * labeled boundary face vertex sets,
 * the antipodal involution for sphere2 / rp2.
 
+One edge joins each vertex pair.  On a periodic axis of 4 lattice points a
+knight step and its reverse would join the same pair, so build_grid refuses
+the order-3 stencil there, and the sphere keeps one of the parallel edges that
+collapsing its pole rows makes.
+
 Supported kinds: interval, square, cube3, cube4, hexagon (regular or tripod
 mask), cylinder (axis 0 periodic), torus2, sphere2, rp2.  Periodic axes use
 spacing 1/N; bounded axes use 1/(N-1).  The sphere is a latitude-longitude
@@ -21,8 +26,8 @@ The grid also owns the structure that every metric field on it shares,
 built on first use and kept for the grid's lifetime:
 
 * the CSR pattern of the 2E directed stencil entries (Grid.stencil), whose
-  entry order, by (row, column, edge), lets a field fill in its graph
-  weights with one gather and no sort,
+  entry order, by (row, column), lets a field fill in its graph weights
+  with one gather and no sort,
 * a second order of the directed entries, by (row, wrap per axis, column)
   (Grid.lifted_order), which is the column order of every window of
   fundamental-domain copies, so a lifted graph is one gather per copy,
@@ -325,17 +330,16 @@ class StencilCSR:
     """CSR pattern of the directed stencil entries, shared by every field's graph.
 
     Directed entry j = 2 e + s runs along edge e from edges[e, s] to its other
-    end, so edges.ravel() lists the row of every entry.  edge holds the edge of
-    each entry in order of (row, column, edge).  Where two stencil edges join
-    one vertex pair (4 lattice points on a periodic axis), pair_start marks
-    where each pair's run starts in that order; without repeated pairs it is
-    None and the entries are the slots of the pattern.
+    end, so edges.ravel() lists the row of every entry.  One edge joins each
+    vertex pair (module docstring), so the 2E entries are the slots of the
+    pattern: slot k holds key[k] = row * V + column, ascending, and runs along
+    edge[k].
     """
 
-    indptr: np.ndarray                # (V + 1,) int32
-    indices: np.ndarray               # (nnz,) int32, ascending within a row
-    edge: np.ndarray                  # (2E,) int32
-    pair_start: np.ndarray | None     # (nnz,) int32
+    indptr: np.ndarray      # (V + 1,) int32
+    indices: np.ndarray     # (2E,) int32, ascending within a row
+    edge: np.ndarray        # (2E,) int32
+    key: np.ndarray         # (2E,) int64, ascending
 
 
 class Grid:
@@ -386,16 +390,12 @@ class Grid:
         if self._stencil is None:
             V = self.num_vertices
             keys = self.edges.ravel() * V + self.edges[:, ::-1].ravel()
-            order = np.argsort(keys, kind="stable")  # entry 2e + s: ties by edge
+            order = np.argsort(keys)
             keys = keys[order]
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            pair_start = None if first.all() else np.flatnonzero(first).astype(np.int32)
-            keys = keys[first]
             indptr = np.zeros(V + 1, dtype=np.int32)
             np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
             self._stencil = StencilCSR(indptr, (keys % V).astype(np.int32),
-                                       (order >> 1).astype(np.int32), pair_start)
+                                       (order >> 1).astype(np.int32), keys)
         return self._stencil
 
     def lifted_order(self) -> np.ndarray:
@@ -445,25 +445,13 @@ class Grid:
         return s.indices[s.indptr[v]:s.indptr[v + 1]]
 
     def edge_index(self, a, b) -> np.ndarray:
-        """Index in edges of the edge joining a[k] and b[k], in either
-        orientation; where two stencil edges join one vertex pair (tiny
-        periodic grids), the one listed last."""
+        """Index in edges of the edge joining a[k] and b[k], in either orientation."""
         s = self.stencil()
-        a, b = np.asarray(a), np.asarray(b)
-        lo, hi = s.indptr[a], s.indptr[a + 1]
-        end = hi
-        while (lo < hi).any():  # first slot of row a whose column is not below b
-            active = lo < hi
-            mid = (lo + hi) >> 1
-            below = active & (s.indices[np.minimum(mid, len(s.indices) - 1)] < b)
-            lo, hi = np.where(below, mid + 1, lo), np.where(active & ~below, mid, hi)
-        slot = np.minimum(lo, len(s.indices) - 1)
-        if ((lo == end) | (s.indices[slot] != b)).any():
+        want = np.asarray(a, dtype=np.int64) * self.num_vertices + b
+        slot = np.minimum(np.searchsorted(s.key, want), len(s.key) - 1)
+        if ((s.key[slot] != want) | (s.indices[slot] != b)).any():  # b outside [0, V) aliases
             raise GridError("vertex pair is not an edge")
-        if s.pair_start is None:
-            return s.edge[slot]
-        last = np.append(s.pair_start[1:], len(s.edge)) - 1
-        return s.edge[last[slot]]
+        return s.edge[slot]
 
     def vertex_at(self, lattice_index: tuple[int, ...]) -> int:
         v = int(self.lattice_vid[tuple(lattice_index)])
@@ -484,13 +472,17 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
     """Build the discrete grid for a domain.
 
     resolution counts vertices per axis (bounded axes get spacing 1/(N-1),
-    periodic axes 1/N).  sphere2/rp2 require an even resolution so that the
-    antipodal involution is exact on grid vertices.
+    periodic axes 1/N) and is at least 4.  The order-3 stencil needs at
+    least 5 on a periodic axis (torus2, cylinder, sphere2, rp2), so that one
+    edge joins each vertex pair.  sphere2/rp2 require an even resolution so
+    that the antipodal involution is exact on grid vertices.
     """
     if resolution < 4:
         raise GridError("resolution must be at least 4")
     if stencil_order not in (1, 2, 3):
         raise GridError("stencil_order must be 1, 2, or 3")
+    if stencil_order == 3 and resolution < 5 and any(topology.periodic):
+        raise GridError("stencil_order 3 needs resolution at least 5 on a periodic axis")
     kind = topology.kind
     if kind in CUBE_KINDS or kind in PERIODIC_KINDS or kind == "hexagon":
         return _build_cubelike(topology, resolution, stencil_order)

@@ -75,12 +75,10 @@ def ball_volume(field: MetricField, p: int, r: float, dist=None) -> float:
 
 @dataclass
 class LevelSegments:
-    """All marching-squares segments of one level: geometry and graph keys."""
+    """All marching-squares segments of one level."""
 
     t: float
     cells: np.ndarray          # cell index per segment
-    keys_a: np.ndarray         # (S, 2) sorted vertex pair of first crossed cell edge
-    keys_b: np.ndarray         # (S, 2) second crossed cell edge
     points_a: np.ndarray       # (S, 2) local chart coords of first crossing
     points_b: np.ndarray
     lengths: np.ndarray        # g-length per segment
@@ -120,10 +118,10 @@ def _segments(tensors, corners, xy, s):
     """Marching-squares segments of cells with corner values s = f - t.
 
     corners, xy and s hold each cell's four CCW corners; a corner is inside
-    when s > 0.  Returns (rows, ea, eb, pa, pb, gbar): the row of each
-    segment's cell (ascending, a saddle's two segments in table order), its
-    crossed edges and crossing points, and the mean of the tensors blended
-    linearly along the two crossed edges.
+    when s > 0.  Returns (rows, pa, pb, gbar): the row of each segment's
+    cell (ascending, a saddle's two segments in table order), its two
+    crossing points, and the mean of the tensors blended linearly along the
+    two crossed edges.
     """
     inside = s > 0.0
     case = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
@@ -148,7 +146,7 @@ def _segments(tensors, corners, xy, s):
 
     pa, ta = crossing(ea)
     pb, tb = crossing(eb)
-    return rows, ea, eb, pa, pb, 0.5 * (ta + tb)
+    return rows, pa, pb, 0.5 * (ta + tb)
 
 
 def _segment_lengths(pa, pb, gbar):
@@ -167,13 +165,8 @@ def _marching_segments(field: MetricField, fvals: np.ndarray, t: float,
                        cell_mask=None) -> LevelSegments:
     """Segments of the level {f = t} over the full cells that pass cell_mask."""
     cid, corners, xy = _full_cells(field, cell_mask)
-    rows, ea, eb, pa, pb, gbar = _segments(field.tensors, corners, xy, fvals[corners] - t)
-
-    def keys(j):
-        return np.sort(np.stack([corners[rows, j], corners[rows, _NEXT[j]]], axis=1), axis=1)
-
-    return LevelSegments(t, cid[rows], keys(ea), keys(eb), pa, pb,
-                         _segment_lengths(pa, pb, gbar))
+    rows, pa, pb, gbar = _segments(field.tensors, corners, xy, fvals[corners] - t)
+    return LevelSegments(t, cid[rows], pa, pb, _segment_lengths(pa, pb, gbar))
 
 
 def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndarray:
@@ -213,8 +206,8 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
         pl = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pc))
         level_major = np.argsort(pl, kind="stable")
         pc, pl = pc[level_major], pl[level_major]
-        rows, _, _, pa, pb, gbar = _segments(field.tensors, corners[pc], xy[pc],
-                                             fc[pc] - tl[pl][:, None])
+        rows, pa, pb, gbar = _segments(field.tensors, corners[pc], xy[pc],
+                                       fc[pc] - tl[pl][:, None])
         bounds = np.searchsorted(pl[rows], np.arange(k0, k1 + 1))
         for k, a, b in zip(range(k0, k1), bounds[:-1], bounds[1:]):
             out[order[k]] = _segment_lengths(pa[a:b], pb[a:b], gbar[a:b]).sum()

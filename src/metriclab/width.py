@@ -23,7 +23,6 @@ an engine failure is an honest "no certificate", never a false one.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -63,7 +62,6 @@ class CutCurve:
     length: float
     ball_bound: float          # vol(B(center, r1)) / (r1 - r0) at cut time
     removed_edges: np.ndarray  # edge ids straddled by this level
-    crossing_keys: np.ndarray  # (S, 2) sorted vertex pairs of crossed cell edges
     points: np.ndarray         # segment midpoints, for reports and figures
 
 
@@ -181,9 +179,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         bound = measure.ball_volume(field, center, r1, dist=fvals_all) / (r1 - r0)
         removed |= cut_edges
         mids = 0.5 * (segs.points_a + segs.points_b)
-        keys = np.unique(np.concatenate([segs.keys_a, segs.keys_b]), axis=0)
-        curves.append(CutCurve(t, center, length, bound,
-                               np.where(cut_edges)[0], keys, mids))
+        curves.append(CutCurve(t, center, length, bound, np.where(cut_edges)[0], mids))
         comps = _kept_components(field, removed)
 
     if iterations >= budget:
@@ -245,9 +241,6 @@ class WidthCertificate:
     curves: list = dataclass_field(default_factory=list)
     r0: float = float("nan")
     r1: float = float("nan")
-
-    def curve_summary(self):
-        return [(c.length, c.ball_bound) for c in self.curves]
 
 
 def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCertificate:
@@ -343,7 +336,6 @@ def validate_certificate(field: MetricField, cert: WidthCertificate):
 class WidthVolumeReport:
     vol: float
     R_star: float
-    refined_bound: float       # c_2 * sqrt(vol) with c_2 = 1
     certificate: WidthCertificate
     slack_certificate: WidthCertificate
     success: bool
@@ -360,8 +352,7 @@ def check_width_volume(field: MetricField) -> WidthVolumeReport:
     cert = width_upper_bound(field, R_star)
     cert_slack = width_upper_bound(field, 1.05 * R_star)
     return WidthVolumeReport(
-        vol=vol, R_star=R_star, refined_bound=math.sqrt(vol),
-        certificate=cert, slack_certificate=cert_slack,
+        vol=vol, R_star=R_star, certificate=cert, slack_certificate=cert_slack,
         success=cert.valid or cert_slack.valid,
     )
 
@@ -369,7 +360,6 @@ def check_width_volume(field: MetricField) -> WidthVolumeReport:
 @dataclass
 class SysWidthReport:
     sys: float
-    sys_class: object
     vol: float
     bound_4n: float
     ok_4n: bool
@@ -387,6 +377,6 @@ def check_sys_width(field: MetricField, certificates=()) -> SysWidthReport:
         if cert is not None and cert.valid:
             rows.append((cert.R, w.length <= 6.0 * cert.R, w.length <= 4.0 * cert.R))
     return SysWidthReport(
-        sys=w.length, sys_class=w.cls, vol=vol, bound_4n=bound,
+        sys=w.length, vol=vol, bound_4n=bound,
         ok_4n=bool(w.length <= bound), cert_rows=rows,
     )

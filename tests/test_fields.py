@@ -30,7 +30,7 @@ def test_flat_metric_basics():
     f = F.flat_metric(g)
     assert M.volume(f) == pytest.approx(1.0, abs=1e-12)
     v, w = g.vertex_at((0, 0)), g.vertex_at((1, 0))
-    assert F.edge_length(f, v, w) == pytest.approx(1 / 31, abs=1e-15)
+    assert f.edge_lengths()[g.edge_index(v, w)] == pytest.approx(1 / 31, abs=1e-15)
 
 
 def test_flat_torus_systole_matches_lattice_oracle():
@@ -159,7 +159,7 @@ def test_edge_length_conformal_between_endpoint_bounds():
     u = 0.5 * np.sin(2 * math.pi * g.coords[:, 0]) * np.cos(math.pi * g.coords[:, 1])
     f = F.conformal_metric(g, u)
     v, w = g.vertex_at((3, 4)), g.vertex_at((4, 4))
-    length = F.edge_length(f, v, w)
+    length = f.edge_lengths()[g.edge_index(v, w)]
     h = 1 / 15
     lo = h * min(math.exp(u[v]), math.exp(u[w]))
     hi = h * max(math.exp(u[v]), math.exp(u[w]))
@@ -174,9 +174,8 @@ def test_edge_length_conformal_between_endpoint_bounds():
 
 def test_edge_length_requires_edge():
     g = G.build_grid(G.square(), 8, 1)
-    f = F.flat_metric(g)
     with pytest.raises(G.GridError):
-        F.edge_length(f, g.vertex_at((0, 0)), g.vertex_at((5, 5)))
+        g.edge_index(g.vertex_at((0, 0)), g.vertex_at((5, 5)))
 
 
 def test_polyline_diagonal_and_empty():
@@ -260,22 +259,6 @@ def test_a_validated_field_computes_its_eigenvalues_once(monkeypatch):
     raw = F.MetricField(g, t, validate=False)
     assert (raw.lambda_min(), raw.lambda_max()) == (lo, hi)  # the same call: bit-equal
     assert len(calls) == 2
-
-
-@pytest.mark.parametrize("top", [G.torus2(), G.cylinder()])
-def test_graph_keeps_shorter_edge_of_a_repeated_pair(top):
-    g = G.build_grid(top, 4, 3)
-    pairs = np.sort(g.edges, axis=1)
-    assert len(np.unique(pairs, axis=0)) < len(pairs)  # repeated pairs occur at N = 4
-    for f in (F.flat_metric(g), F.random_spd_metric(g, 1, (0.5, 2.0))):
-        w = f.edge_lengths()
-        shortest = {}
-        for (a, b), length in zip(map(tuple, pairs), w):
-            shortest[(a, b)] = min(shortest.get((a, b), np.inf), length)
-        A = f.graph()
-        assert A.nnz == 2 * len(shortest)
-        for (a, b), length in shortest.items():
-            assert A[a, b] == length and A[b, a] == length
 
 
 # ---------------------------------------------------------------------------

@@ -366,10 +366,11 @@ def test_set_radii_of_a_subset_across_two_components():
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["square", "torus2"]), N=st.integers(4, 11),
-       seed=st.integers(0, 10_000), data=st.data())
-def test_radii_match_dense_oracles_on_random_fields(kind, N, seed, data):
-    g = G.build_grid(G.topology_from_name(kind), N, 3)
+@given(kind=st.sampled_from(["square", "torus2"]), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_radii_match_dense_oracles_on_random_fields(kind, seed, data):
+    g = G.build_grid(G.topology_from_name(kind),
+                     data.draw(st.integers(4 if kind == "square" else 5, 11)), 3)
     f = F.random_spd_metric(g, seed, (0.5, 2.0))
     r = geo.radius(f)
     assert (r.value, r.center, r.connected, r.per_component) == _dense_radius(f)
@@ -569,22 +570,6 @@ def test_rp2_path_through_pole_and_seam_matches_distance():
     pts = d.path_to(right)
     assert pts[-1, 0] > 1.0  # unwrapped across the seam
     assert F.polyline_length(f, pts) == pytest.approx(d.dist[right], abs=1e-10)
-
-
-@pytest.mark.parametrize("top", [G.torus2(), G.cylinder()], ids=["torus2", "cylinder"])
-def test_unwrap_uses_last_listed_edge_of_a_repeated_pair(top):
-    g = G.build_grid(top, 4, 3)
-    e, disp = g.edges, g.edge_disp
-    oracle = {}
-    for i in range(len(e)):
-        a, b = int(e[i, 0]), int(e[i, 1])
-        oracle[(a, b)] = disp[i]
-        oracle[(b, a)] = -disp[i]
-    pairs = np.sort(e, axis=1)
-    assert len(np.unique(pairs, axis=0)) < len(pairs)  # repeated pairs occur at N = 4
-    for (a, b), step in oracle.items():
-        pts = geo._unwrap_chain(g, [a, b])
-        assert (pts == [g.coords[a], g.coords[a] + step]).all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -874,7 +859,7 @@ def _reference_edge_index(grid, a, b):
 
 
 @pytest.mark.parametrize("kind,N", [("rp2", 24), ("sphere2", 16), ("torus2", 16),
-                                    ("torus2", 4), ("cylinder", 4)])
+                                    ("cylinder", 5)])
 def test_edge_index_matches_the_per_call_lookup(kind, N):
     g = G.build_grid(G.topology_from_name(kind), N, 3)
     e = g.edges
@@ -883,6 +868,9 @@ def test_edge_index_matches_the_per_call_lookup(kind, N):
     far = next(v for v in range(1, g.num_vertices) if v not in g.neighbors(0))
     with pytest.raises(G.GridError):
         g.edge_index(np.array([0]), np.array([far]))
+    for b in (-1, g.num_vertices):  # row * V + b would read the row before or after
+        with pytest.raises(G.GridError):
+            g.edge_index(np.array([1]), np.array([b]))
 
 
 @pytest.mark.parametrize("kind", ["rp2", "sphere2", "torus2"])

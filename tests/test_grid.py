@@ -148,6 +148,19 @@ def test_build_errors():
         G.build_grid(G.hexagon("tripod:0.3:0.002"), 8, 1)
 
 
+@pytest.mark.parametrize("top", [G.torus2(), G.cylinder(), G.sphere2(), G.rp2()],
+                         ids=lambda t: t.kind)
+def test_order3_needs_five_points_on_a_periodic_axis(top):
+    # on 4 points a knight step and its reverse would join one vertex pair
+    with pytest.raises(G.GridError, match="at least 5"):
+        G.build_grid(top, 4, 3)
+    for order in (1, 2):
+        g = G.build_grid(top, 4, order)
+        pairs = np.sort(g.edges, axis=1)
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+    G.build_grid(G.square(), 4, 3)  # bounded axes keep the floor of 4
+
+
 def test_hexagon_masks():
     g = G.build_grid(G.hexagon(), 64, 3)
     # regular hexagon inscribed with circumradius 1/2: area 3 sqrt(3) / 8

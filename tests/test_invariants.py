@@ -1,0 +1,75 @@
+"""Exact invariants of the distance engine, as hypothesis properties.
+
+Both hold bit for bit in IEEE arithmetic, so they are asserted with == and
+<=, never within a tolerance:
+
+* a distance field is 1-Lipschitz along every edge: Dijkstra relaxed each
+  edge with the same floating-point sum, so d[b] <= d[a] + w(a, b);
+* scaling every tensor by 4^k scales every edge length by exactly 2^k (the
+  square root of an exact power of 4), hence every distance, radius and
+  systole by 2^k and every volume by 4^k, with the same centers, base
+  vertices and classes.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metriclab import fields as F
+from metriclab import geodesy as geo
+from metriclab import grid as G
+from metriclab import measure as M
+
+
+def _field(kind, N, seed):
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    if g.antipode_map is None:
+        return F.random_spd_metric(g, seed, (0.5, 2.0))
+    # even longitude frequencies respect the antipodal map
+    rng = np.random.default_rng(seed)
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    u = (rng.uniform(-0.2, 0.2) * np.cos(4 * math.pi * x + rng.uniform(0, math.pi))
+         * np.sin(math.pi * y) ** 2 + rng.uniform(-0.1, 0.1) * np.cos(2 * math.pi * y))
+    return F.conformal_rescale(F.round_sphere_metric(g, 1.0), u)
+
+
+def _resolution(kind):
+    if kind in ("sphere2", "rp2"):
+        return st.integers(3, 7).map(lambda half: 2 * half)
+    return st.integers(4 if kind in ("square", "hexagon:regular") else 5, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["square", "torus2", "cylinder", "hexagon:regular", "sphere2",
+                             "rp2"]),
+       seed=st.integers(0, 10_000), quotient=st.booleans(), data=st.data())
+def test_distance_fields_are_1_lipschitz_on_every_edge(kind, seed, quotient, data):
+    f = _field(kind, data.draw(_resolution(kind)), seed)
+    g = f.grid
+    sources = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=4))
+    d = geo.distance_field(f, sources, quotient=quotient).dist
+    a, b = d[g.edges[:, 0]], d[g.edges[:, 1]]
+    w = f.edge_lengths()
+    assert (b <= a + w).all() and (a <= b + w).all()
+
+
+@settings(max_examples=64, deadline=None)
+@given(kind=st.sampled_from(["torus2", "square", "rp2"]), seed=st.integers(0, 10_000),
+       k=st.sampled_from([-3, -2, -1, 1, 2, 3]), data=st.data())
+def test_scaling_the_tensors_by_a_power_of_four_scales_exactly(kind, seed, k, data):
+    f = _field(kind, data.draw(_resolution(kind)), seed)
+    s = f.scaled(4.0 ** k)
+    unit = 2.0 ** k
+    assert np.array_equal(s.edge_lengths(), unit * f.edge_lengths())
+    sources = data.draw(st.lists(st.integers(0, f.grid.num_vertices - 1), min_size=1,
+                                 max_size=3))
+    assert np.array_equal(geo.distance_field(s, sources).dist,
+                          unit * geo.distance_field(f, sources).dist)
+    r, rs = geo.radius(f), geo.radius(s)
+    assert (rs.value, rs.center) == (unit * r.value, r.center)
+    assert M.volume(s) == 4.0 ** k * M.volume(f)
+    if kind != "square":
+        w, ws = geo.systole(f), geo.systole(s)
+        assert (ws.length, ws.base_vertex, ws.cls) == (unit * w.length, w.base_vertex, w.cls)
