@@ -9,18 +9,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import gallery as gal
 from . import io as mio
 
 
-def _add_common(p):
+def _add_experiment(p):
     p.add_argument("--config", help="experiment config file (INI)")
     p.add_argument("--gallery", dest="gallery_name", help="named gallery experiment")
-    p.add_argument("--out", default=".", help="output directory for reports")
-    p.add_argument("--resolution", type=int, help="override: run only this resolution")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--figures", action="store_true", help="emit SVG figures")
 
 
 def build_parser():
@@ -33,12 +31,15 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment config or gallery item")
-    _add_common(run)
+    _add_experiment(run)
+    run.add_argument("--out", default=".", help="output directory for reports")
+    run.add_argument("--resolution", type=int, help="override: run only this resolution")
+    run.add_argument("--figures", action="store_true", help="emit SVG figures")
 
     sub.add_parser("gallery", help="list the canonical experiments")
 
     ref = sub.add_parser("refine", help="convergence study for one quantity")
-    _add_common(ref)
+    _add_experiment(ref)
     ref.add_argument("--quantity", required=True, help="report quantity to track")
 
     val = sub.add_parser("validate-certificate", help="recheck a width certificate")
@@ -54,20 +55,16 @@ def _load_config(args):
             sections.setdefault("experiment", {})["seed"] = str(args.seed)
         return gal.config_from_sections(sections)
     if args.gallery_name:
-        return gal.gallery_item(args.gallery_name)
+        config = gal.gallery_item(args.gallery_name)
+        return config if args.seed is None else replace(config, seed=args.seed)
     raise gal.GalleryError("provide --config PATH or --gallery NAME")
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args)
-    except (gal.GalleryError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_run(args, config) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         rows = gal.run_config(config, out_dir=args.out, resolution=args.resolution,
-                              seed=args.seed, figures=args.figures)
+                              figures=args.figures)
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 3
@@ -85,12 +82,7 @@ def _cmd_gallery() -> int:
     return 0
 
 
-def _cmd_refine(args) -> int:
-    try:
-        config = _load_config(args)
-    except (gal.GalleryError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_refine(args, config) -> int:
     try:
         table = gal.refine(config, args.quantity)
     except gal.GalleryError as exc:
@@ -137,15 +129,18 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "gallery":
         return _cmd_gallery()
-    if args.command == "refine":
-        return _cmd_refine(args)
     if args.command == "validate-certificate":
         return _cmd_validate(args)
-    return 2
+    try:
+        config = _load_config(args)
+    except (gal.GalleryError, FileNotFoundError, KeyError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "run":
+        return _cmd_run(args, config)
+    return _cmd_refine(args, config)
 
 
 if __name__ == "__main__":

@@ -2,20 +2,22 @@
 
 Every acceptance-style computation is packaged as a named gallery item: a
 domain descriptor, a metric builder, an operation, resolutions, and reference
-values with provenance tags.  The runner executes an item at each resolution,
-emits ReportRows (PASS/FAIL/INFO) plus optional SVG figures, and is fully
-deterministic for a fixed config and seed.
+values with provenance tags.  An operation measures one field and returns its
+rows, each (quantity, computed, reference, provenance, tolerance[, mode]),
+plus the figures to write.  The runner executes an item at each resolution,
+turns the rows into ReportRows (PASS/FAIL/INFO), writes artifacts and optional
+SVG figures, and is fully deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from . import besicovitch as B
-from . import covers as C
 from . import fields as F
 from . import geodesy as geo
 from . import io as mio
@@ -65,7 +67,9 @@ class ExperimentConfig:
 # metric builders
 
 
-def _bump_field(grid, seed, amplitude=0.25):
+def _bump_metric(grid, seed, base, amplitude):
+    """Conformal bump of the flat or hexagonal torus: a seeded sum of three
+    cosine products, scaled to the amplitude and centred."""
     rng = np.random.default_rng(seed)
     xy = grid.coords
     u = np.zeros(grid.num_vertices)
@@ -75,7 +79,8 @@ def _bump_field(grid, seed, amplitude=0.25):
         u += rng.normal() * np.cos(2 * math.pi * fr[0] * xy[:, 0] + ph[0]) * np.cos(
             2 * math.pi * fr[1] * xy[:, 1] + ph[1])
     u = amplitude * u / max(np.abs(u).max(), 1e-12)
-    return u - u.mean()
+    flat = F.constant_metric(grid, HEX_GRAM) if base == "hexagonal" else F.flat_metric(grid)
+    return F.conformal_rescale(flat, u - u.mean())
 
 
 def build_metric(config: ExperimentConfig, grid) -> F.MetricField:
@@ -93,12 +98,8 @@ def build_metric(config: ExperimentConfig, grid) -> F.MetricField:
         return F.random_spd_metric(grid, int(config.seed),
                                    (float(p.get("eig_lo", 0.25)), float(p.get("eig_hi", 4.0))))
     if name == "conformal_bump":
-        u = _bump_field(grid, int(config.seed), float(p.get("amplitude", 0.25)))
-        base = p.get("base", "flat")
-        if base == "hexagonal":
-            return F.MetricField(
-                grid, np.exp(2 * u)[:, None, None] * np.asarray(HEX_GRAM), validate=False)
-        return F.conformal_metric(grid, u)
+        return _bump_metric(grid, int(config.seed), p.get("base", "flat"),
+                            float(p.get("amplitude", 0.25)))
     if name == "scaled_flat":
         return F.flat_metric(grid).scaled(float(p.get("factor", 1.0)))
     if name == "piecewise_disk":
@@ -112,220 +113,163 @@ def build_metric(config: ExperimentConfig, grid) -> F.MetricField:
 
 
 # ---------------------------------------------------------------------------
-# operations; each returns (rows, figures) for one resolution
+# operations; each returns (rows, figures) for one field
 
 
-def _op_volume(config, field, N):
-    ref = float(config.operation_params["reference"])
-    tol = config.tol("volume", 0.01)
-    return [mio.make_row(config.experiment_id, N, "volume", M.volume(field), ref,
-                         config.operation_params.get("provenance", "derived"), tol)], {}
+def _op_volume(config, field):
+    p = config.operation_params
+    return [("volume", M.volume(field), float(p["reference"]),
+             p.get("provenance", "derived"), config.tol("volume", 0.01))], {}
 
 
-def _op_systolic_ratio(config, field, N):
+def _op_systolic_ratio(config, field):
+    p = config.operation_params
     w = geo.systole(field)
-    vol = M.volume(field)
-    ratio = w.length / math.sqrt(vol)
-    ref = float(config.operation_params["reference"])
-    tol = config.tol("systolic_ratio", 0.02)
+    ratio = w.length / math.sqrt(M.volume(field))
     rows = [
-        mio.make_row(config.experiment_id, N, "systole", w.length,
-                     float(config.operation_params.get("sys_reference", w.length)),
-                     "derived", config.tol("systole", 0.02)),
-        mio.make_row(config.experiment_id, N, "systolic_ratio", ratio, ref,
-                     config.operation_params.get("provenance", "paper"), tol),
+        ("systole", w.length, float(p.get("sys_reference", w.length)), "derived",
+         config.tol("systole", 0.02)),
+        ("systolic_ratio", ratio, float(p["reference"]), p.get("provenance", "paper"),
+         config.tol("systolic_ratio", 0.02)),
     ]
     return rows, {"loops": [(w.points, "#ffffff")], "witness": w}
 
 
-def _op_besicovitch(config, field, N):
+def _op_besicovitch(config, field):
+    p = config.operation_params
     rel_tol = config.tol("slack", 0.01)
     rep = B.verify_besicovitch(field, rel_tol=rel_tol)
-    eid = config.experiment_id
     rows = [
-        mio.make_row(eid, N, "slack_over_product", rep.slack / max(rep.product, 1e-300),
-                     0.0, "derived", rel_tol, mode="ge"),
-        mio.make_row(eid, N, "degree", 1.0 if rep.degree_ok else 0.0, 1.0, "derived", 0.0),
-        mio.make_row(eid, N, "verdict_pass", 1.0 if rep.passed else 0.0, 1.0, "derived", 0.0),
-        mio.make_row(eid, N, "jac_max", rep.jac_max, 1.0, "derived", 0.0, mode="info"),
+        ("slack_over_product", rep.slack / max(rep.product, 1e-300), 0.0, "derived",
+         rel_tol, "ge"),
+        ("degree", 1.0 if rep.degree_ok else 0.0, 1.0, "derived", 0.0),
+        ("verdict_pass", 1.0 if rep.passed else 0.0, 1.0, "derived", 0.0),
+        ("jac_max", rep.jac_max, 1.0, "derived", 0.0, "info"),
     ]
-    for i, (dref, di) in enumerate(zip(config.operation_params.get("d_reference", rep.d), rep.d)):
-        rows.append(mio.make_row(eid, N, f"d{i}", di, float(dref), "derived",
-                                 config.tol("face_distance", 0.01)))
-    if "vol_reference" in config.operation_params:
-        rows.append(mio.make_row(eid, N, "vol", rep.vol,
-                                 float(config.operation_params["vol_reference"]),
-                                 "derived", config.tol("volume", 0.01)))
+    for i, (dref, di) in enumerate(zip(p.get("d_reference", rep.d), rep.d)):
+        rows.append((f"d{i}", di, float(dref), "derived", config.tol("face_distance", 0.01)))
+    if "vol_reference" in p:
+        rows.append(("vol", rep.vol, float(p["vol_reference"]), "derived",
+                     config.tol("volume", 0.01)))
     return rows, {"report": mio.besicovitch_text(rep)}
 
 
-def _op_besicovitch_sweep(config, field, N):
-    eid = config.experiment_id
-    count = int(config.operation_params.get("count", 20))
-    seeds = range(int(config.seed), int(config.seed) + count)
+def _op_besicovitch_sweep(config, field):
+    p = config.operation_params
+    count = int(p.get("count", 20))
+    eigs = (float(p.get("eig_lo", 0.25)), float(p.get("eig_hi", 4.0)))
     rel_tol = config.tol("slack", 0.01)
     worst = math.inf
     npass = 0
-    for seed in seeds:
-        f = F.random_spd_metric(field.grid, seed,
-                                (float(config.operation_params.get("eig_lo", 0.25)),
-                                 float(config.operation_params.get("eig_hi", 4.0))))
-        rep = B.verify_besicovitch(f, rel_tol=rel_tol)
+    for seed in range(int(config.seed), int(config.seed) + count):
+        rep = B.verify_besicovitch(F.random_spd_metric(field.grid, seed, eigs), rel_tol=rel_tol)
         worst = min(worst, rep.slack / rep.product)
         npass += rep.passed
-    rows = [
-        mio.make_row(eid, N, "sweep_all_pass", float(npass), float(count),
-                     "derived", 0.0),
-        mio.make_row(eid, N, "worst_slack_over_product", worst, 0.0, "derived",
-                     rel_tol, mode="ge"),
-    ]
+    return [("sweep_all_pass", float(npass), float(count), "derived", 0.0),
+            ("worst_slack_over_product", worst, 0.0, "derived", rel_tol, "ge")], {}
+
+
+def _op_hexagon_faces(config, field):
+    rows = [(f"pair_distance_S{k}_S{k + 3}", geo.face_distance(field, f"S{k}", f"S{k + 3}"),
+             1.0, "derived", 0.0, "ge") for k in range(3)]
+    rows.append(("area", M.volume(field), 0.2, "derived", 0.0, "le"))
     return rows, {}
 
 
-def _op_hexagon_faces(config, field, N):
-    eid = config.experiment_id
-    rows = []
-    for k in range(3):
-        d = geo.face_distance(field, f"S{k}", f"S{k + 3}")
-        rows.append(mio.make_row(eid, N, f"pair_distance_S{k}_S{k + 3}", d, 1.0,
-                                 "derived", 0.0, mode="ge"))
-    area = M.volume(field)
-    rows.append(mio.make_row(eid, N, "area", area, 0.2, "derived", 0.0, mode="le"))
-    return rows, {}
-
-
-def _op_cylinder(config, field, N):
+def _op_cylinder(config, field):
     rep = B.cylinder_check(field, tol=config.tol("cylinder", 0.01))
-    eid = config.experiment_id
-    rows = [
-        mio.make_row(eid, N, "hypothesis_ok", float(rep.hypothesis_ok), 1.0, "derived", 0.0),
-        mio.make_row(eid, N, "area", rep.area,
-                     float(config.operation_params.get("area_reference", 1.0)),
-                     "paper", config.tol("volume", 0.01)),
-        mio.make_row(eid, N, "coarea_total", rep.coarea_total, 1.0, "paper",
-                     config.tol("coarea", 0.01), mode="ge"),
-        mio.make_row(eid, N, "min_interior_level", rep.min_interior_level, 1.0,
-                     "paper", config.tol("coarea", 0.01), mode="ge"),
-    ]
-    return rows, {}
+    coarea_tol = config.tol("coarea", 0.01)
+    return [
+        ("hypothesis_ok", float(rep.hypothesis_ok), 1.0, "derived", 0.0),
+        ("area", rep.area, float(config.operation_params.get("area_reference", 1.0)),
+         "paper", config.tol("volume", 0.01)),
+        ("coarea_total", rep.coarea_total, 1.0, "paper", coarea_tol, "ge"),
+        ("min_interior_level", rep.min_interior_level, 1.0, "paper", coarea_tol, "ge"),
+    ], {}
 
 
-def _op_coarea(config, field, N):
-    src = face_vertices(field.grid, config.operation_params.get("face", "A"))
+def _op_coarea(config, field):
+    p = config.operation_params
+    src = face_vertices(field.grid, p.get("face", "A"))
     f = geo.distance_field(field, src).dist
-    prof = M.coarea_profile(field, f, int(config.operation_params.get("t_count", 256)))
-    eid = config.experiment_id
+    prof = M.coarea_profile(field, f, int(p.get("t_count", 256)))
     rows = [
-        mio.make_row(eid, N, "coarea_total", prof.total, prof.volume, "derived",
-                     config.tol("coarea", 0.01)),
-        mio.make_row(eid, N, "coarea_defect_nonneg", prof.defect, 0.0, "derived",
-                     config.tol("coarea_defect", 0.02), mode="ge"),
+        ("coarea_total", prof.total, prof.volume, "derived", config.tol("coarea", 0.01)),
+        ("coarea_defect_nonneg", prof.defect, 0.0, "derived",
+         config.tol("coarea_defect", 0.02), "ge"),
     ]
     return rows, {"profile": mio.profile_text(prof.t_grid, prof.a)}
 
 
-def _op_pu(config, field, N):
+def _op_pu(config, field):
     w = geo.systole(field)
     vol = M.volume(field)
-    ratio = w.length / math.sqrt(vol)
-    eid = config.experiment_id
-    rows = [
-        mio.make_row(eid, N, "systole", w.length, math.pi, "derived", 0.02),
-        mio.make_row(eid, N, "volume", vol, 2 * math.pi, "derived", 0.01),
-        mio.make_row(eid, N, "systolic_ratio", ratio, PU, "paper", 0.02),
-    ]
-    return rows, {}
+    return [("systole", w.length, math.pi, "derived", 0.02),
+            ("volume", vol, 2 * math.pi, "derived", 0.01),
+            ("systolic_ratio", w.length / math.sqrt(vol), PU, "paper", 0.02)], {}
 
 
-def _op_involution(config, field, N):
+def _op_involution(config, field):
     sep, _ = geo.min_antipodal_distance(field)
     area = M.volume(field)
-    eid = config.experiment_id
-    rows = [
-        mio.make_row(eid, N, "min_antipodal_distance", sep, 1.0, "derived", 0.02),
-        mio.make_row(eid, N, "area_lower_half", area, 0.5, "paper", 0.0, mode="ge"),
-        mio.make_row(eid, N, "area_vs_conjectured_4_over_pi", area, 4 / math.pi,
-                     "paper", 0.02, mode="info"),
-    ]
-    return rows, {}
+    return [("min_antipodal_distance", sep, 1.0, "derived", 0.02),
+            ("area_lower_half", area, 0.5, "paper", 0.0, "ge"),
+            ("area_vs_conjectured_4_over_pi", area, 4 / math.pi, "paper", 0.02, "info")], {}
 
 
-def _op_gadograph(config, field, N):
-    center = np.asarray(config.operation_params.get("center", (0.5, 0.5)))
-    rad = float(config.operation_params.get("radius", 0.3))
-    inside = np.linalg.norm(field.grid.coords - center, axis=1) < rad
+def _op_gadograph(config, field):
+    p = config.operation_params
+    coords = field.grid.coords
+    center = np.asarray(p.get("center", (0.5, 0.5)))
+    rad = float(p.get("radius", 0.3))
+    r = np.linalg.norm(coords - center, axis=1)
+    inside = r < rad
     vol_g = M.region_volume(field, inside)
     vol_e = M.region_volume(F.flat_metric(field.grid), inside)
-    eid = config.experiment_id
-    boundary = np.where(inside & (np.linalg.norm(field.grid.coords - center, axis=1)
-                                  > rad - 2.5 * max(field.grid.spacing)))[0]
+    boundary = np.where(inside & (r > rad - 2.5 * max(field.grid.spacing)))[0]
     probes = boundary[:: max(1, len(boundary) // 8)][:8]
     hyp_ok = True
-    for p in probes:
-        d = geo.distance_field(field, [int(p)]).dist
-        eu = np.linalg.norm(field.grid.coords[boundary] - field.grid.coords[p], axis=1)
+    for q in probes:
+        d = geo.distance_field(field, [int(q)]).dist
+        eu = np.linalg.norm(coords[boundary] - coords[q], axis=1)
         hyp_ok &= bool((d[boundary] >= eu - 1e-9).all())
-    rows = [
-        mio.make_row(eid, N, "boundary_hypothesis", float(hyp_ok), 1.0, "derived", 0.0),
-        mio.make_row(eid, N, "region_volume_vs_euclidean", vol_g, vol_e, "paper",
-                     0.0, mode="ge"),
-    ]
-    return rows, {}
+    return [("boundary_hypothesis", float(hyp_ok), 1.0, "derived", 0.0),
+            ("region_volume_vs_euclidean", vol_g, vol_e, "paper", 0.0, "ge")], {}
 
 
-def _op_loewner_bumps(config, field, N):
-    eid = config.experiment_id
-    count = int(config.operation_params.get("count", 20))
+def _op_loewner_bumps(config, field):
     bound = 2.0 / math.sqrt(3.0)
     tol = config.tol("loewner", 0.02)
     worst = 0.0
-    rows = []
-    for k in range(count):
-        base = "hexagonal" if k % 2 else "flat"
-        cfg = ExperimentConfig(eid, config.domain, "conformal_bump", "noop", [N],
-                               seed=int(config.seed) + k,
-                               metric_params={"base": base, "amplitude": 0.25})
-        f = build_metric(cfg, field.grid)
-        w = geo.systole(f)
-        ratio = w.length ** 2 / M.volume(f)
-        worst = max(worst, ratio)
-    rows.append(mio.make_row(eid, N, "max_sys2_over_vol", worst, bound, "paper",
-                             tol, mode="le"))
+    for k in range(int(config.operation_params.get("count", 20))):
+        f = _bump_metric(field.grid, int(config.seed) + k, "hexagonal" if k % 2 else "flat", 0.25)
+        worst = max(worst, geo.systole(f).length ** 2 / M.volume(f))
     hexratio = geo.systole(field).length ** 2 / M.volume(field)
-    rows.append(mio.make_row(eid, N, "hexagonal_equality_case", hexratio, bound,
-                             "paper", tol))
-    return rows, {}
+    return [("max_sys2_over_vol", worst, bound, "paper", tol, "le"),
+            ("hexagonal_equality_case", hexratio, bound, "paper", tol)], {}
 
 
-def _op_width_square(config, field, N):
-    eid = config.experiment_id
-    R_ok = float(config.operation_params.get("r_valid", 0.55))
-    R_bad = float(config.operation_params.get("r_invalid", 0.2))
+def _op_width_square(config, field):
+    p = config.operation_params
+    R_ok = float(p.get("r_valid", 0.55))
+    R_bad = float(p.get("r_invalid", 0.2))
     cert = W.width_upper_bound(field, R_ok)
     ok, _ = W.validate_certificate(field, cert)
-    bad = W.width_upper_bound(field, R_bad, budget=int(config.operation_params.get("budget", 24)))
+    bad = W.width_upper_bound(field, R_bad, budget=int(p.get("budget", 24)))
     rows = [
-        mio.make_row(eid, N, f"certificate_valid_at_{R_ok}", float(cert.valid and ok),
-                     1.0, "derived", 0.0),
-        mio.make_row(eid, N, "certificate_multiplicity", float(cert.multiplicity),
-                     2.0, "derived", 0.0, mode="le"),
-        mio.make_row(eid, N, f"honest_failure_at_{R_bad}", float(not bad.valid), 1.0,
-                     "derived", 0.0),
+        (f"certificate_valid_at_{R_ok}", float(cert.valid and ok), 1.0, "derived", 0.0),
+        ("certificate_multiplicity", float(cert.multiplicity), 2.0, "derived", 0.0, "le"),
+        (f"honest_failure_at_{R_bad}", float(not bad.valid), 1.0, "derived", 0.0),
     ]
-    figures = {"certificate": cert}
-    if cert.curves:
-        figures["curves"] = [(c.points, "#000000") for c in cert.curves]
-    return rows, figures
+    return rows, {"certificate": cert, "curves": [(c.points, "#000000") for c in cert.curves]}
 
 
-def _op_width_volume(config, field, N):
-    eid = config.experiment_id
+def _op_width_volume(config, field):
     rep = W.check_width_volume(field)
     rows = [
-        mio.make_row(eid, N, "width_volume_certificate", float(rep.certificate.valid
-                                                               or rep.slack_certificate.valid),
-                     1.0, "paper", 0.0),
-        mio.make_row(eid, N, "R_star", rep.R_star, 2 * math.sqrt(rep.vol), "paper", 1e-12),
+        ("width_volume_certificate",
+         float(rep.certificate.valid or rep.slack_certificate.valid), 1.0, "paper", 0.0),
+        ("R_star", rep.R_star, 2 * math.sqrt(rep.vol), "paper", 1e-12),
     ]
     force_R = config.operation_params.get("force_R")
     if force_R is not None:
@@ -334,28 +278,20 @@ def _op_width_volume(config, field, N):
         # each ball_bound is vol(B(center, r1)) / (r1 - r0): the max commutes with the division
         bound = max([volpro.volpro[0] / (cut.r1 - cut.r0)] + [c.ball_bound for c in cut.curves])
         worst = max((c.length for c in cut.curves), default=0.0)
-        rows.append(mio.make_row(eid, N, "forced_cut_valid", float(cut.valid), 1.0,
-                                 "derived", 0.0))
-        rows.append(mio.make_row(eid, N, "max_cut_length_vs_pigeonhole", worst,
-                                 bound, "paper", 0.05, mode="le"))
+        rows += [("forced_cut_valid", float(cut.valid), 1.0, "derived", 0.0),
+                 ("max_cut_length_vs_pigeonhole", worst, bound, "paper", 0.05, "le")]
     return rows, {}
 
 
-def _op_sys_width(config, field, N):
-    eid = config.experiment_id
+def _op_sys_width(config, field):
     certs = []
     if field.grid.topology.kind == "torus2":
         certs.append(W.check_width_volume(field).certificate)
     rep = W.check_sys_width(field, certs)
-    rows = [
-        mio.make_row(eid, N, "sys_le_4n_volroot", rep.sys, rep.bound_4n, "paper",
-                     0.0, mode="le"),
-    ]
-    for (Rc, ok6, ok4) in rep.cert_rows:
-        rows.append(mio.make_row(eid, N, "sys_le_6R_cert", rep.sys, 6.0 * Rc,
-                                 "paper", 0.0, mode="le"))
-        rows.append(mio.make_row(eid, N, "sys_vs_4R_cert", rep.sys, 4.0 * Rc,
-                                 "paper", 0.0, mode="info"))
+    rows = [("sys_le_4n_volroot", rep.sys, rep.bound_4n, "paper", 0.0, "le")]
+    for (Rc, _, _) in rep.cert_rows:
+        rows += [("sys_le_6R_cert", rep.sys, 6.0 * Rc, "paper", 0.0, "le"),
+                 ("sys_vs_4R_cert", rep.sys, 4.0 * Rc, "paper", 0.0, "info")]
     return rows, {}
 
 
@@ -394,51 +330,42 @@ def run_config(config: ExperimentConfig, out_dir=None, resolution=None, seed=Non
     resolutions = [int(resolution)] if resolution else config.resolutions
     top = topology_from_name(config.domain)
     all_rows = []
-    artifacts = {}
     for N in resolutions:
         grid = build_grid(top, N, config.stencil_order)
         field = build_metric(config, grid)
-        rows, figs = _OPERATIONS[config.operation](config, field, N)
-        all_rows.extend(rows)
+        rows, figs = _OPERATIONS[config.operation](config, field)
+        all_rows += [mio.make_row(config.experiment_id, N, *row) for row in rows]
         if out_dir is not None:
             _write_artifacts(config, field, N, figs, out_dir, figures)
-        artifacts[N] = figs
     if out_dir is not None:
-        import os
-
-        path = os.path.join(str(out_dir), f"{config.experiment_id}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(mio.report_csv(all_rows))
+        _write_text(os.path.join(str(out_dir), f"{config.experiment_id}.csv"),
+                    mio.report_csv(all_rows))
     return all_rows
 
 
-def _write_artifacts(config, field, N, figs, out_dir, figures):
-    import os
+def _write_text(path, text):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
+
+def _write_artifacts(config, field, N, figs, out_dir, figures):
     base = os.path.join(str(out_dir), f"{config.experiment_id}-N{N}")
     if "report" in figs:
-        with open(base + "-besicovitch.txt", "w", newline="\n") as fh:
-            fh.write(figs["report"])
+        _write_text(base + "-besicovitch.txt", figs["report"])
     if "profile" in figs:
-        with open(base + "-profile.txt", "w", newline="\n") as fh:
-            fh.write(figs["profile"])
+        _write_text(base + "-profile.txt", figs["profile"])
     if "witness" in figs:
-        with open(base + "-witness.txt", "w", newline="\n") as fh:
-            fh.write(mio.witness_text(figs["witness"], field.grid))
+        _write_text(base + "-witness.txt", mio.witness_text(figs["witness"], field.grid))
     if "certificate" in figs:
         mio.write_field(field, base + "-field.txt")
-        with open(base + "-certificate.txt", "w", newline="\n") as fh:
-            fh.write(mio.certificate_text(figs["certificate"], field.grid,
-                                          os.path.basename(base + "-field.txt")))
+        _write_text(base + "-certificate.txt", mio.certificate_text(
+            figs["certificate"], field.grid, os.path.basename(base + "-field.txt")))
     if figures and field.grid.n == 2 and field.grid.topology.kind != "rp2":
         vals = geo.distance_field(field, [0], quotient=False).dist
         overlays = figs.get("curves", []) + figs.get("loops", [])
-        svg = mio.svg_heatmap(field.grid, vals, curves=overlays)
-        with open(base + ".svg", "w", newline="\n") as fh:
-            fh.write(svg)
+        _write_text(base + ".svg", mio.svg_heatmap(field.grid, vals, curves=overlays))
 
-
-def refine(config: ExperimentConfig, quantity: str, out_dir=None):
+def refine(config: ExperimentConfig, quantity: str):
     """Richardson-style empirical convergence order against the reference value.
 
     Returns rows of (resolution, computed, error, order); order is nan where
@@ -446,15 +373,13 @@ def refine(config: ExperimentConfig, quantity: str, out_dir=None):
     """
     if len(config.resolutions) < 3:
         raise GalleryError("refinement needs at least 3 resolutions")
-    rows = run_config(config, out_dir=None)
+    rows = run_config(config)
     table = []
     for N in config.resolutions:
-        match = [r for r in rows if r.resolution == N and r.quantity == quantity]
-        if not match:
+        r = next((r for r in rows if r.resolution == N and r.quantity == quantity), None)
+        if r is None:
             raise GalleryError(f"quantity {quantity!r} not produced at N = {N}")
-        r = match[0]
-        err = abs(r.computed - r.reference)
-        table.append([N, r.computed, err, float("nan")])
+        table.append([N, r.computed, abs(r.computed - r.reference), float("nan")])
     for k in range(1, len(table)):
         e0, e1 = table[k - 1][2], table[k][2]
         if e0 > e1 > 0:
@@ -468,7 +393,7 @@ def refine(config: ExperimentConfig, quantity: str, out_dir=None):
 
 def gallery() -> list:
     """Deterministic list of named canonical experiments."""
-    items = [
+    return [
         ExperimentConfig("besicovitch-flat", "square", "flat", "besicovitch",
                          [32, 64], operation_params={"d_reference": (1.0, 1.0),
                                                      "vol_reference": 1.0}),
@@ -508,7 +433,6 @@ def gallery() -> list:
                          operation_params={"reference": 1.0, "sys_reference": 1.0,
                                            "provenance": "derived"}),
     ]
-    return items
 
 
 def gallery_item(name: str) -> ExperimentConfig:

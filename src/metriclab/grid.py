@@ -167,32 +167,23 @@ def topology_from_name(name: str) -> DomainTopology:
 
 
 def stencil_offsets(n: int, order: int) -> np.ndarray:
-    """Half set of neighbor offsets (each edge generated once).
+    """Half set of neighbor offsets (each edge generated once), sorted.
 
     order 1: axis steps; order 2: adds all diagonal steps in {-1,0,1}^n;
     order 3: adds knight moves (permutations of (+-1, +-2, 0, ...)).
     """
     if order not in (1, 2, 3):
         raise GridError("stencil_order must be 1, 2, or 3")
-    offs = []
-    for o in itertools.product((-1, 0, 1), repeat=n):
-        if any(o):
-            offs.append(o)
-    if order >= 3:
-        base = [1, 2] + [0] * (n - 2)
-        seen = set()
-        for perm in itertools.permutations(range(n)):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    o = [0] * n
-                    o[perm[0]] = s1
-                    o[perm[1]] = 2 * s2
-                    seen.add(tuple(o))
-        offs += sorted(seen)
-    if order == 1:
-        offs = [o for o in offs if sum(abs(c) for c in o) == 1]
-    half = [o for o in offs if next(c for c in o if c) > 0]
-    return np.array(sorted(set(half)), dtype=np.int64)
+
+    def in_stencil(o):
+        steps = sorted(abs(c) for c in o if c)
+        if order == 1:
+            return steps == [1]
+        return max(steps) == 1 or (order == 3 and steps == [1, 2])
+
+    return np.array([o for o in itertools.product(range(-2, 3), repeat=n)
+                     if any(o) and next(c for c in o if c) > 0 and in_stencil(o)],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +626,7 @@ def _build_cubelike(topology, N, stencil_order):
         cell_vol = areas[keep2]
     cells = np.where(corner_active, vid_flat[corners], -1)
 
-    face_sets = _cubelike_faces(topology, coords, mask_spec, vid_flat, shape, spacing)
+    face_sets = _cubelike_faces(topology, coords, mask_spec, vid_flat, shape)
 
     return Grid(
         topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy,
@@ -643,10 +634,10 @@ def _build_cubelike(topology, N, stencil_order):
     )
 
 
-def _cubelike_faces(topology, coords, mask_spec, vid_flat, shape, spacing):
+def _cubelike_faces(topology, coords, mask_spec, vid_flat, shape):
     face_sets = {}
     if topology.kind == "hexagon":
-        boundary = _hexagon_boundary_vertices(coords, mask_spec, vid_flat, shape, spacing)
+        boundary = _hexagon_boundary_vertices(vid_flat.reshape(shape))
         labels = _hexagon_face_labels(coords[boundary], mask_spec)
         for k in range(6):
             face_sets[f"S{k}"] = boundary[labels == k]
@@ -658,21 +649,13 @@ def _cubelike_faces(topology, coords, mask_spec, vid_flat, shape, spacing):
     return face_sets
 
 
-def _hexagon_boundary_vertices(coords, mask_spec, vid_flat, shape, spacing):
-    vid = vid_flat.reshape(shape)
-    active = vid >= 0
-    on_edge = np.zeros(shape, dtype=bool)
-    for axis in (0, 1):
-        pad_lo = np.take(active, [0], axis=axis)
-        pad_hi = np.take(active, [-1], axis=axis)
-        lo = np.concatenate([pad_lo, np.take(active, np.arange(shape[axis] - 1), axis=axis)], axis=axis)
-        hi = np.concatenate([np.take(active, np.arange(1, shape[axis]), axis=axis), pad_hi], axis=axis)
-        on_edge |= active & (~lo | ~hi)
-    border = np.zeros(shape, dtype=bool)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    on_edge |= active & border
-    return np.sort(vid[on_edge & active])
+def _hexagon_boundary_vertices(vid):
+    """Active vertices with an inactive or missing axis neighbour."""
+    active = np.pad(vid >= 0, 1)
+    inner = active[1:-1, 1:-1]
+    on_edge = inner & ~(active[:-2, 1:-1] & active[2:, 1:-1]
+                        & active[1:-1, :-2] & active[1:-1, 2:])
+    return vid[on_edge]
 
 
 def _hexagon_face_labels(pts, mask_spec):

@@ -31,6 +31,7 @@ from . import measure
 from .covers import Cover, _edge_components
 from .fields import MetricField
 from .geodesy import (
+    _widened,
     distance_field,
     set_radius_exact,
     set_radius_upper,
@@ -125,33 +126,28 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
     if not (0 < r0 < r1 <= R):
         raise WidthError("need 0 < r0 < r1 <= R")
 
-    E = g.num_edges
-    removed = np.zeros(E, dtype=bool)
+    removed = np.zeros(g.num_edges, dtype=bool)
     curves = []
     reasons = []
-    fvals_all = None
     comps = _kept_components(field, removed)
     radii = {}
 
-    iterations = 0
-    while iterations < budget:
-        todo = None
-        for ci, comp in enumerate(comps):
-            key = comp.tobytes()
-            if key not in radii:
-                radii[key] = set_radius_upper(field, comp, rounds=_RADIUS_ROUNDS,
-                                              within=comp)
-            if radii[key][0] >= R:
-                todo = (ci, comp, radii[key])
-                break
-        if todo is None:
-            comp_radii = [radii[c.tobytes()] for c in comps]
-            total = float(sum(c.length for c in curves))
-            return SeparatingCut(R, r0, r1, curves, removed, comps, comp_radii,
-                                 True, iterations, reasons, total)
+    def radius_of(comp):
+        key = comp.tobytes()
+        if key not in radii:
+            radii[key] = set_radius_upper(field, comp, rounds=_RADIUS_ROUNDS, within=comp)
+        return radii[key]
 
+    iterations = 0
+    while True:
+        comp = next((c for c in comps if radius_of(c)[0] >= R), None)
+        if comp is None:
+            break
+        if iterations == budget:
+            reasons.append(f"iteration budget {budget} exhausted")
+            break
         iterations += 1
-        ci, comp, (rad_ub, center) = todo
+        rad_ub, center = radius_of(comp)
         in_comp = np.zeros(g.num_vertices, dtype=bool)
         in_comp[comp] = True
         fvals_all = distance_field(field, [center], quotient=False).dist
@@ -182,17 +178,9 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         curves.append(CutCurve(t, center, length, bound, np.where(cut_edges)[0], mids))
         comps = _kept_components(field, removed)
 
-    if iterations >= budget:
-        reasons.append(f"iteration budget {budget} exhausted")
-    comp_radii = []
-    for c in comps:
-        key = c.tobytes()
-        if key not in radii:
-            radii[key] = set_radius_upper(field, c, rounds=_RADIUS_ROUNDS, within=c)
-        comp_radii.append(radii[key])
     total = float(sum(c.length for c in curves))
-    return SeparatingCut(R, r0, r1, curves, removed, comps, comp_radii,
-                         False, iterations, reasons, total)
+    return SeparatingCut(R, r0, r1, curves, removed, comps, [radius_of(c) for c in comps],
+                         not reasons, iterations, reasons, total)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +229,12 @@ class WidthCertificate:
     curves: list = dataclass_field(default_factory=list)
     r0: float = float("nan")
     r1: float = float("nan")
+
+
+def _n_width(multiplicity: int) -> int:
+    """The width index a cover of this multiplicity certifies: a surface
+    cover of multiplicity m bounds width_(m-1), and width_0 is never claimed."""
+    return max(multiplicity - 1, 1)
 
 
 def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCertificate:
@@ -292,20 +286,21 @@ def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCe
         if not cover.covers_everything(field.grid.num_vertices):
             last_reasons = ["cover union misses vertices"]
             continue
-        cert = WidthCertificate(
-            n_width=max(mult - 1, 1), R=R, cover=cover, valid=True, reasons=[],
+        return WidthCertificate(
+            n_width=_n_width(mult), R=R, cover=cover, valid=True, reasons=[],
             multiplicity=mult, field_hash=fh, curves=cut.curves,
             r0=cut.r0, r1=cut.r1,
         )
-        return cert
     return WidthCertificate(
-        n_width=field.grid.n - 1, R=R, cover=Cover([], [], []), valid=False,
+        n_width=_n_width(0), R=R, cover=Cover([], [], []), valid=False,
         reasons=last_reasons or ["no valid attempt"], multiplicity=0, field_hash=fh,
     )
 
 
 def validate_certificate(field: MetricField, cert: WidthCertificate):
-    """Independent recheck: hash, union, multiplicity, fresh radius measurements."""
+    """Independent recheck: hash, union, multiplicity, the width index it
+    implies, and fresh radius measurements, which must lie below R and not
+    above the stored radii by more than the reversal slack."""
     reasons = []
     if field_hash(field) != cert.field_hash:
         reasons.append("field hash mismatch")
@@ -313,6 +308,9 @@ def validate_certificate(field: MetricField, cert: WidthCertificate):
         reasons.append("certificate is marked invalid")
     cover = cert.cover
     V = field.grid.num_vertices
+    if any(not 0 <= int(c) < V for c in cover.centers) or any(
+            len(s) and not 0 <= np.min(s) <= np.max(s) < V for s in cover.sets):
+        return False, reasons + [f"a center or set vertex lies outside 0..{V - 1}"]
     if not cover.covers_everything(V):
         reasons.append("cover union misses vertices")
     mult = cover.multiplicity(V) if cover.sets else 0
@@ -320,11 +318,17 @@ def validate_certificate(field: MetricField, cert: WidthCertificate):
         reasons.append(f"multiplicity mismatch: {mult} != {cert.multiplicity}")
     if mult > field.grid.n + 1:
         reasons.append("multiplicity exceeds n+1")
-    for s, center in zip(cover.sets, cover.centers):
+    if cert.n_width != _n_width(mult):
+        reasons.append(f"n_width {cert.n_width} is not the {_n_width(mult)} that "
+                       f"multiplicity {mult} certifies")
+    graph = field.graph()
+    for s, center, stored in zip(cover.sets, cover.centers, cover.radii):
         d = distance_field(field, [int(center)], quotient=False).dist
-        ecc = float(d[np.asarray(s)].max())
+        ecc = float(d[np.asarray(s)].max(initial=0.0))
         if not ecc < cert.R:
             reasons.append(f"set radius {ecc:.6g} not below R = {cert.R:.6g}")
+        if not ecc <= _widened(stored, graph):
+            reasons.append(f"set radius {ecc!r} above its stored radius {stored!r}")
     return len(reasons) == 0, reasons
 
 

@@ -8,12 +8,17 @@ Both hold bit for bit in IEEE arithmetic, so they are asserted with == and
 * scaling every tensor by 4^k scales every edge length by exactly 2^k (the
   square root of an exact power of 4), hence every distance, radius and
   systole by 2^k and every volume by 4^k, with the same centers, base
-  vertices and classes.
+  vertices and classes;
+* on the round sphere2 and rp2 the antipode maps every edge to an edge of
+  bit-equal length, so d(-u, -v) == d(u, v); on a conformal rescale that
+  respects the antipode only up to rounding, the two agree within the
+  antipode's distortion plus the reversal slack.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,3 +78,28 @@ def test_scaling_the_tensors_by_a_power_of_four_scales_exactly(kind, seed, k, da
     if kind != "square":
         w, ws = geo.systole(f), geo.systole(s)
         assert (ws.length, ws.base_vertex, ws.cls) == (unit * w.length, w.base_vertex, w.cls)
+
+
+@pytest.mark.parametrize("kind", ["sphere2", "rp2"])
+@pytest.mark.parametrize("N", [8, 16, 24, 32])
+def test_the_round_antipode_preserves_distances_exactly(kind, N):
+    f = F.round_sphere_metric(G.build_grid(G.topology_from_name(kind), N, 3), 1.0)
+    anti = f.grid.antipode_map
+    assert geo._distortion(f.graph(), anti) == 0.0
+    for u in range(0, f.grid.num_vertices, max(1, f.grid.num_vertices // 24)):
+        d = geo.distance_field(f, [u], quotient=False).dist
+        assert np.array_equal(d, geo.distance_field(f, [anti[u]], quotient=False).dist[anti])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["sphere2", "rp2"]), seed=st.integers(0, 10_000), data=st.data())
+def test_antipode_invariant_rescales_preserve_distances_within_their_distortion(kind, seed,
+                                                                               data):
+    f = _field(kind, data.draw(_resolution(kind)), seed)
+    anti = f.grid.antipode_map
+    graph = f.graph()
+    tol = geo._distortion(graph, anti) + geo._reversal_slack(graph)
+    u = data.draw(st.integers(0, f.grid.num_vertices - 1))
+    d = geo.distance_field(f, [u], quotient=False).dist
+    e = geo.distance_field(f, [anti[u]], quotient=False).dist[anti]
+    assert (np.abs(d - e) <= tol * np.maximum(d, e)).all()

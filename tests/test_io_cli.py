@@ -286,6 +286,21 @@ def test_cli_refine_order(tmp_path, capsys):
     assert any(o != "n/a" and 1.2 <= float(o) <= 3.0 for o in orders)
 
 
+@pytest.mark.parametrize("flag", [["--out", "d"], ["--resolution", "24"], ["--figures"]])
+def test_refine_rejects_the_flags_only_run_uses(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["refine", "--gallery", "sphere-volume", "--quantity", "volume", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["run"], ["refine", "--quantity", "worst_slack_over_product"]])
+def test_seed_flag_overrides_a_gallery_items_seed(command):
+    argv = [*command, "--gallery", "besicovitch-random-sweep"]
+    parse = cli.build_parser().parse_args
+    assert cli._load_config(parse(argv)).seed == 1
+    assert cli._load_config(parse([*argv, "--seed", "7"])).seed == 7
+
+
 def test_refine_handles_exact_sequences():
     item = gal.gallery_item("flat-torus-systole")
     table = gal.refine(item, "systole")

@@ -1,15 +1,20 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
 from metriclab import grid as G
+from metriclab import io as mio
 from metriclab import measure as M
 from metriclab import width as W
+from metriclab.covers import Cover
 
 HEX = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -59,6 +64,17 @@ def test_forced_cut_on_torus_bounds_and_radii(torus48_flat):
         assert rad < 0.5
 
 
+@pytest.mark.parametrize("R, needed", [(0.55, 1), (0.45, 7)])
+def test_separating_cut_succeeds_on_its_last_allowed_cut(R, needed):
+    f = F.flat_metric(G.build_grid(G.square(), 33, 3))
+    assert W.separating_cut(f, R).iterations == needed
+    short = W.separating_cut(f, R, budget=needed - 1)
+    assert not short.valid and short.reasons == [f"iteration budget {needed - 1} exhausted"]
+    cut = W.separating_cut(f, R, budget=needed)
+    assert cut.valid and cut.iterations == needed and cut.reasons == []
+    assert max(rad for rad, _ in cut.component_radii) < R
+
+
 def test_separating_cut_validates_band(square65):
     with pytest.raises(W.WidthError):
         W.separating_cut(square65, 0.5, 0.6, 0.4)
@@ -89,6 +105,64 @@ def test_certificate_tampering_detected(square65):
     ok2, reasons = W.validate_certificate(square65, cert)
     assert not ok2
     assert any("radius" in r for r in reasons)
+
+
+def test_certificate_with_a_false_width_index_or_stored_radius_is_rejected(square65):
+    cert = W.width_upper_bound(square65, 0.55)
+    assert cert.n_width == 1 and cert.multiplicity == 2
+    ok, reasons = W.validate_certificate(square65, replace(cert, n_width=0))
+    assert not ok and any("n_width" in r for r in reasons)
+    radii = [0.01] + list(cert.cover.radii[1:])
+    low = replace(cert, cover=Cover(cert.cover.sets, cert.cover.centers, radii))
+    ok, reasons = W.validate_certificate(square65, low)
+    assert not ok and any("stored radius" in r for r in reasons)
+    far = replace(cert, cover=Cover(cert.cover.sets, [square65.grid.num_vertices]
+                                    + list(cert.cover.centers[1:]), cert.cover.radii))
+    ok, reasons = W.validate_certificate(square65, far)
+    assert not ok and any("outside" in r for r in reasons)
+
+
+@pytest.fixture(scope="module")
+def small_certificate():
+    f = F.flat_metric(G.build_grid(G.square(), 9, 3))
+    cert = W.width_upper_bound(f, 0.6)
+    assert cert.valid and len(cert.cover.sets) > 1
+    return f, mio.certificate_text(cert, f.grid, "field.txt")
+
+
+def _claim_holds(field, cert):
+    """The certificate's claim recomputed from scratch: a cover of the whole
+    field, of the stated multiplicity, by sets whose radius about the stated
+    center is below R and not above the stated radius, certifying width_n."""
+    V = field.grid.num_vertices
+    count = np.zeros(V, dtype=np.int64)
+    for s, c, r in zip(cert.cover.sets, cert.cover.centers, cert.cover.radii):
+        s = np.unique(s)
+        if not 0 <= c < V or (len(s) and not 0 <= s[0] <= s[-1] < V):
+            return False
+        count[s] += 1
+        ecc = geo.distance_field(field, [c], quotient=False).dist[s].max(initial=0.0)
+        if not (ecc < cert.R and ecc <= geo._widened(r, field.graph())):
+            return False
+    m = int(count.max())
+    return (cert.valid and cert.field_hash == W.field_hash(field) and count.min() >= 1
+            and m == cert.multiplicity and cert.n_width >= max(m - 1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["replace", "insert", "delete"]),
+       char=st.sampled_from(list("0123456789.-+,=[]# \nefinatrux")))
+def test_a_one_character_edit_never_yields_a_false_certificate(small_certificate, data,
+                                                                kind, char):
+    field, text = small_certificate
+    i = data.draw(st.integers(0, len(text) - (kind != "insert")))
+    edited = text[:i] + ("" if kind == "delete" else char) + text[i + (kind != "insert"):]
+    try:
+        _, _, cert = mio.parse_certificate(edited)
+    except (ValueError, KeyError):
+        return
+    ok, _ = W.validate_certificate(field, cert)
+    assert not ok or _claim_holds(field, cert)
 
 
 def test_certificate_hash_mismatch(square65):
