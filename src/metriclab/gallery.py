@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -125,7 +125,8 @@ def _op_volume(config, field):
 def _op_systolic_ratio(config, field):
     p = config.operation_params
     w = geo.systole(field)
-    ratio = w.length / math.sqrt(M.volume(field))
+    vol = M.volume(field)
+    ratio = w.length / math.sqrt(vol)
     rows = [
         ("systole", w.length, float(p.get("sys_reference", w.length)), "derived",
          config.tol("systole", 0.02)),
@@ -162,30 +163,38 @@ def _op_besicovitch_sweep(config, field):
     worst = math.inf
     npass = 0
     for seed in range(int(config.seed), int(config.seed) + count):
-        rep = B.verify_besicovitch(F.random_spd_metric(field.grid, seed, eigs), rel_tol=rel_tol)
+        f = F.random_spd_metric(field.grid, seed, eigs)
+        rep = B.verify_besicovitch(f, rel_tol=rel_tol)
         worst = min(worst, rep.slack / rep.product)
         npass += rep.passed
-    return [("sweep_all_pass", float(npass), float(count), "derived", 0.0),
-            ("worst_slack_over_product", worst, 0.0, "derived", rel_tol, "ge")], {}
+    rows = [
+        ("sweep_all_pass", float(npass), float(count), "derived", 0.0),
+        ("worst_slack_over_product", worst, 0.0, "derived", rel_tol, "ge"),
+    ]
+    return rows, {}
 
 
 def _op_hexagon_faces(config, field):
-    rows = [(f"pair_distance_S{k}_S{k + 3}", geo.face_distance(field, f"S{k}", f"S{k + 3}"),
-             1.0, "derived", 0.0, "ge") for k in range(3)]
-    rows.append(("area", M.volume(field), 0.2, "derived", 0.0, "le"))
+    rows = []
+    for k in range(3):
+        d = geo.face_distance(field, f"S{k}", f"S{k + 3}")
+        rows.append((f"pair_distance_S{k}_S{k + 3}", d, 1.0, "derived", 0.0, "ge"))
+    area = M.volume(field)
+    rows.append(("area", area, 0.2, "derived", 0.0, "le"))
     return rows, {}
 
 
 def _op_cylinder(config, field):
     rep = B.cylinder_check(field, tol=config.tol("cylinder", 0.01))
-    coarea_tol = config.tol("coarea", 0.01)
-    return [
+    rows = [
         ("hypothesis_ok", float(rep.hypothesis_ok), 1.0, "derived", 0.0),
         ("area", rep.area, float(config.operation_params.get("area_reference", 1.0)),
          "paper", config.tol("volume", 0.01)),
-        ("coarea_total", rep.coarea_total, 1.0, "paper", coarea_tol, "ge"),
-        ("min_interior_level", rep.min_interior_level, 1.0, "paper", coarea_tol, "ge"),
-    ], {}
+        ("coarea_total", rep.coarea_total, 1.0, "paper", config.tol("coarea", 0.01), "ge"),
+        ("min_interior_level", rep.min_interior_level, 1.0, "paper",
+         config.tol("coarea", 0.01), "ge"),
+    ]
+    return rows, {}
 
 
 def _op_coarea(config, field):
@@ -204,17 +213,24 @@ def _op_coarea(config, field):
 def _op_pu(config, field):
     w = geo.systole(field)
     vol = M.volume(field)
-    return [("systole", w.length, math.pi, "derived", 0.02),
-            ("volume", vol, 2 * math.pi, "derived", 0.01),
-            ("systolic_ratio", w.length / math.sqrt(vol), PU, "paper", 0.02)], {}
+    ratio = w.length / math.sqrt(vol)
+    rows = [
+        ("systole", w.length, math.pi, "derived", 0.02),
+        ("volume", vol, 2 * math.pi, "derived", 0.01),
+        ("systolic_ratio", ratio, PU, "paper", 0.02),
+    ]
+    return rows, {}
 
 
 def _op_involution(config, field):
     sep, _ = geo.min_antipodal_distance(field)
     area = M.volume(field)
-    return [("min_antipodal_distance", sep, 1.0, "derived", 0.02),
-            ("area_lower_half", area, 0.5, "paper", 0.0, "ge"),
-            ("area_vs_conjectured_4_over_pi", area, 4 / math.pi, "paper", 0.02, "info")], {}
+    rows = [
+        ("min_antipodal_distance", sep, 1.0, "derived", 0.02),
+        ("area_lower_half", area, 0.5, "paper", 0.0, "ge"),
+        ("area_vs_conjectured_4_over_pi", area, 4 / math.pi, "paper", 0.02, "info"),
+    ]
+    return rows, {}
 
 
 def _op_gadograph(config, field):
@@ -233,20 +249,30 @@ def _op_gadograph(config, field):
         d = geo.distance_field(field, [int(q)]).dist
         eu = np.linalg.norm(coords[boundary] - coords[q], axis=1)
         hyp_ok &= bool((d[boundary] >= eu - 1e-9).all())
-    return [("boundary_hypothesis", float(hyp_ok), 1.0, "derived", 0.0),
-            ("region_volume_vs_euclidean", vol_g, vol_e, "paper", 0.0, "ge")], {}
+    rows = [
+        ("boundary_hypothesis", float(hyp_ok), 1.0, "derived", 0.0),
+        ("region_volume_vs_euclidean", vol_g, vol_e, "paper", 0.0, "ge"),
+    ]
+    return rows, {}
 
 
 def _op_loewner_bumps(config, field):
     bound = 2.0 / math.sqrt(3.0)
     tol = config.tol("loewner", 0.02)
     worst = 0.0
-    for k in range(int(config.operation_params.get("count", 20))):
-        f = _bump_metric(field.grid, int(config.seed) + k, "hexagonal" if k % 2 else "flat", 0.25)
-        worst = max(worst, geo.systole(f).length ** 2 / M.volume(f))
+    count = int(config.operation_params.get("count", 20))
+    for k in range(count):
+        base = "hexagonal" if k % 2 else "flat"
+        f = _bump_metric(field.grid, int(config.seed) + k, base, 0.25)
+        w = geo.systole(f)
+        ratio = w.length ** 2 / M.volume(f)
+        worst = max(worst, ratio)
     hexratio = geo.systole(field).length ** 2 / M.volume(field)
-    return [("max_sys2_over_vol", worst, bound, "paper", tol, "le"),
-            ("hexagonal_equality_case", hexratio, bound, "paper", tol)], {}
+    rows = [
+        ("max_sys2_over_vol", worst, bound, "paper", tol, "le"),
+        ("hexagonal_equality_case", hexratio, bound, "paper", tol),
+    ]
+    return rows, {}
 
 
 def _op_width_square(config, field):
@@ -261,7 +287,10 @@ def _op_width_square(config, field):
         ("certificate_multiplicity", float(cert.multiplicity), 2.0, "derived", 0.0, "le"),
         (f"honest_failure_at_{R_bad}", float(not bad.valid), 1.0, "derived", 0.0),
     ]
-    return rows, {"certificate": cert, "curves": [(c.points, "#000000") for c in cert.curves]}
+    figures = {"certificate": cert}
+    if cert.curves:
+        figures["curves"] = [(c.points, "#000000") for c in cert.curves]
+    return rows, figures
 
 
 def _op_width_volume(config, field):
@@ -317,16 +346,13 @@ _OPERATIONS = {
 # runner
 
 
-def run_config(config: ExperimentConfig, out_dir=None, resolution=None, seed=None,
-               figures=False):
+def run_config(config: ExperimentConfig, out_dir=None, resolution=None, figures=False):
     """Execute an experiment at each resolution; returns all ReportRows.
 
-    Deterministic for fixed config and seed.
+    Deterministic for fixed config (its seed included).
     """
     if config.operation not in _OPERATIONS:
         raise GalleryError(f"unknown operation {config.operation!r}")
-    if seed is not None:
-        config = replace(config, seed=int(seed))
     resolutions = [int(resolution)] if resolution else config.resolutions
     top = topology_from_name(config.domain)
     all_rows = []
@@ -365,6 +391,7 @@ def _write_artifacts(config, field, N, figs, out_dir, figures):
         overlays = figs.get("curves", []) + figs.get("loops", [])
         _write_text(base + ".svg", mio.svg_heatmap(field.grid, vals, curves=overlays))
 
+
 def refine(config: ExperimentConfig, quantity: str):
     """Richardson-style empirical convergence order against the reference value.
 
@@ -376,10 +403,12 @@ def refine(config: ExperimentConfig, quantity: str):
     rows = run_config(config)
     table = []
     for N in config.resolutions:
-        r = next((r for r in rows if r.resolution == N and r.quantity == quantity), None)
-        if r is None:
+        match = [r for r in rows if r.resolution == N and r.quantity == quantity]
+        if not match:
             raise GalleryError(f"quantity {quantity!r} not produced at N = {N}")
-        table.append([N, r.computed, abs(r.computed - r.reference), float("nan")])
+        r = match[0]
+        err = abs(r.computed - r.reference)
+        table.append([N, r.computed, err, float("nan")])
     for k in range(1, len(table)):
         e0, e1 = table[k - 1][2], table[k][2]
         if e0 > e1 > 0:
@@ -393,7 +422,7 @@ def refine(config: ExperimentConfig, quantity: str):
 
 def gallery() -> list:
     """Deterministic list of named canonical experiments."""
-    return [
+    items = [
         ExperimentConfig("besicovitch-flat", "square", "flat", "besicovitch",
                          [32, 64], operation_params={"d_reference": (1.0, 1.0),
                                                      "vol_reference": 1.0}),
@@ -433,6 +462,7 @@ def gallery() -> list:
                          operation_params={"reference": 1.0, "sys_reference": 1.0,
                                            "provenance": "derived"}),
     ]
+    return items
 
 
 def gallery_item(name: str) -> ExperimentConfig:

@@ -213,7 +213,8 @@ def certificate_text(cert, grid: Grid, field_path: str = "") -> str:
 
 
 def parse_certificate(text: str):
-    """Returns (domain_lines, field_path, field_hash, certificate-like dict)."""
+    """Returns (domain_lines, field_path, WidthCertificate); the field hash
+    is the certificate's field_hash."""
     from .covers import Cover
     from .width import WidthCertificate
 

@@ -36,7 +36,6 @@ OPTIONS = [
     "gallery.run_config(figures)",
     "gallery.run_config(out_dir)",
     "gallery.run_config(resolution)",
-    "gallery.run_config(seed)",
     "hexagon(mask)",
     "io.certificate_text(field_path)",
     "io.make_row(mode)",
