@@ -29,7 +29,9 @@ d(v, t v) = min over w of d(v, w) + d(v, t^-1 w), and the minimum is met at a
 w halfway along a shortest path.  One Dijkstra from v, cut off at half the
 running best plus the longest edge, gives both terms.  The witness joins the
 winner's chain to w with the t-image of its reversed chain to t^-1 w, and
-must pass check_length before it is returned.
+must pass check_length before it is returned.  One Dijkstra from v serves
+several isometries at once: each keeps its own least value, first minimizing
+source and meet point, and the cut-off is the least value over all of them.
 
 On torus2/cylinder the graph is a window of fundamental-domain copies: the
 shortest loop through a base vertex v in deck class c equals the lifted
@@ -39,7 +41,9 @@ moves span at most two columns), so minimizing over those base vertices is
 exact; symmetrically for the second axis.  Both halves of a loop of length at
 most ub stay within (ub / 2 + longest edge) / sqrt(lambda_min) chart units of
 the base lines, and the window holds those copies only; ub is the graph length
-of a stencil walk in the class, a true upper bound.
+of a stencil walk in the class, a true upper bound.  The window depends on
+the class only through ub and whether its first winding is nonzero, so the
+systole searches every class with a nonzero first winding in one window.
 
 On rp2, noncontractible loops lift to paths from v to its antipode on the
 sphere double cover.  The antipodal map sends the meridian circle (longitudes
@@ -548,44 +552,55 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
             incumbent = min(incumbent, _padded(m))
 
 
-def _meet_search(graph, sources, pairs, ub: float, reach: float, keep):
-    """Shortest path from some sources[i] to its image under an isometry s of
-    the graph, as (length, i, chains), or None when none is within ub.
+def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
+    """For each isometry s of the graph, the shortest path from some sources[i]
+    to its image s sources[i], as (length, i, chains), or None when none is
+    within ub; None alone when no isometry has one.  One Dijkstra per source
+    serves every isometry.
 
     d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and the minimum is met
     at a w halfway along a shortest path, where both terms are within
-    length / 2 + reach of v.  pairs lists column indices (a, b) with b the
-    preimages of a; each pair is reduced on its own, so that no second
-    block-sized array is alive.  keep masks the sources searched
-    (_loop_search).  chains() gives the vertex chains from
-    sources[i] to w and to s^-1 w, from one more Dijkstra, cut off at the
-    first cut-off of the search, which held both.
+    length / 2 + reach of v.  isometries lists, for each s, its pairs of
+    column indices (a, b) with b the preimages of a; each pair is reduced on
+    its own, so that no second block-sized array is alive.  Each isometry
+    keeps its own least value, first minimizing source and meet point; the
+    cut-off is the least value over all of them so far, and every value
+    within it is exact (_loop_search).  keep masks the sources searched.
+    chains() gives the vertex chains from sources[i] to w and to s^-1 w, from
+    one more Dijkstra, cut off at the first cut-off of the search, which held
+    both.
     """
     cols = np.arange(graph.shape[0])
-    meet = np.zeros((len(sources), 2), dtype=np.int64)
+    vals = np.full((len(isometries), len(sources)), np.inf)
+    meet = np.zeros((len(isometries), len(sources), 2), dtype=np.int64)
 
     def value(D, rows):
-        best = np.full(len(D), np.inf)
         r = np.arange(len(D))
-        for a, b in pairs:
-            s = D[:, a] + D[:, b]
-            k = np.argmin(s, axis=1)
-            m = s[r, k]
-            won = m < best
-            best[won] = m[won]
-            meet[rows[won]] = np.stack([cols[a][k[won]], cols[b][k[won]]], axis=1)
-        return best
+        for k, pairs in enumerate(isometries):
+            best = vals[k, rows]
+            for a, b in pairs:
+                s = D[:, a] + D[:, b]
+                j = np.argmin(s, axis=1)
+                m = s[r, j]
+                won = m < best
+                best[won] = m[won]
+                meet[k, rows[won]] = np.stack([cols[a][j[won]], cols[b][j[won]]], axis=1)
+            vals[k, rows] = best
+        return vals[:, rows].min(axis=0)
 
-    length, i = _loop_search(graph, sources, value, ub, reach, keep=keep)
-    if i < 0:
-        return None
+    _loop_search(graph, sources, value, ub, reach, keep=keep)
 
-    def chains():
+    def chains(k, i):
         _, pred = dijkstra(graph, directed=True, indices=sources[i],
                            limit=_padded(ub) / 2 + reach, return_predecessors=True)
-        return _chain(pred, meet[i, 0]), _chain(pred, meet[i, 1])
+        return _chain(pred, meet[k, i, 0]), _chain(pred, meet[k, i, 1])
 
-    return length, i, chains
+    found = []
+    for k in range(len(isometries)):
+        i = int(np.argmin(vals[k]))
+        found.append((float(vals[k, i]), i, lambda k=k, i=i: chains(k, i))
+                     if vals[k, i] <= _padded(ub) else None)
+    return None if all(f is None for f in found) else found
 
 
 def _checked(field: MetricField, witness: LoopWitness) -> LoopWitness:
@@ -595,6 +610,39 @@ def _checked(field: MetricField, witness: LoopWitness) -> LoopWitness:
             f"loop witness in class {witness.cls} fails its length check: polyline "
             f"{polyline_length(field, witness.points)!r} != graph {witness.length!r}")
     return witness
+
+
+def _deck_loops(field: MetricField, classes, base, ub: float):
+    """_meet_search over the deck translations by classes (torus2/cylinder),
+    from the base vertices base that every loop in each of them crosses, in
+    one window: the one that holds every loop of length <= ub met halfway
+    (_deck_window).  The window depends on a class only through whether its
+    first winding is nonzero, so classes must agree on that."""
+    g = field.grid
+    V = g.num_vertices
+    reach = float(field.edge_lengths().max())
+    kx0, nx, ky0, ny = _deck_window(field, classes[0], ub, reach)
+    isometries = []
+    for p, q in classes:
+        # the deck translation's preimages of copy (i, j) are copy (i - p, j - q)
+        pairs = []
+        for i0 in range(max(0, p), min(nx, nx + p)):
+            for j0 in range(max(0, q), min(ny, ny + q)):
+                a, b = i0 * ny + j0, (i0 - p) * ny + j0 - q
+                pairs.append((slice(a * V, (a + 1) * V), slice(b * V, (b + 1) * V)))
+        isometries.append(pairs)
+    c0 = -kx0 * ny - ky0
+    return _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, isometries, ub, reach,
+                        _orbit_representatives(field, base))
+
+
+def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
+    """The checked witness of a _deck_loops result in class cls."""
+    length, i, chains = found
+    to_w, to_pre = chains()
+    chain = np.concatenate([to_w, to_pre[-2::-1]]) % field.grid.num_vertices
+    return _checked(field, LoopWitness(cls, int(base[i]), _unwrap_chain(field.grid, chain),
+                                       length))
 
 
 def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
@@ -627,28 +675,12 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
 
     base = _loop_base_vertices(g, (p, q))
     ub = min(_stencil_walk_length(field, base, (p, q)), upper)
-    reach = float(field.edge_lengths().max())
-    kx0, nx, ky0, ny = _deck_window(field, (p, q), ub, reach)
-    V = g.num_vertices
-    # the deck translation's preimages of copy (i, j) are copy (i - p, j - q)
-    pairs = []
-    for i0 in range(max(0, p), min(nx, nx + p)):
-        for j0 in range(max(0, q), min(ny, ny + q)):
-            a, b = i0 * ny + j0, (i0 - p) * ny + j0 - q
-            pairs.append((slice(a * V, (a + 1) * V), slice(b * V, (b + 1) * V)))
-    c0 = -kx0 * ny - ky0
-    found = _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, pairs, ub, reach,
-                         _orbit_representatives(field, base))
+    found = _deck_loops(field, [(p, q)], base, ub)
     if found is None:
         if upper < np.inf:
             return None
         raise GeodesyError(f"no loop found in class {cls} within bound {upper}")
-
-    length, i, chains = found
-    to_w, to_pre = chains()
-    chain = np.concatenate([to_w, to_pre[-2::-1]]) % V
-    return _checked(field, LoopWitness((p, q) if kind == "torus2" else p, int(base[i]),
-                                       _unwrap_chain(g, chain), length))
+    return _deck_witness(field, (p, q) if kind == "torus2" else p, base, found[0])
 
 
 def _primitive_classes():
@@ -667,11 +699,27 @@ def systole(field: MetricField) -> LoopWitness:
     """Shortest noncontractible loop (torus2, cylinder, rp2); its witness has
     passed check_length (GeodesyError otherwise).
 
-    On torus2 the primitive classes c are searched once each, in increasing
-    |c|, each pruned at the shortest loop so far; the walk ends at the first
-    class whose lower bound sqrt(lambda_min) |c| reaches it, since every later
-    class's bound is no smaller.  Each class search runs one source per orbit
-    of exact lattice translations: one on a constant (flat, hexagonal) torus.
+    On torus2 the primitive classes c are walked in increasing |c|; a class
+    replaces the shortest loop so far only when shorter by 1e-15, and the
+    walk ends at the first class whose lower bound sqrt(lambda_min) |c|
+    reaches it, since every later class's bound is no smaller.  (0, 1) is
+    searched first, alone.  Every later class has a nonzero first winding and
+    the same base vertices, so one joint search, in one window and with one
+    Dijkstra per base vertex, reduces every such class whose bound lies below
+    the (0, 1) length: a superset of the classes the walk reaches.  Each class
+    keeps its own least value, first minimizing base vertex and meet point
+    (_meet_search), and the walk then runs on those values.  The window is
+    that of the least of the (0, 1) length and the classes' stencil walks.
+
+    The choice is that of a walk with one search per class.  The joint
+    cut-off, the least value over every class so far, never falls below the
+    systole, so every class whose shortest loop is within it, the winner
+    included, gets its exact value and first minimizing base vertex.  A class
+    whose shortest loop lies beyond the cut-off may come out longer, or not at
+    all; but it is longer than the systole by more than 1e-15, so in either
+    walk a later class replaces it or it is never chosen.  Each search runs
+    one source per orbit of exact lattice translations: one on a constant
+    (flat, hexagonal) torus.
     """
     g = field.grid
     kind = g.topology.kind
@@ -683,13 +731,24 @@ def systole(field: MetricField) -> LoopWitness:
         raise GeodesyError(f"{kind} is simply connected or unsupported")
 
     lam = _sqrt_lambda_min(field)
-    best = None
-    for c in _primitive_classes():
-        if best is not None and lam * math.hypot(c[0], c[1]) >= best.length:
-            return best
-        w = shortest_loop_in_class(field, c, np.inf if best is None else best.length)
-        if w is not None and (best is None or w.length < best.length - 1e-15):
-            best = w
+    best = shortest_loop_in_class(field, (0, 1))
+    joint = list(itertools.takewhile(lambda c: lam * math.hypot(*c) < best.length,
+                                     itertools.islice(_primitive_classes(), 1, None)))
+    if not joint:
+        return best
+    base = _loop_base_vertices(g, joint[0])
+    ub = best.length
+    for c in joint:  # a walk is no shorter than its class's bound: later ones never win
+        if lam * math.hypot(*c) >= ub:
+            break
+        ub = min(ub, _stencil_walk_length(field, base, c))
+    length, win = best.length, None
+    for c, found in zip(joint, _deck_loops(field, joint, base, ub) or ()):
+        if lam * math.hypot(*c) >= length:
+            break
+        if found is not None and found[0] < length - 1e-15:
+            length, win = found[0], (c, found)
+    return best if win is None else _deck_witness(field, win[0], base, win[1])
 
 
 def _antipodal_search(field: MetricField):
@@ -709,8 +768,9 @@ def _antipodal_search(field: MetricField):
     pairs = [(h, anti[h]) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
-    length, i, chains = _meet_search(graph, band, pairs, ub, float(field.edge_lengths().max()),
-                                     _orbit_representatives(field, band))
+    (length, i, chains), = _meet_search(graph, band, [pairs], ub,
+                                        float(field.edge_lengths().max()),
+                                        _orbit_representatives(field, band))
     return length, int(band[i]), chains
 
 

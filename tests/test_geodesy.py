@@ -813,6 +813,61 @@ def test_systole_matches_windowed_enumeration(name):
     assert np.array_equal(w.points, ref.points)
 
 
+def _sequential_systole(f):
+    """The torus2 class walk with one search per class, kept as the oracle of
+    the joint search: classes in increasing |c|, each pruned at the shortest
+    loop so far, until a class's lower bound reaches it."""
+    lam = math.sqrt(f.lambda_min())
+    best = None
+    for c in geo._primitive_classes():
+        if best is not None and lam * math.hypot(*c) >= best.length:
+            return best
+        w = geo.shortest_loop_in_class(f, c, np.inf if best is None else best.length)
+        if w is not None and (best is None or w.length < best.length - 1e-15):
+            best = w
+
+
+def _assert_matches_sequential(f):
+    w, ref = geo.systole(f), _sequential_systole(f)
+    assert (w.cls, w.base_vertex) == (ref.cls, ref.base_vertex)
+    assert abs(w.length - ref.length) <= 1e-12 * ref.length
+    assert w.check_length(f)
+
+
+CONSTANT_CASES = ["flat-32", "hex-32", "hex-64", "sheared-1-2-5", "sheared-1-3-10"]
+
+
+@pytest.mark.parametrize("name", CONSTANT_CASES)
+def test_joint_search_matches_the_sequential_walk_on_constant_tori(name):
+    _assert_matches_sequential(SYSTOLE_CASES[name]())
+
+
+@settings(max_examples=12, deadline=None)
+@given(N=st.integers(16, 32), seed=st.integers(0, 10_000),
+       base=st.sampled_from(["flat", "hexagonal"]))
+def test_joint_search_matches_the_sequential_walk_on_bump_tori(N, seed, base):
+    _assert_matches_sequential(_bump_torus(N, seed, base))
+
+
+def _joint_calls(monkeypatch):
+    """Record (classes, ub, tracemalloc peak) of every _deck_loops call."""
+    import tracemalloc
+
+    calls = []
+    real = geo._deck_loops
+
+    def traced(field, classes, base, ub):
+        tracemalloc.start()
+        try:
+            return real(field, classes, base, ub)
+        finally:
+            calls.append((list(classes), ub, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(geo, "_deck_loops", traced)
+    return calls
+
+
 def test_systole_searches_each_class_once(monkeypatch):
     f = SYSTOLE_CASES["sheared-1-3-10"]()
     searched = []
@@ -826,11 +881,53 @@ def test_systole_searches_each_class_once(monkeypatch):
     _windowed_systole(f)
     assert (len(searched), len(set(searched))) == (20, 12)
     searched.clear()
-    w = geo.systole(f)
-    assert (len(searched), len(set(searched))) == (12, 12)
-    norms = [c[0] ** 2 + c[1] ** 2 for c in searched]
-    assert norms == sorted(norms)
-    assert math.sqrt(f.lambda_min()) * math.hypot(*searched[-1]) < w.length
+    _sequential_systole(f)
+    walked = list(searched)
+    assert (len(walked), len(set(walked))) == (12, 12)
+    searched.clear()
+    calls = _joint_calls(monkeypatch)
+    geo.systole(f)
+    # (0, 1) alone, then one joint search; every class is reduced once
+    assert searched == [(0, 1)]
+    assert len(calls) == 2 and calls[0][0] == [(0, 1)]
+    reduced = calls[0][0] + calls[1][0]
+    assert len(reduced) == len(set(reduced))
+    # the joint set is every class whose bound lies below the (0, 1) length,
+    # a superset of the classes the sequential walk searched
+    lam, L01 = math.sqrt(f.lambda_min()), real(f, (0, 1)).length
+    below = [c for c in _window_classes(math.ceil(L01 / lam)) if lam * math.hypot(*c) < L01]
+    assert calls[1][0] == [c for c in below if c != (0, 1)]
+    assert set(walked) <= set(reduced)
+
+
+@pytest.mark.parametrize("name", ["bump-hexagonal-64", "sheared-1-3-10"])
+def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
+    f = (_bump_torus(64, 1, "hexagonal") if name == "bump-hexagonal-64"
+         else SYSTOLE_CASES[name]())
+    L01 = geo.shortest_loop_in_class(f, (0, 1)).length
+    windows = []
+    real_lift = geo._lifted_graph
+    monkeypatch.setattr(geo, "_lifted_graph",
+                        lambda field, nx, ny: windows.append(nx * ny) or real_lift(field, nx, ny))
+    calls = _joint_calls(monkeypatch)
+    geo.systole(f)
+    joint, ub, peak = calls[1]
+    # ub is the least of the (0, 1) length and every joint class's stencil walk
+    base = geo._loop_base_vertices(f.grid, (1, 0))
+    assert ub == min([L01] + [geo._stencil_walk_length(f, base, c) for c in joint])
+    # the former walk's first p != 0 window, that of (1, 0) pruned at (0, 1)
+    reach = float(f.edge_lengths().max())
+    first = min(geo._stencil_walk_length(f, base, (1, 0)), L01)
+    _, nx, _, ny = geo._deck_window(f, (1, 0), first, reach)
+    assert len(windows) == 2 and windows[1] <= nx * ny
+    if name == "bump-hexagonal-64":
+        assert (nx, ny) == (2, 3) and len(joint) == 3
+    # pairs are reduced one at a time: the joint search peaks within half a
+    # (64, V) block of the former one-class search of (1, 0) in that window
+    # (its per-class values and meet points are (classes, sources) arrays)
+    calls.clear()
+    geo._deck_loops(f, [(1, 0)], base, first)
+    assert peak <= calls[0][2] + 32 * f.grid.num_vertices * 8
 
 
 def test_pruned_class_returns_none_and_unbounded_class_raises(monkeypatch):
