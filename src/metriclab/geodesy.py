@@ -82,7 +82,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .fields import MetricField, polyline_length
-from .grid import GridError, stencil_offsets
+from .grid import GridError, _moved, stencil_offsets
 
 
 class GeodesyError(ValueError):
@@ -409,20 +409,12 @@ def _stencil_walk_length(field, base, cls) -> float:
 
     The walk is N repetitions of cls split greedily into stencil offsets, so
     it is a path of the lift and its length a true upper bound on the class's
-    shortest loop.  Walks that leave a bounded axis count as inf.
+    shortest loop.  The base vertices are a box of lattice points (the base
+    lines), and after each step the walks are that box moved by the steps so
+    far, by the grid's lattice-step rule; walks that leave a bounded axis
+    count as inf.  Their edges are read through Grid.edge_index at once.
     """
     g = field.grid
-    e = g.edges
-    off = np.rint(g.edge_disp / np.asarray(g.spacing)).astype(np.int64)
-
-    def key(v, o):  # (vertex, lattice offset) of a directed step; offsets are within +-2
-        return (v * 5 + o[..., 0] + 2) * 5 + o[..., 1] + 2
-
-    keys = np.concatenate([key(e[:, 0], off), key(e[:, 1], -off)])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    heads = np.concatenate([e[:, 1], e[:, 0]])[order]
-    lengths = np.tile(field.edge_lengths(), 2)[order]
     half = stencil_offsets(g.n, g.stencil_order)
     moves = np.concatenate([half, -half])
     rest, split = np.asarray(cls, dtype=np.int64), []
@@ -430,13 +422,18 @@ def _stencil_walk_length(field, base, cls) -> float:
         o = min(moves, key=lambda o: (((rest - o) ** 2).sum(), (o ** 2).sum(), tuple(o)))
         split.append(o)
         rest = rest - o
-    v, total = base.copy(), np.zeros(len(base))
-    for o in split * g.lattice_shape[0]:
-        want = key(v, o)
-        k = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        total = np.where(keys[k] == want, total + lengths[k], np.inf)
-        v = heads[k]
-    return float(total.min())
+    shape, periodic = g.lattice_shape, g.topology.periodic
+    box = [np.unique(i) for i in np.argwhere(g.lattice_vid >= 0)[base].T]  # the base lines
+    moved, alive = np.zeros(g.n, dtype=np.int64), np.ones(len(base), dtype=bool)
+    ends = [_moved(shape, periodic, box, moved)[1]]
+    for o in split * shape[0]:
+        moved = moved + o
+        kept, target, _ = _moved(shape, periodic, box, moved)
+        alive &= kept
+        ends.append(target)
+    ends = g.lattice_vid.ravel()[np.array(ends)[:, alive]]
+    steps = field.edge_lengths()[g.edge_index(ends[:-1], ends[1:])]
+    return float(np.cumsum(steps, axis=0)[-1].min(initial=np.inf))
 
 
 def _sqrt_lambda_min(field) -> float:
@@ -636,27 +633,35 @@ def _deck_loops(field: MetricField, classes, base, ub: float):
                         _orbit_representatives(field, base))
 
 
-def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
-    """The checked witness of a _deck_loops result in class cls."""
-    length, i, chains = found
+def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -> LoopWitness:
+    """The checked witness of a loop met halfway: the chain to the meet point w
+    joined with image (the isometry, as a vertex map on the chain) of the
+    reversed chain to its preimage, taken mod V and unwrapped."""
+    g = field.grid
     to_w, to_pre = chains()
-    chain = np.concatenate([to_w, to_pre[-2::-1]]) % field.grid.num_vertices
-    return _checked(field, LoopWitness(cls, int(base[i]), _unwrap_chain(field.grid, chain),
-                                       length))
+    chain = np.concatenate([to_w, image(to_pre[-2::-1])]) % g.num_vertices
+    return _checked(field, LoopWitness(cls, int(base_vertex), _unwrap_chain(g, chain), length))
 
 
-def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
+def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
+    """The checked witness of a _deck_loops result in class cls; in the
+    window, a vertex id mod V is its vertex of the grid, so the translation's
+    image of the chain is the chain itself."""
+    length, i, chains = found
+    return _loop_witness(field, cls, base[i], length, chains, lambda chain: chain)
+
+
+def shortest_loop_in_class(field: MetricField, cls):
     """Shortest closed loop in a deck-transformation class (torus2/cylinder).
 
     Base vertices are the two lattice lines every class-cls loop crosses; the
     returned base vertex is the first minimizing one among them.  Only the
     first base vertex of each orbit of exact lattice translations is searched
-    (module docstring); the others tie with it.  A finite `upper`
-    prunes the search: a class with no loop within it returns None (systole
-    enumeration); with upper = inf a class without a loop raises.  The first
-    bound is the graph length of a stencil walk in the class, and the window
-    holds every loop within it met halfway (_deck_window), so one search
-    always suffices.  The witness passes check_length before it is returned.
+    (module docstring); the others tie with it.  The bound is the graph length
+    of a stencil walk in the class, and the window holds every loop within it
+    met halfway (_deck_window), so one search always suffices; a class with
+    no loop within it raises.  The witness passes check_length before it is
+    returned.
     """
     g = field.grid
     kind = g.topology.kind
@@ -674,12 +679,10 @@ def shortest_loop_in_class(field: MetricField, cls, upper: float = np.inf):
     _sqrt_lambda_min(field)  # a degenerate metric fails here, before any search
 
     base = _loop_base_vertices(g, (p, q))
-    ub = min(_stencil_walk_length(field, base, (p, q)), upper)
+    ub = _stencil_walk_length(field, base, (p, q))
     found = _deck_loops(field, [(p, q)], base, ub)
     if found is None:
-        if upper < np.inf:
-            return None
-        raise GeodesyError(f"no loop found in class {cls} within bound {upper}")
+        raise GeodesyError(f"no loop found in class {cls} within bound {ub}")
     return _deck_witness(field, (p, q) if kind == "torus2" else p, base, found[0])
 
 
@@ -705,11 +708,14 @@ def systole(field: MetricField) -> LoopWitness:
     reaches it, since every later class's bound is no smaller.  (0, 1) is
     searched first, alone.  Every later class has a nonzero first winding and
     the same base vertices, so one joint search, in one window and with one
-    Dijkstra per base vertex, reduces every such class whose bound lies below
-    the (0, 1) length: a superset of the classes the walk reaches.  Each class
-    keeps its own least value, first minimizing base vertex and meet point
-    (_meet_search), and the walk then runs on those values.  The window is
-    that of the least of the (0, 1) length and the classes' stencil walks.
+    Dijkstra per base vertex, reduces them all.  Its classes are taken in one
+    pass: in increasing |c|, ub starts at the (0, 1) length and falls to each
+    class's stencil walk, and the first class whose bound reaches ub ends the
+    set.  No shortest loop so far is ever above ub, so this is a superset of
+    the classes the walk reaches, and a class left out has no value below
+    the cut-off's start.  Each class keeps its own least value, first
+    minimizing base vertex and meet point (_meet_search), and the walk then
+    runs on those values.  The window is that of ub.
 
     The choice is that of a walk with one search per class.  The joint
     cut-off, the least value over every class so far, never falls below the
@@ -732,16 +738,15 @@ def systole(field: MetricField) -> LoopWitness:
 
     lam = _sqrt_lambda_min(field)
     best = shortest_loop_in_class(field, (0, 1))
-    joint = list(itertools.takewhile(lambda c: lam * math.hypot(*c) < best.length,
-                                     itertools.islice(_primitive_classes(), 1, None)))
+    base = _loop_base_vertices(g, (1, 0))
+    joint, ub = [], best.length
+    for c in itertools.islice(_primitive_classes(), 1, None):
+        if lam * math.hypot(*c) >= ub:  # a later class's bound is no smaller
+            break
+        joint.append(c)
+        ub = min(ub, _stencil_walk_length(field, base, c))
     if not joint:
         return best
-    base = _loop_base_vertices(g, joint[0])
-    ub = best.length
-    for c in joint:  # a walk is no shorter than its class's bound: later ones never win
-        if lam * math.hypot(*c) >= ub:
-            break
-        ub = min(ub, _stencil_walk_length(field, base, c))
     length, win = best.length, None
     for c, found in zip(joint, _deck_loops(field, joint, base, ub) or ()):
         if lam * math.hypot(*c) >= length:
@@ -788,8 +793,6 @@ def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
 
 
 def _systole_rp2(field: MetricField) -> LoopWitness:
-    g = field.grid
     length, v, chains = _antipodal_search(field)
-    to_w, to_anti = chains()
-    chain = np.concatenate([to_w, g.antipode_map[to_anti[-2::-1]]])
-    return _checked(field, LoopWitness("antipodal", v, _unwrap_chain(g, chain), length))
+    anti = field.grid.antipode_map
+    return _loop_witness(field, "antipodal", v, length, chains, lambda chain: anti[chain])

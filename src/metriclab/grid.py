@@ -10,6 +10,13 @@ coordinates in [0,1]^n and carries everything downstream modules need:
 * labeled boundary face vertex sets,
 * the antipodal involution for sphere2 / rp2.
 
+Every lattice step follows one rule (_moved): an integer offset o takes
+lattice index i to (i + o) mod N, with wrap count (i + o) // N, on a periodic
+axis of N points, and on a bounded axis keeps only the points whose step
+stays inside.  Stencil edges and their wraps, quadrature cells (the steps by
+{0, 1}^n from each point whose step by (1, ..., 1) is kept) and the stencil
+walks behind the systole's first bounds all take their steps from it.
+
 One edge joins each vertex pair.  On a periodic axis of 4 lattice points a
 knight step and its reverse would join the same pair, so build_grid refuses
 the order-3 stencil there, and the sphere keeps one of the parallel edges that
@@ -489,92 +496,66 @@ def _lattice_coords(shape, spacing):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _moved(shape, periodic, box, o):
+    """The lattice-step rule (module docstring) for an integer offset o and
+    the lattice points of a box, given as one index array per axis (its
+    points are their product, in row-major order).  Returns (kept, target,
+    wrap): kept masks the points whose step stays inside every bounded axis,
+    target holds the flat lattice id of each point's step, taken mod N on
+    every axis, and wrap holds, per axis, the wrap count of each index of the
+    box, 0 on a bounded axis wherever kept.  Each axis is stepped once, and
+    the flat ids are built by strides."""
+    kept, target, wrap = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64), []
+    for i, N, p, ok in zip(box, shape, periodic, o):
+        t = i + ok
+        kept = (kept[:, None] & (p | ((t >= 0) & (t < N)))).ravel()
+        target = (target[:, None] * N + t % N).ravel()
+        wrap.append(t // N)
+    return kept, target, wrap
+
+
 def _build_lattice_edges(shape, periodic, spacing, offsets, active_flat, coords_all,
                          edge_ok=None):
     """Edges on a (possibly periodic) lattice; returns (pairs, disp, wrap) arrays."""
     n = len(shape)
-    total = int(np.prod(shape))
-    idx = np.arange(total).reshape(shape)
+    box = [np.arange(N) for N in shape]
     pairs, disps, wraps = [], [], []
     for o in offsets:
-        dst = idx
-        wrap_axes = []
-        src_sl = [slice(None)] * n
-        dst_sl = [slice(None)] * n
-        valid = True
-        for k in range(n):
-            if o[k] == 0:
-                continue
-            if periodic[k]:
-                dst = np.roll(dst, -int(o[k]), axis=k)
-                wrap_axes.append(k)
-            else:
-                lo = max(0, -int(o[k]))
-                hi = shape[k] - max(0, int(o[k]))
-                if lo >= hi:
-                    valid = False
-                    break
-                src_sl[k] = slice(lo, hi)
-                dst_sl[k] = slice(lo + int(o[k]), hi + int(o[k]))
-        if not valid:
-            continue
-        s = idx[tuple(src_sl)].ravel()
-        d = dst[tuple(dst_sl)].ravel()
-        keep = active_flat[s] & active_flat[d]
-        disp = np.array([o[k] * spacing[k] for k in range(n)])
+        kept, d, axis_wrap = _moved(shape, periodic, box, o)
+        keep = kept & active_flat & active_flat[d]
+        disp = o * np.asarray(spacing)
         if edge_ok is not None:
-            keep = keep.copy()
-            cand = np.where(keep)[0]
-            if len(cand):
-                a = coords_all[s[cand]]
-                ok = np.ones(len(cand), dtype=bool)
-                for frac in (0.25, 0.5, 0.75):
-                    ok &= edge_ok(a + frac * disp)
-                keep[cand[~ok]] = False
-        s, d = s[keep], d[keep]
-        if not len(s):
-            continue
-        wrap = np.zeros((len(s), n), dtype=np.int8)
-        if wrap_axes:
-            multi = np.unravel_index(s, shape)
-            for k in wrap_axes:
-                wrap[:, k] = (multi[k] + int(o[k])) // shape[k]
-        pairs.append(np.stack([s, d], axis=1))
-        disps.append(np.broadcast_to(disp, (len(s), n)).copy())
-        wraps.append(wrap)
+            cand = np.flatnonzero(keep)
+            ok = np.ones(len(cand), dtype=bool)
+            for frac in (0.25, 0.5, 0.75):
+                ok &= edge_ok(coords_all[cand] + frac * disp)
+            keep[cand[~ok]] = False
+        s = np.flatnonzero(keep)
+        if len(s):
+            pairs.append(np.stack([s, d[s]], axis=1))
+            disps.append(np.broadcast_to(disp, (len(s), n)).copy())
+            # wraps are -1, 0 or 1: stencil steps are shorter than N
+            wrap = np.meshgrid(*[w.astype(np.int8) for w in axis_wrap], indexing="ij")
+            wraps.append(np.stack(wrap, axis=-1).reshape(-1, n)[s])
     if pairs:
         return np.concatenate(pairs), np.concatenate(disps), np.concatenate(wraps)
     return (np.empty((0, 2), dtype=np.int64), np.empty((0, n)), np.empty((0, n), dtype=np.int8))
 
 
 def _lattice_cells(shape, periodic, spacing, coords_all):
-    """Cell corner lattice ids (bit order over axes) plus local unwrapped corner coords."""
+    """Cell corner lattice ids (bit order over axes), local unwrapped corner
+    coords and chart volumes.  A cell's base corner is a lattice point whose
+    step by (1, ..., 1) is kept; corner bit b is its step by the bits of b."""
     n = len(shape)
-    total = int(np.prod(shape))
-    idx = np.arange(total).reshape(shape)
-    base_sl = tuple(slice(None) if periodic[k] else slice(0, shape[k] - 1) for k in range(n))
-    base = idx[base_sl].ravel()
-    nbits = 2 ** n
-    corners = np.empty((len(base), nbits), dtype=np.int64)
-    corner_xy = np.empty((len(base), nbits, n))
-    base_coords = coords_all[base]
-    for bit in range(nbits):
-        offs = [(bit >> k) & 1 for k in range(n)]
-        rolled = idx
-        for k in range(n):
-            if offs[k]:
-                if periodic[k]:
-                    rolled = np.roll(rolled, -1, axis=k)
-                else:
-                    rolled = np.take(rolled, np.arange(1, shape[k]), axis=k)
-            elif not periodic[k]:
-                rolled = np.take(rolled, np.arange(shape[k] - 1), axis=k)
-        corners[:, bit] = rolled.ravel()
-        corner_xy[:, bit, :] = base_coords + np.array(
-            [offs[k] * spacing[k] for k in range(n)]
-        )
+    box = [np.arange(N) for N in shape]
+    base = np.flatnonzero(_moved(shape, periodic, box, np.ones(n, dtype=np.int64))[0])
+    base_xy, corners, corner_xy = coords_all[base], [], []
+    for bit in range(2 ** n):
+        offs = np.array([(bit >> k) & 1 for k in range(n)])
+        corners.append(_moved(shape, periodic, box, offs)[1][base])
+        corner_xy.append(base_xy + offs * np.asarray(spacing))
     vol = float(np.prod(spacing))
-    return base, corners, corner_xy, np.full(len(base), vol)
+    return np.stack(corners, axis=1), np.stack(corner_xy, axis=1), np.full(len(base), vol)
 
 
 def _build_cubelike(topology, N, stencil_order):
@@ -597,16 +578,15 @@ def _build_cubelike(topology, N, stencil_order):
         active_flat = np.ones(total, dtype=bool)
 
     offsets = stencil_offsets(n, stencil_order)
-    pairs, disp, wrap = _build_lattice_edges(
-        shape, periodic, spacing, offsets, active_flat, coords_all, edge_ok
-    )
+    pairs, disp, wrap = _build_lattice_edges(shape, periodic, spacing, offsets, active_flat,
+                                             coords_all, edge_ok)
 
     vid_flat = -np.ones(total, dtype=np.int64)
     vid_flat[active_flat] = np.arange(int(active_flat.sum()))
     coords = coords_all[active_flat]
     pairs = vid_flat[pairs]
 
-    _, corners, corner_xy, cell_vol = _lattice_cells(shape, periodic, spacing, coords_all)
+    corners, corner_xy, cell_vol = _lattice_cells(shape, periodic, spacing, coords_all)
     corner_active = active_flat[corners]
     keep_cells = corner_active.any(axis=1)
     corners, corner_xy, cell_vol = corners[keep_cells], corner_xy[keep_cells], cell_vol[keep_cells]
@@ -695,11 +675,9 @@ def _build_sphere(topology, N, stencil_order):
     shape = (N, M)
     spacing = (1.0 / N, 1.0 / (M - 1))
     coords_all = _lattice_coords(shape, spacing)
-    active_flat = np.ones(N * M, dtype=bool)
     offsets = stencil_offsets(2, stencil_order)
-    pairs, disp, wrap = _build_lattice_edges(
-        shape, (True, False), spacing, offsets, active_flat, coords_all
-    )
+    pairs, disp, wrap = _build_lattice_edges(shape, (True, False), spacing, offsets,
+                                             np.ones(N * M, dtype=bool), coords_all)
 
     # collapse pole rows j = 0 and j = M-1
     lat_j = np.arange(N * M) % M
@@ -734,7 +712,7 @@ def _build_sphere(topology, N, stencil_order):
     _, first = np.unique(p_sorted, axis=0, return_index=True)
     pairs, disp, wrap = p_sorted[first], disp_sorted[first], wrap_sorted[first]
 
-    _, corners, corner_xy, cell_vol = _lattice_cells(shape, (True, False), spacing, coords_all)
+    corners, corner_xy, cell_vol = _lattice_cells(shape, (True, False), spacing, coords_all)
     cells = remap[corners]
 
     anti = np.empty(V, dtype=np.int64)

@@ -87,22 +87,28 @@ def read_field(path) -> MetricField:
     n = grid.n
     ntri = n * (n + 1) // 2
     tensors = np.empty((grid.num_vertices, n, n))
-    seen = 0
+    seen = np.zeros(grid.num_vertices, dtype=bool)
     for ln in lines[split + 1:]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
+        if len(parts) != 1 + n + ntri:
+            raise GridError(f"field file row {ln!r} has {len(parts)} columns, "
+                            f"expected {1 + n + ntri}")
         v = int(parts[0])
+        if not 0 <= v < grid.num_vertices or seen[v]:
+            raise GridError(f"field file row index {v} is outside 0..{grid.num_vertices - 1} "
+                            "or repeated")
+        seen[v] = True
         vals = [float(x) for x in parts[1 + n:1 + n + ntri]]
         k = 0
         for i in range(n):
             for j in range(i, n):
                 tensors[v, i, j] = tensors[v, j, i] = vals[k]
                 k += 1
-        seen += 1
-    if seen != grid.num_vertices:
-        raise GridError(f"field file has {seen} rows, expected {grid.num_vertices}")
+    if not seen.all():
+        raise GridError(f"field file has {seen.sum()} rows, expected {grid.num_vertices}")
     return MetricField(grid, tensors)
 
 

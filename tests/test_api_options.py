@@ -49,7 +49,6 @@ OPTIONS = [
     "separating_cut(r1)",
     "set_radius_upper(rounds)",
     "set_radius_upper(within)",
-    "shortest_loop_in_class(upper)",
     "slicing_cover(radius_rounds)",
     "star_graph(segments_per_leg)",
     "verify_besicovitch(rel_tol)",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -711,6 +712,43 @@ def test_stencil_walk_is_a_true_upper_bound():
     assert np.isfinite(ub) and ub >= geo.shortest_loop_in_class(fc, 3).length
 
 
+WALK_FIELDS = {
+    "hex-16": lambda: F.constant_metric(G.build_grid(G.torus2(), 16, 3), HEX),
+    "spd-torus-12": lambda: F.random_spd_metric(G.build_grid(G.torus2(), 12, 3), 2, (0.5, 2.0)),
+    "spd-torus-9-order1": lambda: F.random_spd_metric(G.build_grid(G.torus2(), 9, 1), 7,
+                                                      (0.5, 2.0)),
+    "spd-cylinder-12": lambda: F.random_spd_metric(G.build_grid(G.cylinder(), 12, 3), 5,
+                                                   (0.5, 2.0)),
+    "bump-flat-16": lambda: _bump_torus(16, 3, "flat"),
+}
+# repr-exact walk lengths; on the cylinder some (3, 0) walks leave the bounded axis
+WALK_LENGTHS = {
+    ("hex-16", (1, 0)): 1.0,
+    ("hex-16", (0, 1)): 1.0,
+    ("hex-16", (1, -1)): 1.0,
+    ("hex-16", (2, 1)): 2.6457513110645907,
+    ("hex-16", (3, 1)): 3.6457513110645916,
+    ("spd-torus-12", (1, 1)): 1.33074169422657,
+    ("spd-torus-12", (1, -2)): 2.0377510580566542,
+    ("spd-torus-12", (3, 2)): 3.7525194895399276,
+    ("spd-torus-9-order1", (1, 1)): 1.8589467881626272,
+    ("spd-torus-9-order1", (2, -1)): 2.984142524159312,
+    ("spd-cylinder-12", (1, 0)): 0.9982647053311592,
+    ("spd-cylinder-12", (3, 0)): 3.729929496682138,
+    ("bump-flat-16", (1, 0)): 1.0009895946121068,
+    ("bump-flat-16", (2, 1)): 2.2504565409963906,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FIELDS))
+def test_stencil_walk_lengths_are_pinned(name):
+    f = WALK_FIELDS[name]()
+    for (field_name, cls), length in WALK_LENGTHS.items():
+        if field_name == name:
+            base = geo._loop_base_vertices(f.grid, cls)
+            assert repr(geo._stencil_walk_length(f, base, cls)) == repr(length)
+
+
 def test_witness_that_fails_its_length_check_raises(monkeypatch):
     f = F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0)
     real_unwrap = geo._unwrap_chain
@@ -771,6 +809,14 @@ def _window_classes(window):
     return sorted(out, key=lambda c: (c[0] ** 2 + c[1] ** 2, c))
 
 
+def _class_loop(f, c, upper):
+    """The shortest loop in class c, or None when none lies within upper: a
+    one-class search, pruned at the least of c's stencil walk and upper."""
+    base = geo._loop_base_vertices(f.grid, c)
+    found = geo._deck_loops(f, [c], base, min(geo._stencil_walk_length(f, base, c), upper))
+    return None if found is None else geo._deck_witness(f, c, base, found[0])
+
+
 def _windowed_systole(f):
     """The former torus2 enumeration, kept as the oracle: square windows of
     classes, grown by one ring while a ring class's lower bound undercuts the
@@ -782,7 +828,7 @@ def _windowed_systole(f):
         for c in _window_classes(window):
             if best is not None and lam * math.hypot(*c) >= best.length:
                 continue
-            w = geo.shortest_loop_in_class(f, c, np.inf if best is None else best.length)
+            w = _class_loop(f, c, np.inf if best is None else best.length)
             if w is not None and (best is None or w.length < best.length - 1e-15):
                 best = w
         ring = [c for c in _window_classes(window + 1) if max(abs(c[0]), abs(c[1])) > window]
@@ -822,7 +868,7 @@ def _sequential_systole(f):
     for c in geo._primitive_classes():
         if best is not None and lam * math.hypot(*c) >= best.length:
             return best
-        w = geo.shortest_loop_in_class(f, c, np.inf if best is None else best.length)
+        w = _class_loop(f, c, np.inf if best is None else best.length)
         if w is not None and (best is None or w.length < best.length - 1e-15):
             best = w
 
@@ -870,34 +916,32 @@ def _joint_calls(monkeypatch):
 
 def test_systole_searches_each_class_once(monkeypatch):
     f = SYSTOLE_CASES["sheared-1-3-10"]()
-    searched = []
-    real = geo.shortest_loop_in_class
-
-    def counting(field, cls, *args):
-        searched.append(cls)
-        return real(field, cls, *args)
-
-    monkeypatch.setattr(geo, "shortest_loop_in_class", counting)
-    _windowed_systole(f)
-    assert (len(searched), len(set(searched))) == (20, 12)
-    searched.clear()
-    _sequential_systole(f)
-    walked = list(searched)
-    assert (len(walked), len(set(walked))) == (12, 12)
-    searched.clear()
     calls = _joint_calls(monkeypatch)
+
+    def searched():
+        out = [c for classes, _, _ in calls for c in classes]
+        calls.clear()
+        return out
+
+    _windowed_systole(f)
+    windowed = searched()
+    assert (len(windowed), len(set(windowed))) == (20, 12)
+    _sequential_systole(f)
+    walked = searched()
+    assert (len(walked), len(set(walked))) == (12, 12)
     geo.systole(f)
     # (0, 1) alone, then one joint search; every class is reduced once
-    assert searched == [(0, 1)]
     assert len(calls) == 2 and calls[0][0] == [(0, 1)]
     reduced = calls[0][0] + calls[1][0]
     assert len(reduced) == len(set(reduced))
-    # the joint set is every class whose bound lies below the (0, 1) length,
-    # a superset of the classes the sequential walk searched
-    lam, L01 = math.sqrt(f.lambda_min()), real(f, (0, 1)).length
-    below = [c for c in _window_classes(math.ceil(L01 / lam)) if lam * math.hypot(*c) < L01]
-    assert calls[1][0] == [c for c in below if c != (0, 1)]
-    assert set(walked) <= set(reduced)
+    # the joint set runs in increasing |c| up to the first class whose bound
+    # reaches ub, the least of the (0, 1) length and the joint classes'
+    # walks; it holds the classes the sequential walk searched
+    joint, ub = calls[1][0], calls[1][1]
+    lam = math.sqrt(f.lambda_min())
+    primitive = itertools.islice(geo._primitive_classes(), 1, None)
+    assert joint == list(itertools.takewhile(lambda c: lam * math.hypot(*c) < ub, primitive))
+    assert len(joint) == 11 and set(walked) <= set(reduced)
 
 
 @pytest.mark.parametrize("name", ["bump-hexagonal-64", "sheared-1-3-10"])
@@ -930,11 +974,8 @@ def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
     assert peak <= calls[0][2] + 32 * f.grid.num_vertices * 8
 
 
-def test_pruned_class_returns_none_and_unbounded_class_raises(monkeypatch):
-    f = SYSTOLE_CASES["hex-32"]()
-    assert geo.shortest_loop_in_class(f, (2, 1), upper=1.0) is None
+def test_class_without_a_loop_raises(monkeypatch):
     fc = F.flat_metric(G.build_grid(G.cylinder(), 8, 3))
-    assert geo.shortest_loop_in_class(fc, 1, upper=0.5) is None
     monkeypatch.setattr(geo, "_meet_search", lambda *args: None)
     with pytest.raises(geo.GeodesyError, match="no loop found"):
         geo.shortest_loop_in_class(fc, 1)

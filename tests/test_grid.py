@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -198,3 +199,69 @@ def test_wrap_edges_cross_seam_with_correct_displacement():
     lhs = g.coords[g.edges[wrapped, 1]] + g.edge_wrap[wrapped]
     rhs = g.coords[g.edges[wrapped, 0]] + g.edge_disp[wrapped]
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the grid layouts, pinned bit for bit
+
+LAYOUT_ARRAYS = ("coords", "edges", "edge_disp", "edge_wrap", "cells", "cell_corner_xy",
+                 "cell_chart_vol", "lattice_vid", "antipode_map")
+
+
+def _layout_digest(kind, order):
+    """sha256 over the dtype, shape and bytes of every layout array and face
+    set of the grids of one kind and stencil order at N = 5, 8, 9 and 33
+    (cubes only up to 9), or over the refusal of a grid that cannot be built."""
+    h = hashlib.sha256()
+    for N in (5, 8, 9) if kind.startswith("cube") else (5, 8, 9, 33):
+        try:
+            g = G.build_grid(G.topology_from_name(kind), N, order)
+        except G.GridError as err:
+            h.update(f"{N} refused: {err}".encode())
+            continue
+        named = [(name, getattr(g, name)) for name in LAYOUT_ARRAYS]
+        named += [(f"face {face}", g.face_sets[face]) for face in sorted(g.face_sets)]
+        for name, a in named:
+            if a is not None:
+                h.update(f"{N} {name} {a.dtype.str} {a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+LAYOUT_DIGESTS = {
+    ("interval", 1): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
+    ("interval", 2): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
+    ("interval", 3): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
+    ("square", 1): "33449e3025e63029d8e4e15922af10f07cf5a06a6544d9e5db1790ce3ed624a3",
+    ("square", 2): "38580668543eb1f3032035874960a4e2d96864322670cdfffaa64879d9c7136b",
+    ("square", 3): "0776df4d867f1ad10aba66042ecc9745c67207c7aa5fae109b016b534a7919da",
+    ("cube3", 1): "6f0aadb26327328b898ef0cc1ed730b7003317bb49401aeda2770b3cd18d7957",
+    ("cube3", 2): "cb72e284461dd1df11c223fae635296d66e7d4befef4c9402553b1bd6afa58b2",
+    ("cube3", 3): "95955c707732f5c7fbc12a34c89b6c5d931f136208d8f89278da77f657abc9a2",
+    ("cube4", 1): "59d7db8e3ab48f38418153daadc1e2a5adb77221bac7efe7d845bb7572c47552",
+    ("cube4", 2): "d28b93b5f072a5ffa64c3f32f1116a1e8f1bc259aec5af7190401bc577858cc4",
+    ("cube4", 3): "2604acc68d67c717932515c59d85ca000ef5927ea57ce09e132def43ec432681",
+    ("hexagon", 1): "42891dfc1d775325cdf63d4bcccd1958d002e051ed71c8bce952146452122acf",
+    ("hexagon", 2): "45b58b2a4be695b20accfb856541f837868ec4b92fbd0b737f72b611b7c21fb2",
+    ("hexagon", 3): "793ccd28fe5b38afc8eae5687e4b8a47a96c03f3f054aceeff48260a6be8ddbb",
+    ("hexagon:tripod:0.46:0.024", 1): "b6435f4c443cf9b7cc178dd59d2a29c4c863f76e0bae598c1b8ae770e83ddac2",
+    ("hexagon:tripod:0.46:0.024", 2): "f498e75b59ccf849a0b085c9681c94e04044f4af0e1be25c1480f1d1eebdffec",
+    ("hexagon:tripod:0.46:0.024", 3): "ef26f3c46177de5e3c69b2ffc655ee5cc2d7df6ae1a1e639b7e3a78a30aada9e",
+    ("cylinder", 1): "f0026177d2964ea86222cedf72aedc61da60af1671f785eced2f1f566da2e17d",
+    ("cylinder", 2): "d14a393e4d29e0885d848f5cbd9b973b342cf5f7f3371dcb5c75d31ba52a844a",
+    ("cylinder", 3): "3b8ac5a0a115f429b8b03631b59480c6869c0e64c2069dceaad4d1e147cd6946",
+    ("torus2", 1): "e92886dd574572e3963b261ddfa77f7fd01bac3c7fe359127e2ba919cc7cf49f",
+    ("torus2", 2): "c879eb25d381ac1671c4e4ae232bad50d17433478068dd1a03eec261053a0415",
+    ("torus2", 3): "2c6f37a6a002ac3958b5fe5ec24aedee24ea074c4c7034e585889faa9da319ca",
+    ("sphere2", 1): "c341fb401451e6a61d46ac444964fc5a8b4ba06f66a1e3cc65b4c8438c83dc60",
+    ("sphere2", 2): "d7254e42725618528173108a3575a900882574bc0db4af5cbbdd8ccafb186b10",
+    ("sphere2", 3): "217ac71861f7110febbad7bd54d8aa3eb5576298043337e1bc0c2fcdf4b09495",
+    ("rp2", 1): "c341fb401451e6a61d46ac444964fc5a8b4ba06f66a1e3cc65b4c8438c83dc60",
+    ("rp2", 2): "d7254e42725618528173108a3575a900882574bc0db4af5cbbdd8ccafb186b10",
+    ("rp2", 3): "217ac71861f7110febbad7bd54d8aa3eb5576298043337e1bc0c2fcdf4b09495",
+}
+
+
+@pytest.mark.parametrize("kind,order", sorted(LAYOUT_DIGESTS))
+def test_grid_layouts_are_pinned(kind, order):
+    assert _layout_digest(kind, order) == LAYOUT_DIGESTS[kind, order]

@@ -28,6 +28,25 @@ def test_field_roundtrip(tmp_path):
     assert W.field_hash(back) == W.field_hash(f)
 
 
+@pytest.mark.parametrize("edit", ["repeated", "negative", "too large", "short", "long"])
+def test_read_field_rejects_bad_rows(tmp_path, edit):
+    g = G.build_grid(G.square(), 5, 3)
+    mio.write_field(F.flat_metric(g), tmp_path / "field.txt")
+    lines = (tmp_path / "field.txt").read_text().splitlines()
+    first = lines.index("# index x0 x1 g00 g01 g11") + 1  # row of vertex 0
+    row = lines[first + 24].split()
+    if edit == "repeated":  # row 0 copied over row 7, which is then missing
+        lines[first + 7] = lines[first]
+    elif edit in ("negative", "too large"):  # row 24's index moved out of range
+        row[0] = "-1" if edit == "negative" else "25"
+        lines[first + 24] = " ".join(row)
+    else:  # row 24 loses its last tensor entry, or gains one more
+        lines[first + 24] = " ".join(row[:-1] if edit == "short" else row + ["7"])
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(G.GridError, match="row"):
+        mio.read_field(tmp_path / "bad.txt")
+
+
 def test_degenerate_field_file_gives_no_certificate(tmp_path, capsys):
     g = G.build_grid(G.square(), 33, 3)
     cert = W.width_upper_bound(F.flat_metric(g), 0.6)
