@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from . import gallery as gal
 from . import io as mio
+from .width import validate_certificate
 
 
 def _add_experiment(p):
@@ -99,12 +100,10 @@ def _cmd_refine(args, config) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .width import validate_certificate
-
     try:
         with open(args.certificate) as fh:
             text = fh.read()
-        domain_lines, field_path, cert = mio.parse_certificate(text)
+        _, field_path, cert = mio.parse_certificate(text)
     except (OSError, KeyError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -501,27 +501,6 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     )
 
 
-def config_sections(config: ExperimentConfig) -> dict:
-    kind, _, mask = config.domain.partition(":")
-    sections = {
-        "domain": {"kind": kind, "mask": mask, "stencil_order": config.stencil_order},
-        "metric": {"builder": config.metric,
-                   **{k: _dump_value(v) for k, v in config.metric_params.items()}},
-        "experiment": {
-            "id": config.experiment_id,
-            "operation": config.operation,
-            "resolutions": ",".join(str(n) for n in config.resolutions),
-            **{k: _dump_value(v) for k, v in config.operation_params.items()},
-        },
-    }
-    if config.seed is not None:
-        sections["experiment"]["seed"] = str(config.seed)
-    if config.tolerance_overrides:
-        sections["experiment"]["tolerances"] = ",".join(
-            f"{k}={v}" for k, v in config.tolerance_overrides.items())
-    return sections
-
-
 def _parse_value(text):
     text = str(text).strip()
     if ";" in text or ("," in text):
@@ -532,13 +511,3 @@ def _parse_value(text):
         return float(text)
     except ValueError:
         return text
-
-
-def _dump_value(v):
-    if isinstance(v, (list, tuple)) and v and isinstance(v[0], (list, tuple)):
-        return ";".join(",".join(mio.fmt(x) for x in row) for row in v)
-    if isinstance(v, (list, tuple)):
-        return ",".join(mio.fmt(x) for x in v)
-    if isinstance(v, float):
-        return mio.fmt(v)
-    return str(v)

@@ -82,7 +82,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .fields import MetricField, polyline_length
-from .grid import GridError, _moved, stencil_offsets
+from .grid import GridError, _moved, face_vertices, stencil_offsets
 
 
 class GeodesyError(ValueError):
@@ -182,8 +182,6 @@ def face_distance(field: MetricField, face_a: str, face_b: str) -> float:
     top = g.topology
     if top.opposite_face(face_a) != face_b:
         raise GridError(f"faces {face_a!r} and {face_b!r} are not an opposite pair")
-    from .grid import face_vertices
-
     va = face_vertices(g, face_a)
     vb = face_vertices(g, face_b)
     d = distance_field(field, va, quotient=False)
@@ -281,27 +279,20 @@ def set_radius_exact(field: MetricField, subset) -> tuple[float, int]:
     """Exact radius of a vertex subset (center anywhere in the space), from
     column maxima kept over chunks of _CHUNK sources.
 
-    The rows of a = subset[0] and of its far member b give a center c, and
-    one more Dijkstra from c the bound U = max over the subset of d(c, .),
-    widened by the reversal slack (module docstring).  The other members run
-    cut off at U: every column whose maximum is within U, the least among
-    them, comes out exact, and every other one inf.
+    set_radius_upper with one round gives a center c and the bound
+    U = max over the subset of d(c, .), widened by the reversal slack
+    (module docstring).  Every member runs cut off at U: every column whose
+    maximum is within U, the least among them, comes out exact, and every
+    other one inf.
     """
     subset = np.asarray(subset, dtype=np.int64)
     if len(subset) == 0:
         raise GeodesyError("subset must be nonempty")
     graph = field.graph()
-    da = distance_matrix(field, subset[:1])[0]
-    b = int(subset[np.argmax(da[subset])])
-    ecc = np.maximum(da, distance_matrix(field, [b])[0])
-    rest = subset[(subset != subset[0]) & (subset != b)]
-    bound = np.inf
-    if len(rest):
-        c = int(np.argmin(ecc))
-        bound = _widened(max(ecc[c], dijkstra(graph, directed=True, indices=c)[rest].max()),
-                         graph)
-    for k0 in range(0, len(rest), _CHUNK):
-        block = dijkstra(graph, directed=True, indices=rest[k0:k0 + _CHUNK], limit=bound)
+    bound = _widened(set_radius_upper(field, subset, rounds=1)[0], graph)
+    ecc = np.full(graph.shape[0], -np.inf)
+    for k0 in range(0, len(subset), _CHUNK):
+        block = dijkstra(graph, directed=True, indices=subset[k0:k0 + _CHUNK], limit=bound)
         np.maximum(ecc, block.max(axis=0), out=ecc)
     c = int(np.argmin(ecc))
     if ecc[c] == np.inf and bound < np.inf:
@@ -375,8 +366,10 @@ def _orbit_representatives(field: MetricField, base) -> np.ndarray:
         graph = field.graph()
 
         def step(k):  # vertex map of one lattice step along axis k
+            box, unit = [np.arange(N) for N in g.lattice_shape], np.eye(g.n, dtype=np.int64)[k]
+            target = _moved(g.lattice_shape, g.topology.periodic, box, unit)[1]
             out = np.empty(g.num_vertices, dtype=np.int64)
-            out[vid] = np.roll(vid, -1, axis=k)
+            out[vid.ravel()] = vid.ravel()[target]
             return out
 
         field._exact_translations = tuple(

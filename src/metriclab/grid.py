@@ -457,14 +457,6 @@ class Grid:
             raise GridError(f"lattice index {lattice_index} is masked out")
         return v
 
-    def descriptor_lines(self) -> list[str]:
-        return [
-            f"kind = {self.topology.kind}",
-            f"resolution = {self.resolution}",
-            f"stencil_order = {self.stencil_order}",
-            f"mask = {self.topology.mask_name}",
-        ]
-
 
 def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3) -> Grid:
     """Build the discrete grid for a domain.

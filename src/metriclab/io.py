@@ -13,14 +13,15 @@ Formats are deliberately simple and diffable:
 from __future__ import annotations
 
 import configparser
-import io as _io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .covers import Cover
 from .fields import MetricField
 from .grid import Grid, GridError, build_grid, topology_from_name
+from .width import WidthCertificate
 
 FMT = "%.17g"
 
@@ -34,22 +35,32 @@ def fmt(x) -> str:
 
 
 def domain_text(grid: Grid) -> str:
-    return "[domain]\n" + "\n".join(grid.descriptor_lines()) + "\n"
+    top = grid.topology
+    return (f"[domain]\nkind = {top.kind}\nresolution = {grid.resolution}\n"
+            f"stencil_order = {grid.stencil_order}\nmask = {top.mask_name}\n")
 
 
-def grid_from_descriptor(lines) -> Grid:
-    kv = {}
+def _sections(lines) -> dict:
+    """{section: {key: value}} from [name] headers and key = value lines.  A
+    repeated header starts its section afresh; blank lines, # lines and lines
+    before the first header are skipped; a line splits at its first =."""
+    sections, current = {}, None
     for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("[") or ln.startswith("#"):
-            continue
-        k, _, v = ln.partition("=")
-        kv[k.strip()] = v.strip()
-    kind = kv["kind"]
-    if kv.get("mask"):
-        kind = f"{kind}:{kv['mask']}"
-    top = topology_from_name(kind)
-    return build_grid(top, int(kv["resolution"]), int(kv.get("stencil_order", 3)))
+        s = ln.strip()
+        if s.startswith("[") and s.endswith("]"):
+            current = sections[s[1:-1]] = {}
+        elif current is not None and s and not s.startswith("#"):
+            k, _, v = s.partition("=")
+            current[k.strip()] = v.strip()
+    return sections
+
+
+def grid_from_descriptor(domain: dict) -> Grid:
+    kind = domain["kind"]
+    if domain.get("mask"):
+        kind = f"{kind}:{domain['mask']}"
+    return build_grid(topology_from_name(kind), int(domain["resolution"]),
+                      int(domain.get("stencil_order", 3)))
 
 
 def field_table(field: MetricField) -> str:
@@ -77,38 +88,47 @@ def write_field(field: MetricField, path):
 
 
 def read_field(path) -> MetricField:
+    """The field of a write_field file.  GridError if the [domain] or
+    [tensors] header is missing, or unless the rows hold each vertex of the
+    grid once, at its chart coordinates (%.17g reads back exactly)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     try:
         split = lines.index("[tensors]")
     except ValueError:
         raise GridError("field file is missing the [tensors] section")
-    grid = grid_from_descriptor(lines[:split])
+    domain = _sections(lines[:split]).get("domain")
+    if domain is None:
+        raise GridError("field file is missing the [domain] section")
+    grid = grid_from_descriptor(domain)
     n = grid.n
-    ntri = n * (n + 1) // 2
-    tensors = np.empty((grid.num_vertices, n, n))
+    ncols = 1 + n + n * (n + 1) // 2
+    rows = np.empty((grid.num_vertices, ncols - 1))
     seen = np.zeros(grid.num_vertices, dtype=bool)
     for ln in lines[split + 1:]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
-        if len(parts) != 1 + n + ntri:
+        if len(parts) != ncols:
             raise GridError(f"field file row {ln!r} has {len(parts)} columns, "
-                            f"expected {1 + n + ntri}")
+                            f"expected {ncols}")
         v = int(parts[0])
         if not 0 <= v < grid.num_vertices or seen[v]:
             raise GridError(f"field file row index {v} is outside 0..{grid.num_vertices - 1} "
                             "or repeated")
         seen[v] = True
-        vals = [float(x) for x in parts[1 + n:1 + n + ntri]]
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                tensors[v, i, j] = tensors[v, j, i] = vals[k]
-                k += 1
+        rows[v] = [float(x) for x in parts[1:]]
     if not seen.all():
         raise GridError(f"field file has {seen.sum()} rows, expected {grid.num_vertices}")
+    moved = np.flatnonzero((rows[:, :n] != grid.coords).any(axis=1))
+    if len(moved):
+        v = moved[0]
+        raise GridError(f"field file row {v} is at {rows[v, :n].tolist()}, "
+                        f"not at vertex {v}'s coordinates {grid.coords[v].tolist()}")
+    tensors = np.empty((grid.num_vertices, n, n))
+    i, j = np.triu_indices(n)
+    tensors[:, i, j] = tensors[:, j, i] = rows[:, n:]
     return MetricField(grid, tensors)
 
 
@@ -219,27 +239,10 @@ def certificate_text(cert, grid: Grid, field_path: str = "") -> str:
 
 
 def parse_certificate(text: str):
-    """Returns (domain_lines, field_path, WidthCertificate); the field hash
-    is the certificate's field_hash."""
-    from .covers import Cover
-    from .width import WidthCertificate
-
-    sections = {}
-    current = None
-    domain_lines = []
-    for ln in text.splitlines():
-        s = ln.strip()
-        if s.startswith("[") and s.endswith("]"):
-            current = s[1:-1]
-            sections[current] = {}
-            continue
-        if current is None or not s or s.startswith("#"):
-            continue
-        k, _, v = s.partition("=")
-        sections[current][k.strip()] = v.strip()
-        if current == "domain":
-            domain_lines.append(s)
-    cert_kv = sections.get("certificate", {})
+    """Returns (domain, field_path, WidthCertificate): domain is the [domain]
+    section as a dict, and the field hash is the certificate's field_hash."""
+    sections = _sections(text.splitlines())
+    cert_kv, field_kv = sections.get("certificate", {}), sections.get("field", {})
     nsets = int(cert_kv.get("num_sets", 0))
     sets, centers, radii = [], [], []
     for i in range(nsets):
@@ -253,10 +256,10 @@ def parse_certificate(text: str):
         valid=cert_kv.get("valid", "false") == "true",
         reasons=[r for r in cert_kv.get("reasons", "").split("; ") if r],
         multiplicity=int(cert_kv["multiplicity"]),
-        field_hash=sections.get("field", {}).get("hash", ""),
+        field_hash=field_kv.get("hash", ""),
         r0=float(cert_kv.get("r0", "nan")), r1=float(cert_kv.get("r1", "nan")),
     )
-    return domain_lines, sections.get("field", {}).get("path", ""), cert
+    return sections.get("domain", {}), field_kv.get("path", ""), cert
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +320,6 @@ def parse_config(path):
     if not read:
         raise FileNotFoundError(path)
     return {sec: dict(cp.items(sec)) for sec in cp.sections()}
-
-
-def config_text(sections: dict) -> str:
-    buf = _io.StringIO()
-    cp = configparser.ConfigParser()
-    for sec, kv in sections.items():
-        cp[sec] = {k: str(v) for k, v in kv.items()}
-    cp.write(buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

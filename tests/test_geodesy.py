@@ -424,7 +424,12 @@ def test_set_radius_exact_cuts_off_at_a_proven_bound(monkeypatch):
     assert any(n > 1 and limit < np.inf for n, limit in calls)
     calls.clear()
     geo.set_radius_exact(f, S[:2])
-    assert len(calls) == 2  # the rows of a and b, and no bound to prove
+    exact_calls = calls[:]
+    calls.clear()
+    ecc, _ = geo.set_radius_upper(f, S[:2], rounds=1)
+    # the searches of set_radius_upper, then both members in one search, cut
+    # off at its bound widened by the reversal slack
+    assert exact_calls == calls + [(2, geo._widened(ecc, f.graph()))]
 
 
 def test_loops_on_a_degenerate_metric_raise_a_geodesy_error():

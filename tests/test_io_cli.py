@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ def test_field_roundtrip(tmp_path):
     assert back.grid.resolution == g.resolution
     assert (back.tensors == f.tensors).all()  # %.17g round-trips float64
     assert W.field_hash(back) == W.field_hash(f)
+    path.write_text(path.read_text().replace("[domain]", "# [domain]"))
+    with pytest.raises(G.GridError, match=r"\[domain\]"):
+        mio.read_field(path)
 
 
-@pytest.mark.parametrize("edit", ["repeated", "negative", "too large", "short", "long"])
+@pytest.mark.parametrize("edit", ["repeated", "negative", "too large", "short", "long", "moved"])
 def test_read_field_rejects_bad_rows(tmp_path, edit):
     g = G.build_grid(G.square(), 5, 3)
     mio.write_field(F.flat_metric(g), tmp_path / "field.txt")
@@ -40,6 +44,9 @@ def test_read_field_rejects_bad_rows(tmp_path, edit):
     elif edit in ("negative", "too large"):  # row 24's index moved out of range
         row[0] = "-1" if edit == "negative" else "25"
         lines[first + 24] = " ".join(row)
+    elif edit == "moved":  # row 3 moved from (0, 0.75) to (0.9, 0.1)
+        assert lines[first + 3].split()[:3] == ["3", "0", "0.75"]
+        lines[first + 3] = " ".join(["3", "0.9", "0.1", *lines[first + 3].split()[3:]])
     else:  # row 24 loses its last tensor entry, or gains one more
         lines[first + 24] = " ".join(row[:-1] if edit == "short" else row + ["7"])
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
@@ -131,17 +138,18 @@ def test_report_rows_and_verdicts():
     assert csv.endswith("\n") and "\r" not in csv
 
 
-def test_config_roundtrip(tmp_path):
-    item = gal.gallery_item("loewner-hexagonal")
-    text = mio.config_text(gal.config_sections(item))
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "cfg.ini"
-    path.write_text(text)
-    back = gal.config_from_sections(mio.parse_config(path))
-    assert back.experiment_id == item.experiment_id
-    assert back.domain == item.domain
-    assert back.metric == item.metric
-    assert back.resolutions == item.resolutions
-    assert back.operation == item.operation
+    path.write_text(readme.split("```ini\n")[1].split("```")[0])
+    config = gal.config_from_sections(mio.parse_config(path))
+    assert config.experiment_id == "my-loewner"
+    assert config.domain == "torus2"
+    assert config.metric == "hexagonal"
+    assert config.resolutions == [32, 64, 128]
+    assert config.operation == "systolic_ratio"
+    assert config.operation_params == {"reference": 1.0745699318235355,
+                                       "sys_reference": 1.0, "provenance": "paper"}
 
 
 def test_experiment_config_invariants():
