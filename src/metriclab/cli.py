@@ -104,14 +104,14 @@ def _cmd_validate(args) -> int:
         with open(args.certificate) as fh:
             text = fh.read()
         _, field_path, cert = mio.parse_certificate(text)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
         path = args.field or field_path
         if not os.path.isabs(path):
             path = os.path.join(os.path.dirname(os.path.abspath(args.certificate)), path)
         field = mio.read_field(path)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    try:
         ok, reasons = validate_certificate(field, cert)
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)

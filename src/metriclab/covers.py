@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .fields import MetricField
-from .geodesy import distance_field, radius as geodesy_radius, set_radius_upper
+from .geodesy import _shortest_paths, distance_field, radius as geodesy_radius, set_radius_upper
 
 
 class CoverError(ValueError):
@@ -178,15 +178,13 @@ class MetricGraph:
     _dist: np.ndarray = dataclass_field(default=None, init=False, repr=False)
 
     def distances(self) -> np.ndarray:
+        """All-pairs distances, cached, from geodesy's one Dijkstra kernel and its checks."""
         if self._dist is None:
-            u = np.array([e[0] for e in self.edges])
-            v = np.array([e[1] for e in self.edges])
+            u, v = np.array([e[:2] for e in self.edges]).reshape(-1, 2).T
             w = np.array([e[2] for e in self.edges], dtype=float)
-            m = sp.csr_matrix(
-                (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-                shape=(self.num_vertices,) * 2,
-            )
-            self._dist = dijkstra(m, directed=True)
+            m = sp.csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])),
+                              shape=(self.num_vertices,) * 2)
+            self._dist = _shortest_paths(m, np.arange(self.num_vertices))
         return self._dist
 
     def total_length(self) -> float:

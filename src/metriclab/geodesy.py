@@ -1,9 +1,11 @@
 """Distance fields, face distances, homotopy-class loops, systoles, radii.
 
 All distances are exact shortest paths on the weighted stencil graph (edge
-weights from MetricField.edge_lengths), computed with scipy's Dijkstra.
-Metrication against the continuum is bounded by the stencil distortion
-(about 2.75 percent for the 16-neighbor stencil).
+weights from MetricField.edge_lengths), from one kernel, _shortest_paths, the
+package's only call of scipy's Dijkstra.  It raises GeodesyError, before any
+allocation, for empty sources, sources outside 0..V-1 and blocks estimated
+above _BLOCK_BYTES (1 GiB).  Metrication against the continuum is bounded by
+the stencil distortion (about 2.75 percent for the 16-neighbor stencil).
 
 Every minimum over sources goes through one engine: Dijkstras from 64 sources
 at a time, each cut off at the running best, reduced to one value per source.
@@ -90,11 +92,34 @@ class GeodesyError(ValueError):
 
 
 _CHUNK = 64  # sources per Dijkstra block in every search
+_BLOCK_BYTES = 2 ** 30  # ceiling on the estimated bytes of one Dijkstra block
 
 
 def _padded(bound: float) -> float:
     """A bound widened by the rounding slack that every cut-off allows."""
     return bound * (1 + 1e-12) + 1e-12
+
+
+def _sources(sources, V: int) -> np.ndarray:
+    """sources as an int64 array of vertices, nonempty and within 0..V-1."""
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    if len(sources) == 0 or sources.min() < 0 or sources.max() >= V:
+        raise GeodesyError(f"sources must be a nonempty set of vertices 0..{V - 1}")
+    return sources
+
+
+def _shortest_paths(graph, sources, limit=np.inf, predecessors=False, min_only=False):
+    """scipy's Dijkstra from the checked sources, cut off at limit, with predecessors when
+    asked (min_only: one row, from the nearest source); GeodesyError when the block,
+    estimated at rows x V x 8 bytes (x 1.5 with predecessors), exceeds _BLOCK_BYTES."""
+    V = graph.shape[0]
+    sources = _sources(sources, V)
+    nbytes = int((1 if min_only else len(sources)) * V * 8 * (1.5 if predecessors else 1))
+    if nbytes > _BLOCK_BYTES:
+        raise GeodesyError(f"a Dijkstra block from {len(sources)} sources over {V} vertices "
+                           f"needs about {nbytes} bytes, above the ceiling of {_BLOCK_BYTES}")
+    return dijkstra(graph, directed=True, indices=sources, limit=limit,
+                    return_predecessors=predecessors, min_only=min_only)
 
 
 @dataclass
@@ -157,23 +182,17 @@ def _unwrap_chain(grid, chain) -> np.ndarray:
 def distance_field(field: MetricField, sources, quotient: bool = True) -> DistanceField:
     """Exact multi-source distances; on rp2 (quotient=True) sources are
     augmented with their antipodes so distances live in the quotient."""
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if len(sources) == 0:
-        raise GeodesyError("sources must be nonempty")
     g = field.grid
+    sources = _sources(sources, g.num_vertices)
     if quotient and g.topology.kind == "rp2":
         sources = np.unique(np.concatenate([sources, g.antipode_map[sources]]))
-    dist, pred, src = dijkstra(
-        field.graph(), directed=True, indices=sources, min_only=True,
-        return_predecessors=True,
-    )
+    dist, pred, src = _shortest_paths(field.graph(), sources, predecessors=True, min_only=True)
     return DistanceField(field, sources, dist, pred, src)
 
 
 def distance_matrix(field: MetricField, sources) -> np.ndarray:
-    """(len(sources), V) matrix of exact distances."""
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    return dijkstra(field.graph(), directed=True, indices=sources)
+    """(len(sources), V) exact distances in one block (GeodesyError above its ceiling)."""
+    return _shortest_paths(field.graph(), sources)
 
 
 def face_distance(field: MetricField, face_a: str, face_b: str) -> float:
@@ -286,13 +305,11 @@ def set_radius_exact(field: MetricField, subset) -> tuple[float, int]:
     other one inf.
     """
     subset = np.asarray(subset, dtype=np.int64)
-    if len(subset) == 0:
-        raise GeodesyError("subset must be nonempty")
     graph = field.graph()
     bound = _widened(set_radius_upper(field, subset, rounds=1)[0], graph)
     ecc = np.full(graph.shape[0], -np.inf)
     for k0 in range(0, len(subset), _CHUNK):
-        block = dijkstra(graph, directed=True, indices=subset[k0:k0 + _CHUNK], limit=bound)
+        block = _shortest_paths(graph, subset[k0:k0 + _CHUNK], bound)
         np.maximum(ecc, block.max(axis=0), out=ecc)
     c = int(np.argmin(ecc))
     if ecc[c] == np.inf and bound < np.inf:
@@ -317,12 +334,11 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     far = int(subset[np.argmax(d0[subset])])
     d1 = distance_matrix(field, [far])[0]
     best = (float(d1[subset].max()), far)
-    d2 = dijkstra(graph, directed=True, indices=int(subset[np.argmax(d1[subset])]),
-                  limit=_widened(best[0], graph))
+    d2 = _shortest_paths(graph, subset[np.argmax(d1[subset])], _widened(best[0], graph))[0]
     cand_scores = np.maximum(d1, d2)
     if within is not None:
         mask = np.full(len(cand_scores), np.inf)
-        mask[np.asarray(within, dtype=np.int64)] = 0.0
+        mask[_sources(within, len(mask))] = 0.0
         cand_scores = cand_scores + mask
     cand = np.argsort(cand_scores, kind="stable")[:rounds]
     cand = cand[np.isfinite(cand_scores[cand])]
@@ -530,7 +546,7 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
         limit = incumbent if reach is None else incumbent / 2 + reach
         # reduce the block at once and free it before anything else is
         # allocated, so that no two blocks are alive together
-        block = dijkstra(graph, directed=True, indices=sources[rows], limit=limit)
+        block = _shortest_paths(graph, sources[rows], limit)
         vals = value(block, rows)
         if bounds is not None:
             np.maximum(lower, bounds(block, vals, limit), out=lower)
@@ -581,8 +597,7 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
     _loop_search(graph, sources, value, ub, reach, keep=keep)
 
     def chains(k, i):
-        _, pred = dijkstra(graph, directed=True, indices=sources[i],
-                           limit=_padded(ub) / 2 + reach, return_predecessors=True)
+        _, (pred,) = _shortest_paths(graph, sources[i], _padded(ub) / 2 + reach, predecessors=True)
         return _chain(pred, meet[k, i, 0]), _chain(pred, meet[k, i, 1])
 
     found = []
@@ -591,15 +606,6 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
         found.append((float(vals[k, i]), i, lambda k=k, i=i: chains(k, i))
                      if vals[k, i] <= _padded(ub) else None)
     return None if all(f is None for f in found) else found
-
-
-def _checked(field: MetricField, witness: LoopWitness) -> LoopWitness:
-    """The witness, once its polyline is seen to have its graph length."""
-    if not witness.check_length(field):
-        raise GeodesyError(
-            f"loop witness in class {witness.cls} fails its length check: polyline "
-            f"{polyline_length(field, witness.points)!r} != graph {witness.length!r}")
-    return witness
 
 
 def _deck_loops(field: MetricField, classes, base, ub: float):
@@ -627,13 +633,19 @@ def _deck_loops(field: MetricField, classes, base, ub: float):
 
 
 def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -> LoopWitness:
-    """The checked witness of a loop met halfway: the chain to the meet point w
-    joined with image (the isometry, as a vertex map on the chain) of the
-    reversed chain to its preimage, taken mod V and unwrapped."""
+    """The witness of a loop met halfway, once its polyline is seen to have its
+    graph length: the chain to the meet point w joined with image (the
+    isometry, as a vertex map on the chain) of the reversed chain to its
+    preimage, taken mod V and unwrapped."""
     g = field.grid
     to_w, to_pre = chains()
     chain = np.concatenate([to_w, image(to_pre[-2::-1])]) % g.num_vertices
-    return _checked(field, LoopWitness(cls, int(base_vertex), _unwrap_chain(g, chain), length))
+    witness = LoopWitness(cls, int(base_vertex), _unwrap_chain(g, chain), length)
+    if not witness.check_length(field):
+        raise GeodesyError(
+            f"loop witness in class {witness.cls} fails its length check: polyline "
+            f"{polyline_length(field, witness.points)!r} != graph {witness.length!r}")
+    return witness
 
 
 def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
@@ -658,17 +670,11 @@ def shortest_loop_in_class(field: MetricField, cls):
     """
     g = field.grid
     kind = g.topology.kind
-    if kind == "torus2":
-        p, q = int(cls[0]), int(cls[1])
-        if p == 0 and q == 0:
-            raise GeodesyError("trivial deck class")
-    elif kind == "cylinder":
-        p = int(np.atleast_1d(cls)[0])
-        q = 0
-        if p == 0:
-            raise GeodesyError("trivial deck class")
-    else:
+    if kind not in ("torus2", "cylinder"):
         raise GeodesyError(f"{kind} has no free abelian deck group")
+    p, q = (int(cls[0]), int(cls[1])) if kind == "torus2" else (int(np.atleast_1d(cls)[0]), 0)
+    if p == 0 and q == 0:
+        raise GeodesyError("trivial deck class")
     _sqrt_lambda_min(field)  # a degenerate metric fails here, before any search
 
     base = _loop_base_vertices(g, (p, q))
@@ -725,7 +731,9 @@ def systole(field: MetricField) -> LoopWitness:
     if kind == "cylinder":
         return shortest_loop_in_class(field, 1)
     if kind == "rp2":
-        return _systole_rp2(field)
+        length, v, chains = _antipodal_search(field)
+        anti = g.antipode_map
+        return _loop_witness(field, "antipodal", v, length, chains, lambda chain: anti[chain])
     if kind != "torus2":
         raise GeodesyError(f"{kind} is simply connected or unsupported")
 
@@ -783,9 +791,3 @@ def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
     not searched.
     """
     return _antipodal_search(field)[:2]
-
-
-def _systole_rp2(field: MetricField) -> LoopWitness:
-    length, v, chains = _antipodal_search(field)
-    anti = field.grid.antipode_map
-    return _loop_witness(field, "antipodal", v, length, chains, lambda chain: anti[chain])

@@ -66,10 +66,25 @@ def test_sphere_pole_to_pole():
     assert d.dist[north] == pytest.approx(math.pi, rel=0.02)
 
 
-def test_empty_sources_error():
-    g = G.build_grid(G.square(), 8, 1)
-    with pytest.raises(geo.GeodesyError):
-        geo.distance_field(F.flat_metric(g), [])
+SOURCE_OPS = {
+    "distance_field": geo.distance_field,
+    "distance_matrix": geo.distance_matrix,
+    "set_radius_exact": geo.set_radius_exact,
+    "set_radius_upper": geo.set_radius_upper,
+    "set_radius_upper(within)": lambda f, s: geo.set_radius_upper(f, [0, 1], within=s),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SOURCE_OPS))
+@pytest.mark.parametrize("kind", ["square", "rp2"])
+@pytest.mark.parametrize("bad", ["-1", "V", "empty"])
+def test_sources_outside_the_vertices_raise(op, kind, bad):
+    # a negative source used to wrap around to vertex V - 1, silently
+    g = G.build_grid(getattr(G, kind)(), 9 if kind == "square" else 8, 3)
+    f = F.flat_metric(g) if kind == "square" else F.round_sphere_metric(g, 1.0)
+    sources = {"-1": [-1], "V": [g.num_vertices], "empty": []}[bad]
+    with pytest.raises(geo.GeodesyError, match="nonempty set of vertices"):
+        SOURCE_OPS[op](f, sources)
 
 
 def test_face_distance_values_and_symmetry():
@@ -430,6 +445,55 @@ def test_set_radius_exact_cuts_off_at_a_proven_bound(monkeypatch):
     # the searches of set_radius_upper, then both members in one search, cut
     # off at its bound widened by the reversal slack
     assert exact_calls == calls + [(2, geo._widened(ecc, f.graph()))]
+
+
+KERNEL_OPS = {
+    "distance_field": lambda sq, torus, rp2: geo.distance_field(sq, [0]),
+    "distance_matrix": lambda sq, torus, rp2: geo.distance_matrix(sq, [0]),
+    "radius": lambda sq, torus, rp2: geo.radius(sq),
+    "set_radius_exact": lambda sq, torus, rp2: geo.set_radius_exact(sq, [0, 1]),
+    "set_radius_upper": lambda sq, torus, rp2: geo.set_radius_upper(sq, [0, 1]),
+    "systole-torus": lambda sq, torus, rp2: geo.systole(torus),
+    "systole-rp2": lambda sq, torus, rp2: geo.systole(rp2),
+    "min_antipodal_distance": lambda sq, torus, rp2: geo.min_antipodal_distance(rp2),
+    "MetricGraph.distances": lambda sq, torus, rp2: C.circle_graph(1.0, 8).distances(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(KERNEL_OPS))
+def test_every_shortest_path_goes_through_the_one_kernel(monkeypatch, op):
+    # with a zero block ceiling the kernel refuses every call; a direct call
+    # of scipy's Dijkstra would be recorded
+    sq = F.flat_metric(G.build_grid(G.square(), 9, 3))
+    torus = F.flat_metric(G.build_grid(G.torus2(), 8, 3))
+    rp2 = F.round_sphere_metric(G.build_grid(G.rp2(), 8, 3), 1.0)
+    calls = _counting_dijkstra(monkeypatch)
+    monkeypatch.setattr(geo, "_BLOCK_BYTES", 0)
+    with pytest.raises(geo.GeodesyError, match="ceiling"):
+        KERNEL_OPS[op](sq, torus, rp2)
+    assert calls == []
+
+
+def test_the_block_ceiling_bounds_distance_matrix_and_not_the_chunked_searches(monkeypatch):
+    import tracemalloc
+
+    f = F.random_spd_metric(G.build_grid(G.square(), 24, 3), 3, (0.5, 2.0))
+    V = f.grid.num_vertices
+    S = np.arange(0, V, 2)
+    assert len(S) > geo._CHUNK
+    exact, dense = _dense_set_radius_exact(f, S), _dense_radius(f)
+    monkeypatch.setattr(geo, "_BLOCK_BYTES", geo._CHUNK * V * 8 + 1)  # one block fits
+    tracemalloc.start()
+    try:
+        with pytest.raises(geo.GeodesyError, match=f"about {V * V * 8} bytes"):
+            geo.distance_matrix(f, np.arange(V))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < geo._BLOCK_BYTES
+    assert geo.set_radius_exact(f, S) == exact
+    r = geo.radius(f)
+    assert (r.value, r.center, r.connected, r.per_component) == dense
 
 
 def test_loops_on_a_degenerate_metric_raise_a_geodesy_error():

@@ -102,7 +102,7 @@ def test_witness_text_contains_wraps():
     assert len(rows) == len(w.points)
 
 
-def test_certificate_roundtrip_and_cli_validation(tmp_path):
+def test_certificate_roundtrip_and_cli_validation(tmp_path, capsys):
     g = G.build_grid(G.square(), 33, 3)
     f = F.flat_metric(g)
     cert = W.width_upper_bound(f, 0.6)
@@ -124,6 +124,14 @@ def test_certificate_roundtrip_and_cli_validation(tmp_path):
     (tmp_path / "bad.txt").write_text(text)
     assert cli.main(["validate-certificate", str(tmp_path / "bad.txt")]) == 1
     assert cli.main(["validate-certificate", str(tmp_path / "nothere.txt")]) == 2
+    # a malformed field file is a parse error too, not an execution error
+    text = field_path.read_text()
+    assert "[domain]" in text
+    (tmp_path / "broken.txt").write_text(text.replace("[domain]", "[domian]"))
+    capsys.readouterr()
+    assert cli.main(["validate-certificate", str(cert_path),
+                     "--field", str(tmp_path / "broken.txt")]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_report_rows_and_verdicts():
