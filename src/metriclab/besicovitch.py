@@ -74,12 +74,9 @@ def face_distance_map(field: MetricField):
     fmap = np.empty((g.num_vertices, g.n))
     d = []
     for i, (fa, fb) in enumerate(pairs):
-        va = face_vertices(g, fa)
-        vb = face_vertices(g, fb)
-        dist = distance_field(field, va, quotient=False).dist
-        di = float(dist[vb].min())
-        d.append(di)
-        fmap[:, i] = np.minimum(dist, di)
+        dist = distance_field(field, face_vertices(g, fa), quotient=False).dist
+        d.append(float(dist[face_vertices(g, fb)].min()))
+        fmap[:, i] = np.minimum(dist, d[-1])
     return fmap, tuple(d)
 
 
@@ -100,23 +97,22 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
     Cell differentials come from corner-mean finite differences; |jac| =
     |det J_chart| / sqrt(det gbar).  Determinants and the inverse of gbar are
     in closed form for n = 2 and from LAPACK for every other n.  A cell whose
-    tensor has no positive determinant raises.  Returns (jac_max, per_cell,
-    row_norm_max).
+    tensor has no positive determinant raises.  Corner means add corners in
+    order, then divide by their count, as .mean did; row i's squared norm adds
+    (J_ik ginv_kl) J_il over l for each k, then over k, as the einsum
+    "cik,ckl,cil->ci" did for n = 2 (for n >= 3 it added all n^2 terms in one
+    run: a few ulps apart).  So 2-D reports, sha-pinned at %.17g in
+    besicovitch-*.txt, stay bit-equal.  Returns (jac_max, per_cell, row_norm_max).
     """
-    g = field.grid
-    n = g.n
-    cells = g.cells
-    full = (cells >= 0).all(axis=1)
-    corners = cells[full]
-    xy = g.cell_corner_xy[full]
+    g, n = field.grid, field.grid.n
+    full = (g.cells >= 0).all(axis=1)
+    corners, xy = g.cells[full], g.cell_corner_xy[full]
     fvals = fmap[corners]  # (C, 2^n, n)
-    nbits = 2 ** n
     J = np.empty((len(corners), n, n))
     for k in range(n):
-        hi = [b for b in range(nbits) if (b >> k) & 1]
-        lo = [b for b in range(nbits) if not (b >> k) & 1]
+        hi, lo = ([fvals[:, b] for b in range(2 ** n) if (b >> k) & 1 == side] for side in (1, 0))
         hk = xy[:, 1 << k, k] - xy[:, 0, k]
-        J[:, :, k] = (fvals[:, hi, :].mean(axis=1) - fvals[:, lo, :].mean(axis=1)) / hk[:, None]
+        J[:, :, k] = (sum(hi[1:], hi[0]) / len(hi) - sum(lo[1:], lo[0]) / len(lo)) / hk[:, None]
     gbar = field.cell_tensors()[full]
     det_g = field.cell_det()[full]
     bad = ~(det_g > 0)
@@ -126,7 +122,8 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
                                "the metric is not positive definite there")
     jac = np.abs(_det(J)) / np.sqrt(det_g)
     ginv = _inv(gbar, det_g)
-    row_sq = np.einsum("cik,ckl,cil->ci", J, ginv, J)
+    row_sq = sum(sum((J[:, :, k] * ginv[:, k, l, None]) * J[:, :, l] for l in range(n))
+                 for k in range(n))
     row_norms = np.sqrt(np.maximum(row_sq, 0.0))
     hadamard = row_norms.prod(axis=1)
     if np.any(jac > hadamard + 1e-9):
@@ -209,13 +206,8 @@ def verify_besicovitch(field: MetricField, rel_tol: float = 0.01) -> Besicovitch
     slack = vol - product
     jac_max, per_cell, row_max = jacobian_bound_check(field, fmap)
     containment = check_face_containment(field, fmap, d)
-    n = field.grid.n
-    if n in (2, 3):
-        degree_checked = True
-        degree_ok = boundary_degree(fmap, field.grid, d) == 1
-    else:
-        degree_checked = False
-        degree_ok = containment
+    degree_checked = field.grid.n in (2, 3)
+    degree_ok = boundary_degree(fmap, field.grid, d) == 1 if degree_checked else containment
     jac_ok = jac_max <= 1.0 + 4.0 / field.grid.resolution
     passed = bool(slack >= -rel_tol * product and degree_ok)
     report = BesicovitchReport(

@@ -179,9 +179,11 @@ class MetricGraph:
 
     def distances(self) -> np.ndarray:
         """All-pairs distances, cached, from geodesy's one Dijkstra kernel and its checks."""
-        if self._dist is None:
-            u, v = np.array([e[:2] for e in self.edges]).reshape(-1, 2).T
-            w = np.array([e[2] for e in self.edges], dtype=float)
+        if self._dist is None:  # sorted longest first, so of parallel edges the shortest stays
+            shortest = dict(sorted((((min(a, b), max(a, b)), L) for a, b, L in self.edges),
+                                   reverse=True))
+            u, v = np.array(list(shortest), dtype=np.int64).reshape(-1, 2).T
+            w = np.array(list(shortest.values()), dtype=float)
             m = sp.csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])),
                               shape=(self.num_vertices,) * 2)
             self._dist = _shortest_paths(m, np.arange(self.num_vertices))

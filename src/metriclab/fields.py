@@ -8,7 +8,10 @@ form per vertex and displacement class (see Grid.displacement_classes); by
 linearity that is the form of the mean tensor, equal to it up to an ulp.
 The same rule measures polyline segments, with tensors at non-vertex points
 obtained by multilinear interpolation on the lattice.  A field's graph fills
-the grid's stencil CSR pattern with its edge lengths.
+the grid's stencil CSR pattern with its edge lengths.  Validation checks that
+tensors are finite, symmetric and positive definite (by leading principal
+minors) and computes no eigenvalue: lambda_min and lambda_max make one cached
+eigvalsh call, on first use.
 
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
@@ -56,8 +59,9 @@ class MetricField:
     def edge_lengths(self) -> np.ndarray:
         if self._edge_lengths is None:
             disp, index = self.grid.displacement_classes()
-            forms = np.einsum("ki,vij,kj->vk", disp, self.tensors, disp).ravel()
-            ends = forms[index]
+            t, n = self.tensors, self.grid.n  # the (V, K) forms in einsum("ki,vij,kj->vk")'s order
+            forms = sum((disp[:, i] * t[:, i, j, None]) * disp[:, j] for i, j in np.ndindex(n, n))
+            ends = forms.ravel()[index]
             self._edge_lengths = np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
         return self._edge_lengths
 
@@ -71,9 +75,11 @@ class MetricField:
         return self._csr
 
     def lambda_min(self) -> float:
-        """Smallest tensor eigenvalue over non-degenerate vertices."""
+        """Smallest tensor eigenvalue over non-degenerate vertices (one eigvalsh call, cached
+        with the largest)."""
         if self._lambda_min is None:
-            _eigen_range(self)
+            ev = np.linalg.eigvalsh(self.tensors[~self.grid.chart_degenerate])
+            self._lambda_min, self._lambda_max = float(ev.min()), float(ev.max())
         return self._lambda_min
 
     def lambda_max(self) -> float:
@@ -157,21 +163,22 @@ class MetricField:
         return MetricField(self.grid, self.tensors * factor, validate=False)
 
 
-def _eigen_range(field: MetricField):
-    """Cache the least and largest tensor eigenvalue over non-degenerate vertices."""
-    ev = np.linalg.eigvalsh(field.tensors[~field.grid.chart_degenerate])
-    field._lambda_min = float(ev.min())
-    field._lambda_max = float(ev.max())
-
-
 def _check_spd(field: MetricField):
-    t = field.tensors[~field.grid.chart_degenerate]
-    if not np.allclose(t, np.swapaxes(t, 1, 2), atol=1e-12):
+    """Finite tensors; off chart-degenerate vertices also symmetric by allclose's rule (in
+    both orders) and positive definite by Sylvester's criterion, every leading principal
+    minor positive.  No eigenvalue is computed."""
+    t = field.tensors
+    if not np.isfinite(t).all():
+        raise FieldError("tensors must be finite")
+    if field.grid.chart_degenerate.any():
+        t = t[~field.grid.chart_degenerate]
+    i, j = np.triu_indices(field.grid.n, 1)
+    a, b = t[:, i, j], t[:, j, i]
+    if (np.abs(a - b) > 1e-12 + 1e-5 * np.minimum(np.abs(a), np.abs(b))).any():
         raise FieldError("tensors must be symmetric")
-    if len(t):
-        _eigen_range(field)
-        if field._lambda_min <= 0:
-            raise FieldError("tensors must be positive definite")
+    minors = [t[:, 0, 0]] + [_det(t[:, :k, :k]) for k in range(2, field.grid.n + 1)]
+    if not all((m > 0).all() for m in minors):
+        raise FieldError("tensors must be positive definite")
 
 
 def _det(t: np.ndarray) -> np.ndarray:
@@ -224,12 +231,9 @@ def constant_metric(grid: Grid, G) -> MetricField:
     G = np.asarray(G, dtype=float)
     if G.shape != (grid.n, grid.n):
         raise FieldError(f"G must be {grid.n} x {grid.n}")
-    if not np.allclose(G, G.T, atol=1e-12) or np.linalg.eigvalsh(G).min() <= 0:
-        raise FieldError("G must be symmetric positive definite")
     if grid.antipode_map is not None:
         raise FieldError("constant chart tensors are not antipodally invariant on the sphere")
-    t = np.broadcast_to(G, (grid.num_vertices, grid.n, grid.n)).copy()
-    return MetricField(grid, t, validate=False)
+    return MetricField(grid, np.broadcast_to(G, (grid.num_vertices, grid.n, grid.n)).copy())
 
 
 def conformal_metric(grid: Grid, u: np.ndarray) -> MetricField:

@@ -324,22 +324,23 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     Returns (ecc, center) with ecc = max over subset of d(center, .).  The
     `rounds` vertices of least max(d(a, .), d(b, .)), for a far pair (a, b),
     are tried as centers in one search.  `within` optionally restricts
-    candidate centers to a vertex set (default: anywhere).  The row of b is
-    cut off at the best ecc so far, widened by the reversal slack: a vertex
-    beyond it has a larger ecc, so it could never be the center.
+    candidate centers to a vertex set (default: anywhere); a is the first
+    center only if it lies there.  The row of b is cut off at the best ecc
+    so far, widened by the reversal slack: a vertex beyond it has a larger
+    ecc, so it could never be the center.
     """
     subset = np.asarray(subset, dtype=np.int64)
     graph = field.graph()
+    penalty = np.zeros(graph.shape[0])
+    if within is not None:
+        penalty[:] = np.inf
+        penalty[_sources(within, len(penalty))] = 0.0
     d0 = distance_matrix(field, subset[:1])[0]
     far = int(subset[np.argmax(d0[subset])])
     d1 = distance_matrix(field, [far])[0]
-    best = (float(d1[subset].max()), far)
+    best = (float(d1[subset].max()), far) if penalty[far] == 0 else (np.inf, -1)
     d2 = _shortest_paths(graph, subset[np.argmax(d1[subset])], _widened(best[0], graph))[0]
-    cand_scores = np.maximum(d1, d2)
-    if within is not None:
-        mask = np.full(len(cand_scores), np.inf)
-        mask[_sources(within, len(mask))] = 0.0
-        cand_scores = cand_scores + mask
+    cand_scores = np.maximum(d1, d2) + penalty
     cand = np.argsort(cand_scores, kind="stable")[:rounds]
     cand = cand[np.isfinite(cand_scores[cand])]
     ecc, i = _loop_search(graph, cand, lambda D, rows: D[:, subset].max(axis=1), best[0])

@@ -175,3 +175,60 @@ def test_cylinder_check_cases():
     short = B.cylinder_check(F.constant_metric(g, [[1.0, 0.0], [0.0, 0.25]]))
     assert not short.applicable
     assert short.boundary_distance == pytest.approx(0.5, abs=1e-9)
+
+
+def _einsum_jacobian_bound_check(field, fmap):
+    """jacobian_bound_check as it was with .mean corner means and a
+    three-operand einsum for the row norms: the oracle."""
+    g, n = field.grid, field.grid.n
+    full = (g.cells >= 0).all(axis=1)
+    corners, xy = g.cells[full], g.cell_corner_xy[full]
+    fvals = fmap[corners]
+    J = np.empty((len(corners), n, n))
+    for k in range(n):
+        hi = [b for b in range(2 ** n) if (b >> k) & 1]
+        lo = [b for b in range(2 ** n) if not (b >> k) & 1]
+        hk = xy[:, 1 << k, k] - xy[:, 0, k]
+        J[:, :, k] = (fvals[:, hi, :].mean(axis=1) - fvals[:, lo, :].mean(axis=1)) / hk[:, None]
+    det_g = field.cell_det()[full]
+    jac = np.abs(F._det(J)) / np.sqrt(det_g)
+    ginv = F._inv(field.cell_tensors()[full], det_g)
+    row_norms = np.sqrt(np.maximum(np.einsum("cik,ckl,cil->ci", J, ginv, J), 0.0))
+    return float(jac.max()), jac, float(row_norms.max())
+
+
+@pytest.mark.parametrize("N", [5, 17, 192])
+def test_jacobian_is_bit_equal_to_the_einsum_oracle(N):
+    g = G.build_grid(G.square(), N, 3)
+    for seed in (0, 1, 19):
+        f = F.random_spd_metric(g, seed, (0.25, 4.0))
+        fmap, _ = B.face_distance_map(f)
+        jac_max, per_cell, row_max = B.jacobian_bound_check(f, fmap)
+        ref_max, ref_cells, ref_row = _einsum_jacobian_bound_check(f, fmap)
+        assert (jac_max, row_max) == (ref_max, ref_row)
+        assert np.array_equal(per_cell, ref_cells)
+
+
+@pytest.mark.parametrize("kind,N", [("cube3", 6), ("cube4", 4)])
+def test_jacobian_matches_the_einsum_oracle_for_n_above_2(kind, N):
+    # einsum sums the n^2 terms of a row in one run for n >= 3, not k by k
+    # as it does for n = 2: the row norms agree to a few ulps, |jac| exactly
+    g = G.build_grid(G.cube(int(kind[-1])), N, 1)
+    f = F.random_spd_metric(g, 6, (0.5, 2.0))
+    fmap, _ = B.face_distance_map(f)
+    jac_max, per_cell, row_max = B.jacobian_bound_check(f, fmap)
+    ref_max, ref_cells, ref_row = _einsum_jacobian_bound_check(f, fmap)
+    assert jac_max == ref_max and np.array_equal(per_cell, ref_cells)
+    assert row_max == pytest.approx(ref_row, rel=8 * np.finfo(float).eps)
+
+
+def test_besicovitch_on_a_validated_field_calls_no_eigvalsh_or_einsum(monkeypatch):
+    g = G.build_grid(G.square(), 32, 3)
+    tensors = F.random_spd_metric(g, 4, (0.25, 4.0)).tensors
+    calls = []
+    for name, module in (("eigvalsh", np.linalg), ("einsum", np)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw))
+    assert B.verify_besicovitch(F.MetricField(g, tensors)).passed
+    assert calls == []

@@ -125,6 +125,13 @@ def test_metric_graph_component_radii_of_a_disjoint_union():
     assert circle.vertex_radius() == pytest.approx(0.45)
 
 
+def test_metric_graph_distances_keep_the_shortest_parallel_edge():
+    d = C.MetricGraph(3, [(0, 1, 1), (1, 2, 2.5), (0, 1, 0.5)]).distances()
+    assert d[0, 1] == d[1, 0] == 0.5
+    assert d[0, 2] == 3.0
+    assert C.MetricGraph(2, [(0, 1, 2.0), (1, 0, 0.25)]).distances()[0, 1] == 0.25
+
+
 @pytest.mark.filterwarnings("error")
 def test_vertex_radius_of_a_disconnected_graph_warns_nothing():
     star, circle = C.star_graph(3, 0.5, 4), C.circle_graph(1.0, 8)

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metriclab import fields as F
 from metriclab import geodesy as geo
 from metriclab import grid as G
+from metriclab import io as mio
 from metriclab import measure as M
 
 HEX = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -252,13 +253,80 @@ def test_a_validated_field_computes_its_eigenvalues_once(monkeypatch):
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
     f = F.MetricField(g, t)
+    assert calls == []  # validation computes no eigenvalue
+    lo = f.lambda_min()
     assert calls == [g.num_vertices]
-    lo, hi = f.lambda_min(), f.lambda_max()
+    hi = f.lambda_max()
     geo.systole(f)  # the loop engine's chart windows read lambda_min
     assert calls == [g.num_vertices]
     raw = F.MetricField(g, t, validate=False)
-    assert (raw.lambda_min(), raw.lambda_max()) == (lo, hi)  # the same call: bit-equal
-    assert len(calls) == 2
+    assert (raw.lambda_max(), raw.lambda_min()) == (hi, lo)  # the same call: bit-equal
+    assert calls == [g.num_vertices] * 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "pole"])
+def test_non_finite_tensors_are_rejected(tmp_path, bad, where):
+    if where == "pole":  # chart-degenerate vertices are checked for finiteness too
+        f = F.round_sphere_metric(G.build_grid(G.sphere2(), 8, 1), 1.0)
+        v, i, j = int(np.flatnonzero(f.grid.chart_degenerate)[0]), 1, 1
+    else:
+        f = F.flat_metric(G.build_grid(G.square(), 5, 1))
+        v, i, j = 7, 0, (0 if where == "diagonal" else 1)
+    t = f.tensors.copy()
+    t[v, i, j] = t[v, j, i] = bad
+    with pytest.raises(F.FieldError, match="finite"):
+        F.MetricField(f.grid, t)
+    if where != "pole":
+        with pytest.raises(F.FieldError, match="finite"):
+            F.constant_metric(f.grid, t[v])
+    mio.write_field(F.MetricField(f.grid, t, validate=False), tmp_path / "field.txt")
+    with pytest.raises(F.FieldError, match="finite"):
+        mio.read_field(tmp_path / "field.txt")
+
+
+@pytest.mark.parametrize("upper,lower,ok", [
+    (0.3, 0.3 * (1 + 9e-6), True), (0.3, 0.3 * (1 + 2e-5), False),
+    (1.0, 1.0 + 1.00001e-5, False),  # within 1e-5 of the larger entry, not of the smaller
+    (0.0, 1e-12, True), (0.0, 3e-12, False)])
+def test_symmetry_is_checked_by_the_allclose_rule(upper, lower, ok):
+    g = G.build_grid(G.square(), 5, 1)
+    t = np.broadcast_to(2 * np.eye(2), (g.num_vertices, 2, 2)).copy()
+    t[4, 0, 1], t[4, 1, 0] = upper, lower
+    for s in (t, np.swapaxes(t, 1, 2)):  # either triangle may hold the larger entry
+        assert np.allclose(s, np.swapaxes(s, 1, 2), atol=1e-12) == ok
+        if ok:
+            F.MetricField(g, s)
+        else:
+            with pytest.raises(F.FieldError, match="symmetric"):
+                F.MetricField(g, s)
+
+
+SYLVESTER_MARGIN = 1e-6  # every eigenvalue at least this far from 0, relative to the largest
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_sylvester_agrees_with_the_least_eigenvalue(n, data):
+    """Sylvester's verdict is eigvalsh(t).min() > 0 when no eigenvalue lies
+    within SYLVESTER_MARGIN * max |eigenvalue| of 0.  The margin is on every
+    eigenvalue, not only the least: an indefinite 3 x 3 tensor with another
+    eigenvalue near 0 can have a 2 x 2 leading minor of rounding size, whose
+    computed sign says nothing."""
+    entries = data.draw(st.lists(st.floats(-10, 10), min_size=n * n, max_size=n * n))
+    a = np.array(entries).reshape(n, n)
+    t = 0.5 * (a + a.T)
+    ev = np.linalg.eigvalsh(t)
+    scale = np.abs(ev).max()
+    assume(scale > 0 and np.abs(ev).min() > SYLVESTER_MARGIN * scale)
+    g = G.build_grid({1: G.interval(), 2: G.square(), 3: G.cube(3)}[n], 4, 1)
+    tensors = np.broadcast_to(np.eye(n), (g.num_vertices, n, n)).copy()
+    tensors[-1] = t
+    if ev.min() > 0:
+        F.MetricField(g, tensors)
+    else:
+        with pytest.raises(F.FieldError, match="positive definite"):
+            F.MetricField(g, tensors)
 
 
 # ---------------------------------------------------------------------------

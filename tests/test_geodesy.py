@@ -331,6 +331,14 @@ def test_set_radius_upper_center_stays_within():
     assert ecc == geo.distance_field(f, [center]).dist[[a, b]].max()
 
 
+def test_set_radius_upper_takes_its_center_from_within():
+    # the farthest subset member, vertex 1, lies outside within
+    f = F.flat_metric(G.build_grid(G.square(), 9, 3))
+    ecc, center = geo.set_radius_upper(f, [0, 1], within=[80])
+    assert center == 80
+    assert ecc == geo.distance_field(f, [80]).dist[[0, 1]].max()
+
+
 def test_radius_memory_is_bounded():
     import tracemalloc
 

@@ -170,6 +170,28 @@ def test_edge_lengths_within_four_ulp_of_the_mean_tensor_form(name, data, seed, 
     assert (_ulps(f.edge_lengths(), _reference_edge_lengths(f)) <= 4 * _cancellation(f)).all()
 
 
+def _einsum_edge_lengths(field):
+    """edge_lengths as it was with one einsum over the per-class forms."""
+    disp, index = field.grid.displacement_classes()
+    ends = np.einsum("ki,vij,kj->vk", disp, field.tensors, disp).ravel()[index]
+    return np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name,N", [
+    ("interval", 6), ("square", 6), ("square", 13), ("cylinder", 13), ("torus2", 6),
+    ("torus2", 13), ("hexagon:regular", 13), ("hexagon:tripod:0.46:0.12", 21), ("cube3", 6),
+    ("cube4", 4), ("sphere2", 14), ("rp2", 6), ("rp2", 14)])
+def test_edge_lengths_are_bit_equal_to_the_einsum_oracle(name, N, order):
+    g = G.build_grid(G.topology_from_name(name), N, order)
+    if g.topology.kind in ("sphere2", "rp2"):
+        u = 0.3 * np.cos(2 * np.pi * g.coords[:, 1]) ** 2  # antipodally even
+        f = F.conformal_rescale(F.round_sphere_metric(g, 1.0), u)
+    else:
+        f = F.random_spd_metric(g, N, (0.25, 4.0))
+    assert np.array_equal(f.edge_lengths(), _einsum_edge_lengths(f))
+
+
 def test_edge_lengths_of_a_constant_metric_are_translation_invariant():
     g = G.build_grid(G.torus2(), 16, 3)
     f = F.constant_metric(g, [[1.3, 0.3], [0.3, 0.9]])
