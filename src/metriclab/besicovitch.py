@@ -105,7 +105,7 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
     besicovitch-*.txt, stay bit-equal.  Returns (jac_max, per_cell, row_norm_max).
     """
     g, n = field.grid, field.grid.n
-    full = (g.cells >= 0).all(axis=1)
+    full = g.full_cells
     corners, xy = g.cells[full], g.cell_corner_xy[full]
     fvals = fmap[corners]  # (C, 2^n, n)
     J = np.empty((len(corners), n, n))

@@ -7,9 +7,10 @@ computed as the square root of the mean of the endpoint quadratic forms, one
 form per vertex and displacement class (see Grid.displacement_classes); by
 linearity that is the form of the mean tensor, equal to it up to an ulp.
 The same rule measures polyline segments, with tensors at non-vertex points
-obtained by multilinear interpolation on the lattice.  A field's graph fills
-the grid's stencil CSR pattern with its edge lengths.  Validation checks that
-tensors are finite, symmetric and positive definite (by leading principal
+obtained by multilinear interpolation on the lattice; one kernel
+(_quadratic_forms) forms every d^T g d, level segments' too.  A field's graph
+fills the grid's stencil CSR pattern with its edge lengths.  Validation checks
+that tensors are finite, symmetric and positive definite (by leading principal
 minors) and computes no eigenvalue: lambda_min and lambda_max make one cached
 eigvalsh call, on first use.
 
@@ -59,9 +60,7 @@ class MetricField:
     def edge_lengths(self) -> np.ndarray:
         if self._edge_lengths is None:
             disp, index = self.grid.displacement_classes()
-            t, n = self.tensors, self.grid.n  # the (V, K) forms in einsum("ki,vij,kj->vk")'s order
-            forms = sum((disp[:, i] * t[:, i, j, None]) * disp[:, j] for i, j in np.ndindex(n, n))
-            ends = forms.ravel()[index]
+            ends = _quadratic_forms(disp[None], self.tensors[:, None]).ravel()[index]
             self._edge_lengths = np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
         return self._edge_lengths
 
@@ -181,6 +180,16 @@ def _check_spd(field: MetricField):
         raise FieldError("tensors must be positive definite")
 
 
+def _quadratic_forms(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d^T t d over the last axes of broadcast stacks d (..., n) and t (..., n, n).
+
+    The terms (d_i t_ij) d_j are added in one run, (i, j) row-major, so a form
+    rounds alike in a batch of any size; tests compare it with numpy's batched order.
+    """
+    n = d.shape[-1]
+    return sum((d[..., i] * t[..., i, j]) * d[..., j] for i, j in np.ndindex(n, n))
+
+
 def _det(t: np.ndarray) -> np.ndarray:
     """Determinants of a stack of n x n matrices, in closed form for n = 2."""
     if t.shape[-1] == 2:
@@ -254,6 +263,8 @@ def conformal_rescale(field: MetricField, u: np.ndarray) -> MetricField:
     u = np.asarray(u, dtype=float)
     if u.shape != (field.grid.num_vertices,):
         raise FieldError("u must be a per-vertex scalar field")
+    if not np.all(np.isfinite(u)):
+        raise FieldError("u must be finite")
     g = field.grid
     if g.topology.kind == "rp2" and not np.allclose(u[g.antipode_map], u, atol=1e-9):
         raise FieldError("u violates the antipodal identification")
@@ -352,8 +363,8 @@ def polyline_length(field: MetricField, points) -> float:
 
     Points are unwrapped chart coordinates (integer parts encode seam wraps).
     Consecutive points must stay within stencil reach (2 lattice cells per
-    axis).  Additivity under concatenation holds only to rounding: einsum
-    may sum a lone segment's quadratic form in another order than a batch's.
+    axis).  A segment's length does not depend on the polyline around it, so
+    additivity under concatenation holds up to the grouping of the final sum.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -371,5 +382,4 @@ def polyline_length(field: MetricField, points) -> float:
     tens = field.tensor_at(wrapped)
     gbar = 0.5 * (tens[:-1] + tens[1:])
     d = np.diff(pts, axis=0)
-    q = np.einsum("si,sij,sj->s", d, gbar, d)
-    return float(np.sqrt(np.maximum(q, 0.0)).sum())
+    return float(np.sqrt(np.maximum(_quadratic_forms(d, gbar), 0.0)).sum())

@@ -6,7 +6,8 @@ coordinates in [0,1]^n and carries everything downstream modules need:
 * vertices with chart coordinates (masked domains only keep active vertices),
 * stencil edges with unwrapped chart displacements and per-axis wrap counters,
 * quadrature cells (2^n lattice corners, local unwrapped corner coordinates,
-  clipped chart volume for masked domains),
+  clipped chart volume for masked domains) and the ids of the full cells,
+  those whose 2^n corners are all vertices (Grid.full_cells),
 * labeled boundary face vertex sets,
 * the antipodal involution for sphere2 / rp2.
 
@@ -356,6 +357,7 @@ class Grid:
         self.edge_disp = edge_disp
         self.edge_wrap = edge_wrap
         self.cells = cells
+        self.full_cells = np.flatnonzero((cells >= 0).all(axis=1))
         self.cell_corner_xy = cell_corner_xy
         self.cell_chart_vol = cell_chart_vol
         self.face_sets = face_sets

@@ -9,10 +9,10 @@ tensor rule as polyline_length, and rp2 quantities carry the quotient factor
 of the double cover.
 
 One segment core and one case table serve two entry points:
-_marching_segments returns the geometry and graph keys of one level, and
-ladder_lengths returns the length of every level of a ladder from a single
-pass over the cells, bit-identical to one _marching_segments pass per level.
-Coarea profiles and separating-cut ladders use the latter.
+_marching_segments returns the segments of one level, and ladder_lengths the
+length of every level of a ladder from one pass over the cells, bit-identical
+to one _marching_segments pass per level (segment lengths round alike in a
+call of any size).  Coarea profiles and separating-cut ladders use the latter.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MetricField
+from .fields import MetricField, _quadratic_forms
 from .geodesy import distance_field
 
 # CCW corner order within a cell, as bit-order indices (00, 10, 11, 01)
@@ -107,10 +107,7 @@ def _full_cells(field: MetricField, cell_mask):
     g = field.grid
     if g.n != 2:
         raise MeasureError("level sets are implemented for 2-D fields only")
-    full = (g.cells >= 0).all(axis=1)
-    if cell_mask is not None:
-        full = full & cell_mask
-    cid = np.where(full)[0]
+    cid = g.full_cells if cell_mask is None else g.full_cells[cell_mask[g.full_cells]]
     return cid, g.cells[cid][:, _CCW], g.cell_corner_xy[cid][:, _CCW, :]
 
 
@@ -118,10 +115,10 @@ def _segments(tensors, corners, xy, s):
     """Marching-squares segments of cells with corner values s = f - t.
 
     corners, xy and s hold each cell's four CCW corners; a corner is inside
-    when s > 0.  Returns (rows, pa, pb, gbar): the row of each segment's
+    when s > 0.  Returns (rows, pa, pb, lengths): the row of each segment's
     cell (ascending, a saddle's two segments in table order), its two
-    crossing points, and the mean of the tensors blended linearly along the
-    two crossed edges.
+    crossing points, and its g-length sqrt(d^T gbar d), d = pb - pa, with
+    gbar the mean of the tensors blended linearly along the crossed edges.
     """
     inside = s > 0.0
     case = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
@@ -146,27 +143,16 @@ def _segments(tensors, corners, xy, s):
 
     pa, ta = crossing(ea)
     pb, tb = crossing(eb)
-    return rows, pa, pb, 0.5 * (ta + tb)
-
-
-def _segment_lengths(pa, pb, gbar):
-    """g-lengths sqrt(d^T gbar d), d = pb - pa, of one level's segments.
-
-    einsum's rounding depends on how many segments it is given (one
-    segment sums in another order than many), so each level's segments go
-    through one call of their own.
-    """
-    d = pb - pa
-    q = np.einsum("si,sij,sj->s", d, gbar, d)
-    return np.sqrt(np.maximum(q, 0.0))
+    q = _quadratic_forms(pb - pa, 0.5 * (ta + tb))
+    return rows, pa, pb, np.sqrt(np.maximum(q, 0.0))
 
 
 def _marching_segments(field: MetricField, fvals: np.ndarray, t: float,
                        cell_mask=None) -> LevelSegments:
     """Segments of the level {f = t} over the full cells that pass cell_mask."""
     cid, corners, xy = _full_cells(field, cell_mask)
-    rows, pa, pb, gbar = _segments(field.tensors, corners, xy, fvals[corners] - t)
-    return LevelSegments(t, cid[rows], pa, pb, _segment_lengths(pa, pb, gbar))
+    rows, pa, pb, lengths = _segments(field.tensors, corners, xy, fvals[corners] - t)
+    return LevelSegments(t, cid[rows], pa, pb, lengths)
 
 
 def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndarray:
@@ -174,12 +160,12 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
 
     A cell is crossed by level t exactly when min corner <= t < max corner,
     so a binary search of the sorted ladder gives each cell its range of
-    levels.  The (cell, level) pairs run through the segment arithmetic of
-    _marching_segments in level-major, cell-ascending order, in blocks of at
-    most _LADDER_BLOCK_PAIRS pairs (one level may exceed that).  Entry k is
-    bit-identical to _marching_segments(field, fvals, levels[k],
-    cell_mask).lengths.sum().  Lengths are those of the cover (no quotient
-    factor).
+    levels.  The (cell, level) pairs run through the segment core of
+    _marching_segments in level-major, cell-ascending order, one call per
+    block of at most _LADDER_BLOCK_PAIRS pairs (one level may exceed that).
+    Entry k, the .sum() of its level's slice, is bit-identical to
+    _marching_segments(field, fvals, levels[k], cell_mask).lengths.sum().
+    Lengths are those of the cover (no quotient factor).
     """
     fvals = np.asarray(fvals, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -206,11 +192,11 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
         pl = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pc))
         level_major = np.argsort(pl, kind="stable")
         pc, pl = pc[level_major], pl[level_major]
-        rows, pa, pb, gbar = _segments(field.tensors, corners[pc], xy[pc],
-                                       fc[pc] - tl[pl][:, None])
+        rows, _, _, lengths = _segments(field.tensors, corners[pc], xy[pc],
+                                        fc[pc] - tl[pl][:, None])
         bounds = np.searchsorted(pl[rows], np.arange(k0, k1 + 1))
         for k, a, b in zip(range(k0, k1), bounds[:-1], bounds[1:]):
-            out[order[k]] = _segment_lengths(pa[a:b], pb[a:b], gbar[a:b]).sum()
+            out[order[k]] = lengths[a:b].sum()
         k0 = k1
     return out
 

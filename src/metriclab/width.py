@@ -78,7 +78,7 @@ class SeparatingCut:
     valid: bool
     iterations: int
     reasons: list
-    total_length: float = 0.0
+    total_length: float
 
 
 def _kept_components(field: MetricField, removed_mask: np.ndarray):
@@ -152,7 +152,8 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         in_comp[comp] = True
         fvals_all = distance_field(field, [center], quotient=False).dist
         fvals = np.where(np.isfinite(fvals_all), fvals_all, 1e300)
-        cells_ok = (g.cells >= 0).all(axis=1) & in_comp[np.where(g.cells >= 0, g.cells, 0)].all(axis=1)
+        # cells with every vertex corner in comp; measure keeps only the full ones
+        cells_ok = in_comp[np.where(g.cells >= 0, g.cells, 0)].all(axis=1)
         e = g.edges
         edge_candidate = in_comp[e[:, 0]] & in_comp[e[:, 1]] & ~removed
         fu, fv = fvals[e[:, 0]], fvals[e[:, 1]]

@@ -22,7 +22,6 @@ OPTIONS = [
     "Grid(quotient_volume_factor)",
     "MetricField(validate)",
     "RadiusResult(per_component)",
-    "SeparatingCut(total_length)",
     "WidthCertificate(curves)",
     "WidthCertificate(r0)",
     "WidthCertificate(r1)",

@@ -238,6 +238,32 @@ def test_rp2_quotient_invariance_checks():
         F.conformal_rescale(base, g.coords[:, 1].copy())
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_conformal_rescale_rejects_a_non_finite_u(bad):
+    f = F.flat_metric(G.build_grid(G.square(), 5, 1))
+    u = np.zeros(f.grid.num_vertices)
+    u[0] = bad
+    with pytest.raises(F.FieldError, match="finite"):
+        F.conformal_rescale(f, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([2, 3]), rows=st.integers(1, 17), data=st.data())
+def test_quadratic_forms_do_not_depend_on_the_batch(n, rows, data):
+    """A batch's forms are bit-equal to its rows' forms taken one at a time,
+    and to einsum's on two or more rows (a lone row einsum groups otherwise)."""
+    vals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    d = np.array(data.draw(st.lists(vals, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    a = np.array(data.draw(st.lists(vals, min_size=rows * n * n, max_size=rows * n * n)))
+    a = a.reshape(rows, n, n)
+    t = a + np.swapaxes(a, 1, 2)
+    q = F._quadratic_forms(d, t)
+    assert np.array_equal(q, np.concatenate([F._quadratic_forms(d[k:k + 1], t[k:k + 1])
+                                             for k in range(rows)]))
+    if rows >= 2:
+        assert np.array_equal(q, np.einsum("si,sij,sj->s", d, t, d))
+
+
 def test_spd_validation():
     g = G.build_grid(G.square(), 8, 1)
     t = np.broadcast_to(np.eye(2), (g.num_vertices, 2, 2)).copy()

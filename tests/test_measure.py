@@ -10,6 +10,7 @@ from metriclab import fields as F
 from metriclab import geodesy as geo
 from metriclab import grid as G
 from metriclab import measure as M
+from metriclab import width as W
 
 HEX = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -226,6 +227,20 @@ def test_ladder_lengths_property(seed, top, quantized, masked, data):
     mask = rng.random(len(g.cells)) < 0.5 if masked else None
     got = M.ladder_lengths(f, fvals, levels, cell_mask=mask)
     assert np.array_equal(got, _per_level(f, fvals, levels, mask))
+
+
+def test_lengths_call_no_einsum(monkeypatch):
+    g = G.build_grid(G.square(), 17, 3)
+    f = F.flat_metric(g)
+    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert M.coarea_profile(f, d, 32).total == pytest.approx(1.0, rel=0.05)
+    assert len(W.separating_cut(f, 0.5).curves) >= 1
+    assert F.polyline_length(f, [[0.0, 0.0], [0.1, 0.1]]) == pytest.approx(0.1 * math.sqrt(2))
 
 
 def test_volume_profile_small_disk():
