@@ -105,7 +105,8 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
     besicovitch-*.txt, stay bit-equal.  Returns (jac_max, per_cell, row_norm_max).
     """
     g, n = field.grid, field.grid.n
-    full = g.full_cells
+    # every cell of a cube-like grid is full: take the arrays, not a gather
+    full = slice(None) if len(g.full_cells) == len(g.cells) else g.full_cells
     corners, xy = g.cells[full], g.cell_corner_xy[full]
     fvals = fmap[corners]  # (C, 2^n, n)
     J = np.empty((len(corners), n, n))

@@ -35,17 +35,23 @@ must pass check_length before it is returned.  One Dijkstra from v serves
 several isometries at once: each keeps its own least value, first minimizing
 source and meet point, and the cut-off is the least value over all of them.
 
-On torus2/cylinder the graph is a window of fundamental-domain copies: the
+On torus2/cylinder the graph is a box of lattice points of the lift: the
 shortest loop through a base vertex v in deck class c equals the lifted
 distance from v to its translate by c.  Any loop with a nonzero first winding
 must pass through one of the two lattice columns next to the seam (stencil
 moves span at most two columns), so minimizing over those base vertices is
-exact; symmetrically for the second axis.  Both halves of a loop of length at
-most ub stay within (ub / 2 + longest edge) / sqrt(lambda_min) chart units of
-the base lines, and the window holds those copies only; ub is the graph length
-of a stencil walk in the class, a true upper bound.  The window depends on
-the class only through ub and whether its first winding is nonzero, so the
-systole searches every class with a nonzero first winding in one window.
+exact; symmetrically for the second axis.  An edge of displacement class j
+is at least m_j long (the least in its class), so a path moves at most
+length / b_k chart units along axis k, with b_k the least m_j / |delta_jk|
+over classes that move along k (b_k >= sqrt(lambda_min)).  Every vertex that
+a Dijkstra from a base vertex settles within its cut-off, at most
+ub / 2 + longest edge, therefore lies within cut-off / b_k of the base lines
+along axis k, and the box holds those points, plus one lattice spacing
+(_deck_box): every ball of the cut-off radius lies in it whole, and so both
+halves of every loop of length at most ub.  ub is the graph length of a
+stencil walk in the class, a true upper bound.  The box depends on the class
+only through ub and whether its first winding is nonzero, so the systole
+searches every class with a nonzero first winding in one box.
 
 On rp2, noncontractible loops lift to paths from v to its antipode on the
 sphere double cover.  The antipodal map sends the meridian circle (longitudes
@@ -61,7 +67,7 @@ automorphism of the graph; it commutes with the deck group and with the
 antipode (on sphere2/rp2 it is a longitude rotation, the poles fixed).  The
 check costs O(E) per axis, once per field.  scipy's computed distances within
 a cut-off are the unique fixed point of d(x) = min over d(u) < d(x) of
-fl(d(u) + w(u, x)), which does not depend on heap order, and the window holds
+fl(d(u) + w(u, x)), which does not depend on heap order, and the box holds
 every ball of the cut-off radius around a base vertex; so the row of T v is
 the row of v moved by T, bit for bit, and d(v, t v) = d(T v, t T v) exactly.
 Every base vertex of an orbit ties, the least minimizing index of the search
@@ -448,60 +454,79 @@ def _stencil_walk_length(field, base, cls) -> float:
 
 def _sqrt_lambda_min(field) -> float:
     """sqrt(lambda_min): the least length of a chart unit step (GeodesyError
-    on a degenerate metric, whose chart windows would be unbounded)."""
+    on a degenerate metric, whose lifted boxes would be unbounded)."""
     lam = field.lambda_min()
     if not lam > 0:
         raise GeodesyError(f"degenerate metric: least tensor eigenvalue {lam!r} is not positive")
     return math.sqrt(lam)
 
 
-def _deck_window(field, cls, ub: float, reach: float):
-    """(kx0, nx, ky0, ny): the copies of the lift that hold every vertex within
-    (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines, plus
-    one lattice spacing.  A path of graph length l spans at most
-    l / sqrt(lambda_min) chart units, so this holds both halves of every
-    loop of length <= ub met halfway (see _meet_search)."""
+def _deck_box(field, cls, ub: float, reach: float):
+    """(lo, shape): the box of lattice points of the lift, lo its least index,
+    that holds every point within (ub / 2 + reach) / b_k plus one lattice
+    spacing of the base lines along each periodic axis k, and a bounded axis
+    whole.  b_k, the least m_j / |delta_jk| over displacement classes j with
+    delta_jk != 0 (m_j the least edge length in class j), bounds the graph
+    length of a path per chart unit it moves along axis k; so the box holds
+    both halves of every loop of length <= ub met halfway (module docstring)."""
     g = field.grid
-    r = (_padded(ub) / 2 + reach) / _sqrt_lambda_min(field) + max(g.spacing)
-    across = 0 if cls[0] != 0 else 1
-    out = []
-    for k in range(2 if g.topology.kind == "torus2" else 1):
-        top = g.spacing[k] * (1 if k == across else g.lattice_shape[k] - 1)
-        k0 = math.floor(-r)
-        out += [k0, math.floor(top + r) - k0 + 1]
-    return tuple(out) if len(out) == 4 else (*out, 0, 1)
+    disp, index = g.displacement_classes()
+    least = np.full(len(disp), np.inf)
+    np.minimum.at(least, index[:, 0] % len(disp), field.edge_lengths())
+    with np.errstate(divide="ignore"):
+        b = (least[:, None] / np.abs(disp)).min(axis=0)
+    lo, shape, across = [], [], 0 if cls[0] != 0 else 1
+    for k, (n, h, periodic) in enumerate(zip(g.lattice_shape, g.spacing, g.topology.periodic)):
+        m = math.floor(((_padded(ub) / 2 + reach) / b[k] + h) / h) if periodic else 0
+        lo.append(-m)
+        shape.append((2 if k == across else n) + 2 * m)
+    return lo, shape
 
 
-def _lifted_graph(field, nx: int, ny: int) -> csr_matrix:
-    """CSR over an nx-by-ny window of fundamental-domain copies.
-
-    Copy (i, j) of the window is c = i * ny + j and holds vertex ids
-    c*V .. c*V + V-1; edges that leave the window are dropped.  The grid's
-    lifted entry order is already each row's column order, so each copy's
-    rows are one mask and one gather of it.
-    """
+def _lifted_graph(field, lo, shape) -> csr_matrix:
+    """CSR over a box of lattice points of the lift (_deck_box): point
+    lo + (a, b) is vertex a * shape[1] + b, and a row holds its stencil moves
+    that stay in the box, in lexicographic order, which is column order.
+    Moves are written straight into the CSR arrays, one move at a time.
+    GeodesyError, before anything is allocated, when the CSR and one
+    (_CHUNK, P) float64 block are estimated above _BLOCK_BYTES."""
     g = field.grid
-    V = g.num_vertices
-    entries = g.lifted_order()
-    edge = entries >> 1
-    sign = 1 - 2 * (entries & 1).astype(np.int64)
-    wx = g.edge_wrap[edge, 0] * sign
-    wy = g.edge_wrap[edge, 1] * sign if g.n > 1 else np.zeros_like(wx)
-    wt = field.edge_lengths()[edge]
-    nverts = nx * ny * V
-    idx = np.int32 if max(nverts, nx * ny * len(entries)) <= np.iinfo(np.int32).max else np.int64
-    shift = ((wx * ny + wy) * V + g.edges.ravel()[entries ^ 1]).astype(idx)  # column - c*V
-    row_end = np.cumsum(g.degrees())  # entries are grouped by row, in row order
-    indptr, indices, data = [np.zeros(1, dtype=idx)], [], []
-    for c in range(nx * ny):
-        i, j = divmod(c, ny)
-        ok = (wx >= -i) & (wx < nx - i) & (wy >= -j) & (wy < ny - j)
-        kept = np.concatenate([[0], np.cumsum(ok)])[row_end]
-        indptr.append((indptr[-1][-1] + kept).astype(idx))
-        indices.append(shift[ok] + c * V)
-        data.append(wt[ok])
-    return csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-                      shape=(nverts, nverts))
+    disp, index = g.displacement_classes()
+    K, P = len(disp), math.prod(shape)
+    nbytes = 2 * K * P * (4 + 8) + 4 * (P + 1) + _CHUNK * P * 8
+    if nbytes > _BLOCK_BYTES:  # below it, every index fits in int32
+        raise GeodesyError(f"a lifted box of {P} vertices needs about {nbytes} bytes for its "
+                           f"graph and one Dijkstra block, above the ceiling of {_BLOCK_BYTES}")
+    offsets = np.rint(disp / g.spacing).astype(np.int64)
+    moves = np.concatenate([offsets, -offsets])  # move K + j is class j backwards
+    weight = np.full((g.num_vertices, 2 * K), np.nan)  # per vertex and move; nan: no edge
+    cls, w = index[:, 0] % K, field.edge_lengths()
+    weight[g.edges[:, 0], cls], weight[g.edges[:, 1], K + cls] = w, w
+    vertex = g.lattice_vid[np.ix_(*[(l + np.arange(s)) % n
+                                    for l, s, n in zip(lo, shape, g.lattice_shape)])]
+    ids = np.arange(P, dtype=np.int32).reshape(shape)
+    order = np.lexsort(moves.T[::-1])
+
+    def entries(j):  # the box points whose move j stays in the box, and its weights
+        inside = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(moves[j], shape))
+        wt = weight[vertex[inside], j]
+        return inside, wt, ~np.isnan(wt)
+
+    pos = np.zeros(shape, dtype=np.int32)
+    for j in order:
+        inside, _, ok = entries(j)
+        pos[inside] += ok
+    indptr = np.zeros(P + 1, dtype=np.int32)
+    np.cumsum(pos, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    pos.ravel()[:] = indptr[:-1]  # where each row's next entry goes
+    for j in order:
+        inside, wt, ok = entries(j)
+        at = pos[inside][ok]
+        indices[at] = ids[inside][ok] + moves[j] @ (shape[1], 1)
+        data[at] = wt[ok]
+        pos[inside] += ok
+    return csr_matrix((data, indices, indptr), shape=(P, P))
 
 
 def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
@@ -567,15 +592,15 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
 
     d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and the minimum is met
     at a w halfway along a shortest path, where both terms are within
-    length / 2 + reach of v.  isometries lists, for each s, its pairs of
-    column indices (a, b) with b the preimages of a; each pair is reduced on
-    its own, so that no second block-sized array is alive.  Each isometry
-    keeps its own least value, first minimizing source and meet point; the
-    cut-off is the least value over all of them so far, and every value
-    within it is exact (_loop_search).  keep masks the sources searched.
-    chains() gives the vertex chains from sources[i] to w and to s^-1 w, from
-    one more Dijkstra, cut off at the first cut-off of the search, which held
-    both.
+    length / 2 + reach of v.  isometries lists, for each s, a shape to view
+    the columns in and its pairs (a, b) of index tuples into that view, with
+    b the preimages of a; each pair is reduced on its own, so that no second
+    block-sized array is alive.  Each isometry keeps its own least value,
+    first minimizing source and meet point; the cut-off is the least value
+    over all of them so far, and every value within it is exact
+    (_loop_search).  keep masks the sources searched.  chains() gives the
+    vertex chains from sources[i] to w and to s^-1 w, from one more Dijkstra,
+    cut off at the first cut-off of the search, which held both.
     """
     cols = np.arange(graph.shape[0])
     vals = np.full((len(isometries), len(sources)), np.inf)
@@ -583,15 +608,17 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
 
     def value(D, rows):
         r = np.arange(len(D))
-        for k, pairs in enumerate(isometries):
-            best = vals[k, rows]
+        for k, (shape, pairs) in enumerate(isometries):
+            view, ids, best = D.reshape(len(D), *shape), cols.reshape(shape), vals[k, rows]
             for a, b in pairs:
-                s = D[:, a] + D[:, b]
+                s = (view[(slice(None), *a)] + view[(slice(None), *b)]).reshape(len(D), -1)
                 j = np.argmin(s, axis=1)
                 m = s[r, j]
+                del s  # before the next pair's sum is made
                 won = m < best
                 best[won] = m[won]
-                meet[k, rows[won]] = np.stack([cols[a][j[won]], cols[b][j[won]]], axis=1)
+                meet[k, rows[won]] = np.stack([ids[a].ravel()[j[won]], ids[b].ravel()[j[won]]],
+                                              axis=1)
             vals[k, rows] = best
         return vals[:, rows].min(axis=0)
 
@@ -609,38 +636,51 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
     return None if all(f is None for f in found) else found
 
 
+def _shifted(r, d) -> slice:
+    """The slice of range r moved down by d."""
+    return slice(r.start - d, r.stop - d)
+
+
 def _deck_loops(field: MetricField, classes, base, ub: float):
     """_meet_search over the deck translations by classes (torus2/cylinder),
     from the base vertices base that every loop in each of them crosses, in
-    one window: the one that holds every loop of length <= ub met halfway
-    (_deck_window).  The window depends on a class only through whether its
-    first winding is nonzero, so classes must agree on that."""
+    one box: the one that holds every loop of length <= ub met halfway
+    (_deck_box).  The box depends on a class only through whether its first
+    winding is nonzero, so classes must agree on that.  Class (p, q) sends box
+    point x to x + (p N, q N), so its pairs are shifted views of the block,
+    one fundamental domain of box rows at a time.  The chains it returns are
+    of grid vertices."""
     g = field.grid
-    V = g.num_vertices
+    n = g.lattice_shape
     reach = float(field.edge_lengths().max())
-    kx0, nx, ky0, ny = _deck_window(field, classes[0], ub, reach)
+    lo, shape = _deck_box(field, classes[0], ub, reach)
     isometries = []
-    for p, q in classes:
-        # the deck translation's preimages of copy (i, j) are copy (i - p, j - q)
-        pairs = []
-        for i0 in range(max(0, p), min(nx, nx + p)):
-            for j0 in range(max(0, q), min(ny, ny + q)):
-                a, b = i0 * ny + j0, (i0 - p) * ny + j0 - q
-                pairs.append((slice(a * V, (a + 1) * V), slice(b * V, (b + 1) * V)))
-        isometries.append(pairs)
-    c0 = -kx0 * ny - ky0
-    return _meet_search(_lifted_graph(field, nx, ny), c0 * V + base, isometries, ub, reach,
-                        _orbit_representatives(field, base))
+    for c in classes:
+        t = (c[0] * n[0], c[1] * n[1])
+        xs, ys = (range(max(0, d), min(s, s + d)) for d, s in zip(t, shape))
+        rows = [range(i, min(i + n[0], xs.stop)) for i in xs[::n[0]] if ys]
+        isometries.append((shape, [((_shifted(x, 0), _shifted(ys, 0)),
+                                    (_shifted(x, t[0]), _shifted(ys, t[1]))) for x in rows]))
+    sources = np.ravel_multi_index([i - l for i, l in zip(np.unravel_index(base, n), lo)], shape)
+
+    def vertices(chain):  # box points to grid vertices
+        at = np.unravel_index(chain, shape)
+        return g.lattice_vid[tuple((i + l) % m for i, l, m in zip(at, lo, n))]
+
+    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach,
+                         _orbit_representatives(field, base))
+    return found and [f and (f[0], f[1], lambda chains=f[2]: [vertices(c) for c in chains()])
+                      for f in found]
 
 
 def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -> LoopWitness:
     """The witness of a loop met halfway, once its polyline is seen to have its
     graph length: the chain to the meet point w joined with image (the
     isometry, as a vertex map on the chain) of the reversed chain to its
-    preimage, taken mod V and unwrapped."""
+    preimage, unwrapped."""
     g = field.grid
     to_w, to_pre = chains()
-    chain = np.concatenate([to_w, image(to_pre[-2::-1])]) % g.num_vertices
+    chain = np.concatenate([to_w, image(to_pre[-2::-1])])
     witness = LoopWitness(cls, int(base_vertex), _unwrap_chain(g, chain), length)
     if not witness.check_length(field):
         raise GeodesyError(
@@ -650,9 +690,9 @@ def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -
 
 
 def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
-    """The checked witness of a _deck_loops result in class cls; in the
-    window, a vertex id mod V is its vertex of the grid, so the translation's
-    image of the chain is the chain itself."""
+    """The checked witness of a _deck_loops result in class cls; its chains
+    are of grid vertices, so the translation's image of a chain is the chain
+    itself."""
     length, i, chains = found
     return _loop_witness(field, cls, base[i], length, chains, lambda chain: chain)
 
@@ -664,8 +704,8 @@ def shortest_loop_in_class(field: MetricField, cls):
     returned base vertex is the first minimizing one among them.  Only the
     first base vertex of each orbit of exact lattice translations is searched
     (module docstring); the others tie with it.  The bound is the graph length
-    of a stencil walk in the class, and the window holds every loop within it
-    met halfway (_deck_window), so one search always suffices; a class with
+    of a stencil walk in the class, and the box holds every loop within it
+    met halfway (_deck_box), so one search always suffices; a class with
     no loop within it raises.  The witness passes check_length before it is
     returned.
     """
@@ -705,17 +745,19 @@ def systole(field: MetricField) -> LoopWitness:
     On torus2 the primitive classes c are walked in increasing |c|; a class
     replaces the shortest loop so far only when shorter by 1e-15, and the
     walk ends at the first class whose lower bound sqrt(lambda_min) |c|
-    reaches it, since every later class's bound is no smaller.  (0, 1) is
-    searched first, alone.  Every later class has a nonzero first winding and
-    the same base vertices, so one joint search, in one window and with one
-    Dijkstra per base vertex, reduces them all.  Its classes are taken in one
-    pass: in increasing |c|, ub starts at the (0, 1) length and falls to each
-    class's stencil walk, and the first class whose bound reaches ub ends the
-    set.  No shortest loop so far is ever above ub, so this is a superset of
-    the classes the walk reaches, and a class left out has no value below
-    the cut-off's start.  Each class keeps its own least value, first
-    minimizing base vertex and meet point (_meet_search), and the walk then
-    runs on those values.  The window is that of ub.
+    reaches it, since every later class's bound is no smaller.  One ub,
+    found before any search, bounds every search: in increasing |c| it starts
+    at the (0, 1) stencil walk and falls to each later class's walk, and the
+    first class whose bound reaches it ends the joint set.  No shortest loop
+    so far is ever above ub, so this set holds the classes the walk reaches,
+    and a class left out has no value below the cut-off's start.  (0, 1) is
+    searched first, alone, at ub; with no loop within ub it is longer than
+    the loop of the walk that set ub, and the walk goes on without it.  Every
+    later class has a nonzero first winding and the same base vertices, so
+    one joint search, in one box and with one Dijkstra per base vertex,
+    reduces them all.  Each class keeps its own least value, first minimizing
+    base vertex and meet point (_meet_search), and the walk then runs on
+    those values.
 
     The choice is that of a walk with one search per class.  The joint
     cut-off, the least value over every class so far, never falls below the
@@ -739,23 +781,23 @@ def systole(field: MetricField) -> LoopWitness:
         raise GeodesyError(f"{kind} is simply connected or unsupported")
 
     lam = _sqrt_lambda_min(field)
-    best = shortest_loop_in_class(field, (0, 1))
-    base = _loop_base_vertices(g, (1, 0))
-    joint, ub = [], best.length
+    first, base = _loop_base_vertices(g, (0, 1)), _loop_base_vertices(g, (1, 0))
+    joint, ub = [], _stencil_walk_length(field, first, (0, 1))
     for c in itertools.islice(_primitive_classes(), 1, None):
         if lam * math.hypot(*c) >= ub:  # a later class's bound is no smaller
             break
         joint.append(c)
         ub = min(ub, _stencil_walk_length(field, base, c))
-    if not joint:
-        return best
-    length, win = best.length, None
-    for c, found in zip(joint, _deck_loops(field, joint, base, ub) or ()):
-        if lam * math.hypot(*c) >= length:
-            break
-        if found is not None and found[0] < length - 1e-15:
-            length, win = found[0], (c, found)
-    return best if win is None else _deck_witness(field, win[0], base, win[1])
+    length, win = np.inf, None
+    for classes, b in [([(0, 1)], first)] + ([(joint, base)] if joint else []):
+        for c, found in zip(classes, _deck_loops(field, classes, b, ub) or ()):
+            if lam * math.hypot(*c) >= length:
+                break
+            if found is not None and found[0] < length - 1e-15:
+                length, win = found[0], (c, b, found)
+    if win is None:
+        raise GeodesyError(f"no noncontractible loop found within bound {ub}")
+    return _deck_witness(field, *win)
 
 
 def _antipodal_search(field: MetricField):
@@ -772,10 +814,10 @@ def _antipodal_search(field: MetricField):
     # d(v, w) + d(v, -w) is symmetric in w and -w: the southern half holds
     # one of each; taken in two parts, no temporary is block-sized
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    pairs = [(h, anti[h]) for h in np.array_split(half, 2)]
+    pairs = [((h,), (anti[h],)) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
-    (length, i, chains), = _meet_search(graph, band, [pairs], ub,
+    (length, i, chains), = _meet_search(graph, band, [((len(anti),), pairs)], ub,
                                         float(field.edge_lengths().max()),
                                         _orbit_representatives(field, band))
     return length, int(band[i]), chains

@@ -36,12 +36,10 @@ built on first use and kept for the grid's lifetime:
 * the CSR pattern of the 2E directed stencil entries (Grid.stencil), whose
   entry order, by (row, column), lets a field fill in its graph weights
   with one gather and no sort,
-* a second order of the directed entries, by (row, wrap per axis, column)
-  (Grid.lifted_order), which is the column order of every window of
-  fundamental-domain copies, so a lifted graph is one gather per copy,
 * the displacement classes of the edges (Grid.displacement_classes): edges
   with one integer lattice offset share a bit-equal chart displacement, so
-  a field evaluates one quadratic form per vertex and class.
+  a field evaluates one quadratic form per vertex and class, and a lifted
+  box of the loop search reads its stencil moves from them.
 """
 
 from __future__ import annotations
@@ -371,7 +369,6 @@ class Grid:
         )
         self.quotient_volume_factor = quotient_volume_factor
         self._stencil = None        # StencilCSR, built on first use
-        self._lifted_order = None   # directed entries by (row, wraps, column)
         self._classes = None        # (class_disp, form_index)
 
     @property
@@ -397,22 +394,6 @@ class Grid:
             self._stencil = StencilCSR(indptr, (keys % V).astype(np.int32),
                                        (order >> 1).astype(np.int32), keys)
         return self._stencil
-
-    def lifted_order(self) -> np.ndarray:
-        """Directed entries (2 e + s, see StencilCSR) by (row, wrap along each
-        axis, column), with the wrap counted in the entry's direction.  Within
-        a row this is the column order of any window of fundamental-domain
-        copies whose copy index grows with the copy's position along each
-        axis, the last axis fastest."""
-        if self._lifted_order is None:
-            sign = np.array([1, -1], dtype=np.int64)
-            code = np.zeros(2 * self.num_edges, dtype=np.int64)
-            for k in range(self.n):  # wraps are -1, 0 or 1: stencil steps are shorter than N
-                code = code * 3 + (self.edge_wrap[:, k, None] * sign + 1).ravel()
-            keys = ((self.edges.ravel() * 3 ** self.n + code) * self.num_vertices
-                    + self.edges[:, ::-1].ravel())
-            self._lifted_order = np.argsort(keys, kind="stable").astype(np.int32)
-        return self._lifted_order
 
     def displacement_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class_disp, form_index): the edges grouped by integer lattice offset.

@@ -76,6 +76,34 @@ def test_degree_random_fields_always_one():
         assert B.boundary_degree(fmap, g, d) == 1
 
 
+class _Indexed(np.ndarray):
+    """An array that records every index it is read with."""
+
+    def __getitem__(self, item):
+        self.reads.append(item)
+        return np.asarray(self)[item]
+
+
+@pytest.mark.parametrize("name,N", [("square", 48), ("cube3", 6)])
+def test_jacobian_gathers_no_cells_when_every_cell_is_full(name, N):
+    g = G.build_grid(G.topology_from_name(name), N, 3)
+    f = F.random_spd_metric(g, 3, (0.5, 2.0))
+    fmap, _ = B.face_distance_map(f)
+    f.cell_tensors(), f.cell_det()  # cached before the arrays are watched
+    want = B.jacobian_bound_check(f, fmap)
+    assert len(g.full_cells) == len(g.cells)
+    for attr in ("cells", "cell_corner_xy", "_cell_tensors", "_cell_det"):
+        owner = f if attr.startswith("_") else g
+        watched = getattr(owner, attr).view(_Indexed)
+        watched.reads = []
+        setattr(owner, attr, watched)
+    got = B.jacobian_bound_check(f, fmap)
+    for attr in ("cells", "cell_corner_xy", "_cell_tensors", "_cell_det"):
+        reads = getattr(f if attr.startswith("_") else g, attr).reads
+        assert reads == [slice(None)], attr
+    assert got[0] == want[0] and got[2] == want[2] and np.array_equal(got[1], want[1])
+
+
 def test_jacobian_small_for_conformal_fields_and_shrinks():
     vals = []
     for N in (48, 96):

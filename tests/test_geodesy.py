@@ -670,28 +670,31 @@ def test_witness_closes_in_its_class(N, seed, cls):
 def _oracle_class(f, cls, length):
     """Base vertices and d(v, v + cls) for each, from full-radius Dijkstras.
 
-    The window spans the base lines, copy cls and length / (2 sqrt(lambda_min))
-    more, so it holds every loop of length <= length through a base vertex.
+    The box spans the base lines, their translates by cls and
+    length / (2 sqrt(lambda_min)) more, so it holds every loop of length
+    <= length through a base vertex.
     """
     g = f.grid
-    V = g.num_vertices
     p, q = cls if g.topology.kind == "torus2" else (cls, 0)
     base = geo._loop_base_vertices(g, (p, q))
     m = length / (2 * math.sqrt(f.lambda_min())) + 2 * max(g.spacing)
-    k0, n = [], []
+    lo, shape, shift = [], [], (p * g.lattice_shape[0], q * g.lattice_shape[1])
     for axis, c in enumerate((p, q)):
+        n = g.lattice_shape[axis]
         if axis == 1 and g.topology.kind == "cylinder":
-            k0.append(0), n.append(1)
+            lo.append(0), shape.append(n)
             continue
-        lo = math.floor(min(0, c) + g.coords[base, axis].min() - m)
-        k0.append(lo), n.append(math.floor(max(0, c) + g.coords[base, axis].max() + m) - lo + 1)
-    lifted = geo._lifted_graph(f, *n)
-    c0 = -k0[0] * n[1] - k0[1]
-    ct = (p - k0[0]) * n[1] + q - k0[1]
+        low = math.floor((min(0, c) + g.coords[base, axis].min() - m) * n)
+        lo.append(low), shape.append(math.ceil((max(0, c) + g.coords[base, axis].max() + m) * n)
+                                     - low + 1)
+    lifted = geo._lifted_graph(f, lo, shape)
+    at = np.unravel_index(base, g.lattice_shape)
+    src = np.ravel_multi_index([i - l for i, l in zip(at, lo)], shape)
+    dst = np.ravel_multi_index([i + t - l for i, t, l in zip(at, shift, lo)], shape)
     vals = np.empty(len(base))
     for rows in np.array_split(np.arange(len(base)), -(-len(base) // 64)):
-        D = dijkstra(lifted, indices=c0 * V + base[rows], limit=length * 1.001 + 1e-9)
-        vals[rows] = D[np.arange(len(rows)), ct * V + base[rows]]
+        D = dijkstra(lifted, indices=src[rows], limit=length * 1.001 + 1e-9)
+        vals[rows] = D[np.arange(len(rows)), dst[rows]]
     return base, vals
 
 
@@ -762,17 +765,30 @@ def test_loop_engine_matches_oracle_on_bump_tori(N, seed, base, cls):
     _assert_matches_oracle(_bump_torus(N, seed, base), cls)
 
 
-def test_hexagonal_windows_at_N128_are_no_larger():
+def _recorded_boxes(monkeypatch):
+    """The vertex count of every box _lifted_graph builds."""
+    boxes, real_lift = [], geo._lifted_graph
+    monkeypatch.setattr(geo, "_lifted_graph", lambda field, lo, shape: boxes.append(
+        math.prod(shape)) or real_lift(field, lo, shape))
+    return boxes
+
+
+def test_hexagonal_windows_at_N128_are_no_larger(monkeypatch):
     f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), HEX)
     reach = float(f.edge_lengths().max())
-    # copies of the former window, which spanned copy cls and the loop's reach
+    V = f.grid.num_vertices
+    # copies of the former window, which spanned copy cls and the loop's
+    # reach; it pinned (1, 0) and (1, -1) to 2 x 3 copies, 98,304 vertices
     former = {(1, 0): 6, (0, 1): 6, (1, -1): 9, (1, 1): 25}
-    pinned = {(1, 0): (2, 3), (1, -1): (2, 3)}
+    pinned = {(1, 0): [156, 282], (0, 1): [282, 156], (1, -1): [156, 282]}
     for cls, copies in former.items():
         ub = geo._stencil_walk_length(f, geo._loop_base_vertices(f.grid, cls), cls)
-        _, nx, _, ny = geo._deck_window(f, cls, ub, reach)
-        assert nx * ny <= copies
-        assert (nx, ny) == pinned.get(cls, (nx, ny))
+        _, shape = geo._deck_box(f, cls, ub, reach)
+        assert math.prod(shape) <= copies * V
+        assert shape == pinned.get(cls, shape)
+    boxes = _recorded_boxes(monkeypatch)
+    geo.systole(f)
+    assert boxes == [43_992, 43_992]
 
 
 def test_stencil_walk_is_a_true_upper_bound():
@@ -1021,34 +1037,88 @@ def test_systole_searches_each_class_once(monkeypatch):
     assert len(joint) == 11 and set(walked) <= set(reduced)
 
 
+def _former_window(f, cls, ub):
+    """Vertices of the former window: the whole copies that held every vertex
+    within (ub / 2 + reach) / sqrt(lambda_min) of the base lines, plus one
+    lattice spacing."""
+    g = f.grid
+    r = ((ub * (1 + 1e-12) + 1e-12) / 2 + float(f.edge_lengths().max())) / math.sqrt(
+        f.lambda_min()) + max(g.spacing)
+    across = 0 if cls[0] != 0 else 1
+    tops = [g.spacing[k] * (1 if k == across else g.lattice_shape[k] - 1) for k in (0, 1)]
+    return math.prod(math.floor(top + r) - math.floor(-r) + 1 for top in tops) * g.num_vertices
+
+
 @pytest.mark.parametrize("name", ["bump-hexagonal-64", "sheared-1-3-10"])
 def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
     f = (_bump_torus(64, 1, "hexagonal") if name == "bump-hexagonal-64"
          else SYSTOLE_CASES[name]())
+    g = f.grid
     L01 = geo.shortest_loop_in_class(f, (0, 1)).length
-    windows = []
-    real_lift = geo._lifted_graph
-    monkeypatch.setattr(geo, "_lifted_graph",
-                        lambda field, nx, ny: windows.append(nx * ny) or real_lift(field, nx, ny))
+    boxes = _recorded_boxes(monkeypatch)
     calls = _joint_calls(monkeypatch)
     geo.systole(f)
-    joint, ub, peak = calls[1]
-    # ub is the least of the (0, 1) length and every joint class's stencil walk
-    base = geo._loop_base_vertices(f.grid, (1, 0))
-    assert ub == min([L01] + [geo._stencil_walk_length(f, base, c) for c in joint])
-    # the former walk's first p != 0 window, that of (1, 0) pruned at (0, 1)
-    reach = float(f.edge_lengths().max())
-    first = min(geo._stencil_walk_length(f, base, (1, 0)), L01)
-    _, nx, _, ny = geo._deck_window(f, (1, 0), first, reach)
-    assert len(windows) == 2 and windows[1] <= nx * ny
+    (_, ub01, _), (joint, ub, peak) = calls
+    # one ub, the least of the (0, 1) walk and every joint class's walk,
+    # bounds both searches
+    first, base = geo._loop_base_vertices(g, (0, 1)), geo._loop_base_vertices(g, (1, 0))
+    walk01 = geo._stencil_walk_length(f, first, (0, 1))
+    assert ub01 == ub == min([walk01] + [geo._stencil_walk_length(f, base, c) for c in joint])
+    # each box is no larger than the former window of its search: (0, 1) at
+    # its own walk, and the joint classes at the least of the (1, 0) walk and
+    # the (0, 1) length
+    former = [_former_window(f, (0, 1), walk01),
+              _former_window(f, (1, 0), min(geo._stencil_walk_length(f, base, (1, 0)), L01))]
+    assert len(boxes) == 2 and boxes[0] <= former[0] and boxes[1] <= former[1]
     if name == "bump-hexagonal-64":
-        assert (nx, ny) == (2, 3) and len(joint) == 3
+        assert former == [6 * 4096, 6 * 4096] and len(joint) == 3
+        assert boxes == [15_680, 15_680]
     # pairs are reduced one at a time: the joint search peaks within half a
-    # (64, V) block of the former one-class search of (1, 0) in that window
-    # (its per-class values and meet points are (classes, sources) arrays)
-    calls.clear()
-    geo._deck_loops(f, [(1, 0)], base, first)
-    assert peak <= calls[0][2] + 32 * f.grid.num_vertices * 8
+    # (64, P) block of the box's ceiling estimate (its CSR and one (64, P)
+    # block), below the former bound, the former one-class search of (1, 0)
+    # plus half a (64, V) block (22.8 MB and 17.7 MB)
+    P = boxes[1]
+    assert peak <= 16 * P * 12 + 4 * (P + 1) + 64 * P * 8 + 32 * P * 8
+
+
+def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
+    # diag(1e-4, 1): one ub, that of the (1, 0) walk, sizes both boxes; the
+    # copies window of sqrt(lambda_min) held 4.1 million vertices at N = 16
+    # and 48.2 million at N = 64
+    f = F.constant_metric(G.build_grid(G.torus2(), 16, 3), np.diag([1e-4, 1.0]))
+    boxes = _recorded_boxes(monkeypatch)
+    w = geo.systole(f)
+    assert w.cls == (1, 0) and w.length == pytest.approx(0.01, rel=1e-12) and w.check_length(f)
+    assert len(boxes) == 2 and max(boxes) <= 12_000
+
+    f = F.constant_metric(G.build_grid(G.torus2(), 64, 3), np.diag([1e-4, 1.0]))
+    sized = []
+
+    def sizes_only(field, classes, base, ub):  # size each box and search nothing
+        lo, shape = geo._deck_box(field, classes[0], ub, float(field.edge_lengths().max()))
+        sized.append(math.prod(shape))
+
+    monkeypatch.setattr(geo, "_deck_loops", sizes_only)
+    with pytest.raises(geo.GeodesyError, match="no noncontractible loop"):
+        geo.systole(f)
+    assert len(sized) == 2 and max(sized) <= 40_000
+
+
+def test_a_box_above_the_ceiling_raises_before_any_scipy_call(monkeypatch):
+    f = F.constant_metric(G.build_grid(G.torus2(), 16, 3), HEX)
+    lo, shape = geo._deck_box(f, (1, 0), 1.0, float(f.edge_lengths().max()))
+
+    def called(*args, **kwargs):
+        raise AssertionError("scipy was called")
+
+    monkeypatch.setattr(geo, "csr_matrix", called)
+    monkeypatch.setattr(geo, "dijkstra", called)
+    monkeypatch.setattr(geo, "_BLOCK_BYTES", 100_000)
+    with pytest.raises(geo.GeodesyError,
+                       match=rf"lifted box of {math.prod(shape)} vertices needs about \d+ bytes"):
+        geo._lifted_graph(f, lo, shape)
+    with pytest.raises(geo.GeodesyError, match="lifted box"):
+        geo.systole(f)
 
 
 def test_class_without_a_loop_raises(monkeypatch):

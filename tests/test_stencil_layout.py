@@ -5,6 +5,9 @@ grid's CSR pattern, lifted entry order and displacement classes.  The
 references below are the former per-field builds, kept as oracles.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from metriclab import besicovitch as B
 from metriclab import fields as F
+from metriclab import gallery
 from metriclab import geodesy as geo
 from metriclab import grid as G
 
@@ -97,20 +101,118 @@ def test_one_edge_joins_each_vertex_pair():
         assert (np.diff(g.stencil().key) > 0).all()
 
 
+def _induced_box(field, nx, ny, lo, shape):
+    """The COO window's subgraph induced on the box of lattice points lo + (a, b)
+    (which it must hold), relabelled row-major as _lifted_graph numbers them."""
+    g = field.grid
+    (n0, n1), V = g.lattice_shape, g.num_vertices
+    x, y = np.meshgrid(*[l + np.arange(s) for l, s in zip(lo, shape)], indexing="ij")
+    assert x.min() >= 0 and x.max() < nx * n0 and y.min() >= 0 and y.max() < ny * n1
+    ids = (((x // n0) * ny + y // n1) * V + g.lattice_vid[x % n0, y % n1]).ravel()
+    sub = _reference_lifted_graph(field, nx, ny)[ids][:, ids].tocsr()
+    sub.sort_indices()
+    return sub
+
+
 @pytest.mark.parametrize("name,N", [("torus2", 5), ("torus2", 12), ("cylinder", 5),
                                     ("cylinder", 7)])
 def test_lifted_windows_equal_the_coo_build(name, N):
+    # boxes of lattice points: the whole window, boxes across copies, strips
+    # one lattice line wide, and single points; the cylinder's bounded axis
+    # is taken whole
     g, fs = _fields(name, N)
-    windows = [(1, 1), (2, 3), (3, 2), (4, 1)] if name == "torus2" else [(1, 1), (3, 1), (5, 1)]
+    if name == "torus2":
+        nx, ny = 3, 3
+        boxes = [((0, 0), (3 * N, 3 * N)), ((N - 2, 1), (N + 3, 2 * N)), ((1, N + 2), (2, N)),
+                 ((2 * N - 1, 0), (N + 1, 1)), ((N, N), (1, 1)), ((0, 2), (3 * N, 5))]
+    else:
+        nx, ny = 5, 1
+        boxes = [((0, 0), (5 * N, N)), ((N - 1, 0), (2, N)), ((2 * N + 1, 0), (N + 3, N)),
+                 ((3, 0), (1, N))]
     for f in fs:
-        for nx, ny in windows:
-            _assert_same_csr(geo._lifted_graph(f, nx, ny), _reference_lifted_graph(f, nx, ny))
+        for lo, shape in boxes:
+            _assert_same_csr(geo._lifted_graph(f, lo, shape), _induced_box(f, nx, ny, lo, shape))
 
 
 def test_lifted_window_of_the_hexagonal_torus():
+    # the box of the joint search at ub = 1; a box moved by whole copies has
+    # the same graph, so its copy in a window of whole copies is the oracle
     g = G.build_grid(G.torus2(), 32, 3)
     f = F.constant_metric(g, [[1.0, 0.5], [0.5, 1.0]])
-    _assert_same_csr(geo._lifted_graph(f, 2, 3), _reference_lifted_graph(f, 2, 3))
+    lo, shape = geo._deck_box(f, (1, 0), 1.0, float(f.edge_lengths().max()))
+    assert lo[0] < 0 and lo[1] < 0
+    _assert_same_csr(geo._lifted_graph(f, lo, shape),
+                     _induced_box(f, 2, 4, (lo[0] + 32, lo[1] + 32), shape))
+
+
+def _copies_deck_loops(field, classes, base, ub):
+    """The former _deck_loops, kept as the oracle of the box: a COO window of
+    the whole fundamental-domain copies that hold every vertex within
+    (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines, plus
+    one lattice spacing; the copy pairs of each class, and chains mod V."""
+    g = field.grid
+    V = g.num_vertices
+    reach = float(field.edge_lengths().max())
+    r = (geo._padded(ub) / 2 + reach) / math.sqrt(field.lambda_min()) + max(g.spacing)
+    across = 0 if classes[0][0] != 0 else 1
+    k0, n = [0, 0], [1, 1]
+    for k in range(2 if g.topology.kind == "torus2" else 1):
+        top = g.spacing[k] * (1 if k == across else g.lattice_shape[k] - 1)
+        k0[k] = math.floor(-r)
+        n[k] = math.floor(top + r) - k0[k] + 1
+    nx, ny = n
+    isometries = [((nx, ny, V), [((i, j), (i - p, j - q))
+                                 for i in range(max(0, p), min(nx, nx + p))
+                                 for j in range(max(0, q), min(ny, ny + q))])
+                  for p, q in classes]
+    sources = (-k0[0] * ny - k0[1]) * V + base
+    found = geo._meet_search(_reference_lifted_graph(field, nx, ny), sources, isometries, ub,
+                             reach, geo._orbit_representatives(field, base))
+    return found and [f and (f[0], f[1], lambda chains=f[2]: [np.asarray(c) % V for c in chains()])
+                      for f in found]
+
+
+def _loop_field(kind, N, seed):
+    if kind == "cylinder":
+        return F.random_spd_metric(G.build_grid(G.cylinder(), N, 3), seed, (0.25, 4.0))
+    g = G.build_grid(G.torus2(), N, 3)
+    if kind.startswith("bump"):
+        cfg = gallery.ExperimentConfig(kind, "torus2", "conformal_bump", "systolic_ratio", [N],
+                                       seed=seed, metric_params={"base": kind[5:],
+                                                                 "amplitude": 0.25})
+        return gallery.build_metric(cfg, g)
+    return F.constant_metric(g, {"sheared": [[1.0, 3.0], [3.0, 10.0]],
+                                 "diag": np.diag([1e-2, 1.0])}[kind])
+
+
+def _loop_key(w, f):
+    assert w.check_length(f)
+    return w.cls, w.base_vertex, w.length
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["bump-flat", "bump-hexagonal", "sheared", "diag", "cylinder"]),
+       N=st.integers(8, 24), seed=st.integers(0, 10_000),
+       cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
+def test_box_loops_equal_the_copies_window(kind, N, seed, cls):
+    # class, base vertex and length are ==, and both witnesses pass
+    # check_length: for systole, for one class at its stencil walk, and for
+    # a joint search of the classes with a nonzero first winding
+    f = _loop_field(kind, N, seed)
+    one = (cls[0] or cls[1]) if kind == "cylinder" else cls
+    joint = [(1, 0), (2, 0)] if kind == "cylinder" else [(1, 0), (1, 1), (1, -1), (2, 1)]
+    base = geo._loop_base_vertices(f.grid, (1, 0))
+    ub = min(geo._stencil_walk_length(f, base, c) for c in joint)
+
+    def searches():
+        out = [_loop_key(geo.systole(f), f), _loop_key(geo.shortest_loop_in_class(f, one), f)]
+        found = geo._deck_loops(f, joint, base, ub)
+        return out + [_loop_key(geo._deck_witness(f, c, base, x), f)
+                      for c, x in zip(joint, found) if x is not None]
+
+    box = searches()
+    with mock.patch.object(geo, "_deck_loops", _copies_deck_loops):
+        assert searches() == box
 
 
 @pytest.mark.parametrize("name,N", _GRIDS)
