@@ -208,12 +208,15 @@ LAYOUT_ARRAYS = ("coords", "edges", "edge_disp", "edge_wrap", "cells", "cell_cor
                  "cell_chart_vol", "lattice_vid", "antipode_map")
 
 
-def _layout_digest(kind, order):
+def _layout_digest(kind, order, resolutions=None):
     """sha256 over the dtype, shape and bytes of every layout array and face
-    set of the grids of one kind and stencil order at N = 5, 8, 9 and 33
-    (cubes only up to 9), or over the refusal of a grid that cannot be built."""
+    set of the grids of one kind and stencil order at the given resolutions,
+    by default N = 5, 8, 9 and 33 (cubes only up to 9), or over the refusal
+    of a grid that cannot be built."""
+    if resolutions is None:
+        resolutions = (5, 8, 9) if kind.startswith("cube") else (5, 8, 9, 33)
     h = hashlib.sha256()
-    for N in (5, 8, 9) if kind.startswith("cube") else (5, 8, 9, 33):
+    for N in resolutions:
         try:
             g = G.build_grid(G.topology_from_name(kind), N, order)
         except G.GridError as err:
@@ -265,3 +268,20 @@ LAYOUT_DIGESTS = {
 @pytest.mark.parametrize("kind,order", sorted(LAYOUT_DIGESTS))
 def test_grid_layouts_are_pinned(kind, order):
     assert _layout_digest(kind, order) == LAYOUT_DIGESTS[kind, order]
+
+
+# The sphere refuses odd N, so LAYOUT_DIGESTS pins it at N = 8 alone; these
+# pin it at two more even resolutions.
+SPHERE_LAYOUT_DIGESTS = {
+    ("sphere2", 1): "c211b96dcdaf7afcbaccc2c588a5d687290bfd9e459b800c2ecad7f08a3c1c6c",
+    ("sphere2", 2): "53383c22854f35eb6d3491f86f1f6a3c4b779448af2cb4c8144f15ce45218fd3",
+    ("sphere2", 3): "7fd6f97459e536d9dfa999584f032477212560b9ee29e9a39db998d1eb8a6a71",
+    ("rp2", 1): "c211b96dcdaf7afcbaccc2c588a5d687290bfd9e459b800c2ecad7f08a3c1c6c",
+    ("rp2", 2): "53383c22854f35eb6d3491f86f1f6a3c4b779448af2cb4c8144f15ce45218fd3",
+    ("rp2", 3): "7fd6f97459e536d9dfa999584f032477212560b9ee29e9a39db998d1eb8a6a71",
+}
+
+
+@pytest.mark.parametrize("kind,order", sorted(SPHERE_LAYOUT_DIGESTS))
+def test_sphere_layouts_at_even_resolutions_are_pinned(kind, order):
+    assert _layout_digest(kind, order, (16, 34)) == SPHERE_LAYOUT_DIGESTS[kind, order]
