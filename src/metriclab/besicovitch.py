@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measure
 from .fields import MetricField, _det, _inv
-from .geodesy import distance_field, face_distance, systole
+from .geodesy import distance_field, systole
 from .grid import face_vertices
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
@@ -255,14 +255,14 @@ def cylinder_check(field: MetricField, tol: float = 0.01) -> CylinderReport:
     """
     if field.grid.topology.kind != "cylinder":
         raise BesicovitchError("cylinder_check needs cylinder topology")
-    bdist = face_distance(field, "B", "B'")
+    f = distance_field(field, face_vertices(field.grid, "B")).dist
+    bdist = float(f[face_vertices(field.grid, "B'")].min())
     s = systole(field).length
     hyp = bdist >= 1.0 - tol and s >= 1.0 - tol
     area = measure.volume(field)
     if not hyp:
         return CylinderReport(False, bdist, s, area, float("nan"), float("nan"),
                               passed=False, applicable=False)
-    f = distance_field(field, face_vertices(field.grid, "B")).dist
     prof = measure.coarea_profile(field, f)
     span = f.max() - f.min()
     inner = (prof.t_grid > f.min() + 0.02 * span) & (prof.t_grid < f.max() - 0.02 * span)

@@ -175,9 +175,14 @@ def _check_spd(field: MetricField):
     a, b = t[:, i, j], t[:, j, i]
     if (np.abs(a - b) > 1e-12 + 1e-5 * np.minimum(np.abs(a), np.abs(b))).any():
         raise FieldError("tensors must be symmetric")
-    minors = [t[:, 0, 0]] + [_det(t[:, :k, :k]) for k in range(2, field.grid.n + 1)]
-    if not all((m > 0).all() for m in minors):
-        raise FieldError("tensors must be positive definite")
+    # dividing a tensor by its t[0, 0] > 0 keeps the sign of each leading minor
+    # and keeps the products in a minor of tiny entries from underflowing to 0
+    # (a quotient overflows only where entries differ by a factor near 1e308)
+    t00 = t[:, :1, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (t00 > 0).all() or not all((_det(t[:, :k, :k] / t00) > 0).all()
+                                          for k in range(2, field.grid.n + 1)):
+            raise FieldError("tensors must be positive definite")
 
 
 def _quadratic_forms(d: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -353,7 +353,7 @@ def run_config(config: ExperimentConfig, out_dir=None, resolution=None, figures=
     """
     if config.operation not in _OPERATIONS:
         raise GalleryError(f"unknown operation {config.operation!r}")
-    resolutions = [int(resolution)] if resolution else config.resolutions
+    resolutions = config.resolutions if resolution is None else [int(resolution)]
     top = topology_from_name(config.domain)
     all_rows = []
     for N in resolutions:

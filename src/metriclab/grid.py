@@ -1,13 +1,27 @@
-"""Gridded parameter domains with boundary faces and quotient identifications.
+"""Gridded parameter domains: one lattice, one vertex map.
 
-A Grid discretizes one of the supported domains on a regular lattice of chart
-coordinates in [0,1]^n and carries everything downstream modules need:
+Every domain is one regular lattice in one chart, [0,1]^n, plus the
+identifications its quotient makes.  The lattice has N points per axis (N + 1
+latitude rows on the sphere), spaced 1/m on a periodic axis of m points and
+1/(m-1) on a bounded one.  A vertex map sends each lattice point to its
+vertex, and everything else follows from that map:
 
-* vertices with chart coordinates (masked domains only keep active vertices),
+* the identity on interval, square, cube3, cube4, cylinder (axis 0
+  periodic) and torus2, whose periodic seams wrap through edges;
+* the hexagon mask (regular or tripod), -1 outside the domain;
+* the pole collapse on sphere2 and rp2, a latitude-longitude lattice whose
+  pole rows each map to one vertex (south 0, north 1, the inner rows in
+  lattice order).  rp2 is the sphere grid plus the antipodal involution,
+  and rp2 quantities are computed on this double cover.
+
+A Grid carries what downstream modules need:
+
+* vertices with chart coordinates,
 * stencil edges with unwrapped chart displacements and per-axis wrap counters,
-* quadrature cells (2^n lattice corners, local unwrapped corner coordinates,
-  clipped chart volume for masked domains) and the ids of the full cells,
-  those whose 2^n corners are all vertices (Grid.full_cells),
+* quadrature cells (the vertices at their 2^n lattice corners, -1 where the
+  map has none, local unwrapped corner coordinates, chart volume clipped to
+  the hexagon mask) and the ids of the full cells, those whose 2^n corners
+  are all vertices (Grid.full_cells),
 * labeled boundary face vertex sets,
 * the antipodal involution for sphere2 / rp2.
 
@@ -22,13 +36,6 @@ One edge joins each vertex pair.  On a periodic axis of 4 lattice points a
 knight step and its reverse would join the same pair, so build_grid refuses
 the order-3 stencil there, and the sphere keeps one of the parallel edges that
 collapsing its pole rows makes.
-
-Supported kinds: interval, square, cube3, cube4, hexagon (regular or tripod
-mask), cylinder (axis 0 periodic), torus2, sphere2, rp2.  Periodic axes use
-spacing 1/N; bounded axes use 1/(N-1).  The sphere is a latitude-longitude
-lattice with each pole row collapsed to a single vertex; rp2 is the sphere
-grid plus the antipodal involution, and rp2 quantities are computed on this
-double cover.
 
 The grid also owns the structure that every metric field on it shares,
 built on first use and kept for the grid's lifetime:
@@ -51,11 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FACE_LETTERS = "ABCD"
-
-CUBE_KINDS = {"interval", "square", "cube3", "cube4"}
-PERIODIC_KINDS = {"cylinder", "torus2"}
-SPHERE_KINDS = {"sphere2", "rp2"}
-
 
 class GridError(ValueError):
     """Raised for invalid domain descriptors or grid parameters."""
@@ -144,28 +146,21 @@ def rp2() -> DomainTopology:
 
 
 def topology_from_name(name: str) -> DomainTopology:
-    """Parse a textual domain descriptor, e.g. "square", "cube:3", "hexagon:tripod:0.46:0.024"."""
-    parts = name.strip().split(":")
-    kind = parts[0]
-    if kind in ("interval", "square", "cylinder", "torus2", "sphere2", "rp2"):
-        if len(parts) > 1:
-            raise GridError(f"{kind} takes no mask parameters")
-        return {
-            "interval": interval,
-            "square": square,
-            "cylinder": cylinder,
-            "torus2": torus2,
-            "sphere2": sphere2,
-            "rp2": rp2,
-        }[kind]()
-    if kind == "cube":
-        return cube(int(parts[1]))
-    if kind in ("cube3", "cube4"):
-        return cube(int(kind[4:]))
+    """Parse a textual domain descriptor, e.g. "square", "cube:3", "hexagon:tripod:0.46:0.024".
+
+    GridError for any other descriptor: an unknown kind, a parameter on a
+    kind that takes none, or a cube other than "cube:3" and "cube:4"."""
+    kind, sep, param = name.strip().partition(":")
     if kind == "hexagon":
-        mask = ":".join(parts[1:]) if len(parts) > 1 else "regular"
-        return hexagon(mask)
-    raise GridError(f"unknown domain kind {kind!r}")
+        return hexagon(param if sep else "regular")
+    if kind == "cube" and sep:
+        kind, sep = kind + param, ""
+    build = {"interval": interval, "square": square, "cube3": lambda: cube(3),
+             "cube4": lambda: cube(4), "cylinder": cylinder, "torus2": torus2,
+             "sphere2": sphere2, "rp2": rp2}.get(kind)
+    if build is None or sep:
+        raise GridError(f"unknown domain descriptor {name!r}")
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +437,79 @@ class Grid:
 
 
 def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3) -> Grid:
-    """Build the discrete grid for a domain.
+    """Build the discrete grid for a domain: one lattice, one vertex map.
 
-    resolution counts vertices per axis (bounded axes get spacing 1/(N-1),
-    periodic axes 1/N) and is at least 4.  The order-3 stencil needs at
-    least 5 on a periodic axis (torus2, cylinder, sphere2, rp2), so that one
-    edge joins each vertex pair.  sphere2/rp2 require an even resolution so
-    that the antipodal involution is exact on grid vertices.
+    The chart lattice is built once, and the vertex map (the identity, the
+    hexagon mask or the pole collapse; see the module docstring) sends its
+    points to vertices.  Edges, cells, faces and the antipode follow from it.
+
+    resolution N is at least 4.  The order-3 stencil needs at least 5 on a
+    periodic axis (torus2, cylinder, sphere2, rp2), so that one edge joins
+    each vertex pair.  sphere2/rp2 require an even resolution so that the
+    antipodal involution is exact on grid vertices.
     """
-    if resolution < 4:
+    N = resolution
+    if topology_from_name(topology.descriptor()) != topology:
+        raise GridError(f"unsupported topology {topology!r}")
+    if N < 4:
         raise GridError("resolution must be at least 4")
     if stencil_order not in (1, 2, 3):
         raise GridError("stencil_order must be 1, 2, or 3")
-    if stencil_order == 3 and resolution < 5 and any(topology.periodic):
+    if stencil_order == 3 and N < 5 and any(topology.periodic):
         raise GridError("stencil_order 3 needs resolution at least 5 on a periodic axis")
-    kind = topology.kind
-    if kind in CUBE_KINDS or kind in PERIODIC_KINDS or kind == "hexagon":
-        return _build_cubelike(topology, resolution, stencil_order)
-    if kind in SPHERE_KINDS:
-        if resolution % 2:
-            raise GridError("sphere2/rp2 need an even resolution for the antipodal map")
-        return _build_sphere(topology, resolution, stencil_order)
-    raise GridError(f"unsupported topology kind {kind!r}")
+    sphere = topology.kind in ("sphere2", "rp2")
+    if sphere and N % 2:
+        raise GridError("sphere2/rp2 need an even resolution for the antipodal map")
+    periodic = topology.periodic
+    shape = (N, N + 1) if sphere else (N,) * topology.dim
+    spacing = tuple(1.0 / (m - (not p)) for m, p in zip(shape, periodic))
+    coords_all = _lattice_coords(shape, spacing)
+
+    mask_spec = None
+    if topology.kind == "hexagon":
+        mask_spec = _parse_hexagon_mask(topology.mask_name)
+        active = _mask_inside(coords_all, mask_spec)
+        if not active.any():
+            raise GridError("hexagon mask selects no vertices at this resolution")
+        vid = np.where(active, np.cumsum(active) - 1, -1)
+    elif sphere:
+        row = np.arange(len(coords_all)) % (N + 1)
+        inner = (row > 0) & (row < N)
+        vid = np.where(inner, np.cumsum(inner) + 1, (row == N).astype(np.int64))
+    else:
+        vid = np.arange(len(coords_all))
+    V = int(vid.max()) + 1
+    coords = np.empty((V, topology.dim))
+    coords[vid[vid >= 0]] = coords_all[vid >= 0]
+
+    offsets = stencil_offsets(topology.dim, stencil_order)
+    pairs, disp, wrap = _lattice_edges(shape, periodic, spacing, offsets, vid, coords_all,
+                                       mask_spec)
+
+    corners, corner_xy, cell_vol = _lattice_cells(shape, periodic, spacing, coords_all)
+    cells = vid[corners]
+    keep = (cells >= 0).any(axis=1)
+    cells, corner_xy, cell_vol = cells[keep], corner_xy[keep], cell_vol[keep]
+    if mask_spec is not None:
+        polys = _hexagon_polygons(mask_spec)
+        cell_vol = np.array([_clipped_cell_area(xy[[0, 1, 3, 2]], polys)  # bit order -> CCW
+                             for xy in corner_xy])
+        keep = cell_vol > 1e-15
+        cells, corner_xy, cell_vol = cells[keep], corner_xy[keep], cell_vol[keep]
+
+    vid = vid.reshape(shape)
+    anti = degenerate = None
+    if sphere:
+        pairs, disp, wrap = _collapse_poles(pairs, disp, wrap, coords)
+        anti = np.empty(V, dtype=np.int64)
+        anti[vid] = np.roll(vid, -(N // 2), axis=0)[:, ::-1]
+        degenerate = np.arange(V) < 2
+
+    return Grid(
+        topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy, cell_vol,
+        _faces(topology, coords, mask_spec, vid), spacing, vid, shape, antipode_map=anti,
+        chart_degenerate=degenerate, quotient_volume_factor=0.5 if topology.kind == "rp2" else 1.0,
+    )
 
 
 def _lattice_coords(shape, spacing):
@@ -489,25 +535,27 @@ def _moved(shape, periodic, box, o):
     return kept, target, wrap
 
 
-def _build_lattice_edges(shape, periodic, spacing, offsets, active_flat, coords_all,
-                         edge_ok=None):
-    """Edges on a (possibly periodic) lattice; returns (pairs, disp, wrap) arrays."""
+def _lattice_edges(shape, periodic, spacing, offsets, vid, coords_all, mask_spec):
+    """Stencil edges between mapped lattice points, as (vertex pairs, chart
+    displacements, per-axis wraps).  Under a mask, an edge also keeps its
+    quarter points inside it."""
     n = len(shape)
     box = [np.arange(N) for N in shape]
+    active = vid >= 0
     pairs, disps, wraps = [], [], []
     for o in offsets:
         kept, d, axis_wrap = _moved(shape, periodic, box, o)
-        keep = kept & active_flat & active_flat[d]
+        keep = kept & active & active[d]
         disp = o * np.asarray(spacing)
-        if edge_ok is not None:
+        if mask_spec is not None:
             cand = np.flatnonzero(keep)
             ok = np.ones(len(cand), dtype=bool)
             for frac in (0.25, 0.5, 0.75):
-                ok &= edge_ok(coords_all[cand] + frac * disp)
+                ok &= _mask_inside(coords_all[cand] + frac * disp, mask_spec)
             keep[cand[~ok]] = False
         s = np.flatnonzero(keep)
         if len(s):
-            pairs.append(np.stack([s, d[s]], axis=1))
+            pairs.append(vid[np.stack([s, d[s]], axis=1)])
             disps.append(np.broadcast_to(disp, (len(s), n)).copy())
             # wraps are -1, 0 or 1: stencil steps are shorter than N
             wrap = np.meshgrid(*[w.astype(np.int8) for w in axis_wrap], indexing="ij")
@@ -533,71 +581,33 @@ def _lattice_cells(shape, periodic, spacing, coords_all):
     return np.stack(corners, axis=1), np.stack(corner_xy, axis=1), np.full(len(base), vol)
 
 
-def _build_cubelike(topology, N, stencil_order):
-    n = topology.dim
-    periodic = topology.periodic
-    shape = tuple(N for _ in range(n))
-    spacing = tuple(1.0 / N if periodic[k] else 1.0 / (N - 1) for k in range(n))
-    coords_all = _lattice_coords(shape, spacing)
-    total = len(coords_all)
+def _collapse_poles(pairs, disp, wrap, coords):
+    """The sphere's one step of its own: each pole row is one vertex at
+    longitude 0, so drop the edges within a pole row, zero the longitude
+    step of the edges at a pole, and of the parallel edges the collapse
+    makes keep, per vertex pair (low id first), the shortest meridian step."""
+    coords[:2] = ((0.0, 0.0), (0.0, 1.0))
+    keep = pairs[:, 0] != pairs[:, 1]
+    p, disp, wrap = pairs[keep], disp[keep], wrap[keep]
+    disp[(p[:, 0] < 2) | (p[:, 1] < 2), 0] = 0.0
+    swap = p[:, 0] > p[:, 1]
+    p[swap] = p[swap][:, ::-1]
+    disp[swap] *= -1
+    wrap[swap] *= -1
+    order = np.lexsort((np.abs(disp[:, 1]), p[:, 1], p[:, 0]))
+    p, disp, wrap = p[order], disp[order], wrap[order]
+    _, first = np.unique(p, axis=0, return_index=True)
+    return p[first], disp[first], wrap[first]
 
-    mask_spec = None
-    edge_ok = None
+
+def _faces(topology, coords, mask_spec, vid):
+    """Boundary face vertex sets; {} on a closed domain."""
     if topology.kind == "hexagon":
-        mask_spec = _parse_hexagon_mask(topology.mask_name)
-        active_flat = _mask_inside(coords_all, mask_spec)
-        if not active_flat.any():
-            raise GridError("hexagon mask selects no vertices at this resolution")
-        edge_ok = lambda pts: _mask_inside(pts, mask_spec)
-    else:
-        active_flat = np.ones(total, dtype=bool)
-
-    offsets = stencil_offsets(n, stencil_order)
-    pairs, disp, wrap = _build_lattice_edges(shape, periodic, spacing, offsets, active_flat,
-                                             coords_all, edge_ok)
-
-    vid_flat = -np.ones(total, dtype=np.int64)
-    vid_flat[active_flat] = np.arange(int(active_flat.sum()))
-    coords = coords_all[active_flat]
-    pairs = vid_flat[pairs]
-
-    corners, corner_xy, cell_vol = _lattice_cells(shape, periodic, spacing, coords_all)
-    corner_active = active_flat[corners]
-    keep_cells = corner_active.any(axis=1)
-    corners, corner_xy, cell_vol = corners[keep_cells], corner_xy[keep_cells], cell_vol[keep_cells]
-    corner_active = corner_active[keep_cells]
-    if mask_spec is not None:
-        polys = _hexagon_polygons(mask_spec)
-        areas = np.array(
-            [
-                _clipped_cell_area(
-                    np.array([xy[0], xy[1], xy[3], xy[2]]), polys  # bit order -> CCW quad
-                )
-                for xy in corner_xy
-            ]
-        )
-        keep2 = areas > 1e-15
-        corners, corner_xy, corner_active = corners[keep2], corner_xy[keep2], corner_active[keep2]
-        cell_vol = areas[keep2]
-    cells = np.where(corner_active, vid_flat[corners], -1)
-
-    face_sets = _cubelike_faces(topology, coords, mask_spec, vid_flat, shape)
-
-    return Grid(
-        topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy,
-        cell_vol, face_sets, spacing, vid_flat.reshape(shape), shape,
-    )
-
-
-def _cubelike_faces(topology, coords, mask_spec, vid_flat, shape):
-    face_sets = {}
-    if topology.kind == "hexagon":
-        boundary = _hexagon_boundary_vertices(vid_flat.reshape(shape))
+        boundary = _hexagon_boundary_vertices(vid)
         labels = _hexagon_face_labels(coords[boundary], mask_spec)
-        for k in range(6):
-            face_sets[f"S{k}"] = boundary[labels == k]
-        return face_sets
-    for k, face in enumerate(topology.boundary_faces):
+        return {f"S{k}": boundary[labels == k] for k in range(6)}
+    face_sets = {}
+    for face in topology.boundary_faces:
         axis = FACE_LETTERS.index(face[0])
         target = 1.0 if face.endswith("'") else 0.0
         face_sets[face] = np.where(np.abs(coords[:, axis] - target) < 1e-12)[0]
@@ -638,75 +648,6 @@ def _hexagon_face_labels(pts, mask_spec):
     side_neg = ~cap & (t_leg <= 0)
     labels[side_neg] = (2 * leg[side_neg] - 1) % 6
     return labels
-
-
-def _build_sphere(topology, N, stencil_order):
-    """Latitude-longitude grid; pole rows collapsed to single vertices.
-
-    N longitudes (periodic, spacing 1/N) and N+1 latitude rows (spacing 1/N,
-    so an exact equator row exists and both axes step uniformly).
-    """
-    M = N + 1  # latitude rows including poles
-    shape = (N, M)
-    spacing = (1.0 / N, 1.0 / (M - 1))
-    coords_all = _lattice_coords(shape, spacing)
-    offsets = stencil_offsets(2, stencil_order)
-    pairs, disp, wrap = _build_lattice_edges(shape, (True, False), spacing, offsets,
-                                             np.ones(N * M, dtype=bool), coords_all)
-
-    # collapse pole rows j = 0 and j = M-1
-    lat_j = np.arange(N * M) % M
-    remap = np.empty(N * M, dtype=np.int64)
-    south, north = 0, 1
-    is_pole_row = (lat_j == 0) | (lat_j == M - 1)
-    remap[lat_j == 0] = south
-    remap[lat_j == M - 1] = north
-    inner = ~is_pole_row
-    remap[inner] = 2 + np.arange(int(inner.sum()))
-    V = 2 + int(inner.sum())
-    coords = np.empty((V, 2))
-    coords[south] = (0.0, 0.0)
-    coords[north] = (0.0, 1.0)
-    coords[remap[inner]] = coords_all[inner]
-
-    p = remap[pairs]
-    keep = p[:, 0] != p[:, 1]
-    p, disp, wrap = p[keep], disp[keep].copy(), wrap[keep]
-    pole_edge = (p[:, 0] < 2) | (p[:, 1] < 2)
-    disp[pole_edge, 0] = 0.0
-    # dedupe collapsed parallel edges; keep the shortest meridian step per pair
-    swap = p[:, 0] > p[:, 1]
-    p_sorted = p.copy()
-    p_sorted[swap] = p[swap][:, ::-1]
-    disp_sorted = disp.copy()
-    disp_sorted[swap] *= -1
-    wrap_sorted = wrap.copy()
-    wrap_sorted[swap] *= -1
-    order = np.lexsort((np.abs(disp_sorted[:, 1]), p_sorted[:, 1], p_sorted[:, 0]))
-    p_sorted, disp_sorted, wrap_sorted = p_sorted[order], disp_sorted[order], wrap_sorted[order]
-    _, first = np.unique(p_sorted, axis=0, return_index=True)
-    pairs, disp, wrap = p_sorted[first], disp_sorted[first], wrap_sorted[first]
-
-    corners, corner_xy, cell_vol = _lattice_cells(shape, (True, False), spacing, coords_all)
-    cells = remap[corners]
-
-    anti = np.empty(V, dtype=np.int64)
-    anti[south] = north
-    anti[north] = south
-    lon_idx = np.arange(N)
-    vid = remap.reshape(shape)
-    for j in range(1, M - 1):
-        anti[vid[:, j]] = vid[(lon_idx + N // 2) % N, M - 1 - j]
-
-    degenerate = np.zeros(V, dtype=bool)
-    degenerate[[south, north]] = True
-
-    qvol = 0.5 if topology.kind == "rp2" else 1.0
-    return Grid(
-        topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy,
-        cell_vol, {}, spacing, vid, shape, antipode_map=anti,
-        chart_degenerate=degenerate, quotient_volume_factor=qvol,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -315,11 +315,17 @@ def make_row(experiment, resolution, quantity, computed, reference, provenance,
 
 
 def parse_config(path):
+    """{section: {key: value}} of a config file.  Keys keep their case (force_R
+    is not force_r); ValueError for a file configparser cannot read, such as
+    one without a header, with a repeated section or with a line without =."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(path)
-    return {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    cp.optionxform = str
+    try:
+        if not cp.read(path):
+            raise FileNotFoundError(path)
+        return {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from metriclab import besicovitch as B
 from metriclab import fields as F
+from metriclab import geodesy as geo
 from metriclab import grid as G
 from metriclab import measure as M
 
@@ -203,6 +204,24 @@ def test_cylinder_check_cases():
     short = B.cylinder_check(F.constant_metric(g, [[1.0, 0.0], [0.0, 0.25]]))
     assert not short.applicable
     assert short.boundary_distance == pytest.approx(0.5, abs=1e-9)
+
+
+def test_cylinder_check_runs_one_distance_field_from_the_bottom(monkeypatch):
+    g = G.build_grid(G.cylinder(), 32, 3)
+    field = F.constant_metric(g, [[4.0, 0.0], [0.0, 1.0]])
+    bottom = G.face_vertices(g, "B")
+    ref = geo.face_distance(field, "B", "B'")
+    calls, distance_field = [], geo.distance_field
+
+    def counted(field, sources, quotient=True):
+        calls.append(np.array_equal(sources, bottom))
+        return distance_field(field, sources, quotient)
+
+    for module in (B, geo):
+        monkeypatch.setattr(module, "distance_field", counted)
+    rep = B.cylinder_check(field)
+    assert calls == [True]
+    assert rep.boundary_distance == ref
 
 
 def _einsum_jacobian_bound_check(field, fmap):

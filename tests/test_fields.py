@@ -355,6 +355,16 @@ def test_sylvester_agrees_with_the_least_eigenvalue(n, data):
             F.MetricField(g, tensors)
 
 
+def test_sylvester_accepts_tiny_positive_definite_tensors():
+    """A minor of tiny entries underflows to 0 unless the tensor is scaled first."""
+    for n, top in ((2, G.square()), (3, G.cube(3))):
+        g = G.build_grid(top, 4, 1)
+        F.MetricField(g, np.broadcast_to(6.049871914279354e-287 * np.eye(n),
+                                         (g.num_vertices, n, n)).copy())
+        with pytest.raises(F.FieldError, match="positive definite"):
+            F.MetricField(g, np.zeros((g.num_vertices, n, n)))
+
+
 # ---------------------------------------------------------------------------
 # interpolation at the ends of a bounded axis
 

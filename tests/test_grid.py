@@ -187,8 +187,9 @@ def test_topology_from_name_roundtrip():
                  "hexagon:tripod:0.46:0.024", "cylinder", "torus2", "sphere2", "rp2"):
         top = G.topology_from_name(name)
         assert G.topology_from_name(top.descriptor()) == top
-    with pytest.raises(G.GridError):
-        G.topology_from_name("moebius")
+    for name in ("moebius", "cube", "cube:x", "cube3:foo", "cube:5", "square:x", "rp2:"):
+        with pytest.raises(G.GridError):
+            G.topology_from_name(name)
 
 
 def test_wrap_edges_cross_seam_with_correct_displacement():

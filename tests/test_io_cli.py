@@ -132,6 +132,11 @@ def test_certificate_roundtrip_and_cli_validation(tmp_path, capsys):
     assert cli.main(["validate-certificate", str(cert_path),
                      "--field", str(tmp_path / "broken.txt")]) == 2
     assert "parse error" in capsys.readouterr().err
+    # so is a malformed domain descriptor
+    (tmp_path / "cube.txt").write_text(text.replace("kind = square", "kind = cube"))
+    assert cli.main(["validate-certificate", str(cert_path),
+                     "--field", str(tmp_path / "cube.txt")]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_report_rows_and_verdicts():
@@ -220,6 +225,40 @@ def test_cli_config_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[domain]\nkind = torus2\n\n[experiment]\noperation = nope\n")
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) in (2, 3)
+
+
+def test_config_keys_keep_their_case(tmp_path):
+    cfg = tmp_path / "forced.ini"
+    cfg.write_text(
+        "[domain]\nkind = torus2\n\n[metric]\nbuilder = flat\n\n"
+        "[experiment]\nid = forced\noperation = width_volume\nresolutions = 24\n"
+        "force_R = 0.5\n"
+    )
+    assert mio.parse_config(cfg)["experiment"]["force_R"] == "0.5"
+    cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    quantities = [ln.split(",")[2] for ln in (tmp_path / "forced.csv").read_text().splitlines()]
+    assert {"forced_cut_valid", "max_cut_length_vs_pigeonhole"} <= set(quantities)
+
+
+@pytest.mark.parametrize("text", [
+    "kind = torus2\n",                                            # no section header
+    "[domain]\nkind = torus2\n[domain]\nkind = square\n",       # a repeated section
+    "[domain]\nkind = torus2\nstencil_order\n",                 # a line without =
+], ids=["no-header", "repeated-section", "no-equals"])
+def test_a_malformed_config_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text + "\n[experiment]\noperation = volume\n")
+    with pytest.raises(ValueError):
+        mio.parse_config(cfg)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_resolution_zero_is_not_ignored(tmp_path):
+    with pytest.raises(G.GridError, match="resolution"):
+        gal.run_config(gal.gallery_item("flat-torus-systole"), resolution=0)
+    assert cli.main(["run", "--gallery", "flat-torus-systole", "--out", str(tmp_path),
+                     "--resolution", "0"]) != 0
 
 
 def test_cli_failing_verdict_exit_code(tmp_path):
