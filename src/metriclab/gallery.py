@@ -11,6 +11,7 @@ SVG figures, and is fully deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, field as dataclass_field
@@ -28,9 +29,17 @@ from .grid import build_grid, face_vertices, topology_from_name
 LOEWNER = math.sqrt(2.0) / 3.0 ** 0.25          # optimal torus systolic ratio
 PU = math.sqrt(math.pi / 2.0)                    # optimal rp2 systolic ratio
 HEX_GRAM = ((1.0, 0.5), (0.5, 1.0))
+SPD_EIGS = (0.25, 4.0)                           # eigenvalue range of random SPD fields
+DISK = ((0.5, 0.5), 0.3)                         # centre and radius of the piecewise disk
 
 TRIPOD_MASK = "tripod:0.46:0.024"
 TRIPOD_SCALE2 = 5.76  # conformal factor c^2; c = 2.4 sized to push distances past 1
+
+# every tolerance an operation reads, with its default; a config overrides them by name
+_TOLERANCES = {"volume": 0.01, "systole": 0.02, "systolic_ratio": 0.02, "slack": 0.01,
+               "face_distance": 0.01, "cylinder": 0.01, "coarea": 0.01,
+               "coarea_defect": 0.02, "loewner": 0.02}
+_SEEDED = {"random_spd", "conformal_bump", "besicovitch_sweep", "loewner_bumps"}
 
 
 class GalleryError(ValueError):
@@ -39,6 +48,8 @@ class GalleryError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """Its metric and operation keys are the builder's and the operation's keyword
+    parameters; any other key, or a tolerance the operation does not read, is refused."""
     experiment_id: str
     domain: str
     metric: str
@@ -54,23 +65,35 @@ class ExperimentConfig:
         res = list(self.resolutions)
         if any(b <= a for a, b in zip(res, res[1:])):
             raise GalleryError("resolutions must be strictly increasing")
-        if self.metric in ("random_spd", "conformal_bump") and self.seed is None:
-            raise GalleryError(f"metric {self.metric!r} requires a seed")
-        if self.operation in ("besicovitch_sweep", "loewner_bumps") and self.seed is None:
-            raise GalleryError(f"operation {self.operation!r} requires a seed")
+        topology_from_name(self.domain)  # GridError, a config error, for a bad domain
+        op, tolerances = _OPERATIONS.get(self.operation, (None, ()))
+        for kind, name, fn, params in (
+                ("metric builder", self.metric, _METRICS.get(self.metric), self.metric_params),
+                ("operation", self.operation, op, self.operation_params)):
+            if fn is None:
+                raise GalleryError(f"unknown {kind} {name!r}")
+            try:
+                inspect.signature(fn).bind_partial(None, None, **params)
+            except TypeError as exc:
+                raise GalleryError(f"{kind} {name!r}: {exc}") from None
+            if name in _SEEDED and self.seed is None:
+                raise GalleryError(f"{kind} {name!r} requires a seed")
+        unread = ", ".join(sorted(set(self.tolerance_overrides) - set(tolerances)))
+        if unread:
+            raise GalleryError(f"operation {self.operation!r} reads no tolerance {unread}")
 
-    def tol(self, quantity: str, default: float) -> float:
-        return float(self.tolerance_overrides.get(quantity, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerance_overrides.get(name, _TOLERANCES[name]))
 
 
 # ---------------------------------------------------------------------------
-# metric builders
+# metric builders; each is (grid, seed, **its keys)
 
 
-def _bump_metric(grid, seed, base, amplitude):
+def _bump_metric(grid, seed, base="flat", amplitude=0.25):
     """Conformal bump of the flat or hexagonal torus: a seeded sum of three
     cosine products, scaled to the amplitude and centred."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     xy = grid.coords
     u = np.zeros(grid.num_vertices)
     for _ in range(3):
@@ -78,68 +101,63 @@ def _bump_metric(grid, seed, base, amplitude):
         ph = rng.uniform(0, 2 * math.pi, size=2)
         u += rng.normal() * np.cos(2 * math.pi * fr[0] * xy[:, 0] + ph[0]) * np.cos(
             2 * math.pi * fr[1] * xy[:, 1] + ph[1])
-    u = amplitude * u / max(np.abs(u).max(), 1e-12)
+    u = float(amplitude) * u / max(np.abs(u).max(), 1e-12)
     flat = F.constant_metric(grid, HEX_GRAM) if base == "hexagonal" else F.flat_metric(grid)
     return F.conformal_rescale(flat, u - u.mean())
 
 
+def _piecewise_disk(grid, seed, center=DISK[0], radius=DISK[1],
+                    g_inside=((4.0, 0.0), (0.0, 4.0))):
+    inside = np.linalg.norm(grid.coords - np.asarray(center), axis=1) < float(radius)
+    return F.piecewise_metric(grid, inside, F.constant_metric(grid, np.asarray(g_inside)),
+                              F.flat_metric(grid))
+
+
+# the F.* functions are looked up at call time, so a wrapper set on them applies
+_METRICS = {
+    "flat": lambda grid, seed: F.flat_metric(grid),
+    "constant": lambda grid, seed, g: F.constant_metric(
+        grid, np.asarray(g, dtype=float).reshape(grid.n, grid.n)),
+    "hexagonal": lambda grid, seed: F.constant_metric(grid, np.asarray(HEX_GRAM)),
+    "round_sphere": lambda grid, seed, radius=1.0: F.round_sphere_metric(grid, float(radius)),
+    "random_spd": lambda grid, seed, eig_lo=SPD_EIGS[0], eig_hi=SPD_EIGS[1]:
+        F.random_spd_metric(grid, int(seed), (float(eig_lo), float(eig_hi))),
+    "conformal_bump": _bump_metric,
+    "scaled_flat": lambda grid, seed, factor=1.0: F.flat_metric(grid).scaled(float(factor)),
+    "piecewise_disk": _piecewise_disk,
+}
+
+
 def build_metric(config: ExperimentConfig, grid) -> F.MetricField:
-    name = config.metric
-    p = config.metric_params
-    if name == "flat":
-        return F.flat_metric(grid)
-    if name == "constant":
-        return F.constant_metric(grid, np.asarray(p["g"], dtype=float).reshape(grid.n, grid.n))
-    if name == "hexagonal":
-        return F.constant_metric(grid, np.asarray(HEX_GRAM))
-    if name == "round_sphere":
-        return F.round_sphere_metric(grid, float(p.get("radius", 1.0)))
-    if name == "random_spd":
-        return F.random_spd_metric(grid, int(config.seed),
-                                   (float(p.get("eig_lo", 0.25)), float(p.get("eig_hi", 4.0))))
-    if name == "conformal_bump":
-        return _bump_metric(grid, int(config.seed), p.get("base", "flat"),
-                            float(p.get("amplitude", 0.25)))
-    if name == "scaled_flat":
-        return F.flat_metric(grid).scaled(float(p.get("factor", 1.0)))
-    if name == "piecewise_disk":
-        center = np.asarray(p.get("center", (0.5, 0.5)))
-        rad = float(p.get("radius", 0.3))
-        inside = np.linalg.norm(grid.coords - center, axis=1) < rad
-        g1 = F.constant_metric(grid, np.asarray(p.get("g_inside", ((4.0, 0.0), (0.0, 4.0)))))
-        g2 = F.flat_metric(grid)
-        return F.piecewise_metric(grid, inside, g1, g2)
-    raise GalleryError(f"unknown metric builder {name!r}")
+    return _METRICS[config.metric](grid, config.seed, **config.metric_params)
 
 
 # ---------------------------------------------------------------------------
-# operations; each returns (rows, figures) for one field
+# operations; each is (config, field, **its keys) and returns (rows, figures)
 
 
-def _op_volume(config, field):
-    p = config.operation_params
-    return [("volume", M.volume(field), float(p["reference"]),
-             p.get("provenance", "derived"), config.tol("volume", 0.01))], {}
+def _op_volume(config, field, reference, provenance="derived"):
+    return [("volume", M.volume(field), float(reference), provenance, config.tol("volume"))], {}
 
 
-def _op_systolic_ratio(config, field):
-    p = config.operation_params
+def _op_systolic_ratio(config, field, reference, sys_reference=None, provenance="paper"):
     w = geo.systole(field)
-    vol = M.volume(field)
-    ratio = w.length / math.sqrt(vol)
+    ratio = w.length / math.sqrt(M.volume(field))
     rows = [
-        ("systole", w.length, float(p.get("sys_reference", w.length)), "derived",
-         config.tol("systole", 0.02)),
-        ("systolic_ratio", ratio, float(p["reference"]), p.get("provenance", "paper"),
-         config.tol("systolic_ratio", 0.02)),
+        ("systole", w.length, float(w.length if sys_reference is None else sys_reference),
+         "derived", config.tol("systole")),
+        ("systolic_ratio", ratio, float(reference), provenance, config.tol("systolic_ratio")),
     ]
     return rows, {"loops": [(w.points, "#ffffff")], "witness": w}
 
 
-def _op_besicovitch(config, field):
-    p = config.operation_params
-    rel_tol = config.tol("slack", 0.01)
+def _op_besicovitch(config, field, d_reference=None, vol_reference=None):
+    rel_tol = config.tol("slack")
     rep = B.verify_besicovitch(field, rel_tol=rel_tol)
+    d_reference = rep.d if d_reference is None else np.atleast_1d(d_reference)
+    if len(d_reference) != len(rep.d):
+        raise GalleryError(f"d_reference has {len(d_reference)} entries; "
+                           f"the domain has {len(rep.d)} face distances")
     rows = [
         ("slack_over_product", rep.slack / max(rep.product, 1e-300), 0.0, "derived",
          rel_tol, "ge"),
@@ -147,23 +165,20 @@ def _op_besicovitch(config, field):
         ("verdict_pass", 1.0 if rep.passed else 0.0, 1.0, "derived", 0.0),
         ("jac_max", rep.jac_max, 1.0, "derived", 0.0, "info"),
     ]
-    for i, (dref, di) in enumerate(zip(p.get("d_reference", rep.d), rep.d)):
-        rows.append((f"d{i}", di, float(dref), "derived", config.tol("face_distance", 0.01)))
-    if "vol_reference" in p:
-        rows.append(("vol", rep.vol, float(p["vol_reference"]), "derived",
-                     config.tol("volume", 0.01)))
+    for i, (dref, di) in enumerate(zip(d_reference, rep.d)):
+        rows.append((f"d{i}", di, float(dref), "derived", config.tol("face_distance")))
+    if vol_reference is not None:
+        rows.append(("vol", rep.vol, float(vol_reference), "derived", config.tol("volume")))
     return rows, {"report": mio.besicovitch_text(rep)}
 
 
-def _op_besicovitch_sweep(config, field):
-    p = config.operation_params
-    count = int(p.get("count", 20))
-    eigs = (float(p.get("eig_lo", 0.25)), float(p.get("eig_hi", 4.0)))
-    rel_tol = config.tol("slack", 0.01)
+def _op_besicovitch_sweep(config, field, count=20, eig_lo=SPD_EIGS[0], eig_hi=SPD_EIGS[1]):
+    count = int(count)
+    rel_tol = config.tol("slack")
     worst = math.inf
     npass = 0
     for seed in range(int(config.seed), int(config.seed) + count):
-        f = F.random_spd_metric(field.grid, seed, eigs)
+        f = F.random_spd_metric(field.grid, seed, (float(eig_lo), float(eig_hi)))
         rep = B.verify_besicovitch(f, rel_tol=rel_tol)
         worst = min(worst, rep.slack / rep.product)
         npass += rep.passed
@@ -184,28 +199,23 @@ def _op_hexagon_faces(config, field):
     return rows, {}
 
 
-def _op_cylinder(config, field):
-    rep = B.cylinder_check(field, tol=config.tol("cylinder", 0.01))
+def _op_cylinder(config, field, area_reference=1.0):
+    rep = B.cylinder_check(field, tol=config.tol("cylinder"))
     rows = [
         ("hypothesis_ok", float(rep.hypothesis_ok), 1.0, "derived", 0.0),
-        ("area", rep.area, float(config.operation_params.get("area_reference", 1.0)),
-         "paper", config.tol("volume", 0.01)),
-        ("coarea_total", rep.coarea_total, 1.0, "paper", config.tol("coarea", 0.01), "ge"),
-        ("min_interior_level", rep.min_interior_level, 1.0, "paper",
-         config.tol("coarea", 0.01), "ge"),
+        ("area", rep.area, float(area_reference), "paper", config.tol("volume")),
+        ("coarea_total", rep.coarea_total, 1.0, "paper", config.tol("coarea"), "ge"),
+        ("min_interior_level", rep.min_interior_level, 1.0, "paper", config.tol("coarea"), "ge"),
     ]
     return rows, {}
 
 
-def _op_coarea(config, field):
-    p = config.operation_params
-    src = face_vertices(field.grid, p.get("face", "A"))
-    f = geo.distance_field(field, src).dist
-    prof = M.coarea_profile(field, f, int(p.get("t_count", 256)))
+def _op_coarea(config, field, face="A", t_count=256):
+    f = geo.distance_field(field, face_vertices(field.grid, face)).dist
+    prof = M.coarea_profile(field, f, int(t_count))
     rows = [
-        ("coarea_total", prof.total, prof.volume, "derived", config.tol("coarea", 0.01)),
-        ("coarea_defect_nonneg", prof.defect, 0.0, "derived",
-         config.tol("coarea_defect", 0.02), "ge"),
+        ("coarea_total", prof.total, prof.volume, "derived", config.tol("coarea")),
+        ("coarea_defect_nonneg", prof.defect, 0.0, "derived", config.tol("coarea_defect"), "ge"),
     ]
     return rows, {"profile": mio.profile_text(prof.t_grid, prof.a)}
 
@@ -233,16 +243,13 @@ def _op_involution(config, field):
     return rows, {}
 
 
-def _op_gadograph(config, field):
-    p = config.operation_params
+def _op_gadograph(config, field, center=DISK[0], radius=DISK[1]):
     coords = field.grid.coords
-    center = np.asarray(p.get("center", (0.5, 0.5)))
-    rad = float(p.get("radius", 0.3))
-    r = np.linalg.norm(coords - center, axis=1)
-    inside = r < rad
+    r = np.linalg.norm(coords - np.asarray(center), axis=1)
+    inside = r < radius
     vol_g = M.region_volume(field, inside)
     vol_e = M.region_volume(F.flat_metric(field.grid), inside)
-    boundary = np.where(inside & (r > rad - 2.5 * max(field.grid.spacing)))[0]
+    boundary = np.where(inside & (r > radius - 2.5 * max(field.grid.spacing)))[0]
     probes = boundary[:: max(1, len(boundary) // 8)][:8]
     hyp_ok = True
     for q in probes:
@@ -256,14 +263,12 @@ def _op_gadograph(config, field):
     return rows, {}
 
 
-def _op_loewner_bumps(config, field):
+def _op_loewner_bumps(config, field, count=20):
     bound = 2.0 / math.sqrt(3.0)
-    tol = config.tol("loewner", 0.02)
+    tol = config.tol("loewner")
     worst = 0.0
-    count = int(config.operation_params.get("count", 20))
-    for k in range(count):
-        base = "hexagonal" if k % 2 else "flat"
-        f = _bump_metric(field.grid, int(config.seed) + k, base, 0.25)
+    for k in range(int(count)):
+        f = _bump_metric(field.grid, int(config.seed) + k, "hexagonal" if k % 2 else "flat")
         w = geo.systole(f)
         ratio = w.length ** 2 / M.volume(f)
         worst = max(worst, ratio)
@@ -275,13 +280,11 @@ def _op_loewner_bumps(config, field):
     return rows, {}
 
 
-def _op_width_square(config, field):
-    p = config.operation_params
-    R_ok = float(p.get("r_valid", 0.55))
-    R_bad = float(p.get("r_invalid", 0.2))
+def _op_width_square(config, field, r_valid=0.55, r_invalid=0.2, budget=24):
+    R_ok, R_bad = float(r_valid), float(r_invalid)
     cert = W.width_upper_bound(field, R_ok)
     ok, _ = W.validate_certificate(field, cert)
-    bad = W.width_upper_bound(field, R_bad, budget=int(p.get("budget", 24)))
+    bad = W.width_upper_bound(field, R_bad, budget=int(budget))
     rows = [
         (f"certificate_valid_at_{R_ok}", float(cert.valid and ok), 1.0, "derived", 0.0),
         ("certificate_multiplicity", float(cert.multiplicity), 2.0, "derived", 0.0, "le"),
@@ -293,14 +296,13 @@ def _op_width_square(config, field):
     return rows, figures
 
 
-def _op_width_volume(config, field):
+def _op_width_volume(config, field, force_R=None):
     rep = W.check_width_volume(field)
     rows = [
         ("width_volume_certificate",
          float(rep.certificate.valid or rep.slack_certificate.valid), 1.0, "paper", 0.0),
         ("R_star", rep.R_star, 2 * math.sqrt(rep.vol), "paper", 1e-12),
     ]
-    force_R = config.operation_params.get("force_R")
     if force_R is not None:
         cut = W.separating_cut(field, float(force_R))
         volpro = M.volume_profile(field, [cut.r1], center_sample=64)
@@ -324,21 +326,22 @@ def _op_sys_width(config, field):
     return rows, {}
 
 
+# each operation with the names of the tolerances it reads
 _OPERATIONS = {
-    "volume": _op_volume,
-    "systolic_ratio": _op_systolic_ratio,
-    "besicovitch": _op_besicovitch,
-    "besicovitch_sweep": _op_besicovitch_sweep,
-    "hexagon_faces": _op_hexagon_faces,
-    "cylinder": _op_cylinder,
-    "coarea": _op_coarea,
-    "pu": _op_pu,
-    "involution": _op_involution,
-    "gadograph": _op_gadograph,
-    "loewner_bumps": _op_loewner_bumps,
-    "width_square": _op_width_square,
-    "width_volume": _op_width_volume,
-    "sys_width": _op_sys_width,
+    "volume": (_op_volume, ("volume",)),
+    "systolic_ratio": (_op_systolic_ratio, ("systole", "systolic_ratio")),
+    "besicovitch": (_op_besicovitch, ("slack", "face_distance", "volume")),
+    "besicovitch_sweep": (_op_besicovitch_sweep, ("slack",)),
+    "hexagon_faces": (_op_hexagon_faces, ()),
+    "cylinder": (_op_cylinder, ("cylinder", "volume", "coarea")),
+    "coarea": (_op_coarea, ("coarea", "coarea_defect")),
+    "pu": (_op_pu, ()),
+    "involution": (_op_involution, ()),
+    "gadograph": (_op_gadograph, ()),
+    "loewner_bumps": (_op_loewner_bumps, ("loewner",)),
+    "width_square": (_op_width_square, ()),
+    "width_volume": (_op_width_volume, ()),
+    "sys_width": (_op_sys_width, ()),
 }
 
 
@@ -351,15 +354,13 @@ def run_config(config: ExperimentConfig, out_dir=None, resolution=None, figures=
 
     Deterministic for fixed config (its seed included).
     """
-    if config.operation not in _OPERATIONS:
-        raise GalleryError(f"unknown operation {config.operation!r}")
     resolutions = config.resolutions if resolution is None else [int(resolution)]
     top = topology_from_name(config.domain)
     all_rows = []
     for N in resolutions:
         grid = build_grid(top, N, config.stencil_order)
         field = build_metric(config, grid)
-        rows, figs = _OPERATIONS[config.operation](config, field)
+        rows, figs = _OPERATIONS[config.operation][0](config, field, **config.operation_params)
         all_rows += [mio.make_row(config.experiment_id, N, *row) for row in rows]
         if out_dir is not None:
             _write_artifacts(config, field, N, figs, out_dir, figures)
@@ -430,19 +431,17 @@ def gallery() -> list:
                          [48], metric_params={"g": ((4.0, 0.0), (0.0, 1.0))},
                          operation_params={"d_reference": (2.0, 1.0), "vol_reference": 2.0}),
         ExperimentConfig("besicovitch-random-sweep", "square", "flat", "besicovitch_sweep",
-                         [64], seed=1, operation_params={"count": 20}),
+                         [64], seed=1),
         ExperimentConfig("hexagon-thin", f"hexagon:{TRIPOD_MASK}", "scaled_flat",
                          "hexagon_faces", [192],
                          metric_params={"factor": TRIPOD_SCALE2}),
-        ExperimentConfig("cylinder-coarea", "cylinder", "flat", "cylinder", [96],
-                         operation_params={"area_reference": 1.0}),
+        ExperimentConfig("cylinder-coarea", "cylinder", "flat", "cylinder", [96]),
         ExperimentConfig("coarea-flat-square", "square", "flat", "coarea", [64]),
         ExperimentConfig("loewner-hexagonal", "torus2", "hexagonal", "systolic_ratio",
-                         [32, 64, 128],
-                         operation_params={"reference": LOEWNER, "sys_reference": 1.0,
-                                           "provenance": "paper"}),
+                         [32, 64, 128], operation_params={"reference": LOEWNER,
+                                                          "sys_reference": 1.0}),
         ExperimentConfig("loewner-strictness", "torus2", "hexagonal", "loewner_bumps",
-                         [48], seed=100, operation_params={"count": 20}),
+                         [48], seed=100),
         ExperimentConfig("pu-rp2", "rp2", "round_sphere", "pu", [64]),
         ExperimentConfig("involution-sphere", "sphere2", "round_sphere", "involution",
                          [48], metric_params={"radius": 1.0 / math.pi}),
@@ -454,13 +453,11 @@ def gallery() -> list:
                          "width_volume", [48], operation_params={"force_R": 0.5}),
         ExperimentConfig("sys-width-flat-torus", "torus2", "flat", "sys_width", [48]),
         ExperimentConfig("sys-width-rp2", "rp2", "round_sphere", "sys_width", [48]),
-        ExperimentConfig("sphere-volume", "sphere2", "round_sphere", "volume",
-                         [24, 48, 96],
-                         operation_params={"reference": 4 * math.pi, "provenance": "derived"}),
+        ExperimentConfig("sphere-volume", "sphere2", "round_sphere", "volume", [24, 48, 96],
+                         operation_params={"reference": 4 * math.pi}),
         ExperimentConfig("flat-torus-systole", "torus2", "flat", "systolic_ratio",
-                         [16, 32, 64],
-                         operation_params={"reference": 1.0, "sys_reference": 1.0,
-                                           "provenance": "derived"}),
+                         [16, 32, 64], operation_params={"reference": 1.0, "sys_reference": 1.0,
+                                                         "provenance": "derived"}),
     ]
     return items
 
@@ -477,16 +474,18 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     dom = sections.get("domain", {})
     met = sections.get("metric", {})
     exp = sections.get("experiment", {})
+    unknown = [f"section [{s}]" for s in sections if s not in ("domain", "metric", "experiment")]
+    unknown += [f"[domain] key {k}" for k in dom if k not in ("kind", "mask", "stencil_order")]
+    if unknown:
+        raise GalleryError(f"unknown {', '.join(unknown)}")
     if "kind" not in dom or "operation" not in exp:
         raise GalleryError("config needs [domain] kind and [experiment] operation")
     metric_params = {k: _parse_value(v) for k, v in met.items() if k != "builder"}
     op_params = {k: _parse_value(v) for k, v in exp.items()
                  if k not in ("id", "operation", "resolutions", "seed", "tolerances")}
-    tol = {}
-    for part in exp.get("tolerances", "").split(","):
-        if "=" in part:
-            k, v = part.split("=")
-            tol[k.strip()] = float(v)
+    parts = [p.split("=") for p in exp.get("tolerances", "").split(",") if p.strip()]
+    if any(len(p) != 2 for p in parts):
+        raise GalleryError(f"tolerances = {exp['tolerances']}: each entry must be name=value")
     return ExperimentConfig(
         experiment_id=exp.get("id", "experiment"),
         domain=dom["kind"] if not dom.get("mask") else f"{dom['kind']}:{dom['mask']}",
@@ -497,7 +496,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         metric_params=metric_params,
         operation_params=op_params,
         seed=int(exp["seed"]) if "seed" in exp else None,
-        tolerance_overrides=tol,
+        tolerance_overrides={k.strip(): float(v) for k, v in parts},
     )
 
 

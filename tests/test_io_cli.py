@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -224,7 +225,7 @@ def test_cli_config_and_exit_codes(tmp_path):
                      "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[domain]\nkind = torus2\n\n[experiment]\noperation = nope\n")
-    assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) in (2, 3)
+    assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_config_keys_keep_their_case(tmp_path):
@@ -238,6 +239,97 @@ def test_config_keys_keep_their_case(tmp_path):
     cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     quantities = [ln.split(",")[2] for ln in (tmp_path / "forced.csv").read_text().splitlines()]
     assert {"forced_cut_valid", "max_cut_length_vs_pigeonhole"} <= set(quantities)
+
+
+_TORUS = "[domain]\nkind = torus2\n\n[metric]\nbuilder = flat\n\n"
+_SPHERE = "[domain]\nkind = sphere2\n\n[metric]\nbuilder = round_sphere\n\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (_TORUS + "[experiment]\noperation = width_volume\nresolutions = 16\nforce_r = 0.5\n",
+     "force_r"),
+    ("[domain]\nkind = torus2\n\n[metric]\nbuilder = flat\nradius = 0.3\n\n"
+     "[experiment]\noperation = sys_width\nresolutions = 16\n", "radius"),
+    (_TORUS + "[experimnt]\nid = x\n\n[experiment]\noperation = sys_width\n"
+     "resolutions = 16\n", "experimnt"),
+    ("[domain]\nkind = torus2\nresolution = 99\n\n"
+     "[experiment]\noperation = sys_width\nresolutions = 16\n", "resolution"),
+    ("[domain]\nkind = rp2\n\n[metric]\nbuilder = round_sphere\n\n"
+     "[experiment]\noperation = pu\nresolutions = 16\ntolerances = systole=0.1\n", "systole"),
+    (_SPHERE + "[experiment]\noperation = volume\nresolutions = 16\n"
+     "reference = 12.566370614359172\ntolerances = volume 0.5\n", "volume 0.5"),
+    ("[domain]\nkind = torus3\n\n[experiment]\noperation = sys_width\nresolutions = 16\n",
+     "torus3"),
+], ids=["operation-key", "builder-key", "section", "domain-key", "unread-tolerance",
+        "tolerance-without-equals", "domain-kind"])
+def test_undeclared_config_items_are_refused(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# one small run of each operation, with keys that reach every tolerance it reads
+_SMALL_RUNS = {
+    "volume": ("sphere2", "round_sphere", 16, {"reference": 4 * math.pi}),
+    "systolic_ratio": ("torus2", "flat", 16, {"reference": 1.0}),
+    "besicovitch": ("square", "flat", 16, {"vol_reference": 1.0}),
+    "besicovitch_sweep": ("square", "flat", 16, {"count": 1}),
+    "hexagon_faces": ("hexagon", "flat", 24, {}),
+    "cylinder": ("cylinder", "flat", 24, {}),
+    "coarea": ("square", "flat", 16, {}),
+    "pu": ("rp2", "round_sphere", 16, {}),
+    "involution": ("sphere2", "round_sphere", 16, {}),
+    "gadograph": ("square", "piecewise_disk", 16, {}),
+    "loewner_bumps": ("torus2", "hexagonal", 16, {"count": 1}),
+    "width_square": ("square", "flat", 33, {"r_valid": 0.6, "r_invalid": 0.3, "budget": 8}),
+    "width_volume": ("torus2", "flat", 16, {"force_R": 0.5}),
+    "sys_width": ("torus2", "flat", 16, {}),
+}
+
+
+def test_small_runs_cover_every_operation():
+    assert set(_SMALL_RUNS) == set(gal._OPERATIONS)
+
+
+@pytest.mark.parametrize("operation", sorted(_SMALL_RUNS))
+def test_operations_read_the_tolerances_they_declare(monkeypatch, operation):
+    read = set()
+    tol = gal.ExperimentConfig.tol
+
+    def spy(config, name):
+        read.add(name)
+        return tol(config, name)
+
+    monkeypatch.setattr(gal.ExperimentConfig, "tol", spy)
+    domain, metric, N, params = _SMALL_RUNS[operation]
+    gal.run_config(gal.ExperimentConfig("x", domain, metric, operation, [N], seed=1,
+                                        operation_params=params))
+    assert read == set(gal._OPERATIONS[operation][1])
+
+
+@pytest.mark.parametrize("d_reference", [(1.0,), (1.0, 1.0, 1.0)])
+def test_besicovitch_refuses_a_d_reference_of_another_length(d_reference):
+    item = gal.ExperimentConfig("b", "square", "flat", "besicovitch", [16],
+                                operation_params={"d_reference": d_reference})
+    with pytest.raises(gal.GalleryError, match="d_reference has"):
+        gal.run_config(item)
+
+
+def test_readme_tables_list_every_declared_key_and_tolerance():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("`")[1]: line.split(" | ")[1:]
+            for line in readme.splitlines() if line.startswith("| `")}
+    tables = [(gal._METRICS, lambda fn: fn), (gal._OPERATIONS, lambda entry: entry[0])]
+    for table, function in tables:
+        for name, entry in table.items():
+            keys = list(inspect.signature(function(entry)).parameters)[2:]
+            assert [k for k in keys if f"`{k}" not in rows[name][0]] == [], name
+    for name, (_, tolerances) in gal._OPERATIONS.items():
+        listed = rows[name][1].strip(" |").split(", ")
+        assert listed == ([f"`{t}`" for t in tolerances] or ["none"]), name
 
 
 @pytest.mark.parametrize("text", [
