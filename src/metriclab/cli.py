@@ -66,6 +66,9 @@ def _cmd_run(args, config) -> int:
     try:
         rows = gal.run_config(config, out_dir=args.out, resolution=args.resolution,
                               figures=args.figures)
+    except gal.GalleryError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"execution error: {exc}", file=sys.stderr)
         return 3

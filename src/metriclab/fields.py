@@ -12,7 +12,8 @@ obtained by multilinear interpolation on the lattice; one kernel
 fills the grid's stencil CSR pattern with its edge lengths.  Validation checks
 that tensors are finite, symmetric and positive definite (by leading principal
 minors) and computes no eigenvalue: lambda_min and lambda_max make one cached
-eigvalsh call, on first use.
+eigvalsh call, on first use.  Seeded fields are cosine mixtures, one cosine per
+distinct coordinate per axis; nothing here calls einsum.
 
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
@@ -299,12 +300,28 @@ def round_sphere_metric(grid: Grid, radius: float = 1.0) -> MetricField:
     return MetricField(grid, t, validate=False)
 
 
+def _cosine_mixture(grid: Grid, rng, terms: int, scale: float) -> np.ndarray:
+    """0 + term_0 + term_1 + ... per vertex; each term draws frequencies f in {1, 2}
+    and phases p per axis, then a normal a, and is ((scale a) c_0) c_1 ... with
+    c_k = cos(2 pi f_k x_k + p_k), evaluated once per distinct x_k and gathered."""
+    out = np.zeros(grid.num_vertices)
+    for _ in range(terms):
+        freq = rng.integers(1, 3, size=grid.n)
+        phase = rng.uniform(0, 2 * math.pi, size=grid.n)
+        term = scale * rng.normal()
+        for k, (values, inverse) in enumerate(grid.axis_values()):
+            term = term * np.cos(2 * math.pi * freq[k] * values + phase[k])[inverse]
+        out += term
+    return out
+
+
 def random_spd_metric(grid: Grid, seed: int, eig_range=(0.5, 2.0)) -> MetricField:
     """Smooth random tensor field with per-vertex eigenvalues inside eig_range.
 
-    A truncated trigonometric mixture (integer frequencies, at most 4 harmonics
-    per axis) drives two eigenvalue fields and a rotation angle, so the field
-    is periodic on wrap topologies by construction and deterministic in seed.
+    A truncated trigonometric mixture (_cosine_mixture, one cosine per distinct
+    coordinate per axis) drives n eigenvalue fields and a rotation angle, so the
+    field is periodic on wrap topologies by construction and deterministic in
+    seed.  rot diag(lam) rot^T sums (rot_ij lam_j) rot_kj over j, with no einsum.
     """
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not (0 < lo <= hi):
@@ -314,36 +331,22 @@ def random_spd_metric(grid: Grid, seed: int, eig_range=(0.5, 2.0)) -> MetricFiel
                          "use conformal_rescale of the round metric")
     rng = np.random.default_rng(seed)
     n = grid.n
-    xy = grid.coords
-
-    def trig_field():
-        out = np.zeros(grid.num_vertices)
-        for _ in range(4):
-            freq = rng.integers(1, 3, size=n)
-            phase = rng.uniform(0, 2 * math.pi, size=n)
-            amp = 0.45 * rng.normal()
-            term = amp * np.ones(grid.num_vertices)
-            for k in range(n):
-                term = term * np.cos(2 * math.pi * freq[k] * xy[:, k] + phase[k])
-            out += term
-        return out
-
     # log-uniform eigenvalue mapping keeps the relative tensor gradient bounded
     log_lo, log_hi = math.log(lo), math.log(hi)
     lams = []
     for _ in range(n):
-        s = trig_field()
+        s = _cosine_mixture(grid, rng, 4, 0.45)
         lams.append(np.exp(log_lo + (log_hi - log_lo) * 0.5 * (1.0 + np.sin(s))))
     if n == 1:
         t = np.array(lams[0])[:, None, None]
         return MetricField(grid, t, validate=False)
-    theta = trig_field()
+    theta = _cosine_mixture(grid, rng, 4, 0.45)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.broadcast_to(np.eye(n), (grid.num_vertices, n, n)).copy()
     rot[:, 0, 0], rot[:, 0, 1] = c, -s
     rot[:, 1, 0], rot[:, 1, 1] = s, c
-    lam = np.stack(lams, axis=1)
-    t = np.einsum("vij,vj,vkj->vik", rot, lam, rot)
+    t = sum((rot[:, :, j] * lams[j][:, None])[:, :, None] * rot[:, None, :, j]
+            for j in range(n))
     t = 0.5 * (t + np.swapaxes(t, 1, 2))  # exactly symmetric for export round-trips
     return MetricField(grid, t, validate=False)
 

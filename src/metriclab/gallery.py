@@ -72,10 +72,7 @@ class ExperimentConfig:
                 ("operation", self.operation, op, self.operation_params)):
             if fn is None:
                 raise GalleryError(f"unknown {kind} {name!r}")
-            try:
-                inspect.signature(fn).bind_partial(None, None, **params)
-            except TypeError as exc:
-                raise GalleryError(f"{kind} {name!r}: {exc}") from None
+            _bind(kind, name, inspect.signature(fn).bind_partial, params)
             if name in _SEEDED and self.seed is None:
                 raise GalleryError(f"{kind} {name!r} requires a seed")
         unread = ", ".join(sorted(set(self.tolerance_overrides) - set(tolerances)))
@@ -86,6 +83,14 @@ class ExperimentConfig:
         return float(self.tolerance_overrides.get(name, _TOLERANCES[name]))
 
 
+def _bind(kind, name, bind, params):
+    """A signature's bind or bind_partial of (None, None, **params), or GalleryError."""
+    try:
+        bind(None, None, **params)
+    except TypeError as exc:
+        raise GalleryError(f"{kind} {name!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # metric builders; each is (grid, seed, **its keys)
 
@@ -93,14 +98,7 @@ class ExperimentConfig:
 def _bump_metric(grid, seed, base="flat", amplitude=0.25):
     """Conformal bump of the flat or hexagonal torus: a seeded sum of three
     cosine products, scaled to the amplitude and centred."""
-    rng = np.random.default_rng(int(seed))
-    xy = grid.coords
-    u = np.zeros(grid.num_vertices)
-    for _ in range(3):
-        fr = rng.integers(1, 3, size=2)
-        ph = rng.uniform(0, 2 * math.pi, size=2)
-        u += rng.normal() * np.cos(2 * math.pi * fr[0] * xy[:, 0] + ph[0]) * np.cos(
-            2 * math.pi * fr[1] * xy[:, 1] + ph[1])
+    u = F._cosine_mixture(grid, np.random.default_rng(int(seed)), 3, 1.0)
     u = float(amplitude) * u / max(np.abs(u).max(), 1e-12)
     flat = F.constant_metric(grid, HEX_GRAM) if base == "hexagonal" else F.flat_metric(grid)
     return F.conformal_rescale(flat, u - u.mean())
@@ -352,15 +350,19 @@ _OPERATIONS = {
 def run_config(config: ExperimentConfig, out_dir=None, resolution=None, figures=False):
     """Execute an experiment at each resolution; returns all ReportRows.
 
-    Deterministic for fixed config (its seed included).
+    Deterministic for fixed config (its seed included).  A missing required key
+    raises GalleryError before any grid is built.
     """
+    operation = _OPERATIONS[config.operation][0]
+    _bind("operation", config.operation, inspect.signature(operation).bind,
+          config.operation_params)
     resolutions = config.resolutions if resolution is None else [int(resolution)]
     top = topology_from_name(config.domain)
     all_rows = []
     for N in resolutions:
         grid = build_grid(top, N, config.stencil_order)
         field = build_metric(config, grid)
-        rows, figs = _OPERATIONS[config.operation][0](config, field, **config.operation_params)
+        rows, figs = operation(config, field, **config.operation_params)
         all_rows += [mio.make_row(config.experiment_id, N, *row) for row in rows]
         if out_dir is not None:
             _write_artifacts(config, field, N, figs, out_dir, figures)

@@ -365,6 +365,7 @@ class Grid:
         self.quotient_volume_factor = quotient_volume_factor
         self._stencil = None        # StencilCSR, built on first use
         self._classes = None        # (class_disp, form_index)
+        self._axis_values = None    # per axis, (distinct coordinates, inverse)
 
     @property
     def num_vertices(self) -> int:
@@ -414,6 +415,12 @@ class Grid:
             form_index = (self.edges * len(class_disp) + cls[:, None]).astype(np.int32)
             self._classes = (class_disp, form_index)
         return self._classes
+
+    def axis_values(self) -> list:
+        """Per axis k, np.unique(coords[:, k], return_inverse=True), computed once."""
+        if self._axis_values is None:
+            self._axis_values = [np.unique(c, return_inverse=True) for c in self.coords.T]
+        return self._axis_values
 
     def neighbors(self, v: int) -> np.ndarray:
         """The distinct neighbours of v, ascending."""

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metriclab import fields as F
+from metriclab import gallery as gal
 from metriclab import geodesy as geo
 from metriclab import grid as G
 from metriclab import io as mio
@@ -122,6 +123,119 @@ def test_random_spd_eigenvalue_bounds_over_many_seeds():
         worst_hi = max(worst_hi, ev.max())
     assert worst_lo >= lo - 1e-9
     assert worst_hi <= hi + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# seeded builders against their per-vertex-cosine forms
+
+
+def _einsum_random_spd_metric(grid, seed, eig_range):
+    """random_spd_metric as it was, with per-vertex cosines and one einsum: the oracle."""
+    lo, hi = eig_range
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    xy = grid.coords
+
+    def trig_field():
+        out = np.zeros(grid.num_vertices)
+        for _ in range(4):
+            freq = rng.integers(1, 3, size=n)
+            phase = rng.uniform(0, 2 * math.pi, size=n)
+            amp = 0.45 * rng.normal()
+            term = amp * np.ones(grid.num_vertices)
+            for k in range(n):
+                term = term * np.cos(2 * math.pi * freq[k] * xy[:, k] + phase[k])
+            out += term
+        return out
+
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    lams = []
+    for _ in range(n):
+        s = trig_field()
+        lams.append(np.exp(log_lo + (log_hi - log_lo) * 0.5 * (1.0 + np.sin(s))))
+    if n == 1:
+        return np.array(lams[0])[:, None, None]
+    theta = trig_field()
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.broadcast_to(np.eye(n), (grid.num_vertices, n, n)).copy()
+    rot[:, 0, 0], rot[:, 0, 1] = c, -s
+    rot[:, 1, 0], rot[:, 1, 1] = s, c
+    lam = np.stack(lams, axis=1)
+    t = np.einsum("vij,vj,vkj->vik", rot, lam, rot)
+    return 0.5 * (t + np.swapaxes(t, 1, 2))
+
+
+def _loop_bump_metric(grid, seed, base):
+    """gallery._bump_metric as it was, with per-vertex cosines: the oracle."""
+    rng = np.random.default_rng(int(seed))
+    xy = grid.coords
+    u = np.zeros(grid.num_vertices)
+    for _ in range(3):
+        fr = rng.integers(1, 3, size=2)
+        ph = rng.uniform(0, 2 * math.pi, size=2)
+        u += rng.normal() * np.cos(2 * math.pi * fr[0] * xy[:, 0] + ph[0]) * np.cos(
+            2 * math.pi * fr[1] * xy[:, 1] + ph[1])
+    u = 0.25 * u / max(np.abs(u).max(), 1e-12)
+    flat = F.constant_metric(grid, gal.HEX_GRAM) if base == "hexagonal" else F.flat_metric(grid)
+    return F.conformal_rescale(flat, u - u.mean()).tensors
+
+
+_SPD_GRIDS = [("square", 2, 5), ("square", 3, 65), ("square", 3, 192), ("cylinder", 3, 17),
+              ("cylinder", 3, 40), ("torus2", 3, 16), ("torus2", 3, 48), ("hexagon", 3, 33),
+              ("hexagon", 3, 64), (f"hexagon:{gal.TRIPOD_MASK}", 3, 96), ("interval", 3, 9),
+              ("interval", 3, 50), ("cube3", 1, 6), ("cube3", 2, 9), ("cube4", 1, 4),
+              ("cube4", 1, 5)]
+
+
+def _topology(name):
+    return G.cube(int(name[-1])) if name.startswith("cube") else G.topology_from_name(name)
+
+
+@pytest.mark.parametrize("name, order, N", _SPD_GRIDS)
+def test_random_spd_is_bit_equal_to_the_einsum_oracle(name, order, N):
+    g = G.build_grid(_topology(name), N, order)
+    for seed in (0, 1, 7, 100, 2 ** 31 + 5):
+        for eigs in ((0.25, 4.0), (0.5, 2.0)):
+            expected = _einsum_random_spd_metric(g, seed, eigs)
+            assert np.array_equal(F.random_spd_metric(g, seed, eigs).tensors, expected)
+
+
+@pytest.mark.parametrize("base", ["flat", "hexagonal"])
+@pytest.mark.parametrize("N", [48, 64, 96])
+def test_bump_metric_is_bit_equal_to_the_loop_oracle(base, N):
+    g = G.build_grid(G.torus2(), N, 3)
+    for seed in (0, 1, *range(100, 120)):
+        expected = _loop_bump_metric(g, seed, base)
+        assert np.array_equal(gal._bump_metric(g, seed, base).tensors, expected)
+
+
+@pytest.mark.parametrize("name, order, N", [("square", 3, 64), ("hexagon", 3, 48),
+                                            ("interval", 3, 30), ("cube3", 1, 8)])
+def test_seeded_builders_call_no_einsum_and_one_cosine_per_axis_value(monkeypatch, name,
+                                                                     order, N):
+    """A mixture of T terms evaluates at most T * (sum of the axes' distinct
+    coordinates) cosines; random_spd_metric adds one per vertex for its rotation
+    angle when n >= 2."""
+    g = G.build_grid(_topology(name), N, order)
+    axis_values = sum(len(np.unique(g.coords[:, k])) for k in range(g.n))
+    cos, evaluated = np.cos, []
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    def counting_cos(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(np, "cos", counting_cos)
+    F.random_spd_metric(g, 3, (0.25, 4.0))
+    mixtures = g.n + (g.n > 1)
+    assert sum(evaluated) <= 4 * mixtures * axis_values + (g.num_vertices if g.n > 1 else 0)
+    if g.n == 2:
+        evaluated.clear()
+        gal._bump_metric(g, 3)
+        assert 0 < sum(evaluated) <= 3 * axis_values
 
 
 def test_random_spd_invalid_range_and_topology():

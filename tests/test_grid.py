@@ -60,6 +60,17 @@ def test_coords_inside_unit_box():
         assert (g.coords >= -1e-12).all() and (g.coords <= 1 + 1e-12).all()
 
 
+@pytest.mark.parametrize("top, N", [(G.square(), 9), (G.hexagon("regular"), 16),
+                                    (G.cube(3), 5), (G.sphere2(), 8)])
+def test_axis_values_are_each_axis_distinct_coordinates_computed_once(top, N):
+    g = G.build_grid(top, N, 1)
+    axes = g.axis_values()
+    assert axes is g.axis_values() and len(axes) == g.n
+    for k, (values, inverse) in enumerate(axes):
+        assert np.array_equal(values, np.unique(g.coords[:, k]))
+        assert np.array_equal(values[inverse], g.coords[:, k])
+
+
 def test_face_vertices_square():
     g = G.build_grid(G.square(), 8, 1)
     fa = G.face_vertices(g, "A")

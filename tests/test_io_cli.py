@@ -373,6 +373,25 @@ def test_cli_execution_error_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
+def test_a_missing_required_key_exits_2_before_any_grid_is_built(tmp_path, capsys,
+                                                                  monkeypatch):
+    def build_grid(*args, **kwargs):
+        raise AssertionError("build_grid called")
+
+    monkeypatch.setattr(gal, "build_grid", build_grid)
+    cfg = tmp_path / "no-reference.ini"
+    cfg.write_text(
+        "[domain]\nkind = sphere2\n\n[metric]\nbuilder = round_sphere\n\n"
+        "[experiment]\nid = no-reference\noperation = volume\nresolutions = 16\n"
+    )
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "reference" in err
+    with pytest.raises(gal.GalleryError, match="reference"):
+        gal.refine(gal.ExperimentConfig("v", "sphere2", "round_sphere", "volume",
+                                        [8, 16, 32]), "volume")
+
+
 def test_cli_rejects_threads_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--gallery", "flat-torus-systole", "--threads", "4"])
