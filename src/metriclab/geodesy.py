@@ -44,14 +44,18 @@ exact; symmetrically for the second axis.  An edge of displacement class j
 is at least m_j long (the least in its class), so a path moves at most
 length / b_k chart units along axis k, with b_k the least m_j / |delta_jk|
 over classes that move along k (b_k >= sqrt(lambda_min)).  Every vertex that
-a Dijkstra from a base vertex settles within its cut-off, at most
-ub / 2 + longest edge, therefore lies within cut-off / b_k of the base lines
-along axis k, and the box holds those points, plus one lattice spacing
-(_deck_box): every ball of the cut-off radius lies in it whole, and so both
-halves of every loop of length at most ub.  ub is the graph length of a
-stencil walk in the class, a true upper bound.  The box depends on the class
-only through ub and whether its first winding is nonzero, so the systole
-searches every class with a nonzero first winding in one box.
+a Dijkstra from a searched base vertex settles within its cut-off, at most
+ub / 2 + longest edge, therefore lies within cut-off / b_k of that vertex
+along axis k, and the box holds those points around every searched base
+vertex, plus one lattice spacing (_deck_box): the ball of the cut-off radius
+around each searched source lies in it whole, and so both halves of every
+loop of length at most ub through it.  Balls around the base vertices that
+are not searched (below) are never needed.  ub is the graph length of a
+stencil walk in the class, a true upper bound.  The box depends on the
+classes only through ub and the searched base vertices, which are those of
+the same base lines for every class with a nonzero first winding, so the
+systole searches all of them in one box.  It holds one box at a time: each
+search's leading class gets its witness before the next box is built.
 
 On rp2, noncontractible loops lift to paths from v to its antipode on the
 sphere double cover.  The antipodal map sends the meridian circle (longitudes
@@ -67,16 +71,18 @@ automorphism of the graph; it commutes with the deck group and with the
 antipode (on sphere2/rp2 it is a longitude rotation, the poles fixed).  The
 check costs O(E) per axis, once per field.  scipy's computed distances within
 a cut-off are the unique fixed point of d(x) = min over d(u) < d(x) of
-fl(d(u) + w(u, x)), which does not depend on heap order, and the box holds
-every ball of the cut-off radius around a base vertex; so the row of T v is
-the row of v moved by T, bit for bit, and d(v, t v) = d(T v, t T v) exactly.
-Every base vertex of an orbit ties, the least minimizing index of the search
-over every source is the first of its orbit, and only the first of each orbit
-is searched.  Searched blocks keep their positions in the list of every
-source (_loop_search), so length, base vertex and witness are those of the
-search over every source.  On a flat or hexagonal torus that is one source
-per class instead of 2N; on round sphere2/rp2 N + 1 instead of 2N; a field
-with no exact translation keeps every source.
+fl(d(u) + w(u, x)), which depends neither on heap order nor on the box,
+once the box holds the ball of the cut-off radius around the source; so the
+row of T v, in any box that holds its ball, is the row of v moved by T, bit
+for bit, and d(v, t v) = d(T v, t T v) exactly.  Every base vertex of an
+orbit ties, the least minimizing index of the search over every source is
+the first of its orbit, and only the first of each orbit is searched, in a
+box sized around the searched ones alone.  Searched blocks keep their
+positions in the list of every source (_loop_search), so length, base vertex
+and witness are those of the search over every source.  On a flat or
+hexagonal torus that is one source per class instead of 2N; on round
+sphere2/rp2 N + 1 instead of 2N; a field with no exact translation keeps
+every source.
 """
 
 from __future__ import annotations
@@ -333,7 +339,11 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     candidate centers to a vertex set (default: anywhere); a is the first
     center only if it lies there.  The row of b is cut off at the best ecc
     so far, widened by the reversal slack: a vertex beyond it has a larger
-    ecc, so it could never be the center.
+    ecc, so it could never be the center.  When b is the first member or a,
+    whose full rows are at hand, that row is cut off instead of searched
+    again: a cut-off search keeps every value within its limit (equal
+    included) bit for bit, since each one's last edge leaves a vertex that
+    is no farther, and gives inf beyond it.
     """
     subset = np.asarray(subset, dtype=np.int64)
     graph = field.graph()
@@ -345,7 +355,12 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     far = int(subset[np.argmax(d0[subset])])
     d1 = distance_matrix(field, [far])[0]
     best = (float(d1[subset].max()), far) if penalty[far] == 0 else (np.inf, -1)
-    d2 = _shortest_paths(graph, subset[np.argmax(d1[subset])], _widened(best[0], graph))[0]
+    second, limit = subset[np.argmax(d1[subset])], _widened(best[0], graph)
+    if second in (subset[0], far):  # its row is at hand: cut it off as scipy would
+        row = d0 if second == subset[0] else d1
+        d2 = np.where(row <= limit, row, np.inf)
+    else:
+        d2 = _shortest_paths(graph, second, limit)[0]
     cand_scores = np.maximum(d1, d2) + penalty
     cand = np.argsort(cand_scores, kind="stable")[:rounds]
     cand = cand[np.isfinite(cand_scores[cand])]
@@ -461,25 +476,28 @@ def _sqrt_lambda_min(field) -> float:
     return math.sqrt(lam)
 
 
-def _deck_box(field, cls, ub: float, reach: float):
+def _deck_box(field, sources, ub: float, reach: float):
     """(lo, shape): the box of lattice points of the lift, lo its least index,
     that holds every point within (ub / 2 + reach) / b_k plus one lattice
-    spacing of the base lines along each periodic axis k, and a bounded axis
-    whole.  b_k, the least m_j / |delta_jk| over displacement classes j with
-    delta_jk != 0 (m_j the least edge length in class j), bounds the graph
-    length of a path per chart unit it moves along axis k; so the box holds
-    both halves of every loop of length <= ub met halfway (module docstring)."""
+    spacing of the searched sources (grid vertices) along each periodic axis
+    k, and a bounded axis whole.  b_k, the least m_j / |delta_jk| over
+    displacement classes j with delta_jk != 0 (m_j the least edge length in
+    class j), bounds the graph length of a path per chart unit it moves along
+    axis k; so the box holds both halves of every loop of length <= ub
+    through a source, met halfway (module docstring)."""
     g = field.grid
     disp, index = g.displacement_classes()
     least = np.full(len(disp), np.inf)
     np.minimum.at(least, index[:, 0] % len(disp), field.edge_lengths())
     with np.errstate(divide="ignore"):
         b = (least[:, None] / np.abs(disp)).min(axis=0)
-    lo, shape, across = [], [], 0 if cls[0] != 0 else 1
+    at = np.unravel_index(sources, g.lattice_shape)
+    lo, shape = [], []
     for k, (n, h, periodic) in enumerate(zip(g.lattice_shape, g.spacing, g.topology.periodic)):
         m = math.floor(((_padded(ub) / 2 + reach) / b[k] + h) / h) if periodic else 0
-        lo.append(-m)
-        shape.append((2 if k == across else n) + 2 * m)
+        first, last = (int(at[k].min()), int(at[k].max())) if periodic else (0, n - 1)
+        lo.append(first - m)
+        shape.append(last - first + 1 + 2 * m)
     return lo, shape
 
 
@@ -644,16 +662,19 @@ def _shifted(r, d) -> slice:
 def _deck_loops(field: MetricField, classes, base, ub: float):
     """_meet_search over the deck translations by classes (torus2/cylinder),
     from the base vertices base that every loop in each of them crosses, in
-    one box: the one that holds every loop of length <= ub met halfway
-    (_deck_box).  The box depends on a class only through whether its first
-    winding is nonzero, so classes must agree on that.  Class (p, q) sends box
-    point x to x + (p N, q N), so its pairs are shifted views of the block,
-    one fundamental domain of box rows at a time.  The chains it returns are
-    of grid vertices."""
+    one box: the one that holds every loop of length <= ub through a searched
+    base vertex, met halfway (_deck_box).  Only the first base vertex of each
+    orbit is searched (_orbit_representatives, run before the box is built,
+    since its check copies the field's graph); the others get the source -1,
+    which _shortest_paths refuses.  Class (p, q) sends box point x to
+    x + (p N, q N), so its pairs are shifted views of the block, one
+    fundamental domain of box rows at a time.  The chains it returns are of
+    grid vertices."""
     g = field.grid
     n = g.lattice_shape
     reach = float(field.edge_lengths().max())
-    lo, shape = _deck_box(field, classes[0], ub, reach)
+    keep = _orbit_representatives(field, base)
+    lo, shape = _deck_box(field, base[keep], ub, reach)
     isometries = []
     for c in classes:
         t = (c[0] * n[0], c[1] * n[1])
@@ -661,14 +682,15 @@ def _deck_loops(field: MetricField, classes, base, ub: float):
         rows = [range(i, min(i + n[0], xs.stop)) for i in xs[::n[0]] if ys]
         isometries.append((shape, [((_shifted(x, 0), _shifted(ys, 0)),
                                     (_shifted(x, t[0]), _shifted(ys, t[1]))) for x in rows]))
-    sources = np.ravel_multi_index([i - l for i, l in zip(np.unravel_index(base, n), lo)], shape)
+    sources = np.full(len(base), -1, dtype=np.int64)
+    sources[keep] = np.ravel_multi_index(
+        [i - l for i, l in zip(np.unravel_index(base[keep], n), lo)], shape)
 
     def vertices(chain):  # box points to grid vertices
         at = np.unravel_index(chain, shape)
         return g.lattice_vid[tuple((i + l) % m for i, l, m in zip(at, lo, n))]
 
-    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach,
-                         _orbit_representatives(field, base))
+    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach, keep)
     return found and [f and (f[0], f[1], lambda chains=f[2]: [vertices(c) for c in chains()])
                       for f in found]
 
@@ -767,7 +789,9 @@ def systole(field: MetricField) -> LoopWitness:
     all; but it is longer than the systole by more than 1e-15, so in either
     walk a later class replaces it or it is never chosen.  Each search runs
     one source per orbit of exact lattice translations: one on a constant
-    (flat, hexagonal) torus.
+    (flat, hexagonal) torus, in a box sized around it.  The class that takes
+    the lead in a search gets its checked witness at once, so no box
+    outlives its search.
     """
     g = field.grid
     kind = g.topology.kind
@@ -788,16 +812,24 @@ def systole(field: MetricField) -> LoopWitness:
             break
         joint.append(c)
         ub = min(ub, _stencil_walk_length(field, base, c))
-    length, win = np.inf, None
-    for classes, b in [([(0, 1)], first)] + ([(joint, base)] if joint else []):
+
+    def lead(classes, b, best):
+        # the witness of the class that takes the lead from best, if one does;
+        # nothing holds this search's box once it returns
+        length, win = np.inf if best is None else best.length, None
         for c, found in zip(classes, _deck_loops(field, classes, b, ub) or ()):
             if lam * math.hypot(*c) >= length:
                 break
             if found is not None and found[0] < length - 1e-15:
-                length, win = found[0], (c, b, found)
-    if win is None:
+                length, win = found[0], (c, found)
+        return best if win is None else _deck_witness(field, win[0], b, win[1])
+
+    best = None
+    for classes, b in [([(0, 1)], first)] + ([(joint, base)] if joint else []):
+        best = lead(classes, b, best)
+    if best is None:
         raise GeodesyError(f"no noncontractible loop found within bound {ub}")
-    return _deck_witness(field, *win)
+    return best
 
 
 def _antipodal_search(field: MetricField):

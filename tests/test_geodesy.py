@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -407,6 +408,67 @@ def test_radii_match_dense_oracles_on_random_fields(kind, seed, data):
             == _dense_set_radius_upper(f, S, rounds, within=S))
 
 
+def _unshared_set_radius_upper(f, subset, rounds, within=None):
+    """The former set_radius_upper, kept as the oracle of the shared rows: it
+    searched the second row of its far pair again, cut off at the bound, even
+    when that row was the first member's or the far member's."""
+    subset = np.asarray(subset, dtype=np.int64)
+    graph = f.graph()
+    penalty = np.zeros(graph.shape[0])
+    if within is not None:
+        penalty[:] = np.inf
+        penalty[within] = 0.0
+    d0 = geo.distance_matrix(f, subset[:1])[0]
+    far = int(subset[np.argmax(d0[subset])])
+    d1 = geo.distance_matrix(f, [far])[0]
+    best = (float(d1[subset].max()), far) if penalty[far] == 0 else (np.inf, -1)
+    d2 = geo._shortest_paths(graph, subset[np.argmax(d1[subset])],
+                             geo._widened(best[0], graph))[0]
+    scores = np.maximum(d1, d2) + penalty
+    cand = np.argsort(scores, kind="stable")[:rounds]
+    cand = cand[np.isfinite(scores[cand])]
+    ecc, i = geo._loop_search(graph, cand, lambda D, rows: D[:, subset].max(axis=1), best[0])
+    return (ecc, int(cand[i])) if ecc < best[0] else best
+
+
+def _dijkstra_calls(run):
+    """run() and the number of scipy Dijkstras it made."""
+    calls, real = [], geo.dijkstra
+    with mock.patch.object(geo, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k)):
+        out = run()
+    return out, len(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["square", "torus2", "rp2"]), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_set_radius_upper_shares_rows_with_the_unshared_search(kind, seed, data):
+    g = G.build_grid(G.topology_from_name(kind), 2 * data.draw(st.integers(3, 6)), 3)
+    f = (F.round_sphere_metric(g, 1.0) if kind == "rp2"
+         else F.random_spd_metric(g, seed, (0.5, 2.0)))
+    V = g.num_vertices
+    S = np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=6)))
+    rounds = data.draw(st.integers(1, 4))
+    within = data.draw(st.sampled_from([None, "subset", "random"]))
+    within = {None: None, "subset": S,
+              "random": np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=1,
+                                                    max_size=8)))}[within]
+    got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(f, S, rounds, within=within))
+    want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(f, S, rounds, within))
+    assert got == want
+    assert unshared - 1 <= calls <= unshared
+
+
+def test_set_radius_upper_reuses_the_first_members_row():
+    # the far pair of {a, b} is (b, a): the second row is a's, already searched
+    f = F.random_spd_metric(G.build_grid(G.square(), 12, 3), 4, (0.5, 2.0))
+    for within in (None, [5, 40, 77]):
+        got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(f, [3, 100], 2, within))
+        want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(f, [3, 100], 2,
+                                                                            within))
+        assert got == want and calls == unshared - 1
+
+
 def _counting_dijkstra(monkeypatch):
     """Record (sources, limit) of every Dijkstra that geodesy runs."""
     calls = []
@@ -765,6 +827,11 @@ def test_loop_engine_matches_oracle_on_bump_tori(N, seed, base, cls):
     _assert_matches_oracle(_bump_torus(N, seed, base), cls)
 
 
+def _searched(f, base):
+    """The base vertices that a loop search runs from: one per orbit."""
+    return base[geo._orbit_representatives(f, base)]
+
+
 def _recorded_boxes(monkeypatch):
     """The vertex count of every box _lifted_graph builds."""
     boxes, real_lift = [], geo._lifted_graph
@@ -778,17 +845,20 @@ def test_hexagonal_windows_at_N128_are_no_larger(monkeypatch):
     reach = float(f.edge_lengths().max())
     V = f.grid.num_vertices
     # copies of the former window, which spanned copy cls and the loop's
-    # reach; it pinned (1, 0) and (1, -1) to 2 x 3 copies, 98,304 vertices
+    # reach; it pinned (1, 0) and (1, -1) to 2 x 3 copies, 98,304 vertices.
+    # A box around both base lines was 156 x 282 points, 43,992, and
+    # one around the lone searched source is 155 x 155
     former = {(1, 0): 6, (0, 1): 6, (1, -1): 9, (1, 1): 25}
-    pinned = {(1, 0): [156, 282], (0, 1): [282, 156], (1, -1): [156, 282]}
+    pinned = {(1, 0): [155, 155], (0, 1): [155, 155], (1, -1): [155, 155]}
     for cls, copies in former.items():
-        ub = geo._stencil_walk_length(f, geo._loop_base_vertices(f.grid, cls), cls)
-        _, shape = geo._deck_box(f, cls, ub, reach)
+        base = geo._loop_base_vertices(f.grid, cls)
+        ub = geo._stencil_walk_length(f, base, cls)
+        _, shape = geo._deck_box(f, _searched(f, base), ub, reach)
         assert math.prod(shape) <= copies * V
         assert shape == pinned.get(cls, shape)
     boxes = _recorded_boxes(monkeypatch)
     geo.systole(f)
-    assert boxes == [43_992, 43_992]
+    assert boxes == [24_025, 24_025]
 
 
 def test_stencil_walk_is_a_true_upper_bound():
@@ -1081,6 +1151,45 @@ def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
     assert peak <= 16 * P * 12 + 4 * (P + 1) + 64 * P * 8 + 32 * P * 8
 
 
+@pytest.mark.parametrize("name", ["hex-64", "bump-flat-32"])
+def test_systole_holds_one_box_at_a_time(monkeypatch, name):
+    # each search finds its orbits before it builds its box, since their
+    # check copies the field's graph, and no earlier box is alive then
+    f = SYSTOLE_CASES["hex-64"]() if name == "hex-64" else _bump_torus(32, 0, "flat")
+    events, boxes = [], []
+    real_lift, real_orbits = geo._lifted_graph, geo._orbit_representatives
+
+    def lift(field, lo, shape):
+        events.append(("box", sum(box() is not None for box in boxes)))
+        graph = real_lift(field, lo, shape)
+        boxes.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(geo, "_lifted_graph", lift)
+    monkeypatch.setattr(geo, "_orbit_representatives",
+                        lambda *a: events.append("orbits") or real_orbits(*a))
+    w = geo.systole(f)
+    assert w.check_length(f)
+    assert events == ["orbits", ("box", 0)] * 2
+
+
+def test_hexagonal_systole_memory_is_bounded():
+    import tracemalloc
+
+    # one 24,025-point box at a time, built with no copy of the field's graph
+    # on top: the search peaked at 20.9 MiB with two boxes of 43,992 points
+    f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), HEX)
+    f.graph()
+    tracemalloc.start()
+    try:
+        w = geo.systole(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.cls == (0, 1) and w.length == 1.0
+    assert peak <= 12 * 2 ** 20
+
+
 def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
     # diag(1e-4, 1): one ub, that of the (1, 0) walk, sizes both boxes; the
     # copies window of sqrt(lambda_min) held 4.1 million vertices at N = 16
@@ -1095,7 +1204,8 @@ def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
     sized = []
 
     def sizes_only(field, classes, base, ub):  # size each box and search nothing
-        lo, shape = geo._deck_box(field, classes[0], ub, float(field.edge_lengths().max()))
+        lo, shape = geo._deck_box(field, _searched(field, base), ub,
+                                  float(field.edge_lengths().max()))
         sized.append(math.prod(shape))
 
     monkeypatch.setattr(geo, "_deck_loops", sizes_only)
@@ -1106,7 +1216,8 @@ def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
 
 def test_a_box_above_the_ceiling_raises_before_any_scipy_call(monkeypatch):
     f = F.constant_metric(G.build_grid(G.torus2(), 16, 3), HEX)
-    lo, shape = geo._deck_box(f, (1, 0), 1.0, float(f.edge_lengths().max()))
+    base = geo._loop_base_vertices(f.grid, (1, 0))
+    lo, shape = geo._deck_box(f, _searched(f, base), 1.0, float(f.edge_lengths().max()))
 
     def called(*args, **kwargs):
         raise AssertionError("scipy was called")
