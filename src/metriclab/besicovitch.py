@@ -42,7 +42,7 @@ class BesicovitchReport:
     face_containment_ok: bool
     passed: bool
     rel_tol: float
-    per_cell_jac: np.ndarray = dataclass_field(repr=False, default=None)
+    per_cell_jac: np.ndarray = dataclass_field(repr=False)
     flatness: float = float("nan")
 
     def jac_histogram(self):

@@ -547,7 +547,7 @@ def _lifted_graph(field, lo, shape) -> csr_matrix:
     return csr_matrix((data, indices, indptr), shape=(P, P))
 
 
-def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
+def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
     """(min over i of value for sources[i], least minimizing i).
 
     Dijkstras run _CHUNK sources at a time, each cut off at the best value so
@@ -565,17 +565,17 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
     value is never searched; ties are never pruned, so the least minimizing i
     still wins.  Without bounds, sources run in order, _CHUNK at a time.
 
-    keep masks the sources that are searched (default: all); each one left
-    out must tie with a kept one before it, so it never changes the best
-    value or the cut-off.  Without bounds a block is still one run of _CHUNK
-    positions of sources, so every kept source is searched at the cut-off
-    that the search of every source gives it, and its meet point, which may
-    depend on the cut-off, is that search's too.
+    A source -1 is not searched; each one must tie with a searched source
+    before it, so it never changes the best value or the cut-off.  Without
+    bounds a block is still one run of _CHUNK positions of sources, so every
+    searched source gets the cut-off that the search of every source gives
+    it, and its meet point, which may depend on the cut-off, is that
+    search's too.
     """
     incumbent = _padded(ub)
     best = (np.inf, -1)
     lower = np.full(len(sources), -np.inf)
-    todo = np.ones(len(sources), dtype=bool) if keep is None else keep.copy()
+    todo = sources >= 0
     size = 1
     while True:
         open_ = np.flatnonzero(todo & (lower <= best[0]))
@@ -602,7 +602,7 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None, keep=None):
             incumbent = min(incumbent, _padded(m))
 
 
-def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
+def _meet_search(graph, sources, isometries, ub: float, reach: float):
     """For each isometry s of the graph, the shortest path from some sources[i]
     to its image s sources[i], as (length, i, chains), or None when none is
     within ub; None alone when no isometry has one.  One Dijkstra per source
@@ -616,7 +616,7 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
     block-sized array is alive.  Each isometry keeps its own least value,
     first minimizing source and meet point; the cut-off is the least value
     over all of them so far, and every value within it is exact
-    (_loop_search).  keep masks the sources searched.  chains() gives the
+    (_loop_search), and a source -1 is not searched.  chains() gives the
     vertex chains from sources[i] to w and to s^-1 w, from one more Dijkstra,
     cut off at the first cut-off of the search, which held both.
     """
@@ -640,7 +640,7 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float, keep):
             vals[k, rows] = best
         return vals[:, rows].min(axis=0)
 
-    _loop_search(graph, sources, value, ub, reach, keep=keep)
+    _loop_search(graph, sources, value, ub, reach)
 
     def chains(k, i):
         _, (pred,) = _shortest_paths(graph, sources[i], _padded(ub) / 2 + reach, predecessors=True)
@@ -690,7 +690,7 @@ def _deck_loops(field: MetricField, classes, base, ub: float):
         at = np.unravel_index(chain, shape)
         return g.lattice_vid[tuple((i + l) % m for i, l, m in zip(at, lo, n))]
 
-    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach, keep)
+    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach)
     return found and [f and (f[0], f[1], lambda chains=f[2]: [vertices(c) for c in chains()])
                       for f in found]
 
@@ -709,14 +709,6 @@ def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -
             f"loop witness in class {witness.cls} fails its length check: polyline "
             f"{polyline_length(field, witness.points)!r} != graph {witness.length!r}")
     return witness
-
-
-def _deck_witness(field: MetricField, cls, base, found) -> LoopWitness:
-    """The checked witness of a _deck_loops result in class cls; its chains
-    are of grid vertices, so the translation's image of a chain is the chain
-    itself."""
-    length, i, chains = found
-    return _loop_witness(field, cls, base[i], length, chains, lambda chain: chain)
 
 
 def shortest_loop_in_class(field: MetricField, cls):
@@ -745,7 +737,10 @@ def shortest_loop_in_class(field: MetricField, cls):
     found = _deck_loops(field, [(p, q)], base, ub)
     if found is None:
         raise GeodesyError(f"no loop found in class {cls} within bound {ub}")
-    return _deck_witness(field, (p, q) if kind == "torus2" else p, base, found[0])
+    # the chains are of grid vertices, which the translation maps to themselves
+    length, i, chains = found[0]
+    return _loop_witness(field, (p, q) if kind == "torus2" else p, base[i], length, chains,
+                         lambda chain: chain)
 
 
 def _primitive_classes():
@@ -821,8 +816,9 @@ def systole(field: MetricField) -> LoopWitness:
             if lam * math.hypot(*c) >= length:
                 break
             if found is not None and found[0] < length - 1e-15:
-                length, win = found[0], (c, found)
-        return best if win is None else _deck_witness(field, win[0], b, win[1])
+                length, win = found[0], (c, found[1], found[2])
+        return best if win is None else _loop_witness(field, win[0], b[win[1]], length, win[2],
+                                                      lambda chain: chain)
 
     best = None
     for classes, b in [([(0, 1)], first)] + ([(joint, base)] if joint else []):
@@ -849,9 +845,9 @@ def _antipodal_search(field: MetricField):
     pairs = [((h,), (anti[h],)) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
-    (length, i, chains), = _meet_search(graph, band, [((len(anti),), pairs)], ub,
-                                        float(field.edge_lengths().max()),
-                                        _orbit_representatives(field, band))
+    sources = np.where(_orbit_representatives(field, band), band, -1)
+    (length, i, chains), = _meet_search(graph, sources, [((len(anti),), pairs)], ub,
+                                        float(field.edge_lengths().max()))
     return length, int(band[i]), chains
 
 

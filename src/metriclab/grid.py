@@ -339,8 +339,8 @@ class Grid:
 
     def __init__(self, topology, resolution, stencil_order, coords, edges, edge_disp,
                  edge_wrap, cells, cell_corner_xy, cell_chart_vol, face_sets,
-                 spacing, lattice_vid, lattice_shape, antipode_map=None,
-                 chart_degenerate=None, quotient_volume_factor=1.0):
+                 spacing, lattice_vid, lattice_shape, antipode_map, chart_degenerate,
+                 quotient_volume_factor):
         self.topology = topology
         self.resolution = resolution
         self.stencil_order = stencil_order
@@ -358,10 +358,7 @@ class Grid:
         self.lattice_vid = lattice_vid
         self.lattice_shape = lattice_shape
         self.antipode_map = antipode_map
-        self.chart_degenerate = (
-            chart_degenerate if chart_degenerate is not None
-            else np.zeros(len(coords), dtype=bool)
-        )
+        self.chart_degenerate = chart_degenerate
         self.quotient_volume_factor = quotient_volume_factor
         self._stencil = None        # StencilCSR, built on first use
         self._classes = None        # (class_disp, form_index)
@@ -505,7 +502,7 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
         cells, corner_xy, cell_vol = cells[keep], corner_xy[keep], cell_vol[keep]
 
     vid = vid.reshape(shape)
-    anti = degenerate = None
+    anti, degenerate = None, np.zeros(V, dtype=bool)
     if sphere:
         pairs, disp, wrap = _collapse_poles(pairs, disp, wrap, coords)
         anti = np.empty(V, dtype=np.int64)
@@ -514,8 +511,8 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
 
     return Grid(
         topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy, cell_vol,
-        _faces(topology, coords, mask_spec, vid), spacing, vid, shape, antipode_map=anti,
-        chart_degenerate=degenerate, quotient_volume_factor=0.5 if topology.kind == "rp2" else 1.0,
+        _faces(topology, coords, mask_spec, vid), spacing, vid, shape, anti, degenerate,
+        0.5 if topology.kind == "rp2" else 1.0,
     )
 
 

@@ -13,7 +13,6 @@ Formats are deliberately simple and diffable:
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,15 @@ def fmt(x) -> str:
 # domain + field
 
 
+def _section(name: str, items: dict) -> str:
+    """A [name] block of key = value lines, each ending in a newline."""
+    return "".join([f"[{name}]\n"] + [f"{k} = {v}\n" for k, v in items.items()])
+
+
 def domain_text(grid: Grid) -> str:
     top = grid.topology
-    return (f"[domain]\nkind = {top.kind}\nresolution = {grid.resolution}\n"
-            f"stencil_order = {grid.stencil_order}\nmask = {top.mask_name}\n")
+    return _section("domain", {"kind": top.kind, "resolution": grid.resolution,
+                               "stencil_order": grid.stencil_order, "mask": top.mask_name})
 
 
 def _sections(lines) -> dict:
@@ -65,19 +69,12 @@ def grid_from_descriptor(domain: dict) -> Grid:
 
 def field_table(field: MetricField) -> str:
     g = field.grid
-    n = g.n
-    cols = ["index"] + [f"x{k}" for k in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            cols.append(f"g{i}{j}")
-    out = ["# " + " ".join(cols)]
-    for v in range(g.num_vertices):
-        row = [str(v)] + [fmt(c) for c in g.coords[v]]
-        for i in range(n):
-            for j in range(i, n):
-                row.append(fmt(field.tensors[v, i, j]))
-        out.append(" ".join(row))
-    return "\n".join(out) + "\n"
+    i, j = np.triu_indices(g.n)
+    cols = ["index"] + [f"x{k}" for k in range(g.n)] + [f"g{a}{b}" for a, b in zip(i, j)]
+    row = "%d " + " ".join([FMT] * (g.n + len(i)))
+    table = np.column_stack([g.coords, field.tensors[:, i, j]])
+    return "\n".join(["# " + " ".join(cols)]
+                     + [row % (v, *r.tolist()) for v, r in enumerate(table)]) + "\n"
 
 
 def write_field(field: MetricField, path):
@@ -137,23 +134,17 @@ def read_field(path) -> MetricField:
 
 
 def witness_text(witness, grid: Grid) -> str:
-    out = [f"# class = {witness.cls}",
-           f"# length = {fmt(witness.length)}",
-           "# " + " ".join([f"x{k}" for k in range(grid.n)]
-                           + [f"wrap{k}" for k in range(grid.n)])]
-    for p in witness.points:
-        wraps = [int(math.floor(p[k])) if grid.topology.periodic[k] else 0
-                 for k in range(grid.n)]
-        coords = [p[k] - wraps[k] for k in range(grid.n)]
-        out.append(" ".join([fmt(c) for c in coords] + [str(w) for w in wraps]))
-    return "\n".join(out) + "\n"
+    n = grid.n
+    points = np.asarray(witness.points, dtype=float)
+    wraps = np.where(grid.topology.periodic, np.floor(points), 0).astype(np.int64)
+    head = " ".join([f"x{k}" for k in range(n)] + [f"wrap{k}" for k in range(n)])
+    row = " ".join([FMT] * n + ["%d"] * n)
+    return "\n".join([f"# class = {witness.cls}", f"# length = {fmt(witness.length)}", "# " + head]
+                     + [row % (*p, *w) for p, w in zip(points - wraps, wraps)]) + "\n"
 
 
 def profile_text(xs, ys) -> str:
-    out = ["# t a"]
-    for x, y in zip(xs, ys):
-        out.append(f"{fmt(x)} {fmt(y)}")
-    return "\n".join(out) + "\n"
+    return "\n".join(["# t a"] + [f"{fmt(x)} {fmt(y)}" for x, y in zip(xs, ys)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +152,16 @@ def profile_text(xs, ys) -> str:
 
 
 def besicovitch_text(report) -> str:
-    lines = ["[besicovitch]"]
-    for i, di in enumerate(report.d):
-        lines.append(f"d{i} = {fmt(di)}")
+    items = {f"d{i}": fmt(di) for i, di in enumerate(report.d)}
     for key in ("vol", "product", "slack", "jac_max", "row_norm_max", "flatness"):
-        lines.append(f"{key} = {fmt(getattr(report, key))}")
+        items[key] = fmt(getattr(report, key))
     for key in ("jac_ok", "degree_ok", "degree_checked", "face_containment_ok", "passed"):
-        lines.append(f"{key} = {str(getattr(report, key)).lower()}")
-    lines.append(f"rel_tol = {fmt(report.rel_tol)}")
+        items[key] = str(getattr(report, key)).lower()
+    items["rel_tol"] = fmt(report.rel_tol)
     edges, counts = report.jac_histogram()
-    lines.append("")
-    lines.append("[jac_histogram]")
-    lines.append("# bin_lo bin_hi count")
-    for k in range(len(counts)):
-        lines.append(f"{fmt(edges[k])} {fmt(edges[k + 1])} {int(counts[k])}")
-    return "\n".join(lines) + "\n"
+    bins = [f"{fmt(a)} {fmt(b)} {c}" for a, b, c in zip(edges, edges[1:], counts)]
+    return "\n".join([_section("besicovitch", items), "[jac_histogram]",
+                      "# bin_lo bin_hi count", *bins]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -186,56 +172,31 @@ def encode_runs(indices) -> str:
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if len(idx) == 0:
         return ""
-    parts = []
-    start = prev = int(idx[0])
-    for v in idx[1:]:
-        v = int(v)
-        if v == prev + 1:
-            prev = v
-            continue
-        parts.append(f"{start}-{prev}" if prev > start else str(start))
-        start = prev = v
-    parts.append(f"{start}-{prev}" if prev > start else str(start))
-    return ",".join(parts)
+    starts = np.r_[0, np.flatnonzero(np.diff(idx) != 1) + 1]
+    runs = zip(idx[starts].tolist(), idx[np.r_[starts[1:], len(idx)] - 1].tolist())
+    return ",".join(f"{a}-{b}" if b > a else str(a) for a, b in runs)
 
 
 def decode_runs(text: str) -> np.ndarray:
-    out = []
     text = text.strip()
     if not text:
         return np.empty(0, dtype=np.int64)
-    for part in text.split(","):
-        if "-" in part:
-            a, b = part.split("-")
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(part))
-    return np.asarray(out, dtype=np.int64)
+    runs = [part.partition("-") for part in text.split(",")]
+    return np.concatenate([np.arange(int(a), int(b if sep else a) + 1, dtype=np.int64)
+                           for a, sep, b in runs])
 
 
 def certificate_text(cert, grid: Grid, field_path: str = "") -> str:
-    lines = [domain_text(grid).rstrip("\n"), ""]
-    lines.append("[field]")
-    lines.append(f"path = {field_path}")
-    lines.append(f"hash = {cert.field_hash}")
-    lines.append("")
-    lines.append("[certificate]")
-    lines.append(f"n_width = {cert.n_width}")
-    lines.append(f"R = {fmt(cert.R)}")
-    lines.append(f"r0 = {fmt(cert.r0)}")
-    lines.append(f"r1 = {fmt(cert.r1)}")
-    lines.append(f"multiplicity = {cert.multiplicity}")
-    lines.append(f"valid = {str(cert.valid).lower()}")
-    lines.append(f"reasons = {'; '.join(cert.reasons)}")
-    lines.append(f"num_sets = {len(cert.cover.sets)}")
-    for i, (s, c, r) in enumerate(zip(cert.cover.sets, cert.cover.centers,
-                                      cert.cover.radii)):
-        lines.append("")
-        lines.append(f"[set {i}]")
-        lines.append(f"center = {int(c)}")
-        lines.append(f"radius = {fmt(r)}")
-        lines.append(f"vertices = {encode_runs(s)}")
-    return "\n".join(lines) + "\n"
+    cover = cert.cover
+    return "\n".join([
+        domain_text(grid),
+        _section("field", {"path": field_path, "hash": cert.field_hash}),
+        _section("certificate", {
+            "n_width": cert.n_width, "R": fmt(cert.R), "r0": fmt(cert.r0), "r1": fmt(cert.r1),
+            "multiplicity": cert.multiplicity, "valid": str(cert.valid).lower(),
+            "reasons": "; ".join(cert.reasons), "num_sets": len(cover.sets)}),
+        *(_section(f"set {i}", {"center": int(c), "radius": fmt(r), "vertices": encode_runs(s)})
+          for i, (s, c, r) in enumerate(zip(cover.sets, cover.centers, cover.radii)))])
 
 
 def parse_certificate(text: str):

@@ -254,44 +254,34 @@ def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCe
         if not cut.valid:
             last_reasons = cut.reasons
             continue
-        sets, centers, radii = [], [], []
-        for comp, (rad, center) in zip(cut.components, cut.component_radii):
-            sets.append(comp)
-            centers.append(center)
-            radii.append(rad)
+        sets = list(cut.components)
+        radii, centers = map(list, zip(*cut.component_radii))
         groups = _curve_ring_groups(field, cut)
-        ok = True
-        reasons = []
         for gi, grp in enumerate(groups):
-            others = [o for j, o in enumerate(groups) if j != gi]
             rad, center = set_radius_exact(field, grp)
             if rad >= R:
-                ok = False
-                reasons.append(f"cut-graph component radius {rad:.4g} >= R")
+                last_reasons = [f"cut-graph component radius {rad:.4g} >= R"]
                 break
-            thick = _thicken_group(field, grp, others, R, rad)
+            thick = _thicken_group(field, grp, groups[:gi] + groups[gi + 1:], R, rad)
             rad2, center2 = set_radius_exact(field, thick)
             if rad2 >= R:
                 thick, rad2, center2 = grp, rad, center
             sets.append(thick)
             centers.append(center2)
             radii.append(rad2)
-        if not ok:
-            last_reasons = reasons
-            continue
-        cover = Cover(sets, centers, radii)
-        mult = cover.multiplicity(field.grid.num_vertices)
-        if mult > field.grid.n + 1:
-            last_reasons = [f"multiplicity {mult} exceeds n+1"]
-            continue
-        if not cover.covers_everything(field.grid.num_vertices):
-            last_reasons = ["cover union misses vertices"]
-            continue
-        return WidthCertificate(
-            n_width=_n_width(mult), R=R, cover=cover, valid=True, reasons=[],
-            multiplicity=mult, field_hash=fh, curves=cut.curves,
-            r0=cut.r0, r1=cut.r1,
-        )
+        else:
+            cover = Cover(sets, centers, radii)
+            mult = cover.multiplicity(field.grid.num_vertices)
+            if mult > field.grid.n + 1:
+                last_reasons = [f"multiplicity {mult} exceeds n+1"]
+            elif not cover.covers_everything(field.grid.num_vertices):
+                last_reasons = ["cover union misses vertices"]
+            else:
+                return WidthCertificate(
+                    n_width=_n_width(mult), R=R, cover=cover, valid=True, reasons=[],
+                    multiplicity=mult, field_hash=fh, curves=cut.curves,
+                    r0=cut.r0, r1=cut.r1,
+                )
     return WidthCertificate(
         n_width=_n_width(0), R=R, cover=Cover([], [], []), valid=False,
         reasons=last_reasons or ["no valid attempt"], multiplicity=0, field_hash=fh,

@@ -15,11 +15,7 @@ from metriclab import io as mio
 
 OPTIONS = [
     "BesicovitchReport(flatness)",
-    "BesicovitchReport(per_cell_jac)",
     "DomainTopology(mask_name)",
-    "Grid(antipode_map)",
-    "Grid(chart_degenerate)",
-    "Grid(quotient_volume_factor)",
     "MetricField(validate)",
     "RadiusResult(per_component)",
     "WidthCertificate(curves)",

@@ -977,7 +977,10 @@ def _class_loop(f, c, upper):
     one-class search, pruned at the least of c's stencil walk and upper."""
     base = geo._loop_base_vertices(f.grid, c)
     found = geo._deck_loops(f, [c], base, min(geo._stencil_walk_length(f, base, c), upper))
-    return None if found is None else geo._deck_witness(f, c, base, found[0])
+    if found is None:
+        return None
+    length, i, chains = found[0]
+    return geo._loop_witness(f, c, base[i], length, chains, lambda chain: chain)
 
 
 def _windowed_systole(f):

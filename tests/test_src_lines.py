@@ -1,9 +1,12 @@
-"""tools/src_lines.py counts code lines by its stated rule."""
+"""tools/src_lines.py counts code lines by its stated rule, and no module of
+src/metriclab imports a name that it never uses."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+SRC = TOOL.parents[1] / "src" / "metriclab"
 
 
 def _tool():
@@ -37,10 +40,37 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
 
 
 def test_the_total_is_the_sum_of_the_files(capsys):
-    src = TOOL.parents[1] / "src" / "metriclab"
     tool = _tool()
-    assert tool.main([str(src)]) == 0
+    assert tool.main([str(SRC)]) == 0
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
     files = [(int(t), int(c)) for _, t, c in rows[:-1]]
-    assert len(files) == len(list(src.glob("*.py")))
+    assert len(files) == len(list(SRC.glob("*.py")))
     assert [int(x) for x in rows[-1][1:]] == [sum(t for t, _ in files), sum(c for _, c in files)]
+
+
+def _unused_imports(text: str) -> list:
+    """The names that the imports of a module bind and that it never reads
+    (from __future__ imports aside)."""
+    tree = ast.parse(text)
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(bound - used)
+
+
+def test_the_import_check_finds_a_name_never_used():
+    text = ("from __future__ import annotations\nimport math\nimport os.path\n"
+            "import numpy as np\nfrom x import (a, b as c, d)\n"
+            "def f(v: d):\n    return np.floor(v) + os.sep + a\n")
+    assert _unused_imports(text) == ["c", "math"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports the public names in order to export them
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -167,9 +167,10 @@ def _copies_deck_loops(field, classes, base, ub):
                                  for i in range(max(0, p), min(nx, nx + p))
                                  for j in range(max(0, q), min(ny, ny + q))])
                   for p, q in classes]
-    sources = (-k0[0] * ny - k0[1]) * V + base
+    sources = np.where(geo._orbit_representatives(field, base), (-k0[0] * ny - k0[1]) * V + base,
+                       -1)
     found = geo._meet_search(_reference_lifted_graph(field, nx, ny), sources, isometries, ub,
-                             reach, geo._orbit_representatives(field, base))
+                             reach)
     return found and [f and (f[0], f[1], lambda chains=f[2]: [np.asarray(c) % V for c in chains()])
                       for f in found]
 
@@ -212,7 +213,8 @@ def test_box_loops_equal_the_copies_window(kind, N, seed, cls):
     def searches():
         out = [_loop_key(geo.systole(f), f), _loop_key(geo.shortest_loop_in_class(f, one), f)]
         found = geo._deck_loops(f, joint, base, ub)
-        return out + [_loop_key(geo._deck_witness(f, c, base, x), f)
+        return out + [_loop_key(geo._loop_witness(f, c, base[x[1]], x[0], x[2],
+                                                  lambda chain: chain), f)
                       for c, x in zip(joint, found) if x is not None]
 
     box = searches()
@@ -247,7 +249,8 @@ def test_a_class_with_unequal_displacements_raises():
     disp[3, 0] = np.nextafter(disp[3, 0], 1.0)
     bad = G.Grid(g.topology, g.resolution, g.stencil_order, g.coords, g.edges, disp,
                  g.edge_wrap, g.cells, g.cell_corner_xy, g.cell_chart_vol, g.face_sets,
-                 g.spacing, g.lattice_vid, g.lattice_shape)
+                 g.spacing, g.lattice_vid, g.lattice_shape, g.antipode_map, g.chart_degenerate,
+                 g.quotient_volume_factor)
     with pytest.raises(G.GridError, match="displacement"):
         F.flat_metric(bad).edge_lengths()
 
