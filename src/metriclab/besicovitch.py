@@ -95,25 +95,30 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
     """Per-cell |jac f| in a g-orthonormal frame plus row-norm maxima.
 
     Cell differentials come from corner-mean finite differences; |jac| =
-    |det J_chart| / sqrt(det gbar).  Determinants and the inverse of gbar are
-    in closed form for n = 2 and from LAPACK for every other n.  A cell whose
-    tensor has no positive determinant raises.  Corner means add corners in
-    order, then divide by their count, as .mean did; row i's squared norm adds
-    (J_ik ginv_kl) J_il over l for each k, then over k, as the einsum
-    "cik,ckl,cil->ci" did for n = 2 (for n >= 3 it added all n^2 terms in one
-    run: a few ulps apart).  So 2-D reports, sha-pinned at %.17g in
-    besicovitch-*.txt, stay bit-equal.  Returns (jac_max, per_cell, row_norm_max).
+    |det J_chart| / sqrt(det gbar).  The kernel works on contiguous per-cell
+    rows: each f_i is gathered once per corner into one row (freed once J is
+    formed), and each J_ik is a row of one (n, n, C) array.  For n = 2, det J,
+    the inverse of gbar and the row norms are closed forms on rows; for every
+    other n, LAPACK takes the determinants of J viewed as (C, n, n) and
+    inverts gbar.  A cell whose tensor has no positive determinant raises.
+    Corner means add corners in order, then divide by their count, as .mean
+    did; row i's squared norm adds (J_ik ginv_kl) J_il over l for each k, then
+    over k, as the einsum "cik,ckl,cil->ci" did for n = 2 (for n >= 3 it added
+    all n^2 terms in one run: a few ulps apart).  So 2-D reports, sha-pinned
+    at %.17g in besicovitch-*.txt, stay bit-equal.  Returns (jac_max,
+    per_cell, row_norm_max).
     """
     g, n = field.grid, field.grid.n
     # every cell of a cube-like grid is full: take the arrays, not a gather
     full = slice(None) if len(g.full_cells) == len(g.cells) else g.full_cells
     corners, xy = g.cells[full], g.cell_corner_xy[full]
-    fvals = fmap[corners]  # (C, 2^n, n)
-    J = np.empty((len(corners), n, n))
+    values = np.take(fmap.T.copy(), corners.T, axis=1)  # values[i, b]: f_i at corner b
+    J = np.empty((n, n, len(corners)))  # J[k, i] is the row of J_ik
     for k in range(n):
-        hi, lo = ([fvals[:, b] for b in range(2 ** n) if (b >> k) & 1 == side] for side in (1, 0))
+        hi, lo = ([values[:, b] for b in range(2 ** n) if (b >> k) & 1 == side] for side in (1, 0))
         hk = xy[:, 1 << k, k] - xy[:, 0, k]
-        J[:, :, k] = (sum(hi[1:], hi[0]) / len(hi) - sum(lo[1:], lo[0]) / len(lo)) / hk[:, None]
+        J[k] = (sum(hi[1:], hi[0]) / len(hi) - sum(lo[1:], lo[0]) / len(lo)) / hk
+    del values, hi, lo
     gbar = field.cell_tensors()[full]
     det_g = field.cell_det()[full]
     bad = ~(det_g > 0)
@@ -121,12 +126,20 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
         k = int(np.flatnonzero(bad)[0])
         raise BesicovitchError(f"cell tensor {gbar[k].tolist()} has determinant {det_g[k]!r}: "
                                "the metric is not positive definite there")
-    jac = np.abs(_det(J)) / np.sqrt(det_g)
-    ginv = _inv(gbar, det_g)
-    row_sq = sum(sum((J[:, :, k] * ginv[:, k, l, None]) * J[:, :, l] for l in range(n))
-                 for k in range(n))
+    if n == 2:  # as _det and _inv compute them
+        det_J = J[0, 0] * J[1, 1] - J[1, 0] * J[0, 1]
+        ginv = np.empty((2, 2, len(det_g)))
+        np.divide(gbar[:, 1, 1], det_g, out=ginv[0, 0])
+        np.divide(-gbar[:, 0, 1], det_g, out=ginv[0, 1])
+        np.divide(-gbar[:, 1, 0], det_g, out=ginv[1, 0])
+        np.divide(gbar[:, 0, 0], det_g, out=ginv[1, 1])
+    else:
+        det_J = _det(J.transpose(2, 1, 0))
+        ginv = _inv(gbar, det_g).transpose(1, 2, 0)
+    jac = np.abs(det_J) / np.sqrt(det_g)
+    row_sq = sum(sum((J[k] * ginv[k, l]) * J[l] for l in range(n)) for k in range(n))
     row_norms = np.sqrt(np.maximum(row_sq, 0.0))
-    hadamard = row_norms.prod(axis=1)
+    hadamard = row_norms.prod(axis=0)
     if np.any(jac > hadamard + 1e-9):
         raise BesicovitchError("Hadamard bound violated; degenerate cell tensor upstream")
     return float(jac.max()), jac, float(row_norms.max())

@@ -8,12 +8,15 @@ form per vertex and displacement class (see Grid.displacement_classes); by
 linearity that is the form of the mean tensor, equal to it up to an ulp.
 The same rule measures polyline segments, with tensors at non-vertex points
 obtained by multilinear interpolation on the lattice; one kernel
-(_quadratic_forms) forms every d^T g d, level segments' too.  A field's graph
-fills the grid's stencil CSR pattern with its edge lengths.  Validation checks
-that tensors are finite, symmetric and positive definite (by leading principal
-minors) and computes no eigenvalue: lambda_min and lambda_max make one cached
-eigvalsh call, on first use.  Seeded fields are cosine mixtures, one cosine per
-distinct coordinate per axis; nothing here calls einsum.
+(_quadratic_forms) forms every d^T g d, level segments' too, each as one sum
+in (i, j) row-major order.  Edge lengths read the tensors as n^2 contiguous
+entry rows, one class at a time (_class_forms); segments read (M, n, n)
+stacks.  A field's graph fills the grid's stencil CSR pattern with its edge
+lengths.  Validation checks that tensors are finite, symmetric and positive
+definite (by leading principal minors) and computes no eigenvalue: lambda_min
+and lambda_max make one cached eigvalsh call, on first use.  Seeded fields are
+cosine mixtures, one cosine per distinct coordinate per axis; nothing here
+calls einsum.
 
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
@@ -61,8 +64,11 @@ class MetricField:
     def edge_lengths(self) -> np.ndarray:
         if self._edge_lengths is None:
             disp, index = self.grid.displacement_classes()
-            ends = _quadratic_forms(disp[None], self.tensors[:, None]).ravel()[index]
-            self._edge_lengths = np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
+            ends = _class_forms(disp, self.tensors).ravel()[index]
+            mean = ends[:, 0] + ends[:, 1]
+            del ends
+            mean *= 0.5
+            self._edge_lengths = np.sqrt(np.maximum(mean, 0.0, out=mean), out=mean)
         return self._edge_lengths
 
     def graph(self) -> sp.csr_matrix:
@@ -190,10 +196,31 @@ def _quadratic_forms(d: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d^T t d over the last axes of broadcast stacks d (..., n) and t (..., n, n).
 
     The terms (d_i t_ij) d_j are added in one run, (i, j) row-major, so a form
-    rounds alike in a batch of any size; tests compare it with numpy's batched order.
+    rounds alike in a batch of any size and in any memory layout of t; tests
+    compare it with numpy's batched order.  Each t[..., i, j] is read as one
+    array: a contiguous entry row from _class_forms, a strided column of an
+    (M, n, n) stack from segments and polylines.
     """
     n = d.shape[-1]
     return sum((d[..., i] * t[..., i, j]) * d[..., j] for i, j in np.ndindex(n, n))
+
+
+def _class_forms(disp: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """The row-major (V, K) table of d_k^T t_v d_k over the vertex tensors t_v
+    (V, n, n) and the class displacements d_k (K, n).
+
+    The tensors are copied once to n^2 contiguous entry rows, which are freed
+    before the table is transposed; each class's V forms are one
+    _quadratic_forms call over those rows, so every form keeps its sum order.
+    """
+    V, n = tensors.shape[:2]
+    rows = tensors.reshape(V, n * n).T.copy()
+    t = rows.reshape(n, n, V).transpose(2, 0, 1)  # t[:, i, j] is the row of entry (i, j)
+    forms = np.empty((len(disp), V))
+    for k, d in enumerate(disp):
+        forms[k] = _quadratic_forms(d, t)
+    del rows, t
+    return forms.T.copy()
 
 
 def _det(t: np.ndarray) -> np.ndarray:

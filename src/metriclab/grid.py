@@ -380,7 +380,7 @@ class Grid:
         if self._stencil is None:
             V = self.num_vertices
             keys = self.edges.ravel() * V + self.edges[:, ::-1].ravel()
-            order = np.argsort(keys)
+            order = np.argsort(keys, kind="stable")  # keys are unique: any sort gives this order
             keys = keys[order]
             indptr = np.zeros(V + 1, dtype=np.int32)
             np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])

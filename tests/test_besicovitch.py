@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,36 @@ def _einsum_jacobian_bound_check(field, fmap):
     return float(jac.max()), jac, float(row_norms.max())
 
 
+def _former_jacobian_bound_check(field, fmap):
+    """jacobian_bound_check as it was before it read per-cell rows: on
+    (C, 2^n, n) corner values and (C, n, n) stacks."""
+    g, n = field.grid, field.grid.n
+    full = slice(None) if len(g.full_cells) == len(g.cells) else g.full_cells
+    corners, xy = g.cells[full], g.cell_corner_xy[full]
+    fvals = fmap[corners]  # (C, 2^n, n)
+    J = np.empty((len(corners), n, n))
+    for k in range(n):
+        hi, lo = ([fvals[:, b] for b in range(2 ** n) if (b >> k) & 1 == side] for side in (1, 0))
+        hk = xy[:, 1 << k, k] - xy[:, 0, k]
+        J[:, :, k] = (sum(hi[1:], hi[0]) / len(hi) - sum(lo[1:], lo[0]) / len(lo)) / hk[:, None]
+    gbar = field.cell_tensors()[full]
+    det_g = field.cell_det()[full]
+    bad = ~(det_g > 0)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise B.BesicovitchError(f"cell tensor {gbar[k].tolist()} has determinant {det_g[k]!r}: "
+                                 "the metric is not positive definite there")
+    jac = np.abs(F._det(J)) / np.sqrt(det_g)
+    ginv = F._inv(gbar, det_g)
+    row_sq = sum(sum((J[:, :, k] * ginv[:, k, l, None]) * J[:, :, l] for l in range(n))
+                 for k in range(n))
+    row_norms = np.sqrt(np.maximum(row_sq, 0.0))
+    hadamard = row_norms.prod(axis=1)
+    if np.any(jac > hadamard + 1e-9):
+        raise B.BesicovitchError("Hadamard bound violated; degenerate cell tensor upstream")
+    return float(jac.max()), jac, float(row_norms.max())
+
+
 @pytest.mark.parametrize("N", [5, 17, 192])
 def test_jacobian_is_bit_equal_to_the_einsum_oracle(N):
     g = G.build_grid(G.square(), N, 3)
@@ -251,15 +282,17 @@ def test_jacobian_is_bit_equal_to_the_einsum_oracle(N):
         f = F.random_spd_metric(g, seed, (0.25, 4.0))
         fmap, _ = B.face_distance_map(f)
         jac_max, per_cell, row_max = B.jacobian_bound_check(f, fmap)
-        ref_max, ref_cells, ref_row = _einsum_jacobian_bound_check(f, fmap)
-        assert (jac_max, row_max) == (ref_max, ref_row)
-        assert np.array_equal(per_cell, ref_cells)
+        for oracle in (_einsum_jacobian_bound_check, _former_jacobian_bound_check):
+            ref_max, ref_cells, ref_row = oracle(f, fmap)
+            assert (jac_max, row_max) == (ref_max, ref_row)
+            assert np.array_equal(per_cell, ref_cells)
 
 
 @pytest.mark.parametrize("kind,N", [("cube3", 6), ("cube4", 4)])
 def test_jacobian_matches_the_einsum_oracle_for_n_above_2(kind, N):
     # einsum sums the n^2 terms of a row in one run for n >= 3, not k by k
-    # as it does for n = 2: the row norms agree to a few ulps, |jac| exactly
+    # as it does for n = 2: the row norms agree to a few ulps, |jac| exactly;
+    # the former kernel summed k by k, as the current one does, and agrees exactly
     g = G.build_grid(G.cube(int(kind[-1])), N, 1)
     f = F.random_spd_metric(g, 6, (0.5, 2.0))
     fmap, _ = B.face_distance_map(f)
@@ -267,6 +300,29 @@ def test_jacobian_matches_the_einsum_oracle_for_n_above_2(kind, N):
     ref_max, ref_cells, ref_row = _einsum_jacobian_bound_check(f, fmap)
     assert jac_max == ref_max and np.array_equal(per_cell, ref_cells)
     assert row_max == pytest.approx(ref_row, rel=8 * np.finfo(float).eps)
+    ref_max, ref_cells, ref_row = _former_jacobian_bound_check(f, fmap)
+    assert (jac_max, row_max) == (ref_max, ref_row)
+    assert np.array_equal(per_cell, ref_cells)
+
+
+def test_jacobian_peak_no_higher_than_the_former_kernel():
+    g = G.build_grid(G.square(), 192, 3)
+    tensors = F.random_spd_metric(g, 0, (0.25, 4.0)).tensors
+    fmap, _ = B.face_distance_map(F.MetricField(g, tensors, validate=False))
+    peaks = []
+    for check in (B.jacobian_bound_check, _former_jacobian_bound_check):
+        f = F.MetricField(g, tensors, validate=False)
+        f.cell_det()  # read by both kernels: not measured
+        tracemalloc.start()
+        try:
+            check(f, fmap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the gathered corner values, as large as the former (C, 2^n, n) array, are
+    # freed once J is formed: kept alive, they left the peak 30 kB below the former
+    corner_values = len(g.cells) * 2 ** g.n * g.n * 8
+    assert peaks[0] <= peaks[1] - corner_values // 2
 
 
 def test_besicovitch_on_a_validated_field_calls_no_eigvalsh_or_einsum(monkeypatch):

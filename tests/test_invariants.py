@@ -8,7 +8,10 @@ Both hold bit for bit in IEEE arithmetic, so they are asserted with == and
 * scaling every tensor by 4^k scales every edge length by exactly 2^k (the
   square root of an exact power of 4), hence every distance, radius and
   systole by 2^k and every volume by 4^k, with the same centers, base
-  vertices and classes;
+  vertices and classes; on the square, a Besicovitch report's spans d_i
+  scale by 2^k and its volume by 4^k, with |jac|, row norms and verdict
+  unchanged (not on cube3: LAPACK's det of 4^k t is not 64^k det t bit for
+  bit there);
 * on the round sphere2 and rp2 the antipode maps every edge to an edge of
   bit-equal length, so d(-u, -v) == d(u, v); on a conformal rescale that
   respects the antipode only up to rounding, the two agree within the
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import besicovitch as B
 from metriclab import fields as F
 from metriclab import geodesy as geo
 from metriclab import grid as G
@@ -78,6 +82,11 @@ def test_scaling_the_tensors_by_a_power_of_four_scales_exactly(kind, seed, k, da
     if kind != "square":
         w, ws = geo.systole(f), geo.systole(s)
         assert (ws.length, ws.base_vertex, ws.cls) == (unit * w.length, w.base_vertex, w.cls)
+    else:
+        b, bs = B.verify_besicovitch(f), B.verify_besicovitch(s)
+        assert (bs.d, bs.vol) == (tuple(unit * d for d in b.d), 4.0 ** k * b.vol)
+        assert (bs.jac_max, bs.row_norm_max, bs.passed) == (b.jac_max, b.row_norm_max, b.passed)
+        assert np.array_equal(bs.per_cell_jac, b.per_cell_jac)
 
 
 @pytest.mark.parametrize("kind", ["sphere2", "rp2"])

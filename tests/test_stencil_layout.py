@@ -6,6 +6,7 @@ references below are the former per-field builds, kept as oracles.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -98,7 +99,17 @@ def test_one_edge_joins_each_vertex_pair():
         g = G.build_grid(G.topology_from_name(name), N, 3)
         pairs = np.sort(g.edges, axis=1)
         assert len(np.unique(pairs, axis=0)) == len(pairs), (name, N)
-        assert (np.diff(g.stencil().key) > 0).all()
+        s, V = g.stencil(), g.num_vertices
+        assert (np.diff(s.key) > 0).all()
+        # so the keys are unique and the stable sort finds the default sort's permutation
+        keys = g.edges.ravel() * V + g.edges[:, ::-1].ravel()
+        order = np.argsort(keys)
+        indptr = np.zeros(V + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys[order] // V, minlength=V), out=indptr[1:])
+        assert np.array_equal(s.key, keys[order])
+        assert np.array_equal(s.indptr, indptr)
+        assert np.array_equal(s.indices, keys[order] % V)
+        assert np.array_equal(s.edge, order >> 1)
 
 
 def _induced_box(field, nx, ny, lo, shape):
@@ -287,6 +298,14 @@ def _einsum_edge_lengths(field):
     return np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
 
 
+def _former_edge_lengths(field):
+    """edge_lengths as it was before it read contiguous entry rows: one strided
+    broadcast of the class displacements against the (V, n, n) tensors."""
+    disp, index = field.grid.displacement_classes()
+    ends = F._quadratic_forms(disp[None], field.tensors[:, None]).ravel()[index]
+    return np.sqrt(np.maximum(0.5 * (ends[:, 0] + ends[:, 1]), 0.0))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("name,N", [
     ("interval", 6), ("square", 6), ("square", 13), ("cylinder", 13), ("torus2", 6),
@@ -300,6 +319,24 @@ def test_edge_lengths_are_bit_equal_to_the_einsum_oracle(name, N, order):
     else:
         f = F.random_spd_metric(g, N, (0.25, 4.0))
     assert np.array_equal(f.edge_lengths(), _einsum_edge_lengths(f))
+    assert np.array_equal(f.edge_lengths(), _former_edge_lengths(f))
+
+
+def test_edge_lengths_peak_no_higher_than_the_former_kernel():
+    g = G.build_grid(G.square(), 192, 3)
+    tensors = F.random_spd_metric(g, 0, (0.25, 4.0)).tensors
+    g.displacement_classes()
+    peaks = []
+    for lengths in (F.MetricField.edge_lengths, _former_edge_lengths):
+        f = F.MetricField(g, tensors, validate=False)
+        tracemalloc.start()
+        try:
+            lengths(f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the entry rows are freed before the (V, K) table is gathered
+    assert peaks[0] <= peaks[1]
 
 
 def test_edge_lengths_of_a_constant_metric_are_translation_invariant():
