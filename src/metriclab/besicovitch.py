@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import measure
-from .fields import MetricField, _det, _inv
+from .fields import MetricField, _det
 from .geodesy import distance_field, systole
 from .grid import face_vertices
 
@@ -126,7 +126,7 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
         k = int(np.flatnonzero(bad)[0])
         raise BesicovitchError(f"cell tensor {gbar[k].tolist()} has determinant {det_g[k]!r}: "
                                "the metric is not positive definite there")
-    if n == 2:  # as _det and _inv compute them
+    if n == 2:  # closed forms on rows, det_J in the order _det uses
         det_J = J[0, 0] * J[1, 1] - J[1, 0] * J[0, 1]
         ginv = np.empty((2, 2, len(det_g)))
         np.divide(gbar[:, 1, 1], det_g, out=ginv[0, 0])
@@ -135,7 +135,7 @@ def jacobian_bound_check(field: MetricField, fmap: np.ndarray):
         np.divide(gbar[:, 0, 0], det_g, out=ginv[1, 1])
     else:
         det_J = _det(J.transpose(2, 1, 0))
-        ginv = _inv(gbar, det_g).transpose(1, 2, 0)
+        ginv = np.linalg.inv(gbar).transpose(1, 2, 0)
     jac = np.abs(det_J) / np.sqrt(det_g)
     row_sq = sum(sum((J[k] * ginv[k, l]) * J[l] for l in range(n)) for k in range(n))
     row_norms = np.sqrt(np.maximum(row_sq, 0.0))

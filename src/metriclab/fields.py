@@ -21,7 +21,7 @@ calls einsum.
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
 longitude component), flagged by grid.chart_degenerate, and pole-incident
-edges store pure meridian displacements so lengths stay exact.
+edges have pure meridian lattice offsets so lengths stay exact.
 """
 
 from __future__ import annotations
@@ -228,19 +228,6 @@ def _det(t: np.ndarray) -> np.ndarray:
     if t.shape[-1] == 2:
         return t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 1, 0]
     return np.linalg.det(t)
-
-
-def _inv(t: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of n x n matrices with determinants det (nonzero),
-    in closed form for n = 2."""
-    if t.shape[-1] != 2:
-        return np.linalg.inv(t)
-    out = np.empty_like(t)
-    out[:, 0, 0] = t[:, 1, 1] / det
-    out[:, 0, 1] = -t[:, 0, 1] / det
-    out[:, 1, 0] = -t[:, 1, 0] / det
-    out[:, 1, 1] = t[:, 0, 0] / det
-    return out
 
 
 def _check_quotient_invariance(field: MetricField, tol: float = 1e-9):

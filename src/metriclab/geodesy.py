@@ -96,7 +96,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .fields import MetricField, polyline_length
-from .grid import GridError, _moved, face_vertices, stencil_offsets
+from .grid import GridError, _deck_class, _moved, face_vertices, stencil_offsets
 
 
 class GeodesyError(ValueError):
@@ -159,9 +159,10 @@ def _chain(pred, v) -> list:
 
 
 def _unwrap_chain(grid, chain) -> np.ndarray:
-    """Chart polyline of a vertex chain, unwrapped by summing edge displacements.
+    """Chart polyline of a vertex chain, unwrapped by summing edge displacements
+    (lattice offset times spacing).
 
-    A pole edge stores a pure meridian step, so a pole sits on its row at the
+    A pole edge has a pure meridian offset, so a pole sits on its row at the
     longitude of its neighbour in the chain.  Where the chain passes through
     a pole, the polyline runs along the degenerate pole row, which adds no
     length, to the next neighbour's longitude, in steps of at most one
@@ -170,7 +171,7 @@ def _unwrap_chain(grid, chain) -> np.ndarray:
     chain = np.asarray(chain, dtype=np.int64)
     a, b = chain[:-1], chain[1:]
     i = grid.edge_index(a, b)
-    steps = grid.edge_disp[i] * np.where(grid.edges[i, 0] == a, 1.0, -1.0)[:, None]
+    steps = grid.edge_offset[i] * np.where(grid.edges[i, 0] == a, 1, -1)[:, None] * grid.spacing
     start = grid.coords[chain[0]].copy()
     pole = grid.chart_degenerate[chain]
     if pole[0] and len(chain) > 1:
@@ -459,7 +460,7 @@ def _stencil_walk_length(field, base, cls) -> float:
     ends = [_moved(shape, periodic, box, moved)[1]]
     for o in split * shape[0]:
         moved = moved + o
-        kept, target, _ = _moved(shape, periodic, box, moved)
+        kept, target = _moved(shape, periodic, box, moved)
         alive &= kept
         ends.append(target)
     ends = g.lattice_vid.ravel()[np.array(ends)[:, alive]]
@@ -721,13 +722,12 @@ def shortest_loop_in_class(field: MetricField, cls):
     of a stencil walk in the class, and the box holds every loop within it
     met halfway (_deck_box), so one search always suffices; a class with
     no loop within it raises.  The witness passes check_length before it is
-    returned.
+    returned.  GridError for a class other than two integers on torus2 or one
+    on the cylinder, and on any other kind (grid._deck_class).
     """
     g = field.grid
     kind = g.topology.kind
-    if kind not in ("torus2", "cylinder"):
-        raise GeodesyError(f"{kind} has no free abelian deck group")
-    p, q = (int(cls[0]), int(cls[1])) if kind == "torus2" else (int(np.atleast_1d(cls)[0]), 0)
+    p, q = _deck_class(kind, cls)
     if p == 0 and q == 0:
         raise GeodesyError("trivial deck class")
     _sqrt_lambda_min(field)  # a degenerate metric fails here, before any search

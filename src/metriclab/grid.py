@@ -17,7 +17,9 @@ vertex, and everything else follows from that map:
 A Grid carries what downstream modules need:
 
 * vertices with chart coordinates,
-* stencil edges with unwrapped chart displacements and per-axis wrap counters,
+* stencil edges, each with the integer lattice offset that made it
+  (Grid.edge_offset); its chart displacement is offset * spacing, unwrapped
+  across a periodic seam,
 * quadrature cells (the vertices at their 2^n lattice corners, -1 where the
   map has none, local unwrapped corner coordinates, chart volume clipped to
   the hexagon mask) and the ids of the full cells, those whose 2^n corners
@@ -26,11 +28,11 @@ A Grid carries what downstream modules need:
 * the antipodal involution for sphere2 / rp2.
 
 Every lattice step follows one rule (_moved): an integer offset o takes
-lattice index i to (i + o) mod N, with wrap count (i + o) // N, on a periodic
-axis of N points, and on a bounded axis keeps only the points whose step
-stays inside.  Stencil edges and their wraps, quadrature cells (the steps by
-{0, 1}^n from each point whose step by (1, ..., 1) is kept) and the stencil
-walks behind the systole's first bounds all take their steps from it.
+lattice index i to (i + o) mod N on a periodic axis of N points, and on a
+bounded axis keeps only the points whose step stays inside.  Stencil edges,
+quadrature cells (the steps by {0, 1}^n from each point whose step by
+(1, ..., 1) is kept) and the stencil walks behind the systole's first bounds
+all take their steps from it.
 
 One edge joins each vertex pair.  On a periodic axis of 4 lattice points a
 knight step and its reverse would join the same pair, so build_grid refuses
@@ -44,9 +46,9 @@ built on first use and kept for the grid's lifetime:
   entry order, by (row, column), lets a field fill in its graph weights
   with one gather and no sort,
 * the displacement classes of the edges (Grid.displacement_classes): edges
-  with one integer lattice offset share a bit-equal chart displacement, so
-  a field evaluates one quadratic form per vertex and class, and a lifted
-  box of the loop search reads its stencil moves from them.
+  with one lattice offset share one chart displacement, so a field
+  evaluates one quadratic form per vertex and class, and a lifted box of
+  the loop search reads its stencil moves from them.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ class GridError(ValueError):
 class DomainTopology:
     """Domain kind, periodic axes and boundary-face labels.
 
-    The identifications follow from the kind: periodic axes wrap through
-    edges (see Grid.edge_wrap), since the quotient representation stores no
+    The identifications follow from the kind: an edge across a periodic
+    seam joins the vertices on either side and keeps its lattice offset
+    (Grid.edge_offset), since the quotient representation stores no
     duplicated seam vertices, and sphere2/rp2 carry the antipodal involution
     on grid vertices (Grid.antipode_map).
     """
@@ -337,18 +340,16 @@ class StencilCSR:
 class Grid:
     """Immutable discrete domain; see module docstring for the data layout."""
 
-    def __init__(self, topology, resolution, stencil_order, coords, edges, edge_disp,
-                 edge_wrap, cells, cell_corner_xy, cell_chart_vol, face_sets,
-                 spacing, lattice_vid, lattice_shape, antipode_map, chart_degenerate,
-                 quotient_volume_factor):
+    def __init__(self, topology, resolution, stencil_order, coords, edges, edge_offset,
+                 cells, cell_corner_xy, cell_chart_vol, face_sets, spacing, lattice_vid,
+                 lattice_shape, antipode_map, chart_degenerate, quotient_volume_factor):
         self.topology = topology
         self.resolution = resolution
         self.stencil_order = stencil_order
         self.n = topology.dim
         self.coords = coords
         self.edges = edges
-        self.edge_disp = edge_disp
-        self.edge_wrap = edge_wrap
+        self.edge_offset = edge_offset
         self.cells = cells
         self.full_cells = np.flatnonzero((cells >= 0).all(axis=1))
         self.cell_corner_xy = cell_corner_xy
@@ -389,28 +390,27 @@ class Grid:
         return self._stencil
 
     def displacement_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(class_disp, form_index): the edges grouped by integer lattice offset.
+        """(class_disp, form_index): the edges grouped by lattice offset.
 
-        class_disp (K, n) holds each class's chart displacement, which every
-        edge of the class has bit for bit (checked once; GridError if not).
+        class_disp (K, n) holds each class's chart displacement, its offset
+        times the spacing, with the classes in lexicographic order of offset.
         form_index[e, s] = edges[e, s] * K + (class of e) indexes a
-        row-major (V, K) table of per-vertex, per-class values.
+        row-major (V, K) table of per-vertex, per-class values.  GridError
+        for an offset outside [-2, 2], where the base-5 class key aliases.
         """
         if self._classes is None:
-            offs = np.rint(self.edge_disp / np.asarray(self.spacing)).astype(np.int64)
+            offs = self.edge_offset.astype(np.int64)
             if len(offs) and np.abs(offs).max() > 2:
-                raise GridError("edge displacement is longer than a stencil step")
+                raise GridError("edge offset is longer than a stencil step")
             key = np.zeros(len(offs), dtype=np.int64)
             for k in range(self.n):
                 key = key * 5 + offs[:, k] + 2
             present = np.bincount(key, minlength=5 ** self.n) > 0
             cls = (np.cumsum(present) - 1)[key]
-            class_disp = np.zeros((int(present.sum()), self.n))
-            class_disp[cls] = self.edge_disp  # some edge of each class
-            if not np.array_equal(class_disp[cls], self.edge_disp):
-                raise GridError("edges with one lattice offset differ in chart displacement")
-            form_index = (self.edges * len(class_disp) + cls[:, None]).astype(np.int32)
-            self._classes = (class_disp, form_index)
+            class_offset = np.zeros((int(present.sum()), self.n), dtype=np.int64)
+            class_offset[cls] = offs
+            form_index = (self.edges * len(class_offset) + cls[:, None]).astype(np.int32)
+            self._classes = (class_offset * np.asarray(self.spacing), form_index)
         return self._classes
 
     def axis_values(self) -> list:
@@ -487,8 +487,7 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
     coords[vid[vid >= 0]] = coords_all[vid >= 0]
 
     offsets = stencil_offsets(topology.dim, stencil_order)
-    pairs, disp, wrap = _lattice_edges(shape, periodic, spacing, offsets, vid, coords_all,
-                                       mask_spec)
+    pairs, offset = _lattice_edges(shape, periodic, spacing, offsets, vid, coords_all, mask_spec)
 
     corners, corner_xy, cell_vol = _lattice_cells(shape, periodic, spacing, coords_all)
     cells = vid[corners]
@@ -504,13 +503,13 @@ def build_grid(topology: DomainTopology, resolution: int, stencil_order: int = 3
     vid = vid.reshape(shape)
     anti, degenerate = None, np.zeros(V, dtype=bool)
     if sphere:
-        pairs, disp, wrap = _collapse_poles(pairs, disp, wrap, coords)
+        pairs, offset = _collapse_poles(pairs, offset, coords)
         anti = np.empty(V, dtype=np.int64)
         anti[vid] = np.roll(vid, -(N // 2), axis=0)[:, ::-1]
         degenerate = np.arange(V) < 2
 
     return Grid(
-        topology, N, stencil_order, coords, pairs, disp, wrap, cells, corner_xy, cell_vol,
+        topology, N, stencil_order, coords, pairs, offset, cells, corner_xy, cell_vol,
         _faces(topology, coords, mask_spec, vid), spacing, vid, shape, anti, degenerate,
         0.5 if topology.kind == "rp2" else 1.0,
     )
@@ -524,49 +523,39 @@ def _lattice_coords(shape, spacing):
 def _moved(shape, periodic, box, o):
     """The lattice-step rule (module docstring) for an integer offset o and
     the lattice points of a box, given as one index array per axis (its
-    points are their product, in row-major order).  Returns (kept, target,
-    wrap): kept masks the points whose step stays inside every bounded axis,
+    points are their product, in row-major order).  Returns (kept, target):
+    kept masks the points whose step stays inside every bounded axis, and
     target holds the flat lattice id of each point's step, taken mod N on
-    every axis, and wrap holds, per axis, the wrap count of each index of the
-    box, 0 on a bounded axis wherever kept.  Each axis is stepped once, and
-    the flat ids are built by strides."""
-    kept, target, wrap = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64), []
+    every axis.  Each axis is stepped once, and the flat ids are built by
+    strides."""
+    kept, target = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64)
     for i, N, p, ok in zip(box, shape, periodic, o):
         t = i + ok
         kept = (kept[:, None] & (p | ((t >= 0) & (t < N)))).ravel()
         target = (target[:, None] * N + t % N).ravel()
-        wrap.append(t // N)
-    return kept, target, wrap
+    return kept, target
 
 
 def _lattice_edges(shape, periodic, spacing, offsets, vid, coords_all, mask_spec):
-    """Stencil edges between mapped lattice points, as (vertex pairs, chart
-    displacements, per-axis wraps).  Under a mask, an edge also keeps its
-    quarter points inside it."""
-    n = len(shape)
+    """Stencil edges between mapped lattice points, as (vertex pairs, int8
+    lattice offsets).  Under a mask, an edge also keeps its quarter points
+    inside it."""
     box = [np.arange(N) for N in shape]
     active = vid >= 0
-    pairs, disps, wraps = [], [], []
+    pairs, offs = [], []
     for o in offsets:
-        kept, d, axis_wrap = _moved(shape, periodic, box, o)
+        kept, d = _moved(shape, periodic, box, o)
         keep = kept & active & active[d]
-        disp = o * np.asarray(spacing)
         if mask_spec is not None:
             cand = np.flatnonzero(keep)
             ok = np.ones(len(cand), dtype=bool)
             for frac in (0.25, 0.5, 0.75):
-                ok &= _mask_inside(coords_all[cand] + frac * disp, mask_spec)
+                ok &= _mask_inside(coords_all[cand] + frac * (o * np.asarray(spacing)), mask_spec)
             keep[cand[~ok]] = False
         s = np.flatnonzero(keep)
-        if len(s):
-            pairs.append(vid[np.stack([s, d[s]], axis=1)])
-            disps.append(np.broadcast_to(disp, (len(s), n)).copy())
-            # wraps are -1, 0 or 1: stencil steps are shorter than N
-            wrap = np.meshgrid(*[w.astype(np.int8) for w in axis_wrap], indexing="ij")
-            wraps.append(np.stack(wrap, axis=-1).reshape(-1, n)[s])
-    if pairs:
-        return np.concatenate(pairs), np.concatenate(disps), np.concatenate(wraps)
-    return (np.empty((0, 2), dtype=np.int64), np.empty((0, n)), np.empty((0, n), dtype=np.int8))
+        pairs.append(vid[np.stack([s, d[s]], axis=1)])
+        offs.append(np.broadcast_to(o.astype(np.int8), (len(s), len(shape))))
+    return np.concatenate(pairs), np.concatenate(offs)
 
 
 def _lattice_cells(shape, periodic, spacing, coords_all):
@@ -585,23 +574,23 @@ def _lattice_cells(shape, periodic, spacing, coords_all):
     return np.stack(corners, axis=1), np.stack(corner_xy, axis=1), np.full(len(base), vol)
 
 
-def _collapse_poles(pairs, disp, wrap, coords):
+def _collapse_poles(pairs, offset, coords):
     """The sphere's one step of its own: each pole row is one vertex at
     longitude 0, so drop the edges within a pole row, zero the longitude
     step of the edges at a pole, and of the parallel edges the collapse
-    makes keep, per vertex pair (low id first), the shortest meridian step."""
+    makes keep, per vertex pair (low id first), the least |offset_y|: the
+    shortest meridian step."""
     coords[:2] = ((0.0, 0.0), (0.0, 1.0))
     keep = pairs[:, 0] != pairs[:, 1]
-    p, disp, wrap = pairs[keep], disp[keep], wrap[keep]
-    disp[(p[:, 0] < 2) | (p[:, 1] < 2), 0] = 0.0
+    p, offset = pairs[keep], offset[keep]
+    offset[(p[:, 0] < 2) | (p[:, 1] < 2), 0] = 0
     swap = p[:, 0] > p[:, 1]
     p[swap] = p[swap][:, ::-1]
-    disp[swap] *= -1
-    wrap[swap] *= -1
-    order = np.lexsort((np.abs(disp[:, 1]), p[:, 1], p[:, 0]))
-    p, disp, wrap = p[order], disp[order], wrap[order]
+    offset[swap] *= -1
+    order = np.lexsort((np.abs(offset[:, 1]), p[:, 1], p[:, 0]))
+    p, offset = p[order], offset[order]
     _, first = np.unique(p, axis=0, return_index=True)
-    return p[first], disp[first], wrap[first]
+    return p[first], offset[first]
 
 
 def _faces(topology, coords, mask_spec, vid):
@@ -670,18 +659,26 @@ def face_vertices(grid: Grid, face: str) -> np.ndarray:
     return verts
 
 
+def _deck_class(kind: str, cls) -> tuple[int, int]:
+    """A deck class as the integer pair (p, q): on torus2 from two integers, on
+    the cylinder from one integer p, bare or in a 1-element sequence (q = 0).
+    GridError for anything else, and on any other kind."""
+    if kind not in ("torus2", "cylinder"):
+        raise GridError(f"{kind} has no free abelian deck group")
+    size = 2 if kind == "torus2" else 1
+    entries = cls.tolist() if isinstance(cls, np.ndarray) else cls
+    if size == 1 and isinstance(entries, (int, np.integer)):
+        entries = (entries,)
+    if (not isinstance(entries, (tuple, list)) or len(entries) != size
+            or not all(isinstance(c, (int, np.integer)) for c in entries)):
+        raise GridError(f"a {kind} deck class is {('one integer', 'two integers')[size - 1]}, "
+                        f"not {cls!r}")
+    return int(entries[0]), int(entries[1]) if size == 2 else 0
+
+
 def deck_translate(grid: Grid, v: int, cls) -> np.ndarray:
     """Chart coordinate of v translated by cls fundamental-domain periods."""
-    kind = grid.topology.kind
-    if kind == "torus2":
-        cls = np.asarray(cls, dtype=float)
-        if cls.shape != (2,):
-            raise GridError("torus2 deck class is an integer pair")
-        return grid.coords[v] + cls
-    if kind == "cylinder":
-        k = float(np.atleast_1d(cls)[0])
-        return grid.coords[v] + np.array([k, 0.0])
-    raise GridError(f"{kind} has no free abelian deck group")
+    return grid.coords[v] + np.array(_deck_class(grid.topology.kind, cls), dtype=float)
 
 
 def antipode(grid: Grid, v: int) -> int:

@@ -225,6 +225,19 @@ def test_cylinder_check_runs_one_distance_field_from_the_bottom(monkeypatch):
     assert rep.boundary_distance == ref
 
 
+def _oracle_inv(t, det):
+    """Inverses of a stack of n x n matrices with determinants det: for n = 2
+    the closed form that jacobian_bound_check inlines, else LAPACK's."""
+    if t.shape[-1] != 2:
+        return np.linalg.inv(t)
+    out = np.empty_like(t)
+    out[:, 0, 0] = t[:, 1, 1] / det
+    out[:, 0, 1] = -t[:, 0, 1] / det
+    out[:, 1, 0] = -t[:, 1, 0] / det
+    out[:, 1, 1] = t[:, 0, 0] / det
+    return out
+
+
 def _einsum_jacobian_bound_check(field, fmap):
     """jacobian_bound_check as it was with .mean corner means and a
     three-operand einsum for the row norms: the oracle."""
@@ -240,7 +253,7 @@ def _einsum_jacobian_bound_check(field, fmap):
         J[:, :, k] = (fvals[:, hi, :].mean(axis=1) - fvals[:, lo, :].mean(axis=1)) / hk[:, None]
     det_g = field.cell_det()[full]
     jac = np.abs(F._det(J)) / np.sqrt(det_g)
-    ginv = F._inv(field.cell_tensors()[full], det_g)
+    ginv = _oracle_inv(field.cell_tensors()[full], det_g)
     row_norms = np.sqrt(np.maximum(np.einsum("cik,ckl,cil->ci", J, ginv, J), 0.0))
     return float(jac.max()), jac, float(row_norms.max())
 
@@ -265,7 +278,7 @@ def _former_jacobian_bound_check(field, fmap):
         raise B.BesicovitchError(f"cell tensor {gbar[k].tolist()} has determinant {det_g[k]!r}: "
                                  "the metric is not positive definite there")
     jac = np.abs(F._det(J)) / np.sqrt(det_g)
-    ginv = F._inv(gbar, det_g)
+    ginv = _oracle_inv(gbar, det_g)
     row_sq = sum(sum((J[:, :, k] * ginv[:, k, l, None]) * J[:, :, l] for l in range(n))
                  for k in range(n))
     row_norms = np.sqrt(np.maximum(row_sq, 0.0))

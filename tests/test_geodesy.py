@@ -725,6 +725,31 @@ def test_witness_closes_in_its_class(N, seed, cls):
     assert w.check_length(f)
 
 
+@pytest.mark.parametrize("bump", [False, True])
+@pytest.mark.parametrize("N", range(8, 25, 2))
+def test_rp2_witness_closes_at_the_antipode(N, bump):
+    # the polyline runs from the base vertex to its antipode's chart position:
+    # longitude mod 1, and any longitude at a pole
+    g = G.build_grid(G.rp2(), N, 3)
+    f = _rp2_bump(g) if bump else F.round_sphere_metric(g, 1.0)
+    w = geo.systole(f)
+    assert w.cls == "antipodal" and w.check_length(f)
+    for point, v in [(w.points[0], w.base_vertex), (w.points[-1], g.antipode_map[w.base_vertex])]:
+        assert point[1] == pytest.approx(g.coords[v, 1], abs=1e-12)
+        if not g.chart_degenerate[v]:
+            assert (point[0] - g.coords[v, 0] + 0.5) % 1.0 - 0.5 == pytest.approx(0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind,cls", [
+    ("cylinder", (1, 5)), ("cylinder", 1.7), ("cylinder", []), ("torus2", (1, 0, 7)),
+    ("torus2", (1.5, 0)), ("torus2", 1), ("rp2", (1, 0))])
+def test_a_malformed_class_is_refused_not_truncated(kind, cls):
+    g = G.build_grid(G.topology_from_name(kind), 8, 3)
+    f = F.round_sphere_metric(g, 1.0) if kind == "rp2" else F.flat_metric(g)
+    with pytest.raises(G.GridError, match="deck"):
+        geo.shortest_loop_in_class(f, cls)
+
+
 # ---------------------------------------------------------------------------
 # the meet-in-the-middle loop engine against the full-radius pair search
 

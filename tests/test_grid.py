@@ -43,15 +43,15 @@ def test_stencil_offsets_are_half_sets():
 def test_neighbor_symmetry_and_disp_antisymmetry():
     for top in (G.square(), G.torus2(), G.cylinder()):
         g = G.build_grid(top, 8, 3)
-        seen = {}
-        for (a, b), d in zip(map(tuple, g.edges), g.edge_disp):
-            seen[(a, b)] = d
         for v in range(g.num_vertices):
             for w in g.neighbors(v):
                 assert v in g.neighbors(int(w))
-        # displacement of (v, w) is consistent with coords + wrap
-        target = g.coords[g.edges[:, 1]] + g.edge_wrap - g.coords[g.edges[:, 0]]
-        assert np.allclose(target, g.edge_disp, atol=1e-12)
+        # coords[v] + offset * spacing is coords[w] plus whole seam crossings,
+        # none along a bounded axis
+        jump = (g.coords[g.edges[:, 0]] + g.edge_offset * np.asarray(g.spacing)
+                - g.coords[g.edges[:, 1]])
+        assert np.allclose(jump, np.rint(jump), atol=1e-12)
+        assert (np.rint(jump)[:, ~np.array(top.periodic)] == 0).all()
 
 
 def test_coords_inside_unit_box():
@@ -116,9 +116,30 @@ def test_deck_translate_cylinder_and_errors():
     g = G.build_grid(G.cylinder(), 8, 1)
     v = g.vertex_at((0, 0))
     assert np.allclose(G.deck_translate(g, v, 2), g.coords[v] + [2.0, 0.0])
+    assert np.array_equal(G.deck_translate(g, v, [2]), G.deck_translate(g, v, 2))
     gs = G.build_grid(G.square(), 8, 1)
     with pytest.raises(G.GridError):
         G.deck_translate(gs, 0, (1, 0))
+
+
+@pytest.mark.parametrize("kind,cls", [
+    ("cylinder", (1, 5)), ("cylinder", (0, 5)), ("cylinder", 1.7), ("cylinder", []),
+    ("cylinder", "1"), ("torus2", (1, 0, 7)), ("torus2", (1.5, 0)), ("torus2", (0.5, 0)),
+    ("torus2", 1), ("torus2", np.array([[1, 0]]))])
+def test_a_malformed_deck_class_is_refused(kind, cls):
+    # torus2 takes two integers, the cylinder one, bare or in a 1-element
+    # sequence; nothing is truncated or read in part
+    g = G.build_grid(G.topology_from_name(kind), 8, 1)
+    with pytest.raises(G.GridError, match="deck class"):
+        G.deck_translate(g, 0, cls)
+
+
+def test_deck_classes_of_numpy_integers_are_read_as_ints():
+    g = G.build_grid(G.torus2(), 8, 1)
+    # Python ints: a witness file prints its class with repr
+    assert repr(G._deck_class("torus2", np.array([1, -2]))) == "(1, -2)"
+    assert repr(G._deck_class("cylinder", np.int64(3))) == "(3, 0)"
+    assert np.array_equal(G.deck_translate(g, 5, (np.int64(1), 0)), g.coords[5] + [1.0, 0.0])
 
 
 def test_antipode_poles_and_equator():
@@ -205,19 +226,24 @@ def test_topology_from_name_roundtrip():
 
 def test_wrap_edges_cross_seam_with_correct_displacement():
     g = G.build_grid(G.torus2(), 8, 1)
-    wrapped = np.abs(g.edge_wrap).sum(axis=1) > 0
+    # the torus's vertex map is the identity: each edge steps from the
+    # lattice index of edges[e, 0] by its offset, mod N
+    step = np.stack(np.unravel_index(g.edges[:, 0], g.lattice_shape), axis=1) + g.edge_offset
+    assert (step % 8 == np.stack(np.unravel_index(g.edges[:, 1], g.lattice_shape), axis=1)).all()
+    wrap = step // 8
+    wrapped = np.abs(wrap).sum(axis=1) > 0
     assert wrapped.any()
-    # unwrapped target = coords[w] + wrap equals coords[v] + disp
-    lhs = g.coords[g.edges[wrapped, 1]] + g.edge_wrap[wrapped]
-    rhs = g.coords[g.edges[wrapped, 0]] + g.edge_disp[wrapped]
+    # unwrapped target = coords[w] + wrap equals coords[v] + offset * spacing
+    lhs = g.coords[g.edges[wrapped, 1]] + wrap[wrapped]
+    rhs = g.coords[g.edges[wrapped, 0]] + g.edge_offset[wrapped] * np.asarray(g.spacing)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # the grid layouts, pinned bit for bit
 
-LAYOUT_ARRAYS = ("coords", "edges", "edge_disp", "edge_wrap", "cells", "cell_corner_xy",
-                 "cell_chart_vol", "lattice_vid", "antipode_map")
+LAYOUT_ARRAYS = ("coords", "edges", "edge_offset", "cells", "cell_corner_xy", "cell_chart_vol",
+                 "lattice_vid", "antipode_map")
 
 
 def _layout_digest(kind, order, resolutions=None):
@@ -244,36 +270,36 @@ def _layout_digest(kind, order, resolutions=None):
 
 
 LAYOUT_DIGESTS = {
-    ("interval", 1): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
-    ("interval", 2): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
-    ("interval", 3): "fe32ed930da15e5824c39485c46c20ea371081057314fb15bd11cd172ca21597",
-    ("square", 1): "33449e3025e63029d8e4e15922af10f07cf5a06a6544d9e5db1790ce3ed624a3",
-    ("square", 2): "38580668543eb1f3032035874960a4e2d96864322670cdfffaa64879d9c7136b",
-    ("square", 3): "0776df4d867f1ad10aba66042ecc9745c67207c7aa5fae109b016b534a7919da",
-    ("cube3", 1): "6f0aadb26327328b898ef0cc1ed730b7003317bb49401aeda2770b3cd18d7957",
-    ("cube3", 2): "cb72e284461dd1df11c223fae635296d66e7d4befef4c9402553b1bd6afa58b2",
-    ("cube3", 3): "95955c707732f5c7fbc12a34c89b6c5d931f136208d8f89278da77f657abc9a2",
-    ("cube4", 1): "59d7db8e3ab48f38418153daadc1e2a5adb77221bac7efe7d845bb7572c47552",
-    ("cube4", 2): "d28b93b5f072a5ffa64c3f32f1116a1e8f1bc259aec5af7190401bc577858cc4",
-    ("cube4", 3): "2604acc68d67c717932515c59d85ca000ef5927ea57ce09e132def43ec432681",
-    ("hexagon", 1): "42891dfc1d775325cdf63d4bcccd1958d002e051ed71c8bce952146452122acf",
-    ("hexagon", 2): "45b58b2a4be695b20accfb856541f837868ec4b92fbd0b737f72b611b7c21fb2",
-    ("hexagon", 3): "793ccd28fe5b38afc8eae5687e4b8a47a96c03f3f054aceeff48260a6be8ddbb",
-    ("hexagon:tripod:0.46:0.024", 1): "b6435f4c443cf9b7cc178dd59d2a29c4c863f76e0bae598c1b8ae770e83ddac2",
-    ("hexagon:tripod:0.46:0.024", 2): "f498e75b59ccf849a0b085c9681c94e04044f4af0e1be25c1480f1d1eebdffec",
-    ("hexagon:tripod:0.46:0.024", 3): "ef26f3c46177de5e3c69b2ffc655ee5cc2d7df6ae1a1e639b7e3a78a30aada9e",
-    ("cylinder", 1): "f0026177d2964ea86222cedf72aedc61da60af1671f785eced2f1f566da2e17d",
-    ("cylinder", 2): "d14a393e4d29e0885d848f5cbd9b973b342cf5f7f3371dcb5c75d31ba52a844a",
-    ("cylinder", 3): "3b8ac5a0a115f429b8b03631b59480c6869c0e64c2069dceaad4d1e147cd6946",
-    ("torus2", 1): "e92886dd574572e3963b261ddfa77f7fd01bac3c7fe359127e2ba919cc7cf49f",
-    ("torus2", 2): "c879eb25d381ac1671c4e4ae232bad50d17433478068dd1a03eec261053a0415",
-    ("torus2", 3): "2c6f37a6a002ac3958b5fe5ec24aedee24ea074c4c7034e585889faa9da319ca",
-    ("sphere2", 1): "c341fb401451e6a61d46ac444964fc5a8b4ba06f66a1e3cc65b4c8438c83dc60",
-    ("sphere2", 2): "d7254e42725618528173108a3575a900882574bc0db4af5cbbdd8ccafb186b10",
-    ("sphere2", 3): "217ac71861f7110febbad7bd54d8aa3eb5576298043337e1bc0c2fcdf4b09495",
-    ("rp2", 1): "c341fb401451e6a61d46ac444964fc5a8b4ba06f66a1e3cc65b4c8438c83dc60",
-    ("rp2", 2): "d7254e42725618528173108a3575a900882574bc0db4af5cbbdd8ccafb186b10",
-    ("rp2", 3): "217ac71861f7110febbad7bd54d8aa3eb5576298043337e1bc0c2fcdf4b09495",
+    ("interval", 1): "4910552c50265b9fe6a0348ae9d5cf813e8f2c48db75922d462fe0e8cf606c35",
+    ("interval", 2): "4910552c50265b9fe6a0348ae9d5cf813e8f2c48db75922d462fe0e8cf606c35",
+    ("interval", 3): "4910552c50265b9fe6a0348ae9d5cf813e8f2c48db75922d462fe0e8cf606c35",
+    ("square", 1): "ded9284d143dde4efb50f21776e92e9c257e7254870442262f4bada2fc7b4ffa",
+    ("square", 2): "a2406589c9e4acd6735d38715dbffac9d1f16935e02dd30d941516ace640c0ed",
+    ("square", 3): "bf154207cf2974dc9fd932de594da1ffc017f120b86b874333e4a1de42cf2250",
+    ("cube3", 1): "69326c3befecb7b28a5b0c57ddd3997c926eaf19a8f303bf859a6675cd597a0a",
+    ("cube3", 2): "2f3ffb5f1e1236d0de608a0d4d90e18c8e7c90e7cb0133efac9e4de21febb803",
+    ("cube3", 3): "2859cfe6b31b4cee816c6b7096f95d5cd79b3039d9a2d25273b6ac6deed1cdf8",
+    ("cube4", 1): "65cabc35af3b423d3d4afd189b5cf8d74d2e9c3a7ee400062ddf7bc08386b205",
+    ("cube4", 2): "7446043093a3ffb58fafd07f241fe62fd0fd288e7acb75890003673ff61e71fe",
+    ("cube4", 3): "c13b248ff3071dacf01c62c6bfd8fe1c307cf802373e343c2416ee0699d9cfcc",
+    ("hexagon", 1): "c97eaaf06f066fd1af31951f99a58b18fbacaba38b7d19958242f7e80a379208",
+    ("hexagon", 2): "36bf05f61bcd4a6fed8ea15ac9b4861821113b05ad2642a1b8feb6809a20362e",
+    ("hexagon", 3): "77f2a9dd36daad79129a46acd12a8a346fb0a409465896e2d459aec9ffcf673b",
+    ("hexagon:tripod:0.46:0.024", 1): "8c4d6499e072572b692f7b9b1616cf6727263e550609925cdafee24b175a93bb",
+    ("hexagon:tripod:0.46:0.024", 2): "40fa3f024e251b8bb45fde56908aad714914fc3b633f94beec94fd0bc85d2b47",
+    ("hexagon:tripod:0.46:0.024", 3): "38317bf758e7275f1fbe23cd0d8bf565d80a9994767a9c607998f6a506fe3950",
+    ("cylinder", 1): "7de3d1c2c871e8ba1bbb83c0ca80db8c3142234800b80cf6c49b06af399dcb9b",
+    ("cylinder", 2): "20e289c6191cd90148daa6f959c8fd4cfac071de78b863511c2ef15680ed77e0",
+    ("cylinder", 3): "642367bcaff785fd87f2e1f9d37f83dadaf25a742bc0cbf93176c4b9af7b6d43",
+    ("torus2", 1): "8caee1843cc064957c4ea1dae63bf9631528efa263f6bfdc2a30cd2f8baa3c17",
+    ("torus2", 2): "70c44bf6837a8c90978d9d3de0907798d7eebe16cecbbbd8d3c576676d27622a",
+    ("torus2", 3): "ec7344e292a461a0eda51e8c22424fd7ab6e0d03c8186492e0a65196bb91c897",
+    ("sphere2", 1): "62a4e19ce690088bc515cfb4910b96419e969a6d33463c4460164aede143c613",
+    ("sphere2", 2): "1b149e63c8d39873b3d40a08a7e8f09db5d09d52954d5532a082baa6dcdcd27e",
+    ("sphere2", 3): "26c2af6d03ce34123fa1a19d56a24dfc7b7b1d22f9aea700b4f248300f1d5251",
+    ("rp2", 1): "62a4e19ce690088bc515cfb4910b96419e969a6d33463c4460164aede143c613",
+    ("rp2", 2): "1b149e63c8d39873b3d40a08a7e8f09db5d09d52954d5532a082baa6dcdcd27e",
+    ("rp2", 3): "26c2af6d03ce34123fa1a19d56a24dfc7b7b1d22f9aea700b4f248300f1d5251",
 }
 
 
@@ -285,12 +311,12 @@ def test_grid_layouts_are_pinned(kind, order):
 # The sphere refuses odd N, so LAYOUT_DIGESTS pins it at N = 8 alone; these
 # pin it at two more even resolutions.
 SPHERE_LAYOUT_DIGESTS = {
-    ("sphere2", 1): "c211b96dcdaf7afcbaccc2c588a5d687290bfd9e459b800c2ecad7f08a3c1c6c",
-    ("sphere2", 2): "53383c22854f35eb6d3491f86f1f6a3c4b779448af2cb4c8144f15ce45218fd3",
-    ("sphere2", 3): "7fd6f97459e536d9dfa999584f032477212560b9ee29e9a39db998d1eb8a6a71",
-    ("rp2", 1): "c211b96dcdaf7afcbaccc2c588a5d687290bfd9e459b800c2ecad7f08a3c1c6c",
-    ("rp2", 2): "53383c22854f35eb6d3491f86f1f6a3c4b779448af2cb4c8144f15ce45218fd3",
-    ("rp2", 3): "7fd6f97459e536d9dfa999584f032477212560b9ee29e9a39db998d1eb8a6a71",
+    ("sphere2", 1): "e9c27b297fd7d9f8519986d6101e86959fe249eb66b1540fc65999e603ae2358",
+    ("sphere2", 2): "17a5d50cab7057ba7fc27a82cc812214f40e01d76847005c304df26db17feb8f",
+    ("sphere2", 3): "0d998da166c5d65018a7dc8db931a018860977a40ce43466c659592352fca686",
+    ("rp2", 1): "e9c27b297fd7d9f8519986d6101e86959fe249eb66b1540fc65999e603ae2358",
+    ("rp2", 2): "17a5d50cab7057ba7fc27a82cc812214f40e01d76847005c304df26db17feb8f",
+    ("rp2", 3): "0d998da166c5d65018a7dc8db931a018860977a40ce43466c659592352fca686",
 }
 
 

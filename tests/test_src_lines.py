@@ -1,5 +1,6 @@
-"""tools/src_lines.py counts code lines by its stated rule, and no module of
-src/metriclab imports a name that it never uses."""
+"""tools/src_lines.py counts code lines by its stated rule, no module of
+src/metriclab imports a name that it never uses, and every private top-level
+name of src/metriclab is read somewhere in it."""
 
 import ast
 import importlib.util
@@ -74,3 +75,43 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unread_private_names(texts: dict) -> list:
+    """The private top-level functions, classes and constants of the modules
+    (file name -> source) that no top-level statement of any module reads,
+    as a Name or an attribute, besides the one that defines it."""
+    statements = [(module, node) for module, text in texts.items()
+                  for node in ast.parse(text).body]
+    reads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)}
+             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+             for _, node in statements]
+    unread = []
+    for i, (module, node) in enumerate(statements):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        unread += [f"{module}:{name}" for name in names
+                   if name.startswith("_") and not name.startswith("__")
+                   and not any(name in r for j, r in enumerate(reads) if j != i)]
+    return sorted(unread)
+
+
+def test_the_private_name_check_finds_a_helper_never_read():
+    texts = {"a.py": ("_LIMIT = 3\n_A, _B = 1, 2\n"
+                      "def _helper(v):\n    return v + _LIMIT + _A\n"
+                      "def _planted(v):\n    return _planted(v - 1) if v else 0\n"
+                      "class _Box:\n    pass\n"
+                      "def run(v):\n    return _helper(v)\n"),
+             "b.py": "from . import a\ndef go():\n    return a._Box()\n"}
+    assert _unread_private_names(texts) == ["a.py:_B", "a.py:_planted"]
+
+
+def test_every_private_name_is_read():
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(texts) == []

@@ -22,9 +22,14 @@ from metriclab import geodesy as geo
 from metriclab import grid as G
 
 
+def _edge_disp(grid):
+    """Per edge, its chart displacement: lattice offset times spacing."""
+    return grid.edge_offset * np.asarray(grid.spacing)
+
+
 def _reference_edge_lengths(field):
     """Per-edge quadratic form of the mean endpoint tensor."""
-    e, d = field.grid.edges, field.grid.edge_disp
+    e, d = field.grid.edges, _edge_disp(field.grid)
     gbar = 0.5 * (field.tensors[e[:, 0]] + field.tensors[e[:, 1]])
     q = np.einsum("ei,eij,ej->e", d, gbar, d)
     return np.sqrt(np.maximum(q, 0.0))
@@ -43,13 +48,15 @@ def _reference_graph(field):
 
 
 def _reference_lifted_graph(field, nx, ny):
-    """COO build over an nx-by-ny window of copies, copy c = i * ny + j."""
+    """COO build over an nx-by-ny window of copies, copy c = i * ny + j, on a
+    grid whose vertex map is the identity: an edge's lattice step from
+    edges[e, 0] crosses wx seams along axis 0 and wy along axis 1."""
     g = field.grid
     V = g.num_vertices
-    e, w = g.edges, g.edge_wrap
+    e = g.edges
     wt = field.edge_lengths()
-    wx = w[:, 0].astype(np.int64)
-    wy = w[:, 1].astype(np.int64) if g.n > 1 else np.zeros(len(e), dtype=np.int64)
+    at = np.stack(np.unravel_index(e[:, 0], g.lattice_shape), axis=1)
+    wx, wy = ((at + g.edge_offset) // np.asarray(g.lattice_shape)).T
     rows, cols, data = [], [], []
     for c in range(nx * ny):
         tx, ty = c // ny + wx, c % ny + wy
@@ -250,20 +257,22 @@ def test_displacement_classes_hold_bit_equal_displacements():
         disp, index = g.displacement_classes()
         cls = index[:, 0] - g.edges[:, 0] * len(disp)
         assert np.array_equal(index[:, 1] - g.edges[:, 1] * len(disp), cls)
-        assert np.array_equal(disp[cls], g.edge_disp)
+        assert np.array_equal(disp[cls], _edge_disp(g))
         assert len(np.unique(disp, axis=0)) == len(disp)
 
 
-def test_a_class_with_unequal_displacements_raises():
+@pytest.mark.parametrize("bad", [3, -3])
+def test_an_offset_outside_the_class_key_raises(bad):
+    # the base-5 class key of an offset outside [-2, 2] aliases another class
     g = G.build_grid(G.square(), 6, 3)
-    disp = g.edge_disp.copy()
-    disp[3, 0] = np.nextafter(disp[3, 0], 1.0)
-    bad = G.Grid(g.topology, g.resolution, g.stencil_order, g.coords, g.edges, disp,
-                 g.edge_wrap, g.cells, g.cell_corner_xy, g.cell_chart_vol, g.face_sets,
-                 g.spacing, g.lattice_vid, g.lattice_shape, g.antipode_map, g.chart_degenerate,
-                 g.quotient_volume_factor)
-    with pytest.raises(G.GridError, match="displacement"):
-        F.flat_metric(bad).edge_lengths()
+    offset = g.edge_offset.copy()
+    offset[3, 0] = bad
+    grid = G.Grid(g.topology, g.resolution, g.stencil_order, g.coords, g.edges, offset,
+                  g.cells, g.cell_corner_xy, g.cell_chart_vol, g.face_sets, g.spacing,
+                  g.lattice_vid, g.lattice_shape, g.antipode_map, g.chart_degenerate,
+                  g.quotient_volume_factor)
+    with pytest.raises(G.GridError, match="offset"):
+        F.flat_metric(grid).edge_lengths()
 
 
 def _ulps(got, want):
@@ -273,7 +282,7 @@ def _ulps(got, want):
 def _cancellation(field):
     """Per edge, the sum of the absolute terms of the mean endpoint form over
     the form: 1 when no term cancels, at most n times the condition number."""
-    e, d = field.grid.edges, field.grid.edge_disp
+    e, d = field.grid.edges, _edge_disp(field.grid)
     a = np.abs(field.tensors)
     terms = sum(np.einsum("ei,eij,ej->e", np.abs(d), a[e[:, s]], np.abs(d)) for s in (0, 1))
     return 0.5 * terms / _reference_edge_lengths(field) ** 2
@@ -370,11 +379,9 @@ def test_closed_form_cell_kernels_match_lapack():
     t = f.cell_tensors()
     det = f.cell_det()
     assert np.allclose(det, np.linalg.det(t), rtol=1e-14, atol=0)
-    assert np.allclose(F._inv(t, det), np.linalg.inv(t), rtol=1e-13, atol=0)
     g3 = G.build_grid(G.cube(3), 5, 2)
     t3 = F.random_spd_metric(g3, 5).cell_tensors()
     assert np.array_equal(F._det(t3), np.linalg.det(t3))
-    assert np.array_equal(F._inv(t3, F._det(t3)), np.linalg.inv(t3))
 
 
 def _reference_cell_tensors(field):
