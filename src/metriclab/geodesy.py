@@ -29,11 +29,14 @@ Loops meet in the middle: a deck translation
 t (or the antipodal map on sphere2/rp2) is an isometry of the lifted graph, so
 d(v, t v) = min over w of d(v, w) + d(v, t^-1 w), and the minimum is met at a
 w halfway along a shortest path.  One Dijkstra from v, cut off at half the
-running best plus the longest edge, gives both terms.  The witness joins the
-winner's chain to w with the t-image of its reversed chain to t^-1 w, and
-must pass check_length before it is returned.  One Dijkstra from v serves
-several isometries at once: each keeps its own least value, first minimizing
-source and meet point, and the cut-off is the least value over all of them.
+running best plus the longest edge, gives both terms, and serves several
+isometries at once: each keeps its own least value, first minimizing source
+and meet pair (w, t^-1 w), and the cut-off is the least value over all of
+them (_meet_search).  One engine turns the leading loop into its witness,
+_deck_loop for deck translations and _antipodal_loop for the antipodal map
+(on sphere2 as on rp2): one more Dijkstra from its source joins the chain to
+w with the t-image of the reversed chain to t^-1 w, and the witness must
+pass check_length before it is returned.
 
 On torus2/cylinder the graph is a box of lattice points of the lift: the
 shortest loop through a base vertex v in deck class c equals the lifted
@@ -380,8 +383,8 @@ class LoopWitness:
     """A closed noncontractible loop: deck class, base vertex, polyline, length.
 
     points are unwrapped chart coordinates; the endpoint equals the start
-    translated by the deck class (or by the antipodal map for rp2, where
-    cls is the string "antipodal")."""
+    translated by the deck class (or by the antipodal map on sphere2 and rp2,
+    where cls is the string "antipodal")."""
 
     cls: object
     base_vertex: int
@@ -502,13 +505,13 @@ def _deck_box(field, sources, ub: float, reach: float):
     return lo, shape
 
 
-def _lifted_graph(field, lo, shape) -> csr_matrix:
-    """CSR over a box of lattice points of the lift (_deck_box): point
-    lo + (a, b) is vertex a * shape[1] + b, and a row holds its stencil moves
-    that stay in the box, in lexicographic order, which is column order.
-    Moves are written straight into the CSR arrays, one move at a time.
-    GeodesyError, before anything is allocated, when the CSR and one
-    (_CHUNK, P) float64 block are estimated above _BLOCK_BYTES."""
+def _lifted_graph(field, lo, shape):
+    """(CSR, grid vertex of each box point) over a box of lattice points of
+    the lift (_deck_box): point lo + (a, b) is vertex a * shape[1] + b, and a
+    row holds its stencil moves that stay in the box, in lexicographic order,
+    which is column order.  Moves are written straight into the CSR arrays,
+    one move at a time.  GeodesyError, before anything is allocated, when the
+    CSR and one (_CHUNK, P) float64 block are estimated above _BLOCK_BYTES."""
     g = field.grid
     disp, index = g.displacement_classes()
     K, P = len(disp), math.prod(shape)
@@ -545,7 +548,7 @@ def _lifted_graph(field, lo, shape) -> csr_matrix:
         indices[at] = ids[inside][ok] + moves[j] @ (shape[1], 1)
         data[at] = wt[ok]
         pos[inside] += ok
-    return csr_matrix((data, indices, indptr), shape=(P, P))
+    return csr_matrix((data, indices, indptr), shape=(P, P)), vertex.ravel()
 
 
 def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
@@ -605,9 +608,10 @@ def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
 
 def _meet_search(graph, sources, isometries, ub: float, reach: float):
     """For each isometry s of the graph, the shortest path from some sources[i]
-    to its image s sources[i], as (length, i, chains), or None when none is
-    within ub; None alone when no isometry has one.  One Dijkstra per source
-    serves every isometry.
+    to its image s sources[i], as three arrays over the isometries: its
+    length (inf when none is within ub, and then the other two mean nothing),
+    the first minimizing i, and its meet pair (w, s^-1 w).  One Dijkstra per
+    source serves every isometry.
 
     d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and the minimum is met
     at a w halfway along a shortest path, where both terms are within
@@ -615,11 +619,9 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float):
     the columns in and its pairs (a, b) of index tuples into that view, with
     b the preimages of a; each pair is reduced on its own, so that no second
     block-sized array is alive.  Each isometry keeps its own least value,
-    first minimizing source and meet point; the cut-off is the least value
+    first minimizing source and meet pair; the cut-off is the least value
     over all of them so far, and every value within it is exact
-    (_loop_search), and a source -1 is not searched.  chains() gives the
-    vertex chains from sources[i] to w and to s^-1 w, from one more Dijkstra,
-    cut off at the first cut-off of the search, which held both.
+    (_loop_search), and a source -1 is not searched.
     """
     cols = np.arange(graph.shape[0])
     vals = np.full((len(isometries), len(sources)), np.inf)
@@ -642,17 +644,18 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float):
         return vals[:, rows].min(axis=0)
 
     _loop_search(graph, sources, value, ub, reach)
+    vals[vals > _padded(ub)] = np.inf
+    first = np.argmin(vals, axis=1)
+    return vals.min(axis=1), first, meet[np.arange(len(first)), first]
 
-    def chains(k, i):
-        _, (pred,) = _shortest_paths(graph, sources[i], _padded(ub) / 2 + reach, predecessors=True)
-        return _chain(pred, meet[k, i, 0]), _chain(pred, meet[k, i, 1])
 
-    found = []
-    for k in range(len(isometries)):
-        i = int(np.argmin(vals[k]))
-        found.append((float(vals[k, i]), i, lambda k=k, i=i: chains(k, i))
-                     if vals[k, i] <= _padded(ub) else None)
-    return None if all(f is None for f in found) else found
+def _halves(graph, source, meet, limit):
+    """The vertex chains of a loop met halfway at the pair (w, s^-1 w): from
+    source to w, and back from s^-1 w (left out) to source, which s maps onto
+    the rest of the loop, from w on to s source.  One more Dijkstra, cut off
+    at limit, the search's first cut-off, which held both."""
+    _, (pred,) = _shortest_paths(graph, source, limit, predecessors=True)
+    return _chain(pred, meet[0]), _chain(pred, meet[1])[-2::-1]
 
 
 def _shifted(r, d) -> slice:
@@ -660,20 +663,16 @@ def _shifted(r, d) -> slice:
     return slice(r.start - d, r.stop - d)
 
 
-def _deck_loops(field: MetricField, classes, base, ub: float):
-    """_meet_search over the deck translations by classes (torus2/cylinder),
-    from the base vertices base that every loop in each of them crosses, in
-    one box: the one that holds every loop of length <= ub through a searched
-    base vertex, met halfway (_deck_box).  Only the first base vertex of each
-    orbit is searched (_orbit_representatives, run before the box is built,
-    since its check copies the field's graph); the others get the source -1,
-    which _shortest_paths refuses.  Class (p, q) sends box point x to
-    x + (p N, q N), so its pairs are shifted views of the block, one
-    fundamental domain of box rows at a time.  The chains it returns are of
-    grid vertices."""
-    g = field.grid
-    n = g.lattice_shape
-    reach = float(field.edge_lengths().max())
+def _deck_lift(field: MetricField, classes, base, ub: float, reach: float):
+    """(graph, grid vertex of each graph vertex, sources, isometries) for a
+    _meet_search of the deck translations by classes (torus2/cylinder) from
+    base, which every loop in each of them crosses, in the box that holds
+    every loop of length <= ub through a searched base vertex (_deck_box).
+    Only the first base vertex of each orbit is searched (found before the
+    box is built, since the check copies the field's graph); the others get
+    the source -1.  Class (p, q) sends box point x to x + (p N, q N), so its
+    pairs are shifted views of the block, one domain of box rows at a time."""
+    n = field.grid.lattice_shape
     keep = _orbit_representatives(field, base)
     lo, shape = _deck_box(field, base[keep], ub, reach)
     isometries = []
@@ -686,25 +685,38 @@ def _deck_loops(field: MetricField, classes, base, ub: float):
     sources = np.full(len(base), -1, dtype=np.int64)
     sources[keep] = np.ravel_multi_index(
         [i - l for i, l in zip(np.unravel_index(base[keep], n), lo)], shape)
-
-    def vertices(chain):  # box points to grid vertices
-        at = np.unravel_index(chain, shape)
-        return g.lattice_vid[tuple((i + l) % m for i, l, m in zip(at, lo, n))]
-
-    found = _meet_search(_lifted_graph(field, lo, shape), sources, isometries, ub, reach)
-    return found and [f and (f[0], f[1], lambda chains=f[2]: [vertices(c) for c in chains()])
-                      for f in found]
+    return (*_lifted_graph(field, lo, shape), sources, isometries)
 
 
-def _loop_witness(field: MetricField, cls, base_vertex, length, chains, image) -> LoopWitness:
-    """The witness of a loop met halfway, once its polyline is seen to have its
-    graph length: the chain to the meet point w joined with image (the
-    isometry, as a vertex map on the chain) of the reversed chain to its
-    preimage, unwrapped."""
-    g = field.grid
-    to_w, to_pre = chains()
-    chain = np.concatenate([to_w, image(to_pre[-2::-1])])
-    witness = LoopWitness(cls, int(base_vertex), _unwrap_chain(g, chain), length)
+def _deck_loop(field: MetricField, classes, base, ub: float, best):
+    """The checked witness of the class that takes the lead from best (a
+    LoopWitness, or None) in one joint search of classes from base
+    (_deck_lift), or best when none takes it.  The classes are walked in
+    order: one takes the lead only when shorter by 1e-15, and the walk stops
+    at the first whose lower bound, sqrt(lambda_min) |c|, reaches the lead.
+    Nothing holds the search's box once it returns."""
+    lam = _sqrt_lambda_min(field)  # a degenerate metric fails here, before any box
+    reach = float(field.edge_lengths().max())
+    graph, vertex, sources, isometries = _deck_lift(field, classes, base, ub, reach)
+    lengths, first, meet = _meet_search(graph, sources, isometries, ub, reach)
+    lead, k = np.inf if best is None else best.length, None
+    for j, c in enumerate(classes):
+        if lam * math.hypot(*c) >= lead:
+            break
+        if lengths[j] < lead - 1e-15:
+            lead, k = lengths[j], j
+    if k is None:
+        return best
+    to_w, back = _halves(graph, sources[first[k]], meet[k], _padded(ub) / 2 + reach)
+    chain = vertex[to_w + back]  # the translations map each grid vertex to itself
+    cls = classes[k] if field.grid.topology.kind == "torus2" else classes[k][0]
+    return _loop_witness(field, cls, base[first[k]], lead, chain)
+
+
+def _loop_witness(field: MetricField, cls, base_vertex, length, chain) -> LoopWitness:
+    """The witness of a loop along a chain of grid vertices, once its
+    polyline, unwrapped, is seen to have the graph length length."""
+    witness = LoopWitness(cls, int(base_vertex), _unwrap_chain(field.grid, chain), float(length))
     if not witness.check_length(field):
         raise GeodesyError(
             f"loop witness in class {witness.cls} fails its length check: polyline "
@@ -726,21 +738,15 @@ def shortest_loop_in_class(field: MetricField, cls):
     on the cylinder, and on any other kind (grid._deck_class).
     """
     g = field.grid
-    kind = g.topology.kind
-    p, q = _deck_class(kind, cls)
+    p, q = _deck_class(g.topology.kind, cls)
     if p == 0 and q == 0:
         raise GeodesyError("trivial deck class")
-    _sqrt_lambda_min(field)  # a degenerate metric fails here, before any search
-
     base = _loop_base_vertices(g, (p, q))
     ub = _stencil_walk_length(field, base, (p, q))
-    found = _deck_loops(field, [(p, q)], base, ub)
-    if found is None:
+    witness = _deck_loop(field, [(p, q)], base, ub, None)
+    if witness is None:
         raise GeodesyError(f"no loop found in class {cls} within bound {ub}")
-    # the chains are of grid vertices, which the translation maps to themselves
-    length, i, chains = found[0]
-    return _loop_witness(field, (p, q) if kind == "torus2" else p, base[i], length, chains,
-                         lambda chain: chain)
+    return witness
 
 
 def _primitive_classes():
@@ -774,7 +780,7 @@ def systole(field: MetricField) -> LoopWitness:
     one joint search, in one box and with one Dijkstra per base vertex,
     reduces them all.  Each class keeps its own least value, first minimizing
     base vertex and meet point (_meet_search), and the walk then runs on
-    those values.
+    those values (_deck_loop).
 
     The choice is that of a walk with one search per class.  The joint
     cut-off, the least value over every class so far, never falls below the
@@ -793,9 +799,7 @@ def systole(field: MetricField) -> LoopWitness:
     if kind == "cylinder":
         return shortest_loop_in_class(field, 1)
     if kind == "rp2":
-        length, v, chains = _antipodal_search(field)
-        anti = g.antipode_map
-        return _loop_witness(field, "antipodal", v, length, chains, lambda chain: anti[chain])
+        return _antipodal_loop(field)
     if kind != "torus2":
         raise GeodesyError(f"{kind} is simply connected or unsupported")
 
@@ -807,58 +811,50 @@ def systole(field: MetricField) -> LoopWitness:
             break
         joint.append(c)
         ub = min(ub, _stencil_walk_length(field, base, c))
-
-    def lead(classes, b, best):
-        # the witness of the class that takes the lead from best, if one does;
-        # nothing holds this search's box once it returns
-        length, win = np.inf if best is None else best.length, None
-        for c, found in zip(classes, _deck_loops(field, classes, b, ub) or ()):
-            if lam * math.hypot(*c) >= length:
-                break
-            if found is not None and found[0] < length - 1e-15:
-                length, win = found[0], (c, found[1], found[2])
-        return best if win is None else _loop_witness(field, win[0], b[win[1]], length, win[2],
-                                                      lambda chain: chain)
-
     best = None
     for classes, b in [([(0, 1)], first)] + ([(joint, base)] if joint else []):
-        best = lead(classes, b, best)
+        best = _deck_loop(field, classes, b, ub, best)
     if best is None:
         raise GeodesyError(f"no noncontractible loop found within bound {ub}")
     return best
 
 
-def _antipodal_search(field: MetricField):
-    """(length, band vertex, chains): the shortest path from a band vertex to
-    its antipode, met halfway (_meet_search)."""
+def _antipodal_loop(field: MetricField) -> LoopWitness:
+    """The checked witness of the shortest path from a band vertex to its
+    antipode on sphere2/rp2, met halfway (_meet_search).  The band is lattice
+    columns 0 and 1, poles included (_loop_base_vertices), which every such
+    path meets (module docstring).  GeodesyError when the antipodal map is
+    not an isometry of the metric."""
     g = field.grid
-    if g.antipode_map is None:
-        raise GeodesyError(f"{g.topology.kind} has no antipodal map")
     anti = g.antipode_map
+    if anti is None:
+        raise GeodesyError(f"{g.topology.kind} has no antipodal map")
     graph = field.graph()
     if not _distortion(graph, anti) <= 1e-9:
         raise GeodesyError("the antipodal map is not an isometry of this metric")
-    band = np.unique(g.lattice_vid[:2].ravel())
+    band = _loop_base_vertices(g, (1, 0))
     # d(v, w) + d(v, -w) is symmetric in w and -w: the southern half holds
     # one of each; taken in two parts, no temporary is block-sized
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
     pairs = [((h,), (anti[h],)) for h in np.array_split(half, 2)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
+    reach = float(field.edge_lengths().max())
     sources = np.where(_orbit_representatives(field, band), band, -1)
-    (length, i, chains), = _meet_search(graph, sources, [((len(anti),), pairs)], ub,
-                                        float(field.edge_lengths().max()))
-    return length, int(band[i]), chains
+    (length,), (i,), (meet,) = _meet_search(graph, sources, [((len(anti),), pairs)], ub, reach)
+    to_w, back = _halves(graph, band[i], meet, _padded(ub) / 2 + reach)
+    return _loop_witness(field, "antipodal", band[i], length, np.concatenate([to_w, anti[back]]))
 
 
 def min_antipodal_distance(field: MetricField) -> tuple[float, int]:
-    """(min over v of d(v, antipode(v)), a minimizing v from the band) on sphere2/rp2.
+    """(min over v of d(v, antipode(v)), a minimizing v from the band) on
+    sphere2/rp2: the length and base vertex of the checked witness.
 
     Distances are taken on the sphere double cover.  The antipodal map must be
-    an isometry of the metric (GeodesyError otherwise).  Sources are the band
-    of lattice columns 0 and 1, poles included, which every v-to-antipode
-    path meets (module docstring); when a longitude rotation is an exact
-    automorphism, as on the round metric, column 1 ties with column 0 and is
-    not searched.
+    an isometry of the metric, and the witness must pass check_length
+    (GeodesyError otherwise).  Sources are the band of lattice columns 0 and
+    1, poles included (_antipodal_loop); when a longitude rotation is an
+    exact automorphism, as on the round metric, column 1 is not searched.
     """
-    return _antipodal_search(field)[:2]
+    witness = _antipodal_loop(field)
+    return witness.length, witness.base_vertex

@@ -675,11 +675,12 @@ def test_min_antipodal_distance_needs_an_isometric_antipode():
 
 
 def test_min_antipodal_distance_searches_the_band_only(monkeypatch):
-    N = 64
-    f = F.round_sphere_metric(G.build_grid(G.rp2(), N, 3), 1.0)
+    # one source per orbit of the band, and one more Dijkstra for the witness
+    f = F.round_sphere_metric(G.build_grid(G.rp2(), 64, 3), 1.0)
+    band = geo._loop_base_vertices(f.grid, (1, 0))
     calls = _counting_dijkstra(monkeypatch)
     geo.min_antipodal_distance(f)
-    assert sum(n for n, _ in calls) <= 2 * N
+    assert sum(n for n, _ in calls) == geo._orbit_representatives(f, band).sum() + 1
 
 
 def test_rp2_systole_memory_is_bounded():
@@ -725,19 +726,35 @@ def test_witness_closes_in_its_class(N, seed, cls):
     assert w.check_length(f)
 
 
-@pytest.mark.parametrize("bump", [False, True])
-@pytest.mark.parametrize("N", range(8, 25, 2))
-def test_rp2_witness_closes_at_the_antipode(N, bump):
-    # the polyline runs from the base vertex to its antipode's chart position:
-    # longitude mod 1, and any longitude at a pole
-    g = G.build_grid(G.rp2(), N, 3)
-    f = _rp2_bump(g) if bump else F.round_sphere_metric(g, 1.0)
-    w = geo.systole(f)
+def _assert_closes_at_the_antipode(f, w):
+    # the polyline runs from a band vertex to its antipode's chart position:
+    # longitude mod 1, and any longitude at a pole; min_antipodal_distance
+    # reads its length and base vertex
+    g = f.grid
     assert w.cls == "antipodal" and w.check_length(f)
+    assert w.base_vertex in geo._loop_base_vertices(g, (1, 0))
     for point, v in [(w.points[0], w.base_vertex), (w.points[-1], g.antipode_map[w.base_vertex])]:
         assert point[1] == pytest.approx(g.coords[v, 1], abs=1e-12)
         if not g.chart_degenerate[v]:
             assert (point[0] - g.coords[v, 0] + 0.5) % 1.0 - 0.5 == pytest.approx(0, abs=1e-12)
+    length, v = geo.min_antipodal_distance(f)
+    assert (length, v) == (w.length, w.base_vertex)
+    assert type(length) is float and type(v) is int
+
+
+@pytest.mark.parametrize("bump", [False, True])
+@pytest.mark.parametrize("N", range(8, 25, 2))
+def test_rp2_witness_closes_at_the_antipode(N, bump):
+    g = G.build_grid(G.rp2(), N, 3)
+    f = _rp2_bump(g) if bump else F.round_sphere_metric(g, 1.0)
+    _assert_closes_at_the_antipode(f, geo.systole(f))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1 / math.pi])
+@pytest.mark.parametrize("N", range(8, 25, 2))
+def test_sphere2_witness_closes_at_the_antipode(N, radius):
+    f = F.round_sphere_metric(G.build_grid(G.sphere2(), N, 3), radius)
+    _assert_closes_at_the_antipode(f, geo._antipodal_loop(f))
 
 
 @pytest.mark.parametrize("kind,cls", [
@@ -774,7 +791,7 @@ def _oracle_class(f, cls, length):
         low = math.floor((min(0, c) + g.coords[base, axis].min() - m) * n)
         lo.append(low), shape.append(math.ceil((max(0, c) + g.coords[base, axis].max() + m) * n)
                                      - low + 1)
-    lifted = geo._lifted_graph(f, lo, shape)
+    lifted, _ = geo._lifted_graph(f, lo, shape)
     at = np.unravel_index(base, g.lattice_shape)
     src = np.ravel_multi_index([i - l for i, l in zip(at, lo)], shape)
     dst = np.ravel_multi_index([i + t - l for i, t, l in zip(at, shift, lo)], shape)
@@ -952,7 +969,12 @@ def test_witness_that_fails_its_length_check_raises(monkeypatch):
 
     ft = F.flat_metric(G.build_grid(G.torus2(), 16, 3))
     real_lift = geo._lifted_graph
-    monkeypatch.setattr(geo, "_lifted_graph", lambda *a: real_lift(*a) * 0.9)
+
+    def shortened(*args):  # every edge of the box 10 % shorter than on the grid
+        graph, vertex = real_lift(*args)
+        return graph * 0.9, vertex
+
+    monkeypatch.setattr(geo, "_lifted_graph", shortened)
     with pytest.raises(geo.GeodesyError, match="length check"):
         geo.systole(ft)
 
@@ -1001,11 +1023,7 @@ def _class_loop(f, c, upper):
     """The shortest loop in class c, or None when none lies within upper: a
     one-class search, pruned at the least of c's stencil walk and upper."""
     base = geo._loop_base_vertices(f.grid, c)
-    found = geo._deck_loops(f, [c], base, min(geo._stencil_walk_length(f, base, c), upper))
-    if found is None:
-        return None
-    length, i, chains = found[0]
-    return geo._loop_witness(f, c, base[i], length, chains, lambda chain: chain)
+    return geo._deck_loop(f, [c], base, min(geo._stencil_walk_length(f, base, c), upper), None)
 
 
 def _windowed_systole(f):
@@ -1087,21 +1105,21 @@ def test_joint_search_matches_the_sequential_walk_on_bump_tori(N, seed, base):
 
 
 def _joint_calls(monkeypatch):
-    """Record (classes, ub, tracemalloc peak) of every _deck_loops call."""
+    """Record (classes, ub, tracemalloc peak) of every _deck_loop call."""
     import tracemalloc
 
     calls = []
-    real = geo._deck_loops
+    real = geo._deck_loop
 
-    def traced(field, classes, base, ub):
+    def traced(field, classes, base, ub, best):
         tracemalloc.start()
         try:
-            return real(field, classes, base, ub)
+            return real(field, classes, base, ub, best)
         finally:
             calls.append((list(classes), ub, tracemalloc.get_traced_memory()[1]))
             tracemalloc.stop()
 
-    monkeypatch.setattr(geo, "_deck_loops", traced)
+    monkeypatch.setattr(geo, "_deck_loop", traced)
     return calls
 
 
@@ -1189,9 +1207,9 @@ def test_systole_holds_one_box_at_a_time(monkeypatch, name):
 
     def lift(field, lo, shape):
         events.append(("box", sum(box() is not None for box in boxes)))
-        graph = real_lift(field, lo, shape)
+        graph, vertex = real_lift(field, lo, shape)
         boxes.append(weakref.ref(graph))
-        return graph
+        return graph, vertex
 
     monkeypatch.setattr(geo, "_lifted_graph", lift)
     monkeypatch.setattr(geo, "_orbit_representatives",
@@ -1231,12 +1249,13 @@ def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
     f = F.constant_metric(G.build_grid(G.torus2(), 64, 3), np.diag([1e-4, 1.0]))
     sized = []
 
-    def sizes_only(field, classes, base, ub):  # size each box and search nothing
+    def sizes_only(field, classes, base, ub, best):  # size each box and search nothing
         lo, shape = geo._deck_box(field, _searched(field, base), ub,
                                   float(field.edge_lengths().max()))
         sized.append(math.prod(shape))
+        return best
 
-    monkeypatch.setattr(geo, "_deck_loops", sizes_only)
+    monkeypatch.setattr(geo, "_deck_loop", sizes_only)
     with pytest.raises(geo.GeodesyError, match="no noncontractible loop"):
         geo.systole(f)
     assert len(sized) == 2 and max(sized) <= 40_000
@@ -1262,7 +1281,12 @@ def test_a_box_above_the_ceiling_raises_before_any_scipy_call(monkeypatch):
 
 def test_class_without_a_loop_raises(monkeypatch):
     fc = F.flat_metric(G.build_grid(G.cylinder(), 8, 3))
-    monkeypatch.setattr(geo, "_meet_search", lambda *args: None)
+
+    def nothing_within_ub(graph, sources, isometries, ub, reach):
+        k = len(isometries)
+        return np.full(k, np.inf), np.zeros(k, dtype=np.int64), np.zeros((k, 2), dtype=np.int64)
+
+    monkeypatch.setattr(geo, "_meet_search", nothing_within_ub)
     with pytest.raises(geo.GeodesyError, match="no loop found"):
         geo.shortest_loop_in_class(fc, 1)
 
@@ -1318,13 +1342,11 @@ def _every_source(field, base):
 
 def _loop_outcomes(f, classes):
     """(cls, base vertex, length, points) of each class's shortest loop and of
-    the systole (not on a cylinder); on sphere2, the length, band vertex and
-    both chains of the antipodal search."""
-    if f.grid.topology.kind == "sphere2":
-        length, v, chains = geo._antipodal_search(f)
-        return [(length, v, *chains())]
+    the systole (not on a cylinder); on sphere2, of the antipodal witness."""
     loops = [geo.shortest_loop_in_class(f, c) for c in classes]
-    if f.grid.topology.kind != "cylinder":
+    if f.grid.topology.kind == "sphere2":
+        loops.append(geo._antipodal_loop(f))
+    elif f.grid.topology.kind != "cylinder":
         loops.append(geo.systole(f))
     return [(w.cls, w.base_vertex, w.length, w.points) for w in loops]
 
@@ -1381,6 +1403,37 @@ def test_orbit_sources_keep_the_cut_offs_of_the_search_of_every_source():
     assert w.base_vertex == ref.base_vertex == N
     assert w.length == ref.length
     assert np.array_equal(w.points, ref.points)
+
+
+SEARCH_COUNTS = {  # case: (field, search, kernel calls, of which with predecessors)
+    "hex-64-systole": (lambda: SYSTOLE_CASES["hex-64"](), geo.systole, 3, 1),
+    "sheared-1-3-10-systole": (lambda: SYSTOLE_CASES["sheared-1-3-10"](), geo.systole, 3, 1),
+    "bump-101-systole": (lambda: _bump_torus(48, 101, "hexagonal"), geo.systole, 6, 2),
+    "bump-101-class-1-1": (lambda: _bump_torus(48, 101, "hexagonal"),
+                           lambda f: geo.shortest_loop_in_class(f, (1, 1)), 3, 1),
+    "round-rp2-64-systole": (lambda: _round("rp2", 64), geo.systole, 3, 1),
+    # the search, and the witness that min_antipodal_distance now checks
+    "round-sphere2-48-antipodal": (
+        lambda: F.round_sphere_metric(G.build_grid(G.sphere2(), 48, 3), 1 / math.pi),
+        geo.min_antipodal_distance, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_COUNTS))
+def test_each_loop_search_runs_its_pinned_dijkstras(monkeypatch, name):
+    # one witness Dijkstra, with predecessors, for each search whose leader
+    # takes the lead, and no other search than the pruned walk's
+    make, search, total, with_predecessors = SEARCH_COUNTS[name]
+    f = make()
+    calls, real = [], geo._shortest_paths
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("predecessors", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_shortest_paths", counting)
+    search(f)
+    assert (len(calls), sum(calls)) == (total, with_predecessors)
 
 
 def test_orbit_sources_are_counted(monkeypatch):

@@ -149,7 +149,10 @@ def test_lifted_windows_equal_the_coo_build(name, N):
                  ((3, 0), (1, N))]
     for f in fs:
         for lo, shape in boxes:
-            _assert_same_csr(geo._lifted_graph(f, lo, shape), _induced_box(f, nx, ny, lo, shape))
+            graph, vertex = geo._lifted_graph(f, lo, shape)
+            _assert_same_csr(graph, _induced_box(f, nx, ny, lo, shape))
+            x, y = np.meshgrid(*[l + np.arange(s) for l, s in zip(lo, shape)], indexing="ij")
+            assert np.array_equal(vertex, g.lattice_vid[x % N, y % g.lattice_shape[1]].ravel())
 
 
 def test_lifted_window_of_the_hexagonal_torus():
@@ -161,18 +164,18 @@ def test_lifted_window_of_the_hexagonal_torus():
     searched = base[geo._orbit_representatives(f, base)]
     lo, shape = geo._deck_box(f, searched, 1.0, float(f.edge_lengths().max()))
     assert lo[0] < 0 and lo[1] < 0
-    _assert_same_csr(geo._lifted_graph(f, lo, shape),
+    _assert_same_csr(geo._lifted_graph(f, lo, shape)[0],
                      _induced_box(f, 2, 4, (lo[0] + 32, lo[1] + 32), shape))
 
 
-def _copies_deck_loops(field, classes, base, ub):
-    """The former _deck_loops, kept as the oracle of the box: a COO window of
-    the whole fundamental-domain copies that hold every vertex within
-    (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines, plus
-    one lattice spacing; the copy pairs of each class, and chains mod V."""
+def _copies_deck_lift(field, classes, base, ub, reach):
+    """The former lift of the deck loops, kept as the oracle of the box: a COO
+    window of the whole fundamental-domain copies that hold every vertex
+    within (ub / 2 + reach) / sqrt(lambda_min) chart units of the base lines,
+    plus one lattice spacing; copy vertex c V + v is grid vertex v, and each
+    class's pairs are pairs of copies."""
     g = field.grid
     V = g.num_vertices
-    reach = float(field.edge_lengths().max())
     r = (geo._padded(ub) / 2 + reach) / math.sqrt(field.lambda_min()) + max(g.spacing)
     across = 0 if classes[0][0] != 0 else 1
     k0, n = [0, 0], [1, 1]
@@ -187,10 +190,7 @@ def _copies_deck_loops(field, classes, base, ub):
                   for p, q in classes]
     sources = np.where(geo._orbit_representatives(field, base), (-k0[0] * ny - k0[1]) * V + base,
                        -1)
-    found = geo._meet_search(_reference_lifted_graph(field, nx, ny), sources, isometries, ub,
-                             reach)
-    return found and [f and (f[0], f[1], lambda chains=f[2]: [np.asarray(c) % V for c in chains()])
-                      for f in found]
+    return _reference_lifted_graph(field, nx, ny), np.arange(nx * ny * V) % V, sources, isometries
 
 
 def _loop_field(kind, N, seed):
@@ -220,23 +220,34 @@ def _loop_key(w, f):
        cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
 def test_box_loops_equal_the_copies_window(kind, N, seed, cls):
     # class, base vertex and length are ==, and both witnesses pass
-    # check_length: for systole, for one class at its stencil walk, and for
-    # a joint search of the classes with a nonzero first winding
+    # check_length: for systole and for one class at its stencil walk.  A
+    # joint search of the classes with a nonzero first winding gives ==
+    # lengths, and for each class with a loop within ub, == first minimizing
+    # sources and witness keys
     f = _loop_field(kind, N, seed)
     one = (cls[0] or cls[1]) if kind == "cylinder" else cls
     joint = [(1, 0), (2, 0)] if kind == "cylinder" else [(1, 0), (1, 1), (1, -1), (2, 1)]
     base = geo._loop_base_vertices(f.grid, (1, 0))
     ub = min(geo._stencil_walk_length(f, base, c) for c in joint)
+    reach = float(f.edge_lengths().max())
 
     def searches():
         out = [_loop_key(geo.systole(f), f), _loop_key(geo.shortest_loop_in_class(f, one), f)]
-        found = geo._deck_loops(f, joint, base, ub)
-        return out + [_loop_key(geo._loop_witness(f, c, base[x[1]], x[0], x[2],
-                                                  lambda chain: chain), f)
-                      for c, x in zip(joint, found) if x is not None]
+        graph, vertex, sources, isometries = geo._deck_lift(f, joint, base, ub, reach)
+        lengths, first, meet = geo._meet_search(graph, sources, isometries, ub, reach)
+        for k, c in enumerate(joint):
+            if lengths[k] < np.inf:
+                to_w, back = geo._halves(graph, sources[first[k]], meet[k],
+                                         geo._padded(ub) / 2 + reach)
+                out.append(_loop_key(geo._loop_witness(f, c, base[first[k]], lengths[k],
+                                                       vertex[to_w + back]), f))
+        # the meet pairs are left out: the two lifts order their pairs
+        # differently, so among tied meet points each may take another
+        return out, lengths.tolist(), first[lengths < np.inf].tolist()
 
     box = searches()
-    with mock.patch.object(geo, "_deck_loops", _copies_deck_loops):
+    assert np.isfinite(box[1]).any()
+    with mock.patch.object(geo, "_deck_lift", _copies_deck_lift):
         assert searches() == box
 
 
