@@ -80,9 +80,10 @@ row of T v, in any box that holds its ball, is the row of v moved by T, bit
 for bit, and d(v, t v) = d(T v, t T v) exactly.  Every base vertex of an
 orbit ties, the least minimizing index of the search over every source is
 the first of its orbit, and only the first of each orbit is searched, in a
-box sized around the searched ones alone.  Searched blocks keep their
-positions in the list of every source (_loop_search), so length, base vertex
-and witness are those of the search over every source.  On a flat or
+box sized around the searched ones alone.  A loop counts only balanced meet
+pairs (_meet_search), so no value or meet pair that can win depends on the
+order or the blocks of the search: length, base vertex and witness are
+those of the search over every source.  On a flat or
 hexagonal torus that is one source per class instead of 2N; on round
 sphere2/rp2 N + 1 instead of 2N; a field with no exact translation keeps
 every source.
@@ -398,10 +399,10 @@ class LoopWitness:
 
 
 def _orbit_representatives(field: MetricField, base) -> np.ndarray:
-    """Mask of the base vertices that come first in base among their orbit
-    under the unit lattice translations along periodic axes that are exact
-    automorphisms of the graph (module docstring).  The check costs O(E) per
-    axis and is made once per field."""
+    """The base vertices to search: those that come first in base among their
+    orbit under the unit lattice translations along periodic axes that are
+    exact automorphisms of the graph (module docstring), in the order of
+    base.  The check costs O(E) per axis and is made once per field."""
     g = field.grid
     vid = g.lattice_vid
     if field._exact_translations is None:
@@ -423,9 +424,7 @@ def _orbit_representatives(field: MetricField, base) -> np.ndarray:
             orbit = np.take(orbit, np.zeros(vid.shape[k], dtype=np.int64), axis=k)
     label = np.empty(g.num_vertices, dtype=np.int64)
     label[vid] = orbit
-    keep = np.zeros(len(base), dtype=bool)
-    keep[np.unique(label[base], return_index=True)[1]] = True
-    return keep
+    return base[np.sort(np.unique(label[base], return_index=True)[1])]
 
 
 def _loop_base_vertices(grid, cls):
@@ -554,42 +553,32 @@ def _lifted_graph(field, lo, shape):
 def _loop_search(graph, sources, value, ub, reach=None, bounds=None):
     """(min over i of value for sources[i], least minimizing i).
 
-    Dijkstras run _CHUNK sources at a time, each cut off at the best value so
-    far (at first at ub); value(block, rows) maps the block of sources[rows]
-    to one value per row, exact when within the cut-off, as maxima are.
-    Loop searches pass reach, the longest edge: their values are sums of two
-    distances met halfway, exact when each half is within incumbent / 2 +
-    reach, which becomes the cut-off.  Returns (inf, -1) when no value lies
-    within ub.
+    Dijkstras run one block of sources at a time, each cut off at the best
+    value so far (at first at ub); value(block, rows) maps the block of
+    sources[rows] to one value per row, exact when within the cut-off, as
+    maxima are.  Loop searches pass reach, the longest edge: their values are
+    sums of two distances met halfway, exact when each half is within
+    incumbent / 2 + reach, which becomes the cut-off (_meet_search).
+    Returns (inf, -1) when no value lies within ub.
 
     bounds(block, vals, limit) maps a searched block (which it may overwrite)
     to a lower bound on the value of every source, rounding slack already
-    taken off.  Sources are then searched in order of least bound, in blocks
-    of 1, 2, 4, ... up to _CHUNK, and a source whose bound is above the best
-    value is never searched; ties are never pruned, so the least minimizing i
-    still wins.  Without bounds, sources run in order, _CHUNK at a time.
-
-    A source -1 is not searched; each one must tie with a searched source
-    before it, so it never changes the best value or the cut-off.  Without
-    bounds a block is still one run of _CHUNK positions of sources, so every
-    searched source gets the cut-off that the search of every source gives
-    it, and its meet point, which may depend on the cut-off, is that
-    search's too.
+    taken off.  Sources run in order of least bound (in order without
+    bounds), in blocks of _CHUNK, or of 1, 2, 4, ... up to _CHUNK with
+    bounds; a source whose bound is above the best value is never searched,
+    and ties are never pruned, so the least minimizing i still wins.
     """
     incumbent = _padded(ub)
     best = (np.inf, -1)
     lower = np.full(len(sources), -np.inf)
-    todo = sources >= 0
-    size = 1
+    todo = np.ones(len(sources), dtype=bool)
+    size = _CHUNK if bounds is None else 1
     while True:
         open_ = np.flatnonzero(todo & (lower <= best[0]))
         if len(open_) == 0:
             return best
-        if bounds is None:
-            rows = open_[open_ // _CHUNK == open_[0] // _CHUNK]
-        else:
-            rows = open_[np.argsort(lower[open_], kind="stable")[:size]]
-            size = min(2 * size, _CHUNK)
+        rows = open_[np.argsort(lower[open_], kind="stable")[:size]]
+        size = min(2 * size, _CHUNK)
         todo[rows] = False
         limit = incumbent if reach is None else incumbent / 2 + reach
         # reduce the block at once and free it before anything else is
@@ -613,15 +602,19 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float):
     the first minimizing i, and its meet pair (w, s^-1 w).  One Dijkstra per
     source serves every isometry.
 
-    d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and the minimum is met
-    at a w halfway along a shortest path, where both terms are within
-    length / 2 + reach of v.  isometries lists, for each s, a shape to view
-    the columns in and its pairs (a, b) of index tuples into that view, with
-    b the preimages of a; each pair is reduced on its own, so that no second
+    d(v, s v) = min over w of d(v, w) + d(v, s^-1 w), and only balanced
+    pairs count, |d(v, w) - d(v, s^-1 w)| <= 2 reach: of the two vertices of
+    a shortest path on either side of its midpoint, one splits it within one
+    edge, so the minimum is unchanged.  A balanced pair whose sum is within
+    the incumbent has both terms within incumbent / 2 + reach, the cut-off,
+    and so the same distances at every cut-off (module docstring): every
+    value and first meet pair that can win is the same in every order and
+    block of the search.  isometries lists, for each s, a shape to view the
+    columns in and its pairs (a, b) of index tuples into that view, with b
+    the preimages of a; each pair is reduced on its own, so that no second
     block-sized array is alive.  Each isometry keeps its own least value,
     first minimizing source and meet pair; the cut-off is the least value
-    over all of them so far, and every value within it is exact
-    (_loop_search), and a source -1 is not searched.
+    over all of them so far (_loop_search).
     """
     cols = np.arange(graph.shape[0])
     vals = np.full((len(isometries), len(sources)), np.inf)
@@ -632,10 +625,15 @@ def _meet_search(graph, sources, isometries, ub: float, reach: float):
         for k, (shape, pairs) in enumerate(isometries):
             view, ids, best = D.reshape(len(D), *shape), cols.reshape(shape), vals[k, rows]
             for a, b in pairs:
-                s = (view[(slice(None), *a)] + view[(slice(None), *b)]).reshape(len(D), -1)
+                x, y = view[(slice(None), *a)], view[(slice(None), *b)]
+                with np.errstate(invalid="ignore"):  # inf - inf, where the sum is inf
+                    s = x - y
+                unbalanced = np.abs(s, out=s) > 2 * reach
+                np.add(x, y, out=s)[unbalanced] = np.inf
+                s = s.reshape(len(D), -1)
                 j = np.argmin(s, axis=1)
                 m = s[r, j]
-                del s  # before the next pair's sum is made
+                del s, unbalanced, x, y  # before the next pair's copies and sum are made
                 won = m < best
                 best[won] = m[won]
                 meet[k, rows[won]] = np.stack([ids[a].ravel()[j[won]], ids[b].ravel()[j[won]]],
@@ -666,15 +664,12 @@ def _shifted(r, d) -> slice:
 def _deck_lift(field: MetricField, classes, base, ub: float, reach: float):
     """(graph, grid vertex of each graph vertex, sources, isometries) for a
     _meet_search of the deck translations by classes (torus2/cylinder) from
-    base, which every loop in each of them crosses, in the box that holds
-    every loop of length <= ub through a searched base vertex (_deck_box).
-    Only the first base vertex of each orbit is searched (found before the
-    box is built, since the check copies the field's graph); the others get
-    the source -1.  Class (p, q) sends box point x to x + (p N, q N), so its
-    pairs are shifted views of the block, one domain of box rows at a time."""
+    the base vertices base, in the box that holds every loop of length <= ub
+    through one of them (_deck_box).  Class (p, q) sends box point x to
+    x + (p N, q N), so its pairs are shifted views of the block, one domain
+    of box rows at a time."""
     n = field.grid.lattice_shape
-    keep = _orbit_representatives(field, base)
-    lo, shape = _deck_box(field, base[keep], ub, reach)
+    lo, shape = _deck_box(field, base, ub, reach)
     isometries = []
     for c in classes:
         t = (c[0] * n[0], c[1] * n[1])
@@ -682,22 +677,23 @@ def _deck_lift(field: MetricField, classes, base, ub: float, reach: float):
         rows = [range(i, min(i + n[0], xs.stop)) for i in xs[::n[0]] if ys]
         isometries.append((shape, [((_shifted(x, 0), _shifted(ys, 0)),
                                     (_shifted(x, t[0]), _shifted(ys, t[1]))) for x in rows]))
-    sources = np.full(len(base), -1, dtype=np.int64)
-    sources[keep] = np.ravel_multi_index(
-        [i - l for i, l in zip(np.unravel_index(base[keep], n), lo)], shape)
+    sources = np.ravel_multi_index([i - l for i, l in zip(np.unravel_index(base, n), lo)], shape)
     return (*_lifted_graph(field, lo, shape), sources, isometries)
 
 
 def _deck_loop(field: MetricField, classes, base, ub: float, best):
     """The checked witness of the class that takes the lead from best (a
     LoopWitness, or None) in one joint search of classes from base
-    (_deck_lift), or best when none takes it.  The classes are walked in
-    order: one takes the lead only when shorter by 1e-15, and the walk stops
-    at the first whose lower bound, sqrt(lambda_min) |c|, reaches the lead.
-    Nothing holds the search's box once it returns."""
+    (_deck_lift), or best when none takes it.  Only the first base vertex of
+    each orbit is searched, found before the box is built, since the check
+    copies the field's graph.  The classes are walked in order: one takes
+    the lead only when shorter by 1e-15, and the walk stops at the first
+    whose lower bound, sqrt(lambda_min) |c|, reaches the lead.  Nothing holds
+    the search's box once it returns."""
     lam = _sqrt_lambda_min(field)  # a degenerate metric fails here, before any box
     reach = float(field.edge_lengths().max())
-    graph, vertex, sources, isometries = _deck_lift(field, classes, base, ub, reach)
+    graph, vertex, sources, isometries = _deck_lift(
+        field, classes, _orbit_representatives(field, base), ub, reach)
     lengths, first, meet = _meet_search(graph, sources, isometries, ub, reach)
     lead, k = np.inf if best is None else best.length, None
     for j, c in enumerate(classes):
@@ -710,7 +706,7 @@ def _deck_loop(field: MetricField, classes, base, ub: float, best):
     to_w, back = _halves(graph, sources[first[k]], meet[k], _padded(ub) / 2 + reach)
     chain = vertex[to_w + back]  # the translations map each grid vertex to itself
     cls = classes[k] if field.grid.topology.kind == "torus2" else classes[k][0]
-    return _loop_witness(field, cls, base[first[k]], lead, chain)
+    return _loop_witness(field, cls, vertex[sources[first[k]]], lead, chain)
 
 
 def _loop_witness(field: MetricField, cls, base_vertex, length, chain) -> LoopWitness:
@@ -832,16 +828,16 @@ def _antipodal_loop(field: MetricField) -> LoopWitness:
     graph = field.graph()
     if not _distortion(graph, anti) <= 1e-9:
         raise GeodesyError("the antipodal map is not an isometry of this metric")
-    band = _loop_base_vertices(g, (1, 0))
+    band = _orbit_representatives(field, _loop_base_vertices(g, (1, 0)))
     # d(v, w) + d(v, -w) is symmetric in w and -w: the southern half holds
-    # one of each; taken in two parts, no temporary is block-sized
+    # one of each; taken in four parts, the two copies of a part and their sum
+    # together take less than half a block
     half = np.where(g.coords[:, 1] <= 0.5 + 1e-12)[0]
-    pairs = [((h,), (anti[h],)) for h in np.array_split(half, 2)]
+    pairs = [((h,), (anti[h],)) for h in np.array_split(half, 4)]
     meridian = g.lattice_vid[0]  # south pole to north pole at longitude 0
     ub = float(np.asarray(graph[meridian[:-1], meridian[1:]]).sum())
     reach = float(field.edge_lengths().max())
-    sources = np.where(_orbit_representatives(field, band), band, -1)
-    (length,), (i,), (meet,) = _meet_search(graph, sources, [((len(anti),), pairs)], ub, reach)
+    (length,), (i,), (meet,) = _meet_search(graph, band, [((len(anti),), pairs)], ub, reach)
     to_w, back = _halves(graph, band[i], meet, _padded(ub) / 2 + reach)
     return _loop_witness(field, "antipodal", band[i], length, np.concatenate([to_w, anti[back]]))
 

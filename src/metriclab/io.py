@@ -181,9 +181,11 @@ def decode_runs(text: str) -> np.ndarray:
     text = text.strip()
     if not text:
         return np.empty(0, dtype=np.int64)
-    runs = [part.partition("-") for part in text.split(",")]
-    return np.concatenate([np.arange(int(a), int(b if sep else a) + 1, dtype=np.int64)
-                           for a, sep, b in runs])
+    runs = [(int(a), int(b if sep else a))
+            for a, sep, b in (part.partition("-") for part in text.split(","))]
+    if any(b < a for a, b in runs):
+        raise ValueError(f"descending run in {text!r}")
+    return np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b in runs])
 
 
 def certificate_text(cert, grid: Grid, field_path: str = "") -> str:

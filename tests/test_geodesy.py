@@ -680,7 +680,7 @@ def test_min_antipodal_distance_searches_the_band_only(monkeypatch):
     band = geo._loop_base_vertices(f.grid, (1, 0))
     calls = _counting_dijkstra(monkeypatch)
     geo.min_antipodal_distance(f)
-    assert sum(n for n, _ in calls) == geo._orbit_representatives(f, band).sum() + 1
+    assert sum(n for n, _ in calls) == len(geo._orbit_representatives(f, band)) + 1
 
 
 def test_rp2_systole_memory_is_bounded():
@@ -869,11 +869,6 @@ def test_loop_engine_matches_oracle_on_bump_tori(N, seed, base, cls):
     _assert_matches_oracle(_bump_torus(N, seed, base), cls)
 
 
-def _searched(f, base):
-    """The base vertices that a loop search runs from: one per orbit."""
-    return base[geo._orbit_representatives(f, base)]
-
-
 def _recorded_boxes(monkeypatch):
     """The vertex count of every box _lifted_graph builds."""
     boxes, real_lift = [], geo._lifted_graph
@@ -895,7 +890,7 @@ def test_hexagonal_windows_at_N128_are_no_larger(monkeypatch):
     for cls, copies in former.items():
         base = geo._loop_base_vertices(f.grid, cls)
         ub = geo._stencil_walk_length(f, base, cls)
-        _, shape = geo._deck_box(f, _searched(f, base), ub, reach)
+        _, shape = geo._deck_box(f, geo._orbit_representatives(f, base), ub, reach)
         assert math.prod(shape) <= copies * V
         assert shape == pinned.get(cls, shape)
     boxes = _recorded_boxes(monkeypatch)
@@ -1250,7 +1245,7 @@ def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
     sized = []
 
     def sizes_only(field, classes, base, ub, best):  # size each box and search nothing
-        lo, shape = geo._deck_box(field, _searched(field, base), ub,
+        lo, shape = geo._deck_box(field, geo._orbit_representatives(field, base), ub,
                                   float(field.edge_lengths().max()))
         sized.append(math.prod(shape))
         return best
@@ -1264,7 +1259,8 @@ def test_anisotropic_torus_boxes_are_sized_per_axis(monkeypatch):
 def test_a_box_above_the_ceiling_raises_before_any_scipy_call(monkeypatch):
     f = F.constant_metric(G.build_grid(G.torus2(), 16, 3), HEX)
     base = geo._loop_base_vertices(f.grid, (1, 0))
-    lo, shape = geo._deck_box(f, _searched(f, base), 1.0, float(f.edge_lengths().max()))
+    lo, shape = geo._deck_box(f, geo._orbit_representatives(f, base), 1.0,
+                              float(f.edge_lengths().max()))
 
     def called(*args, **kwargs):
         raise AssertionError("scipy was called")
@@ -1337,7 +1333,7 @@ def test_path_to_polylines_are_unchanged(kind, monkeypatch):
 
 
 def _every_source(field, base):
-    return np.ones(len(base), dtype=bool)
+    return base
 
 
 def _loop_outcomes(f, classes):
@@ -1386,17 +1382,21 @@ def test_orbit_sources_match_the_search_of_every_source(name):
     _assert_same_as_every_source(make(), classes)
 
 
+def _y_cosine_80():
+    g = G.build_grid(G.torus2(), 80, 3)
+    return F.conformal_metric(g, 0.3 * np.cos(2 * math.pi * (g.coords[:, 0] - 1 / 80)))
+
+
 def test_orbit_sources_keep_the_cut_offs_of_the_search_of_every_source():
     # y-translations are exact: each base column is one orbit, sources 0 and
-    # 80.  Source 80 wins, and the search of every source reaches it in its
-    # second block, cut off at the first block's best; searched in one block
-    # with source 0, at the first bound, it would meet its image at another
-    # vertex, and the witness would differ.
+    # 80, searched in one block.  Source 80 wins; the search of every source
+    # reaches it in its second block, cut off at the first block's best, and
+    # the one block searches it at the first bound.  Only balanced meet pairs
+    # count, so both meet its image at one vertex and give one witness.
     N = 80
-    g = G.build_grid(G.torus2(), N, 3)
-    f = F.conformal_metric(g, 0.3 * np.cos(2 * math.pi * (g.coords[:, 0] - 1 / N)))
-    base = geo._loop_base_vertices(g, (1, 1))
-    assert np.flatnonzero(geo._orbit_representatives(f, base)).tolist() == [0, N]
+    f = _y_cosine_80()
+    base = geo._loop_base_vertices(f.grid, (1, 1))
+    assert geo._orbit_representatives(f, base).tolist() == [0, N]
     w = geo.shortest_loop_in_class(f, (1, 1))
     with mock.patch.object(geo, "_orbit_representatives", _every_source):
         ref = geo.shortest_loop_in_class(f, (1, 1))
@@ -1411,6 +1411,10 @@ SEARCH_COUNTS = {  # case: (field, search, kernel calls, of which with predecess
     "bump-101-systole": (lambda: _bump_torus(48, 101, "hexagonal"), geo.systole, 6, 2),
     "bump-101-class-1-1": (lambda: _bump_torus(48, 101, "hexagonal"),
                            lambda f: geo.shortest_loop_in_class(f, (1, 1)), 3, 1),
+    # both kept sources in one block: no block holds the place of a source
+    # that is not searched
+    "y-cosine-80-class-1-1": (_y_cosine_80, lambda f: geo.shortest_loop_in_class(f, (1, 1)),
+                              2, 1),
     "round-rp2-64-systole": (lambda: _round("rp2", 64), geo.systole, 3, 1),
     # the search, and the witness that min_antipodal_distance now checks
     "round-sphere2-48-antipodal": (
@@ -1470,8 +1474,8 @@ def test_orbits_collapse_along_exact_axes_only(N, k, amp, phase):
     _assert_same_as_every_source(f, [(1, 0), (0, 1), (1, 1)])
     assert f._exact_translations == (True, False)
     # x-translations join the two base columns, and each base row into one orbit
-    assert geo._orbit_representatives(f, geo._loop_base_vertices(g, (1, 0))).sum() == N
-    assert geo._orbit_representatives(f, geo._loop_base_vertices(g, (0, 1))).sum() == 2
+    assert len(geo._orbit_representatives(f, geo._loop_base_vertices(g, (1, 0)))) == N
+    assert len(geo._orbit_representatives(f, geo._loop_base_vertices(g, (0, 1)))) == 2
 
 
 def test_a_tensor_entry_one_ulp_off_gets_no_reduction(monkeypatch):
@@ -1484,8 +1488,8 @@ def test_a_tensor_entry_one_ulp_off_gets_no_reduction(monkeypatch):
     assert moved.sum() == 4
     assert np.allclose(off.edge_lengths(), f.edge_lengths(), rtol=1e-15, atol=0)
     base = geo._loop_base_vertices(g, (1, 0))
-    assert geo._orbit_representatives(f, base).sum() == 1
-    assert geo._orbit_representatives(off, base).all()
+    assert len(geo._orbit_representatives(f, base)) == 1
+    assert np.array_equal(geo._orbit_representatives(off, base), base)
     assert off._exact_translations == (False, False)
     calls = _counting_dijkstra(monkeypatch)
     geo.shortest_loop_in_class(off, (1, 0))

@@ -225,7 +225,7 @@ def test_runs_round_trip_to_the_sorted_ids(xs):
     assert back.dtype == np.int64 and np.array_equal(back, np.sort(x))
 
 
-@pytest.mark.parametrize("text", ["1,", "3-", "-3", "1-2-3", "a"])
+@pytest.mark.parametrize("text", ["1,", "3-", "-3", "1-2-3", "a", "5-3"])
 def test_decode_runs_refuses_a_malformed_run(text):
     with pytest.raises(ValueError):
         mio.decode_runs(text)

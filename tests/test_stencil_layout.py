@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import besicovitch as B
@@ -161,7 +161,7 @@ def test_lifted_window_of_the_hexagonal_torus():
     g = G.build_grid(G.torus2(), 32, 3)
     f = F.constant_metric(g, [[1.0, 0.5], [0.5, 1.0]])
     base = geo._loop_base_vertices(g, (1, 0))
-    searched = base[geo._orbit_representatives(f, base)]
+    searched = geo._orbit_representatives(f, base)
     lo, shape = geo._deck_box(f, searched, 1.0, float(f.edge_lengths().max()))
     assert lo[0] < 0 and lo[1] < 0
     _assert_same_csr(geo._lifted_graph(f, lo, shape)[0],
@@ -188,8 +188,7 @@ def _copies_deck_lift(field, classes, base, ub, reach):
                                  for i in range(max(0, p), min(nx, nx + p))
                                  for j in range(max(0, q), min(ny, ny + q))])
                   for p, q in classes]
-    sources = np.where(geo._orbit_representatives(field, base), (-k0[0] * ny - k0[1]) * V + base,
-                       -1)
+    sources = (-k0[0] * ny - k0[1]) * V + base
     return _reference_lifted_graph(field, nx, ny), np.arange(nx * ny * V) % V, sources, isometries
 
 
@@ -208,16 +207,19 @@ def _loop_field(kind, N, seed):
                                  "diag": np.diag([1e-2, 1.0])}[kind])
 
 
+_LOOP_CASES = dict(kind=st.sampled_from(["bump-flat", "bump-hexagonal", "sheared", "diag",
+                                         "y-cosine", "cylinder"]),
+                   N=st.integers(8, 24), seed=st.integers(0, 10_000),
+                   cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
+
+
 def _loop_key(w, f):
     assert w.check_length(f)
     return w.cls, w.base_vertex, w.length
 
 
 @settings(max_examples=15, deadline=None)
-@given(kind=st.sampled_from(["bump-flat", "bump-hexagonal", "sheared", "diag", "y-cosine",
-                             "cylinder"]),
-       N=st.integers(8, 24), seed=st.integers(0, 10_000),
-       cls=st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)]))
+@given(**_LOOP_CASES)
 def test_box_loops_equal_the_copies_window(kind, N, seed, cls):
     # class, base vertex and length are ==, and both witnesses pass
     # check_length: for systole and for one class at its stencil walk.  A
@@ -249,6 +251,33 @@ def test_box_loops_equal_the_copies_window(kind, N, seed, cls):
     assert np.isfinite(box[1]).any()
     with mock.patch.object(geo, "_deck_lift", _copies_deck_lift):
         assert searches() == box
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_LOOP_CASES)
+@example(kind="y-cosine", N=9, seed=0, cls=(2, 1))  # tied meet points: the polyline can move
+@example(kind="bump-flat", N=23, seed=0, cls=(1, 0))  # near ties: base vertex and an ulp can move
+def test_loops_do_not_depend_on_the_search_order(kind, N, seed, cls):
+    # class, base vertex, length and polyline bytes are == for systole and
+    # one class, in order and in blocks of _CHUNK, and in reversed order in
+    # blocks of one
+    f = _loop_field(kind, N, seed)
+    one = (cls[0] or cls[1]) if kind == "cylinder" else cls
+
+    def searches():
+        return [(w.cls, w.base_vertex, w.length, w.points.tobytes())
+                for w in (geo.systole(f), geo.shortest_loop_in_class(f, one))]
+
+    def reversed_order(graph, sources, value, ub, reach=None, bounds=None):
+        if reach is not None:  # a loop search: reversed order, nothing pruned
+            def bounds(block, vals, limit):
+                return -1e300 * np.arange(1, len(sources) + 1)
+        return real(graph, sources, value, ub, reach, bounds)
+
+    scheduled, real = searches(), geo._loop_search
+    with mock.patch.object(geo, "_loop_search", reversed_order), \
+            mock.patch.object(geo, "_CHUNK", 1):
+        assert searches() == scheduled
 
 
 @pytest.mark.parametrize("name,N", _GRIDS)
