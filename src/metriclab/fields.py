@@ -52,6 +52,7 @@ class MetricField:
         self._lambda_min = None
         self._lambda_max = None
         self._exact_translations = None  # per axis, set by geodesy's loop engine
+        self._rows = {}  # source: (cut-off, read-only row of graph()), kept by geodesy._rows
         self._cell_tensors = None
         self._cell_det = None
         self._cell_sqrt_det = None
@@ -75,7 +76,7 @@ class MetricField:
         """Symmetric weighted adjacency (both edge directions stored)."""
         if self._csr is None:
             s = self.grid.stencil()
-            data = np.take(self.edge_lengths(), s.edge)
+            data = self.edge_lengths()[s.edge]
             V = self.grid.num_vertices
             self._csr = sp.csr_matrix((data, s.indices, s.indptr), shape=(V, V))
         return self._csr

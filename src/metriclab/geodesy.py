@@ -23,7 +23,13 @@ sources in order of least bound, and never searches one whose bound is above
 the least eccentricity so far; ties are never pruned, so the center is the
 first minimizing vertex, as in a search over every vertex.  A set radius
 cuts its members' searches off at the eccentricity of one center, which
-bounds the least one.
+bounds the least one.  set_radius_upper and the cut centers of width read
+their single-source rows through the field's row store (_rows): at most
+_STORED_ROWS read-only rows, each with the cut-off it was searched at, the
+least recently used dropped first.  A stored row serves any cut-off at or
+below its own as np.where(row <= limit, row, inf), bit for bit what scipy
+returns at that cut-off: each value within it has its last edge leave a
+vertex that is no farther, so it is the same fixed point (below).
 
 Loops meet in the middle: a deck translation
 t (or the antipodal map on sphere2/rp2) is an isometry of the lifted graph, so
@@ -108,6 +114,7 @@ class GeodesyError(ValueError):
 
 
 _CHUNK = 64  # sources per Dijkstra block in every search
+_STORED_ROWS = 16  # single-source rows a field's row store keeps (_rows)
 _BLOCK_BYTES = 2 ** 30  # ceiling on the estimated bytes of one Dijkstra block
 
 
@@ -136,6 +143,33 @@ def _shortest_paths(graph, sources, limit=np.inf, predecessors=False, min_only=F
                            f"needs about {nbytes} bytes, above the ceiling of {_BLOCK_BYTES}")
     return dijkstra(graph, directed=True, indices=sources, limit=limit,
                     return_predecessors=predecessors, min_only=min_only)
+
+
+def _rows(field: MetricField, sources, limit=np.inf) -> list:
+    """The rows of field.graph() from each checked source, cut off at limit,
+    read through the field's row store (module docstring).  A source whose
+    stored row was searched at a lower cut-off, or that is not stored, is
+    searched again, with the others missing, in one block at limit; its row
+    replaces the stored one, and the least recently used rows beyond
+    _STORED_ROWS are dropped.  Stored rows are read-only, and so is a row
+    served at its own cut-off."""
+    graph = field.graph()
+    sources = _sources(sources, graph.shape[0]).tolist()
+    store, found = field._rows, {}
+    for s in dict.fromkeys(sources):
+        if s in store and store[s][0] >= limit:
+            found[s] = store[s] = store.pop(s)  # now the most recently used
+    missing = [s for s in dict.fromkeys(sources) if s not in found]
+    if missing:
+        for s, row in zip(missing, _shortest_paths(graph, missing, limit)):
+            row = row.copy()
+            row.flags.writeable = False
+            store.pop(s, None)
+            found[s] = store[s] = (limit, row)
+        for s in list(store)[:-_STORED_ROWS]:
+            del store[s]
+    return [row if cut == limit else np.where(row <= limit, row, np.inf)
+            for cut, row in map(found.get, sources)]
 
 
 @dataclass
@@ -340,15 +374,18 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
 
     Returns (ecc, center) with ecc = max over subset of d(center, .).  The
     `rounds` vertices of least max(d(a, .), d(b, .)), for a far pair (a, b),
-    are tried as centers in one search.  `within` optionally restricts
-    candidate centers to a vertex set (default: anywhere); a is the first
-    center only if it lies there.  The row of b is cut off at the best ecc
-    so far, widened by the reversal slack: a vertex beyond it has a larger
-    ecc, so it could never be the center.  When b is the first member or a,
-    whose full rows are at hand, that row is cut off instead of searched
-    again: a cut-off search keeps every value within its limit (equal
-    included) bit for bit, since each one's last edge leaves a vertex that
-    is no farther, and gives inf beyond it.
+    are tried as centers.  `within` optionally restricts candidate centers
+    to a vertex set (default: anywhere); a is the first center only if it
+    lies there.  Every row is read through the field's row store (_rows), so
+    a row searched before, at a cut-off no lower, is not searched again: a
+    served row is bit for bit the one a search at its cut-off returns
+    (module docstring).  The rows of the first member and of a are whole.
+    The row of b is cut off at the best ecc so far, widened by the reversal
+    slack: a vertex beyond it has a larger ecc, so it could never be the
+    center.  The candidates' rows, in blocks of _CHUNK, are cut off at that
+    ecc padded as every cut-off is (_padded): a candidate whose ecc lies
+    beyond could not beat it, and one cut-off for all of them keeps the
+    least ecc within it and its first candidate.
     """
     subset = np.asarray(subset, dtype=np.int64)
     graph = field.graph()
@@ -356,22 +393,19 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     if within is not None:
         penalty[:] = np.inf
         penalty[_sources(within, len(penalty))] = 0.0
-    d0 = distance_matrix(field, subset[:1])[0]
+    (d0,) = _rows(field, subset[:1])
     far = int(subset[np.argmax(d0[subset])])
-    d1 = distance_matrix(field, [far])[0]
+    (d1,) = _rows(field, [far])
     best = (float(d1[subset].max()), far) if penalty[far] == 0 else (np.inf, -1)
-    second, limit = subset[np.argmax(d1[subset])], _widened(best[0], graph)
-    if second in (subset[0], far):  # its row is at hand: cut it off as scipy would
-        row = d0 if second == subset[0] else d1
-        d2 = np.where(row <= limit, row, np.inf)
-    else:
-        d2 = _shortest_paths(graph, second, limit)[0]
+    (d2,) = _rows(field, [subset[np.argmax(d1[subset])]], _widened(best[0], graph))
     cand_scores = np.maximum(d1, d2) + penalty
     cand = np.argsort(cand_scores, kind="stable")[:rounds]
     cand = cand[np.isfinite(cand_scores[cand])]
-    ecc, i = _loop_search(graph, cand, lambda D, rows: D[:, subset].max(axis=1), best[0])
-    if ecc < best[0]:
-        best = (ecc, int(cand[i]))
+    ecc = [row[subset].max() for k in range(0, len(cand), _CHUNK)
+           for row in _rows(field, cand[k:k + _CHUNK], _padded(best[0]))]
+    if ecc and min(ecc) < best[0]:
+        i = int(np.argmin(ecc))
+        best = (float(ecc[i]), int(cand[i]))
     return best
 
 

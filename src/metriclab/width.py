@@ -31,6 +31,7 @@ from . import measure
 from .covers import Cover, _edge_components
 from .fields import MetricField
 from .geodesy import (
+    _rows,
     _widened,
     distance_field,
     set_radius_exact,
@@ -150,16 +151,17 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         rad_ub, center = radius_of(comp)
         in_comp = np.zeros(g.num_vertices, dtype=bool)
         in_comp[comp] = True
-        fvals_all = distance_field(field, [center], quotient=False).dist
-        fvals = np.where(np.isfinite(fvals_all), fvals_all, 1e300)
+        # every comp vertex lies within rad_ub of the center, and r1 <= R <= rad_ub:
+        # the row cut off there holds every value read below, the same as in a full row
+        (fvals,) = _rows(field, [center], rad_ub)
         # cells with every vertex corner in comp; measure keeps only the full ones
         cells_ok = in_comp[np.where(g.cells >= 0, g.cells, 0)].all(axis=1)
         e = g.edges
-        edge_candidate = in_comp[e[:, 0]] & in_comp[e[:, 1]] & ~removed
-        fu, fv = fvals[e[:, 0]], fvals[e[:, 1]]
+        edge_candidate = np.flatnonzero(in_comp[e[:, 0]] & in_comp[e[:, 1]] & ~removed)
+        fu, fv = fvals[e[edge_candidate, 0]], fvals[e[edge_candidate, 1]]
 
         levels = _ladder(fvals[comp], r0, r1, _LEVEL_COUNT)
-        ncut = _straddle_counts(fu[edge_candidate], fv[edge_candidate], levels)
+        ncut = _straddle_counts(fu, fv, levels)
         lengths = measure.ladder_lengths(field, fvals, levels, cell_mask=cells_ok)
         best = None
         for k in np.where(ncut > 0)[0]:
@@ -170,13 +172,13 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
                            f"with radius {rad_ub:.4g}")
             break
         t = float(levels[best])
-        cut_edges = edge_candidate & ((fu - t) * (fv - t) < 0)
+        cut_edges = edge_candidate[(fu - t) * (fv - t) < 0]
         segs = measure._marching_segments(field, fvals, t, cell_mask=cells_ok)
         length = float(segs.lengths.sum())
-        bound = measure.ball_volume(field, center, r1, dist=fvals_all) / (r1 - r0)
-        removed |= cut_edges
+        bound = measure.ball_volume(field, center, r1, dist=fvals) / (r1 - r0)
+        removed[cut_edges] = True
         mids = 0.5 * (segs.points_a + segs.points_b)
-        curves.append(CutCurve(t, center, length, bound, np.where(cut_edges)[0], mids))
+        curves.append(CutCurve(t, center, length, bound, cut_edges, mids))
         comps = _kept_components(field, removed)
 
     total = float(sum(c.length for c in curves))

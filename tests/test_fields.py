@@ -287,6 +287,25 @@ def test_edge_length_conformal_between_endpoint_bounds():
     assert abs(length - oracle) <= (hi - lo) + 1e-12
 
 
+def test_graph_gathers_its_weights_without_a_copy_of_the_edge_index():
+    import tracemalloc
+
+    g = G.build_grid(G.square(), 96, 3)
+    s = g.stencil()
+    f = F.random_spd_metric(g, 1, (0.5, 2.0))
+    w = f.edge_lengths()
+    tracemalloc.start()
+    try:
+        graph = f.graph()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(graph.data, np.take(w, s.edge))
+    # the weights themselves and the CSR's small arrays; np.take first cast the
+    # int32 edge index to a second array of the weights' size
+    assert peak < 1.25 * graph.data.nbytes
+
+
 def test_edge_length_requires_edge():
     g = G.build_grid(G.square(), 8, 1)
     with pytest.raises(G.GridError):

@@ -432,11 +432,28 @@ def _unshared_set_radius_upper(f, subset, rounds, within=None):
 
 
 def _dijkstra_calls(run):
-    """run() and the number of scipy Dijkstras it made."""
+    """run() and the set of sources of each scipy Dijkstra it made."""
     calls, real = [], geo.dijkstra
-    with mock.patch.object(geo, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k)):
+
+    def counting(*args, **kwargs):
+        calls.append(set(np.atleast_1d(kwargs["indices"]).tolist()))
+        return real(*args, **kwargs)
+
+    with mock.patch.object(geo, "dijkstra", counting):
         out = run()
-    return out, len(calls)
+    return out, calls
+
+
+def _new_rows(calls):
+    """How many calls search a source that no earlier call searched: the
+    searches a fresh row store still makes of a run whose cut-offs never
+    rise, as those of the unshared set-radius search (full rows, then a
+    bound widened by the reversal slack, then that bound padded)."""
+    seen, new = set(), 0
+    for sources in calls:
+        new += not sources <= seen
+        seen |= sources
+    return new
 
 
 @settings(max_examples=40, deadline=None)
@@ -444,8 +461,11 @@ def _dijkstra_calls(run):
        data=st.data())
 def test_set_radius_upper_shares_rows_with_the_unshared_search(kind, seed, data):
     g = G.build_grid(G.topology_from_name(kind), 2 * data.draw(st.integers(3, 6)), 3)
-    f = (F.round_sphere_metric(g, 1.0) if kind == "rp2"
-         else F.random_spd_metric(g, seed, (0.5, 2.0)))
+
+    def fresh():  # each counted run starts with an empty row store
+        return (F.round_sphere_metric(g, 1.0) if kind == "rp2"
+                else F.random_spd_metric(g, seed, (0.5, 2.0)))
+
     V = g.num_vertices
     S = np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=6)))
     rounds = data.draw(st.integers(1, 4))
@@ -453,20 +473,98 @@ def test_set_radius_upper_shares_rows_with_the_unshared_search(kind, seed, data)
     within = {None: None, "subset": S,
               "random": np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=1,
                                                     max_size=8)))}[within]
-    got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(f, S, rounds, within=within))
-    want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(f, S, rounds, within))
+    got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(fresh(), S, rounds, within=within))
+    want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(fresh(), S, rounds,
+                                                                        within))
     assert got == want
-    assert unshared - 1 <= calls <= unshared
+    assert len(calls) == _new_rows(unshared) <= len(unshared)
 
 
 def test_set_radius_upper_reuses_the_first_members_row():
     # the far pair of {a, b} is (b, a): the second row is a's, already searched
-    f = F.random_spd_metric(G.build_grid(G.square(), 12, 3), 4, (0.5, 2.0))
+    g = G.build_grid(G.square(), 12, 3)
     for within in (None, [5, 40, 77]):
-        got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(f, [3, 100], 2, within))
-        want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(f, [3, 100], 2,
-                                                                            within))
-        assert got == want and calls == unshared - 1
+        got, calls = _dijkstra_calls(lambda: geo.set_radius_upper(
+            F.random_spd_metric(g, 4, (0.5, 2.0)), [3, 100], 2, within))
+        want, unshared = _dijkstra_calls(lambda: _unshared_set_radius_upper(
+            F.random_spd_metric(g, 4, (0.5, 2.0)), [3, 100], 2, within))
+        assert got == want and len(calls) == len(unshared) - 1
+
+
+def test_a_repeated_set_radius_upper_runs_no_dijkstra():
+    f = F.random_spd_metric(G.build_grid(G.square(), 12, 3), 4, (0.5, 2.0))
+    S = [3, 100, 57]
+    for within in (None, S):
+        first, calls = _dijkstra_calls(lambda: geo.set_radius_upper(f, S, 4, within))
+        again, repeat = _dijkstra_calls(lambda: geo.set_radius_upper(f, S, 4, within))
+        assert again == first and repeat == []
+    assert calls  # the first call with within searched the candidates in it
+
+
+def test_the_row_store_keeps_its_bound_of_read_only_rows_least_recent_first():
+    f = F.random_spd_metric(G.build_grid(G.square(), 12, 3), 4, (0.5, 2.0))
+    graph, V = f.graph(), f.grid.num_vertices
+    rows, calls = _dijkstra_calls(lambda: geo._rows(f, np.arange(20)))
+    assert calls == [set(range(20))]  # more rows than the store holds, in one block
+    assert np.array_equal(np.array(rows), geo._shortest_paths(graph, np.arange(20)))
+    assert list(f._rows) == list(range(20 - geo._STORED_ROWS, 20))
+    for v in (5, 20):
+        geo._rows(f, [v])
+    assert list(f._rows) == [*range(6, 20), 5, 20]
+    for v in range(0, V, 7):
+        geo.set_radius_upper(f, [v, V - 1 - v], 4)
+        assert len(f._rows) <= geo._STORED_ROWS
+    for cut, row in f._rows.values():
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+    # a stored full row serves a lower cut-off as scipy returns it, and a
+    # higher cut-off than a stored row's is searched again
+    (full,) = geo._rows(f, [40])
+    served, calls = _dijkstra_calls(lambda: geo._rows(f, [40], 0.3))
+    assert calls == [] and np.array_equal(served[0], geo._shortest_paths(graph, 40, 0.3)[0])
+    assert served[0].flags.writeable and not full.flags.writeable
+    geo._rows(f, [41], 0.3)
+    (row,), calls = _dijkstra_calls(lambda: geo._rows(f, [41]))
+    assert calls == [{41}] and np.array_equal(row, geo._shortest_paths(graph, 41)[0])
+    assert f._rows[41][0] == np.inf
+
+
+def test_a_warm_row_store_still_refuses_sources_outside_the_vertices():
+    f = F.flat_metric(G.build_grid(G.square(), 9, 3))
+    V = f.grid.num_vertices
+    geo.set_radius_upper(f, [0, V - 1], within=[0, V - 1])
+    assert 0 in f._rows and V - 1 in f._rows
+    for bad in ([-1], [V], [], [0, -1]):
+        with pytest.raises(geo.GeodesyError, match="nonempty set of vertices"):
+            geo._rows(f, bad)
+    for bad in ([-1], [V]):
+        with pytest.raises(geo.GeodesyError, match="nonempty set of vertices"):
+            geo.set_radius_upper(f, bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["square", "torus2", "rp2"]), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_set_radius_upper_calls_on_one_field_match_fresh_fields(kind, seed, data):
+    g = G.build_grid(G.topology_from_name(kind), 2 * data.draw(st.integers(3, 5)), 3)
+
+    def fresh():
+        return (F.round_sphere_metric(g, 1.0) if kind == "rp2"
+                else F.random_spd_metric(g, seed, (0.5, 2.0)))
+
+    f, V = fresh(), g.num_vertices
+    vertex = st.integers(0, V - 1)
+    for _ in range(data.draw(st.integers(2, 8))):
+        S = np.array(data.draw(st.lists(vertex, min_size=1, max_size=6)))
+        rounds = data.draw(st.integers(1, 5))
+        within = data.draw(st.sampled_from([None, S, np.array(data.draw(
+            st.lists(vertex, min_size=1, max_size=8)))]))
+        assert (geo.set_radius_upper(f, S, rounds, within=within)
+                == _unshared_set_radius_upper(fresh(), S, rounds, within))
+        v, limit = data.draw(vertex), data.draw(st.floats(0.0, 2.0))
+        assert np.array_equal(geo._rows(f, [v], limit)[0],
+                              geo._shortest_paths(f.graph(), v, limit)[0])
+        assert len(f._rows) <= geo._STORED_ROWS
 
 
 def _counting_dijkstra(monkeypatch):
@@ -502,16 +600,18 @@ def test_radius_searches_every_source_when_all_tie(monkeypatch):
 
 
 def test_set_radius_exact_cuts_off_at_a_proven_bound(monkeypatch):
-    f = F.random_spd_metric(G.build_grid(G.square(), 20, 3), 5, (0.5, 2.0))
+    g = G.build_grid(G.square(), 20, 3)
+    f = F.random_spd_metric(g, 5, (0.5, 2.0))
     calls = _counting_dijkstra(monkeypatch)
     S = np.arange(0, f.grid.num_vertices, 5)
     assert geo.set_radius_exact(f, S) == _dense_set_radius_exact(f, S)
     assert any(n > 1 and limit < np.inf for n, limit in calls)
     calls.clear()
-    geo.set_radius_exact(f, S[:2])
+    # fresh fields, so that neither counted run reads rows stored by another
+    geo.set_radius_exact(F.random_spd_metric(g, 5, (0.5, 2.0)), S[:2])
     exact_calls = calls[:]
     calls.clear()
-    ecc, _ = geo.set_radius_upper(f, S[:2], rounds=1)
+    ecc, _ = geo.set_radius_upper(F.random_spd_metric(g, 5, (0.5, 2.0)), S[:2], rounds=1)
     # the searches of set_radius_upper, then both members in one search, cut
     # off at its bound widened by the reversal slack
     assert exact_calls == calls + [(2, geo._widened(ecc, f.graph()))]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -317,3 +318,31 @@ def test_separating_cut_ladder_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+# scipy Dijkstra calls and source rows of width_upper_bound on a fresh flat
+# square.  The field's row store serves the rows that the set radii search
+# again and the cut centers' rows; without it the search made the counts in
+# the comments.
+WIDTH_SEARCH_COUNTS = {  # case: (N, R, valid, calls, source rows)
+    "square33 R=0.55": (33, 0.55, True, 43, 780),   # 58 calls, 796 rows
+    "square17 R=0.45": (17, 0.45, False, 78, 555),  # 109 calls, 595 rows
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_SEARCH_COUNTS))
+def test_width_upper_bound_runs_its_pinned_dijkstras(monkeypatch, name):
+    N, R, valid, total, rows = WIDTH_SEARCH_COUNTS[name]
+    f = F.flat_metric(G.build_grid(G.square(), N, 3))
+    calls, real = [], geo.dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(kwargs["indices"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "dijkstra", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = W.width_upper_bound(f, R)
+    assert cert.valid == valid
+    assert (len(calls), sum(calls)) == (total, rows)
