@@ -149,10 +149,10 @@ def _rows(field: MetricField, sources, limit=np.inf) -> list:
     """The rows of field.graph() from each checked source, cut off at limit,
     read through the field's row store (module docstring).  A source whose
     stored row was searched at a lower cut-off, or that is not stored, is
-    searched again, with the others missing, in one block at limit; its row
-    replaces the stored one, and the least recently used rows beyond
-    _STORED_ROWS are dropped.  Stored rows are read-only, and so is a row
-    served at its own cut-off."""
+    searched again, with the others missing, in one block at limit (whole
+    rows through distance_matrix); its row replaces the stored one, and the
+    least recently used rows beyond _STORED_ROWS are dropped.  Stored rows
+    are read-only, and so is a row served at its own cut-off."""
     graph = field.graph()
     sources = _sources(sources, graph.shape[0]).tolist()
     store, found = field._rows, {}
@@ -161,7 +161,9 @@ def _rows(field: MetricField, sources, limit=np.inf) -> list:
             found[s] = store[s] = store.pop(s)  # now the most recently used
     missing = [s for s in dict.fromkeys(sources) if s not in found]
     if missing:
-        for s, row in zip(missing, _shortest_paths(graph, missing, limit)):
+        block = (distance_matrix(field, missing) if limit == np.inf
+                 else _shortest_paths(graph, missing, limit))
+        for s, row in zip(missing, block):
             row = row.copy()
             row.flags.writeable = False
             store.pop(s, None)
