@@ -529,6 +529,27 @@ def test_the_row_store_keeps_its_bound_of_read_only_rows_least_recent_first():
     assert f._rows[41][0] == np.inf
 
 
+def test_the_row_store_searches_whole_rows_through_distance_matrix():
+    # geodesy.distance_matrix is a traced layer of the benchmark: whole rows
+    # reach it, cut-off rows go to the kernel, and served rows to neither
+    g = G.build_grid(G.square(), 9, 3)
+    asked, real = [], geo.distance_matrix
+
+    def counting(field, sources):
+        asked.append(list(sources))
+        return real(field, sources)
+
+    with mock.patch.object(geo, "distance_matrix", counting):
+        f = F.flat_metric(g)
+        geo._rows(f, [4, 7], 0.5)
+        geo._rows(f, [3, 4, 3])
+        geo._rows(f, [3, 4], 0.5)
+        assert asked == [[3, 4]]
+        asked.clear()
+        geo.set_radius_upper(F.flat_metric(g), [0, 5])
+    assert asked == [[0], [5]]
+
+
 def test_a_warm_row_store_still_refuses_sources_outside_the_vertices():
     f = F.flat_metric(G.build_grid(G.square(), 9, 3))
     V = f.grid.num_vertices
