@@ -10,13 +10,14 @@ The same rule measures polyline segments, with tensors at non-vertex points
 obtained by multilinear interpolation on the lattice; one kernel
 (_quadratic_forms) forms every d^T g d, level segments' too, each as one sum
 in (i, j) row-major order.  Edge lengths read the tensors as n^2 contiguous
-entry rows, one class at a time (_class_forms); segments read (M, n, n)
-stacks.  A field's graph fills the grid's stencil CSR pattern with its edge
-lengths.  Validation checks that tensors are finite, symmetric and positive
-definite (by leading principal minors) and computes no eigenvalue: lambda_min
-and lambda_max make one cached eigvalsh call, on first use.  Seeded fields are
-cosine mixtures, one cosine per distinct coordinate per axis; nothing here
-calls einsum.
+entry rows, one class at a time (_class_forms); level segments blend n^2
+contiguous per-vertex entry columns into an (n, n, S) buffer (measure), and
+polylines read (M, n, n) stacks.  A field's graph fills the grid's stencil
+CSR pattern with its edge lengths.  Validation checks that tensors are
+finite, symmetric and positive definite (by leading principal minors) and
+computes no eigenvalue: lambda_min and lambda_max make one cached eigvalsh
+call, on first use.  Seeded fields are cosine mixtures, one cosine per
+distinct coordinate per axis; nothing here calls einsum.
 
 Sphere grids are the one sanctioned exception to strict positive definiteness:
 the collapsed pole vertices carry the chart-degenerate round tensor (zero
@@ -199,8 +200,9 @@ def _quadratic_forms(d: np.ndarray, t: np.ndarray) -> np.ndarray:
     The terms (d_i t_ij) d_j are added in one run, (i, j) row-major, so a form
     rounds alike in a batch of any size and in any memory layout of t; tests
     compare it with numpy's batched order.  Each t[..., i, j] is read as one
-    array: a contiguous entry row from _class_forms, a strided column of an
-    (M, n, n) stack from segments and polylines.
+    array: a contiguous entry row from _class_forms and from level segments
+    (the transpose of an (n, n, S) buffer), a strided column of an (M, n, n)
+    stack from polylines.
     """
     n = d.shape[-1]
     return sum((d[..., i] * t[..., i, j]) * d[..., j] for i, j in np.ndindex(n, n))

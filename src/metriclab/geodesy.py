@@ -360,10 +360,24 @@ def set_radius_exact(field: MetricField, subset) -> tuple[float, int]:
     subset = np.asarray(subset, dtype=np.int64)
     graph = field.graph()
     bound = _widened(set_radius_upper(field, subset, rounds=1)[0], graph)
-    ecc = np.full(graph.shape[0], -np.inf)
-    for k0 in range(0, len(subset), _CHUNK):
-        block = _shortest_paths(graph, subset[k0:k0 + _CHUNK], bound)
+    return _least_column(_column_maxima(graph, subset, bound), bound)
+
+
+def _column_maxima(graph, sources, bound, ecc=None) -> np.ndarray:
+    """The column maxima of the rows of sources cut off at bound, searched in
+    blocks of _CHUNK; into ecc (in place) when given, else into a new array.
+    A column whose maximum is within bound comes out exact, any other inf."""
+    if ecc is None:
+        ecc = np.full(graph.shape[0], -np.inf)
+    for k0 in range(0, len(sources), _CHUNK):
+        block = _shortest_paths(graph, sources[k0:k0 + _CHUNK], bound)
         np.maximum(ecc, block.max(axis=0), out=ecc)
+    return ecc
+
+
+def _least_column(ecc, bound) -> tuple[float, int]:
+    """(least column maximum, its first column); GeodesyError when no column
+    lies within the bound that should hold one."""
     c = int(np.argmin(ecc))
     if ecc[c] == np.inf and bound < np.inf:
         raise GeodesyError(f"no center within the proven bound {bound!r}")

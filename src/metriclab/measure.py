@@ -13,6 +13,15 @@ _marching_segments returns the segments of one level, and ladder_lengths the
 length of every level of a ladder from one pass over the cells, bit-identical
 to one _marching_segments pass per level (segment lengths round alike in a
 call of any size).  Coarea profiles and separating-cut ladders use the latter.
+The core reads flat index arrays and gathers no per-row stacks: a row's
+corner values at row * 4 + corner, its cell's corner vertices and chart
+coords at cell * 4 + corner, the coords as one contiguous column per axis.
+The tensors at the crossings are blended entry by entry from n^2
+contiguous per-vertex entry columns, each blend one (S,) array, and the
+mean tensors fill an (n, n, S) buffer whose transpose goes to
+fields._quadratic_forms.  Every value takes the same IEEE operations, in
+the same order, as a blend of gathered (S, 2, 2) tensor stacks, which the
+tests keep as the oracle, so points and lengths equal its bit for bit.
 """
 
 from __future__ import annotations
@@ -96,62 +105,88 @@ _CASE_EDGES = np.array([
     [[0, 1], [2, 3]], [[3, 0], [1, 2]],
 ])
 _NEXT = np.array([1, 2, 3, 0])
+# per case and slot: whether the segment exists, and at column case * 2 + slot
+# the CCW corners ea, ea + 1, eb, eb + 1 of its two crossed edges
+_HAS_SEGMENT = _CASE_EDGES[:, :, 0] >= 0
+_SEGMENT_CORNERS = np.stack([_CASE_EDGES[..., 0], _NEXT[_CASE_EDGES[..., 0]],
+                             _CASE_EDGES[..., 1], _NEXT[_CASE_EDGES[..., 1]]]).reshape(4, -1)
+_CASE_BITS = np.array([1, 2, 4, 8])
 
 # (cell, level) pairs per block of a level ladder; bounds the ladder's memory
 _LADDER_BLOCK_PAIRS = 2048
 
 
 def _full_cells(field: MetricField, cell_mask):
-    """Ids, CCW corner vertices and CCW corner chart coords of the cells that
-    have four valid corners (and pass cell_mask)."""
+    """Ids, CCW corner vertices (C, 4) and corner chart coords (n, C * 4) of
+    the cells that have four valid corners (and pass cell_mask); the coords
+    are one contiguous column per axis, corner k of cell i at i * 4 + k."""
     g = field.grid
     if g.n != 2:
         raise MeasureError("level sets are implemented for 2-D fields only")
     cid = g.full_cells if cell_mask is None else g.full_cells[cell_mask[g.full_cells]]
-    return cid, g.cells[cid][:, _CCW], g.cell_corner_xy[cid][:, _CCW, :]
+    at = (cid[:, None] * 4 + _CCW).ravel()
+    xcols = g.cell_corner_xy.reshape(-1, g.n).take(at, axis=0).T.copy()
+    return cid, g.cells.take(at).reshape(-1, 4), xcols
 
 
-def _segments(tensors, corners, xy, s):
+def _tensor_columns(field: MetricField) -> np.ndarray:
+    """The tensors as n^2 contiguous (V,) entry columns, in row-major order."""
+    return field.tensors.reshape(field.grid.num_vertices, -1).T.copy()
+
+
+def _segments(tcols, corners, xcols, s, cell):
     """Marching-squares segments of cells with corner values s = f - t.
 
-    corners, xy and s hold each cell's four CCW corners; a corner is inside
-    when s > 0.  Returns (rows, pa, pb, lengths): the row of each segment's
-    cell (ascending, a saddle's two segments in table order), its two
-    crossing points, and its g-length sqrt(d^T gbar d), d = pb - pa, with
-    gbar the mean of the tensors blended linearly along the crossed edges.
+    corners (C, 4) holds each cell's CCW corner vertices and xcols (n, C * 4)
+    their chart coords (_full_cells); s (P, 4) holds the corner values of
+    each row, and cell (P,) the row's cell.  A corner is inside when s > 0.
+    Every read is a take by flat index, row * 4 + k for corner k of a row's
+    values and cell * 4 + k for its vertex and coords, so no (P, 4) stack of
+    vertices or coords is gathered; each index table is (4, S), one
+    contiguous row per corner of the two crossed edges.  tcols (n^2, V)
+    holds the tensors as contiguous entry columns (_tensor_columns): each
+    entry of the tensors blended at the crossings is one (S,) array, and
+    their mean fills an (n, n, S) buffer whose transpose _quadratic_forms
+    reads.  Returns (rows, pa, pb, lengths): the row of each segment
+    (ascending, a saddle's two segments in table order), its two crossing
+    points, and its g-length sqrt(d^T gbar d), d = pb - pa, with gbar the
+    mean of the tensors blended linearly along the crossed edges.
     """
     inside = s > 0.0
-    case = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
+    case = inside @ _CASE_BITS
     saddle = np.where((case == 5) | (case == 10))[0]
     # saddles follow the average rule: code 5 with its average inside, or
     # code 10 with its average outside, joins (e0, e1) and (e2, e3)
     avg_in = s[saddle].mean(axis=1) > 0
     case[saddle] = np.where(avg_in != (case[saddle] == 10), 16, 17)
-    pairs = _CASE_EDGES[case]
-    rows, slot = np.nonzero(pairs[:, :, 0] >= 0)
-    ea, eb = pairs[rows, slot, 0], pairs[rows, slot, 1]
-
-    def crossing(j):
-        a, b = j, _NEXT[j]
-        sa, sb = s[rows, a], s[rows, b]
-        alpha = sa / (sa - sb)
-        xa = xy[rows, a]
-        pt = xa + alpha[:, None] * (xy[rows, b] - xa)
-        ten = ((1 - alpha)[:, None, None] * tensors[corners[rows, a]]
-               + alpha[:, None, None] * tensors[corners[rows, b]])
-        return pt, ten
-
-    pa, ta = crossing(ea)
-    pb, tb = crossing(eb)
-    q = _quadratic_forms(pb - pa, 0.5 * (ta + tb))
+    rows, slot = np.nonzero(np.take(_HAS_SEGMENT, case, axis=0))
+    k = np.take(_SEGMENT_CORNERS, case[rows] * 2 + slot, axis=1)
+    at_cell = k + cell[rows] * 4
+    sv = s.take(k + rows * 4)
+    alpha = sv[0::2] / (sv[0::2] - sv[1::2])  # per crossed edge
+    beta = 1 - alpha
+    n = len(xcols)
+    pts = np.empty((n, 2, len(rows)))  # [axis, edge, segment]
+    for i, col in enumerate(xcols):
+        x = col.take(at_cell)
+        pts[i] = x[0::2] + alpha * (x[1::2] - x[0::2])
+    verts = corners.take(at_cell)
+    mean = np.empty((n, n, len(rows)))
+    for (i, j), col in zip(np.ndindex(n, n), tcols):
+        t = col.take(verts)
+        ten = beta * t[0::2] + alpha * t[1::2]
+        np.multiply(0.5, ten[0] + ten[1], out=mean[i, j])
+    pa, pb = pts[:, 0].T, pts[:, 1].T
+    q = _quadratic_forms(pb - pa, mean.transpose(2, 0, 1))
     return rows, pa, pb, np.sqrt(np.maximum(q, 0.0))
 
 
 def _marching_segments(field: MetricField, fvals: np.ndarray, t: float,
                        cell_mask=None) -> LevelSegments:
     """Segments of the level {f = t} over the full cells that pass cell_mask."""
-    cid, corners, xy = _full_cells(field, cell_mask)
-    rows, pa, pb, lengths = _segments(field.tensors, corners, xy, fvals[corners] - t)
+    cid, corners, xcols = _full_cells(field, cell_mask)
+    rows, pa, pb, lengths = _segments(_tensor_columns(field), corners, xcols,
+                                      fvals[corners] - t, np.arange(len(cid)))
     return LevelSegments(t, cid[rows], pa, pb, lengths)
 
 
@@ -162,21 +197,24 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
     so a binary search of the sorted ladder gives each cell its range of
     levels.  The (cell, level) pairs run through the segment core of
     _marching_segments in level-major, cell-ascending order, one call per
-    block of at most _LADDER_BLOCK_PAIRS pairs (one level may exceed that).
-    Entry k, the .sum() of its level's slice, is bit-identical to
+    block of at most _LADDER_BLOCK_PAIRS pairs (one level may exceed that);
+    a pair passes its corner values and its cell's index, and the core
+    reads the cell's corners and coords in place.  Entry k, the .sum() of
+    its level's slice, is bit-identical to
     _marching_segments(field, fvals, levels[k], cell_mask).lengths.sum().
     Lengths are those of the cover (no quotient factor).
     """
     fvals = np.asarray(fvals, dtype=float)
     levels = np.asarray(levels, dtype=float)
-    _, corners, xy = _full_cells(field, cell_mask)
+    _, corners, xcols = _full_cells(field, cell_mask)
+    tcols = _tensor_columns(field)
     fc = fvals[corners]
     order = np.argsort(levels, kind="stable")
     tl = levels[order]
     L = len(tl)
-    ext = np.where(np.isnan(fc), -np.inf, fc)  # a NaN corner is never inside
-    lo = np.searchsorted(tl, ext.min(axis=1), side="left")
-    hi = np.searchsorted(tl, ext.max(axis=1), side="left")
+    ext = np.where(np.isnan(fc), -np.inf, fc).T  # a NaN corner is never inside
+    lo = np.searchsorted(tl, np.minimum(np.minimum(*ext[:2]), np.minimum(*ext[2:])))
+    hi = np.searchsorted(tl, np.maximum(np.maximum(*ext[:2]), np.maximum(*ext[2:])))
     per_level = np.cumsum(np.bincount(lo, minlength=L + 1) - np.bincount(hi, minlength=L + 1))
     done = np.concatenate([[0], np.cumsum(per_level[:L])])  # pairs before level k
     out = np.zeros(L)
@@ -190,13 +228,14 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
         # cell sel[i] takes levels first[i] .. first[i] + count[i] - 1
         pc = np.repeat(sel, count)
         pl = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pc))
-        level_major = np.argsort(pl, kind="stable")
+        # a stable sort on 16-bit keys is a radix sort
+        key = pl - k0 if k1 - k0 > 1 << 16 else (pl - k0).astype(np.uint16)
+        level_major = np.argsort(key, kind="stable")
         pc, pl = pc[level_major], pl[level_major]
-        rows, _, _, lengths = _segments(field.tensors, corners[pc], xy[pc],
-                                        fc[pc] - tl[pl][:, None])
-        bounds = np.searchsorted(pl[rows], np.arange(k0, k1 + 1))
-        for k, a, b in zip(range(k0, k1), bounds[:-1], bounds[1:]):
-            out[order[k]] = lengths[a:b].sum()
+        s = np.take(fc, pc, axis=0) - tl[pl][:, None]
+        rows, _, _, lengths = _segments(tcols, corners, xcols, s, pc)
+        bounds = np.searchsorted(pl[rows], np.arange(k0, k1 + 1)).tolist()
+        out[order[k0:k1]] = [lengths[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]
         k0 = k1
     return out
 

@@ -31,6 +31,8 @@ from . import measure
 from .covers import Cover, _edge_components
 from .fields import MetricField
 from .geodesy import (
+    _column_maxima,
+    _least_column,
     _rows,
     _widened,
     distance_field,
@@ -206,18 +208,32 @@ def _curve_ring_groups(field: MetricField, cut: SeparatingCut):
     return groups
 
 
-def _thicken_group(field: MetricField, group: np.ndarray, others: list,
-                   R: float, rad: float) -> np.ndarray:
-    """Grow a Q-set by the one-tenth separation rule, capped to protect R."""
+def _group_radii(field: MetricField, group: np.ndarray, others: list, R: float):
+    """(rad, center, thick, rad2, center2): the exact radius of a Q-set, its
+    thickening by the one-tenth separation rule (capped to protect R), and
+    the exact radius of that.
+
+    Every vertex of the thickening lies within r_x <= sep / 10 of the group,
+    so its radius is at most the group's bound ub (set_radius_upper, one
+    round) plus sep / 10.  One cut-off, that sum widened by the reversal
+    slack, keeps both least column maxima exact: the group's rows are
+    searched once, and the thickening adds only its new vertices' rows to
+    the group's column maxima.  A lone group is not thickened."""
     if not others:
-        return group
+        rad, center = set_radius_exact(field, group)
+        return rad, center, group, rad, center
+    graph = field.graph()
     d = distance_field(field, group, quotient=False).dist
     sep = min(float(d[o].min()) for o in others)
-    cap = max(0.0, (R - rad) / 2.0)
-    r_x = min(sep / 10.0, cap)
+    bound = _widened(set_radius_upper(field, group, rounds=1)[0] + sep / 10.0, graph)
+    ecc = _column_maxima(graph, group, bound)
+    rad, center = _least_column(ecc, bound)
+    r_x = min(sep / 10.0, (R - rad) / 2.0)
     if r_x <= 0:
-        return group
-    return np.where(d < r_x)[0]
+        return rad, center, group, rad, center
+    thick = np.flatnonzero(d < r_x)
+    new = np.setdiff1d(thick, group, assume_unique=True)
+    return (rad, center, thick) + _least_column(_column_maxima(graph, new, bound, ecc), bound)
 
 
 @dataclass
@@ -260,12 +276,11 @@ def width_upper_bound(field: MetricField, R: float, budget: int = 32) -> WidthCe
         radii, centers = map(list, zip(*cut.component_radii))
         groups = _curve_ring_groups(field, cut)
         for gi, grp in enumerate(groups):
-            rad, center = set_radius_exact(field, grp)
+            rad, center, thick, rad2, center2 = _group_radii(
+                field, grp, groups[:gi] + groups[gi + 1:], R)
             if rad >= R:
                 last_reasons = [f"cut-graph component radius {rad:.4g} >= R"]
                 break
-            thick = _thicken_group(field, grp, groups[:gi] + groups[gi + 1:], R, rad)
-            rad2, center2 = set_radius_exact(field, thick)
             if rad2 >= R:
                 thick, rad2, center2 = grp, rad, center
             sets.append(thick)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,84 @@ def test_ladder_lengths_property(seed, top, quantized, masked, data):
     mask = rng.random(len(g.cells)) < 0.5 if masked else None
     got = M.ladder_lengths(f, fvals, levels, cell_mask=mask)
     assert np.array_equal(got, _per_level(f, fvals, levels, mask))
+
+
+def _reference_segments(tensors, corners, xy, s):
+    """Oracle: the segment core as it was before flat indices.  corners (P, 4),
+    xy (P, 4, 2) and s (P, 4) are gathered per row, and each crossing blends
+    a (S, 2, 2) stack of tensors."""
+    inside = s > 0.0
+    case = (inside * np.array([1, 2, 4, 8])).sum(axis=1)
+    saddle = np.where((case == 5) | (case == 10))[0]
+    avg_in = s[saddle].mean(axis=1) > 0
+    case[saddle] = np.where(avg_in != (case[saddle] == 10), 16, 17)
+    pairs = M._CASE_EDGES[case]
+    rows, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    ea, eb = pairs[rows, slot, 0], pairs[rows, slot, 1]
+
+    def crossing(j):
+        a, b = j, M._NEXT[j]
+        sa, sb = s[rows, a], s[rows, b]
+        alpha = sa / (sa - sb)
+        xa = xy[rows, a]
+        pt = xa + alpha[:, None] * (xy[rows, b] - xa)
+        ten = ((1 - alpha)[:, None, None] * tensors[corners[rows, a]]
+               + alpha[:, None, None] * tensors[corners[rows, b]])
+        return pt, ten
+
+    pa, ta = crossing(ea)
+    pb, tb = crossing(eb)
+    q = F._quadratic_forms(pb - pa, 0.5 * (ta + tb))
+    return rows, pa, pb, np.sqrt(np.maximum(q, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       top=st.sampled_from(["square", "torus2", "cylinder", "hexagon", "sphere2"]),
+       quantized=st.booleans(), masked=st.booleans(), data=st.data())
+def test_segment_core_equals_the_stack_blend_oracle(seed, top, quantized, masked, data):
+    rng = np.random.default_rng(seed)
+    if top == "sphere2":
+        g = G.build_grid(G.sphere2(), data.draw(st.sampled_from([6, 8, 10])), 3)
+        f = F.round_sphere_metric(g)
+    else:
+        g = G.build_grid(getattr(G, top)(), data.draw(st.integers(5, 10)), 3)
+        f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    fvals = rng.random(g.num_vertices)
+    if quantized:  # ties between corners and levels, and more saddles
+        fvals = np.round(4 * fvals) / 4
+    mask = rng.random(len(g.cells)) < 0.5 if masked else None
+    cid, corners, xcols = M._full_cells(f, mask)
+    xy = g.cell_corner_xy[cid][:, M._CCW, :]
+    # rows as a ladder passes them: cells repeated, in any order, each at a level
+    cell = rng.integers(0, max(len(cid), 1), 3 * len(cid))
+    levels = np.concatenate([rng.choice(fvals, 5), rng.uniform(-0.1, 1.1, 5),
+                             np.round(4 * rng.random(5)) / 4])
+    s = fvals[corners][cell] - rng.choice(levels, len(cell))[:, None]
+    got = M._segments(M._tensor_columns(f), corners, xcols, s, cell)
+    want = _reference_segments(f.tensors, corners[cell], xy[cell], s)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _ladder_peak(N):
+    """tracemalloc peak of one 256-level ladder of a distance row on the SPD square."""
+    g = G.build_grid(G.square(), N, 3)
+    f = F.random_spd_metric(g, 1, (0.5, 2.0))
+    fvals = geo.distance_field(f, [0]).dist
+    levels = np.linspace(0.0, fvals.max(), 258)[1:-1]
+    M.ladder_lengths(f, fvals, levels)
+    tracemalloc.start()
+    try:
+        M.ladder_lengths(f, fvals, levels)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_memory_grows_at_most_as_v_to_the_five_fourths():
+    # V grows about 4-fold from N = 64 to N = 128; blocks of pairs bound the rest
+    assert _ladder_peak(128) <= 4 ** 1.25 * _ladder_peak(64)
 
 
 def test_lengths_call_no_einsum(monkeypatch):

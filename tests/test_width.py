@@ -322,11 +322,14 @@ def test_separating_cut_ladder_memory_is_bounded():
 
 # scipy Dijkstra calls and source rows of width_upper_bound on a fresh flat
 # square.  The field's row store serves the rows that the set radii search
-# again and the cut centers' rows; without it the search made the counts in
-# the comments.
+# again and the cut centers' rows; without it the search made the first
+# counts in the comments.  Each cut-ring group's rows are searched once and
+# shared with its thickened set; searched again for that set, they made the
+# second counts.  In the invalid case the group's distance field (one search
+# from its 168 vertices) now comes before the radius check that fails.
 WIDTH_SEARCH_COUNTS = {  # case: (N, R, valid, calls, source rows)
-    "square33 R=0.55": (33, 0.55, True, 43, 780),   # 58 calls, 796 rows
-    "square17 R=0.45": (17, 0.45, False, 78, 555),  # 109 calls, 595 rows
+    "square33 R=0.55": (33, 0.55, True, 39, 536),   # 58 calls, 796 rows; 43, 780
+    "square17 R=0.45": (17, 0.45, False, 79, 723),  # 109 calls, 595 rows; 78, 555
 }
 
 

@@ -19,12 +19,19 @@ and the pairs the change won and lost (ties count for neither).  It writes the
 pairs and the summary to --out as JSON in the layout of the BENCH_*.json
 files; an existing --out for the same two revisions gains the workload and
 seed as one more entry.  Standard library only.
+
+--claim METRIC tests a claimed gain on one end-to-end metric, prints one
+verdict line and adds a "claim" entry to the workload's record.  The claim
+is met when the change reads better in at least nine of every ten pairs
+and its median is better than the parent's by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -69,6 +76,17 @@ def summarize(pairs, better):
             "pairs": len(pairs),
         }
     return out
+
+
+def claim(metric, s, direction):
+    """The verdict on a claimed gain in `metric`, from its summary s (see
+    summarize) and its direction ("lower" or "higher" is better)."""
+    sign = 1 if direction == "lower" else -1
+    gain = sign * (s["parent_median"] - s["change_median"])
+    wins = math.ceil(0.9 * s["pairs"])
+    return {"metric": metric, "met": gain > s["parent_iqr"] and s["change_better_in"] >= wins,
+            "median_gain": gain, "parent_iqr": s["parent_iqr"],
+            "change_better_in": s["change_better_in"], "wins_needed": wins, "pairs": s["pairs"]}
 
 
 def _git(*args) -> bytes:
@@ -122,11 +140,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write or extend")
     ap.add_argument("--scratch", default=None,
                     help="directory for the two checkouts (default: the system temp)")
+    ap.add_argument("--claim", metavar="METRIC", default=None,
+                    help="an end-to-end metric whose claimed gain to test")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     with open(ROOT / "BENCHMARK.json") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    if args.claim is not None and args.claim not in better:
+        ap.error(f"--claim must name an end-to-end metric: {', '.join(better)}")
     revs = {side: _git("rev-parse", "--short", rev).decode().strip()
             for side, rev in zip(SIDES, (args.rev_a, args.rev_b))}
     out = Path(args.out)
@@ -171,8 +193,18 @@ def main(argv=None) -> int:
     if not correct:
         print("some run was not correct: no summary", file=sys.stderr)
 
-    record["workloads"][f"{args.workload}-s{args.seed}"] = {
-        "seconds": args.seconds, "pairs": pairs, "summary": summary, "all_correct": correct}
+    entry = {"seconds": args.seconds, "pairs": pairs, "summary": summary, "all_correct": correct}
+    if args.claim is not None:
+        if correct:
+            entry["claim"] = verdict = claim(args.claim, summary[args.claim], better[args.claim])
+            print(f"claim {args.claim}: {'met' if verdict['met'] else 'not met'} "
+                  f"(median gain {verdict['median_gain']:.4g} against parent IQR "
+                  f"{verdict['parent_iqr']:.4g}, better in {verdict['change_better_in']} of "
+                  f"{verdict['pairs']} pairs, {verdict['wins_needed']} needed)")
+        else:
+            entry["claim"] = {"metric": args.claim, "met": False}
+            print(f"claim {args.claim}: not met (some run was not correct)")
+    record["workloads"][f"{args.workload}-s{args.seed}"] = entry
     out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if correct else 1
 
