@@ -145,12 +145,13 @@ def _segments(tcols, corners, xcols, s, cell):
     vertices or coords is gathered; each index table is (4, S), one
     contiguous row per corner of the two crossed edges.  tcols (n^2, V)
     holds the tensors as contiguous entry columns (_tensor_columns): each
-    entry of the tensors blended at the crossings is one (S,) array, and
-    their mean fills an (n, n, S) buffer whose transpose _quadratic_forms
-    reads.  Returns (rows, pa, pb, lengths): the row of each segment
-    (ascending, a saddle's two segments in table order), its two crossing
-    points, and its g-length sqrt(d^T gbar d), d = pb - pa, with gbar the
-    mean of the tensors blended linearly along the crossed edges.
+    entry is blended from its own column, one (S,) row per crossed edge,
+    and the mean of the two rows fills its row of an (n, n, S) buffer whose
+    transpose _quadratic_forms reads.  Returns (rows, pa, pb, lengths): the
+    row of each segment (ascending, a saddle's two segments in table order),
+    its two crossing points, and its g-length sqrt(d^T gbar d), d = pb - pa,
+    with gbar the mean of the tensors blended linearly along the crossed
+    edges.
     """
     inside = s > 0.0
     case = inside @ _CASE_BITS

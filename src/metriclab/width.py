@@ -213,21 +213,36 @@ def _group_radii(field: MetricField, group: np.ndarray, others: list, R: float):
     thickening by the one-tenth separation rule (capped to protect R), and
     the exact radius of that.
 
-    Every vertex of the thickening lies within r_x <= sep / 10 of the group,
-    so its radius is at most the group's bound ub (set_radius_upper, one
-    round) plus sep / 10.  One cut-off, that sum widened by the reversal
-    slack, keeps both least column maxima exact: the group's rows are
-    searched once, and the thickening adds only its new vertices' rows to
-    the group's column maxima.  A lone group is not thickened."""
+    Every vertex of the thickening lies within r_x = min(sep / 10,
+    (R - rad) / 2) of the group, so its radius is at most rad + r_x: below
+    R, and at most the group's bound ub (set_radius_upper, one round) plus
+    sep / 10.  One cut-off, widened by the reversal slack, keeps both least
+    column maxima exact: ub + sep / 10 when ub < R, else ub, so a group
+    that may fail (rad >= R) is searched before its distance field.  The
+    group's rows are searched once, and the thickening adds only its new
+    vertices' rows to the group's column maxima.  A lone group is not
+    thickened."""
     if not others:
         rad, center = set_radius_exact(field, group)
         return rad, center, group, rad, center
     graph = field.graph()
-    d = distance_field(field, group, quotient=False).dist
-    sep = min(float(d[o].min()) for o in others)
-    bound = _widened(set_radius_upper(field, group, rounds=1)[0] + sep / 10.0, graph)
+
+    def separation():
+        d = distance_field(field, group, quotient=False).dist
+        return d, min(float(d[o].min()) for o in others)
+
+    ub = set_radius_upper(field, group, rounds=1)[0]
+    d = None
+    if ub < R:
+        d, sep = separation()
+        ub += sep / 10.0
+    bound = _widened(ub, graph)
     ecc = _column_maxima(graph, group, bound)
     rad, center = _least_column(ecc, bound)
+    if rad >= R:
+        return rad, center, group, rad, center
+    if d is None:
+        d, sep = separation()
     r_x = min(sep / 10.0, (R - rad) / 2.0)
     if r_x <= 0:
         return rad, center, group, rad, center

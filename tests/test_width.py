@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import fields as F
@@ -325,11 +325,11 @@ def test_separating_cut_ladder_memory_is_bounded():
 # again and the cut centers' rows; without it the search made the first
 # counts in the comments.  Each cut-ring group's rows are searched once and
 # shared with its thickened set; searched again for that set, they made the
-# second counts.  In the invalid case the group's distance field (one search
-# from its 168 vertices) now comes before the radius check that fails.
+# second counts.  The invalid case fails on a group's radius, found before
+# any thickening, so it searches as before.
 WIDTH_SEARCH_COUNTS = {  # case: (N, R, valid, calls, source rows)
     "square33 R=0.55": (33, 0.55, True, 39, 536),   # 58 calls, 796 rows; 43, 780
-    "square17 R=0.45": (17, 0.45, False, 79, 723),  # 109 calls, 595 rows; 78, 555
+    "square17 R=0.45": (17, 0.45, False, 78, 555),  # 109 calls, 595 rows; 78, 555
 }
 
 
@@ -349,3 +349,41 @@ def test_width_upper_bound_runs_its_pinned_dijkstras(monkeypatch, name):
         cert = W.width_upper_bound(f, R)
     assert cert.valid == valid
     assert (len(calls), sum(calls)) == (total, rows)
+
+
+def _reference_group_radii(field, group, others, R):
+    """Oracle: a cut-ring group and its thickening measured apart by
+    set_radius_exact, as before their rows were shared."""
+    rad, center = geo.set_radius_exact(field, group)
+    thick = group
+    if others:
+        d = geo.distance_field(field, group, quotient=False).dist
+        sep = min(float(d[o].min()) for o in others)
+        r_x = min(sep / 10.0, max(0.0, (R - rad) / 2.0))
+        if r_x > 0:
+            thick = np.where(d < r_x)[0]
+    return (rad, center, thick) + geo.set_radius_exact(field, thick)
+
+
+# the thickened set's radius exceeds the group's bound ub in both examples, so
+# the cut-off needs its sep / 10 term
+@example(seed=0, top="square", N=31, R=0.585, flat=True)
+@example(seed=19, top="cylinder", N=28, R=0.591, flat=False)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), top=st.sampled_from(["square", "cylinder"]),
+       N=st.integers(25, 37), R=st.floats(0.3, 0.6), flat=st.booleans())
+def test_group_radii_equal_separate_exact_radii(seed, top, N, R, flat):
+    def field():
+        g = G.build_grid(getattr(G, top)(), N, 3)
+        return F.flat_metric(g) if flat else F.random_spd_metric(g, seed, (0.5, 2.0))
+
+    f, fresh = field(), field()
+    groups = W._curve_ring_groups(f, W.separating_cut(f, R, budget=8))
+    for gi, grp in enumerate(groups):
+        others = groups[:gi] + groups[gi + 1:]
+        # at R' = ub the group's cut-off is ub alone, and it thickens when rad < ub
+        for R_ in (R, geo.set_radius_upper(fresh, grp, rounds=1)[0]):
+            got = W._group_radii(f, grp, others, R_)
+            want = _reference_group_radii(fresh, grp, others, R_)
+            assert got[:2] == want[:2] and got[3:] == want[3:]
+            assert np.array_equal(got[2], want[2])
