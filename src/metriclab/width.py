@@ -235,8 +235,7 @@ def _group_radii(field: MetricField, group: np.ndarray, others: list, R: float):
     d = None
     if ub < R:
         d, sep = separation()
-        ub += sep / 10.0
-    bound = _widened(ub, graph)
+    bound = _widened(ub if d is None else ub + sep / 10.0, graph)
     ecc = _column_maxima(graph, group, bound)
     rad, center = _least_column(ecc, bound)
     if rad >= R:
