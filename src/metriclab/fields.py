@@ -166,8 +166,8 @@ class MetricField:
 
     def scaled(self, factor: float) -> "MetricField":
         """Field with tensors multiplied by factor (lengths scale by sqrt(factor))."""
-        if factor <= 0:
-            raise FieldError("scale factor must be positive")
+        if not 0 < factor < math.inf:  # NaN and inf fail too
+            raise FieldError(f"scale factor must be positive and finite, got {factor!r}")
         return MetricField(self.grid, self.tensors * factor, validate=False)
 
 
@@ -305,8 +305,8 @@ def round_sphere_metric(grid: Grid, radius: float = 1.0) -> MetricField:
     """
     if grid.topology.kind not in ("sphere2", "rp2"):
         raise FieldError("round metric needs sphere2 or rp2 topology")
-    if radius <= 0:
-        raise FieldError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise FieldError(f"radius must be positive and finite, got {radius!r}")
     N, rows = grid.lattice_shape
     row = np.empty(grid.num_vertices, dtype=np.int64)
     row[grid.lattice_vid] = np.arange(rows)
@@ -341,8 +341,8 @@ def random_spd_metric(grid: Grid, seed: int, eig_range=(0.5, 2.0)) -> MetricFiel
     seed.  rot diag(lam) rot^T sums (rot_ij lam_j) rot_kj over j, with no einsum.
     """
     lo, hi = float(eig_range[0]), float(eig_range[1])
-    if not (0 < lo <= hi):
-        raise FieldError("eig_range must satisfy 0 < lo <= hi")
+    if not 0 < lo <= hi < math.inf:
+        raise FieldError(f"eig_range must satisfy 0 < lo <= hi < inf, got {eig_range!r}")
     if grid.topology.kind in ("sphere2", "rp2"):
         raise FieldError("random SPD fields are not defined on the sphere chart; "
                          "use conformal_rescale of the round metric")

@@ -114,6 +114,7 @@ class GeodesyError(ValueError):
 
 
 _CHUNK = 64  # sources per Dijkstra block in every search
+_SLAB = 4096  # box points per slab of a lifted box's CSR fill (_lifted_graph)
 _STORED_ROWS = 16  # single-source rows a field's row store keeps (_rows)
 _BLOCK_BYTES = 2 ** 30  # ceiling on the estimated bytes of one Dijkstra block
 
@@ -494,9 +495,10 @@ def _stencil_walk_length(field, base, cls) -> float:
     The walk is N repetitions of cls split greedily into stencil offsets, so
     it is a path of the lift and its length a true upper bound on the class's
     shortest loop.  The base vertices are a box of lattice points (the base
-    lines), and after each step the walks are that box moved by the steps so
-    far, by the grid's lattice-step rule; walks that leave a bounded axis
-    count as inf.  Their edges are read through Grid.edge_index at once.
+    lines); after step m the walks are that box moved by the sum of the first
+    m steps, by the grid's lattice-step rule, all steps in one call; walks
+    that leave a bounded axis count as inf.  Their edges are read through
+    Grid.edge_index at once.
     """
     g = field.grid
     half = stencil_offsets(g.n, g.stencil_order)
@@ -506,16 +508,10 @@ def _stencil_walk_length(field, base, cls) -> float:
         o = min(moves, key=lambda o: (((rest - o) ** 2).sum(), (o ** 2).sum(), tuple(o)))
         split.append(o)
         rest = rest - o
-    shape, periodic = g.lattice_shape, g.topology.periodic
     box = [np.unique(i) for i in np.argwhere(g.lattice_vid >= 0)[base].T]  # the base lines
-    moved, alive = np.zeros(g.n, dtype=np.int64), np.ones(len(base), dtype=bool)
-    ends = [_moved(shape, periodic, box, moved)[1]]
-    for o in split * shape[0]:
-        moved = moved + o
-        kept, target = _moved(shape, periodic, box, moved)
-        alive &= kept
-        ends.append(target)
-    ends = g.lattice_vid.ravel()[np.array(ends)[:, alive]]
+    moved = np.cumsum([np.zeros(g.n, dtype=np.int64)] + split * g.lattice_shape[0], axis=0)
+    kept, ends = _moved(g.lattice_shape, g.topology.periodic, box, moved.T)
+    ends = g.lattice_vid.ravel()[ends[:, kept.all(axis=0)]]
     steps = field.edge_lengths()[g.edge_index(ends[:-1], ends[1:])]
     return float(np.cumsum(steps, axis=0)[-1].min(initial=np.inf))
 
@@ -558,46 +554,43 @@ def _lifted_graph(field, lo, shape):
     """(CSR, grid vertex of each box point) over a box of lattice points of
     the lift (_deck_box): point lo + (a, b) is vertex a * shape[1] + b, and a
     row holds its stencil moves that stay in the box, in lexicographic order,
-    which is column order.  Moves are written straight into the CSR arrays,
-    one move at a time.  GeodesyError, before anything is allocated, when the
-    CSR and one (_CHUNK, P) float64 block are estimated above _BLOCK_BYTES."""
+    which is column order.  One (P, 2K) bool mask marks the moves that have an
+    edge and stay in the box; its row sums give indptr, and each slab of
+    _SLAB points fills its span of indices and data by compressing its
+    weights and targets with it.  GeodesyError, before anything is
+    allocated, when the CSR, the mask and one (_CHUNK, P) float64 block are
+    estimated above _BLOCK_BYTES."""
     g = field.grid
     disp, index = g.displacement_classes()
     K, P = len(disp), math.prod(shape)
-    nbytes = 2 * K * P * (4 + 8) + 4 * (P + 1) + _CHUNK * P * 8
+    nbytes = 2 * K * P * (4 + 8 + 1) + 4 * (P + 1) + _CHUNK * P * 8
     if nbytes > _BLOCK_BYTES:  # below it, every index fits in int32
         raise GeodesyError(f"a lifted box of {P} vertices needs about {nbytes} bytes for its "
                            f"graph and one Dijkstra block, above the ceiling of {_BLOCK_BYTES}")
     offsets = np.rint(disp / g.spacing).astype(np.int64)
     moves = np.concatenate([offsets, -offsets])  # move K + j is class j backwards
+    order = np.lexsort(moves.T[::-1])
+    moves, column = moves[order], np.argsort(order)  # column[j]: move j's lexicographic rank
     weight = np.full((g.num_vertices, 2 * K), np.nan)  # per vertex and move; nan: no edge
     cls, w = index[:, 0] % K, field.edge_lengths()
-    weight[g.edges[:, 0], cls], weight[g.edges[:, 1], K + cls] = w, w
+    weight[g.edges[:, 0], column[cls]], weight[g.edges[:, 1], column[K + cls]] = w, w
     vertex = g.lattice_vid[np.ix_(*[(l + np.arange(s)) % n
-                                    for l, s, n in zip(lo, shape, g.lattice_shape)])]
-    ids = np.arange(P, dtype=np.int32).reshape(shape)
-    order = np.lexsort(moves.T[::-1])
-
-    def entries(j):  # the box points whose move j stays in the box, and its weights
-        inside = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(moves[j], shape))
-        wt = weight[vertex[inside], j]
-        return inside, wt, ~np.isnan(wt)
-
-    pos = np.zeros(shape, dtype=np.int32)
-    for j in order:
-        inside, _, ok = entries(j)
-        pos[inside] += ok
+                                    for l, s, n in zip(lo, shape, g.lattice_shape)])].ravel()
+    mask = (~np.isnan(weight))[vertex].reshape(*shape, 2 * K)
+    for j, o in enumerate(moves):  # clear the moves that leave the box
+        for k, (ok, s) in enumerate(zip(o, shape)):
+            out = slice(max(s - ok, 0), None) if ok > 0 else slice(0, -ok)
+            mask[(slice(None),) * k + (out, Ellipsis, j)] = False
+    mask = mask.reshape(P, 2 * K)
     indptr = np.zeros(P + 1, dtype=np.int32)
-    np.cumsum(pos, out=indptr[1:])
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
     indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    pos.ravel()[:] = indptr[:-1]  # where each row's next entry goes
-    for j in order:
-        inside, wt, ok = entries(j)
-        at = pos[inside][ok]
-        indices[at] = ids[inside][ok] + moves[j] @ (shape[1], 1)
-        data[at] = wt[ok]
-        pos[inside] += ok
-    return csr_matrix((data, indices, indptr), shape=(P, P)), vertex.ravel()
+    step = moves @ (shape[1], 1)
+    for a in range(0, P, _SLAB):
+        b = min(a + _SLAB, P)
+        data[indptr[a]:indptr[b]] = weight[vertex[a:b]][mask[a:b]]
+        indices[indptr[a]:indptr[b]] = (np.arange(a, b)[:, None] + step)[mask[a:b]]
+    return csr_matrix((data, indices, indptr), shape=(P, P)), vertex
 
 
 def _loop_search(graph, sources, value, ub, reach=None, bounds=None):

@@ -395,21 +395,24 @@ class Grid:
         class_disp (K, n) holds each class's chart displacement, its offset
         times the spacing, with the classes in lexicographic order of offset.
         form_index[e, s] = edges[e, s] * K + (class of e) indexes a
-        row-major (V, K) table of per-vertex, per-class values.  GridError
-        for an offset outside [-2, 2], where the base-5 class key aliases.
+        row-major (V, K) table of per-vertex, per-class values.  The classes
+        are the base-5 keys of the offsets that occur, decoded back into
+        offsets.  GridError for an offset outside [-2, 2], where the key
+        aliases.
         """
         if self._classes is None:
-            offs = self.edge_offset.astype(np.int64)
-            if len(offs) and np.abs(offs).max() > 2:
+            offs = self.edge_offset
+            if len(offs) and (offs.min() < -2 or offs.max() > 2):
                 raise GridError("edge offset is longer than a stencil step")
-            key = np.zeros(len(offs), dtype=np.int64)
+            key = np.zeros(len(offs), dtype=np.int16)  # n <= 4, so keys are below 5^4
             for k in range(self.n):
-                key = key * 5 + offs[:, k] + 2
+                key = key * 5 + (offs[:, k] + 2)
             present = np.bincount(key, minlength=5 ** self.n) > 0
-            cls = (np.cumsum(present) - 1)[key]
-            class_offset = np.zeros((int(present.sum()), self.n), dtype=np.int64)
-            class_offset[cls] = offs
-            form_index = (self.edges * len(class_offset) + cls[:, None]).astype(np.int32)
+            class_offset = np.stack(np.unravel_index(np.flatnonzero(present), (5,) * self.n),
+                                    axis=1) - 2
+            form_index = np.multiply(self.edges, len(class_offset), casting="unsafe",
+                                     out=np.empty(self.edges.shape, dtype=np.int32))
+            form_index += (np.cumsum(present, dtype=np.int32) - 1)[key][:, None]
             self._classes = (class_offset * np.asarray(self.spacing), form_index)
         return self._classes
 
@@ -527,12 +530,14 @@ def _moved(shape, periodic, box, o):
     kept masks the points whose step stays inside every bounded axis, and
     target holds the flat lattice id of each point's step, taken mod N on
     every axis.  Each axis is stepped once, and the flat ids are built by
-    strides."""
+    strides.  o may hold M offsets per axis instead (o[k] of shape (M,)):
+    then kept and target are (M, points), one row per offset."""
     kept, target = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64)
     for i, N, p, ok in zip(box, shape, periodic, o):
-        t = i + ok
-        kept = (kept[:, None] & (p | ((t >= 0) & (t < N)))).ravel()
-        target = (target[:, None] * N + t % N).ravel()
+        t = np.add.outer(ok, i)
+        lead = t.shape[:-1] + (-1,)
+        kept = (kept[..., :, None] & (p | ((t >= 0) & (t < N)))[..., None, :]).reshape(lead)
+        target = (target[..., :, None] * N + (t % N)[..., None, :]).reshape(lead)
     return kept, target
 
 

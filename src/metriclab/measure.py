@@ -65,9 +65,10 @@ def region_volume(field: MetricField, region) -> float:
 
 
 def ball_volume(field: MetricField, p: int, r: float, dist=None) -> float:
-    """Volume of cells whose valid corners all lie within distance r of p (open ball)."""
-    if r < 0:
-        raise MeasureError("r must be nonnegative")
+    """Volume of cells whose valid corners all lie within distance r of p
+    (open ball).  MeasureError for r negative or NaN."""
+    if not r >= 0:  # NaN fails too
+        raise MeasureError(f"r must be nonnegative, got {r!r}")
     if dist is None:
         dist = distance_field(field, [p]).dist
     g = field.grid
@@ -276,8 +277,11 @@ def coarea_profile(field: MetricField, fvals, t_count: int = 256) -> CoareaProfi
 
     f must be 1-Lipschitz on the stencil graph (edge slack 1e-6).  Levels are
     the t_count cell midpoints of [min f, max f]; endpoint levels are
-    degenerate for marching squares and carry no length.
+    degenerate for marching squares and carry no length.  MeasureError for a
+    t_count below 2, whose trapezoid total would be 0 or undefined.
     """
+    if not t_count >= 2:
+        raise MeasureError(f"t_count must be at least 2, got {t_count!r}")
     fvals = np.asarray(fvals, dtype=float)
     if not check_one_lipschitz(field, fvals):
         raise MeasureError("f is not 1-Lipschitz on the stencil graph")

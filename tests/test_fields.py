@@ -103,6 +103,19 @@ def test_round_sphere_wrong_topology():
         F.round_sphere_metric(g, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_scalar_parameters_outside_their_domain_raise(bad):
+    # NaN and inf passed the former sign checks and built non-finite tensors
+    torus = G.build_grid(G.torus2(), 6, 3)
+    with pytest.raises(F.FieldError, match="scale factor must be positive and finite"):
+        F.flat_metric(torus).scaled(bad)
+    with pytest.raises(F.FieldError, match="radius must be positive and finite"):
+        F.round_sphere_metric(G.build_grid(G.rp2(), 6, 3), bad)
+    for eig_range in [(0.5, bad), (bad, 2.0)]:
+        with pytest.raises(F.FieldError, match="eig_range must satisfy"):
+            F.random_spd_metric(torus, 0, eig_range)
+
+
 def test_random_spd_determinism_and_degenerate_range():
     g = G.build_grid(G.square(), 12, 2)
     a = F.random_spd_metric(g, 7, (0.25, 4.0))

@@ -1070,6 +1070,47 @@ def test_stencil_walk_lengths_are_pinned(name):
             assert repr(geo._stencil_walk_length(f, base, cls)) == repr(length)
 
 
+def _per_step_walk_length(field, base, cls) -> float:
+    """The former geo._stencil_walk_length, kept as its oracle: the box of
+    base lines moved by one _moved call per step."""
+    g = field.grid
+    half = G.stencil_offsets(g.n, g.stencil_order)
+    moves = np.concatenate([half, -half])
+    rest, split = np.asarray(cls, dtype=np.int64), []
+    while rest.any():
+        o = min(moves, key=lambda o: (((rest - o) ** 2).sum(), (o ** 2).sum(), tuple(o)))
+        split.append(o)
+        rest = rest - o
+    shape, periodic = g.lattice_shape, g.topology.periodic
+    box = [np.unique(i) for i in np.argwhere(g.lattice_vid >= 0)[base].T]
+    moved, alive = np.zeros(g.n, dtype=np.int64), np.ones(len(base), dtype=bool)
+    ends = [G._moved(shape, periodic, box, moved)[1]]
+    for o in split * shape[0]:
+        moved = moved + o
+        kept, target = G._moved(shape, periodic, box, moved)
+        alive &= kept
+        ends.append(target)
+    ends = g.lattice_vid.ravel()[np.array(ends)[:, alive]]
+    steps = field.edge_lengths()[g.edge_index(ends[:-1], ends[1:])]
+    return float(np.cumsum(steps, axis=0)[-1].min(initial=np.inf))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["torus2", "cylinder"]), N=st.integers(5, 12),
+       order=st.sampled_from([1, 2, 3]), seed=st.integers(0, 10_000),
+       cls=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+@example(kind="cylinder", N=6, order=3, seed=0, cls=(0, 1))  # every walk leaves: inf
+@example(kind="cylinder", N=12, order=3, seed=5, cls=(3, 0))  # some walks leave
+def test_stencil_walks_equal_the_per_step_walks(kind, N, order, seed, cls):
+    g = G.build_grid(G.topology_from_name(kind), N, order)
+    f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    base = geo._loop_base_vertices(g, cls)
+    got = geo._stencil_walk_length(f, base, cls)
+    assert repr(got) == repr(_per_step_walk_length(f, base, cls))
+    if kind == "cylinder" and cls[1]:  # N steps of |cls[1]| each cross the bounded axis
+        assert got == math.inf
+
+
 def test_witness_that_fails_its_length_check_raises(monkeypatch):
     f = F.round_sphere_metric(G.build_grid(G.rp2(), 16, 3), 1.0)
     real_unwrap = geo._unwrap_chain

@@ -109,6 +109,25 @@ def test_coarea_constant_function():
     assert prof.volume == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ball_volume_refuses_a_nan_radius():
+    f = F.flat_metric(G.build_grid(G.square(), 8, 3))
+    with pytest.raises(M.MeasureError, match="r must be nonnegative"):
+        M.ball_volume(f, 0, math.nan)
+    assert M.ball_volume(f, 0, math.inf) == M.volume(f)
+
+
+@pytest.mark.parametrize("t_count", [1, 0, -5])
+def test_coarea_refuses_fewer_than_two_levels(t_count):
+    # one level reported a total of 0 and a defect of the whole volume; none
+    # divided by zero
+    g = G.build_grid(G.square(), 16, 3)
+    f = F.flat_metric(g)
+    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    with pytest.raises(M.MeasureError, match="t_count must be at least 2"):
+        M.coarea_profile(f, d, t_count)
+    assert M.coarea_profile(f, d, 2).total > 0
+
+
 def test_coarea_rejects_non_lipschitz():
     g = G.build_grid(G.square(), 16, 2)
     f = F.flat_metric(g)

@@ -168,6 +168,93 @@ def test_lifted_window_of_the_hexagonal_torus():
                      _induced_box(f, 2, 4, (lo[0] + 32, lo[1] + 32), shape))
 
 
+def _two_pass_lifted_graph(field, lo, shape):
+    """The former build of geo._lifted_graph, kept as its oracle: (indptr,
+    indices, data, vertex map) from a counting pass and a filling pass, each
+    over the stencil moves one at a time, in lexicographic order."""
+    g = field.grid
+    disp, index = g.displacement_classes()
+    K, P = len(disp), math.prod(shape)
+    offsets = np.rint(disp / g.spacing).astype(np.int64)
+    moves = np.concatenate([offsets, -offsets])  # move K + j is class j backwards
+    weight = np.full((g.num_vertices, 2 * K), np.nan)
+    cls, w = index[:, 0] % K, field.edge_lengths()
+    weight[g.edges[:, 0], cls], weight[g.edges[:, 1], K + cls] = w, w
+    vertex = g.lattice_vid[np.ix_(*[(l + np.arange(s)) % n
+                                    for l, s, n in zip(lo, shape, g.lattice_shape)])]
+    ids = np.arange(P, dtype=np.int32).reshape(shape)
+    order = np.lexsort(moves.T[::-1])
+
+    def entries(j):  # the box points whose move j stays in the box, and its weights
+        inside = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(moves[j], shape))
+        wt = weight[vertex[inside], j]
+        return inside, wt, ~np.isnan(wt)
+
+    pos = np.zeros(shape, dtype=np.int32)
+    for j in order:
+        inside, _, ok = entries(j)
+        pos[inside] += ok
+    indptr = np.zeros(P + 1, dtype=np.int32)
+    np.cumsum(pos, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    pos.ravel()[:] = indptr[:-1]  # where each row's next entry goes
+    for j in order:
+        inside, wt, ok = entries(j)
+        at = pos[inside][ok]
+        indices[at] = ids[inside][ok] + moves[j] @ (shape[1], 1)
+        data[at] = wt[ok]
+        pos[inside] += ok
+    return indptr, indices, data, vertex.ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["torus2", "cylinder"]), N=st.integers(5, 9), spd=st.booleans(),
+       slab=st.sampled_from([1, 7, 4096, 10 ** 6]),
+       lo=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       shape=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+@example(kind="torus2", N=5, spd=True, slab=1, lo=(7, -3), shape=(1, 1))  # one point
+@example(kind="torus2", N=7, spd=False, slab=7, lo=(-4, 2), shape=(1, 30))  # one lattice line
+@example(kind="torus2", N=6, spd=True, slab=7, lo=(-13, 0), shape=(27, 1))
+@example(kind="cylinder", N=6, spd=True, slab=10 ** 6, lo=(-9, 0), shape=(25, 6))
+@example(kind="cylinder", N=5, spd=True, slab=7, lo=(2, 0), shape=(1, 5))
+def test_lifted_graph_equals_the_two_pass_build(kind, N, spd, slab, lo, shape):
+    # a bounded axis (the cylinder's second) is taken whole, as _deck_box does;
+    # slabs of 1 and 7 points, and one slab above P
+    if kind == "cylinder":
+        lo, shape = (lo[0], 0), (shape[0], N)
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    f = F.random_spd_metric(g, N, (0.25, 4.0)) if spd else F.flat_metric(g)
+    with mock.patch.object(geo, "_SLAB", slab):
+        graph, vertex = geo._lifted_graph(f, list(lo), list(shape))
+    for got, want in zip((graph.indptr, graph.indices, graph.data, vertex),
+                         _two_pass_lifted_graph(f, lo, shape)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_lifted_graph_peaks_at_its_csr_mask_and_one_slab():
+    # the hexagonal torus at N = 128, in the box around both (1, 0) base
+    # lines at that class's stencil walk; a single (P, 2K) float64 gather in
+    # place of the slabs peaks 10 MB higher and fails
+    f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), [[1.0, 0.5], [0.5, 1.0]])
+    g = f.grid
+    base = geo._loop_base_vertices(g, (1, 0))
+    lo, shape = geo._deck_box(f, base, geo._stencil_walk_length(f, base, (1, 0)),
+                              float(f.edge_lengths().max()))
+    P, K = math.prod(shape), len(g.displacement_classes()[0])
+    assert P == 43_992
+    tracemalloc.start()
+    try:
+        graph, vertex = geo._lifted_graph(f, lo, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = graph.indptr.nbytes + graph.indices.nbytes + graph.data.nbytes
+    table = g.num_vertices * 2 * K * 8 + vertex.nbytes  # per-vertex weights, vertex map
+    slab = geo._SLAB * 2 * K * 8  # one (_SLAB, 2K) float64 or int64 array
+    # the bool mask, one slab's two temporaries and as much for small set-up arrays
+    assert peak <= csr + table + P * 2 * K + 4 * slab
+
+
 def _copies_deck_lift(field, classes, base, ub, reach):
     """The former lift of the deck loops, kept as the oracle of the box: a COO
     window of the whole fundamental-domain copies that hold every vertex
@@ -291,10 +378,27 @@ def test_neighbors_and_edge_index_read_the_pattern(name, N):
     assert np.array_equal(np.sort(e[i], axis=1), np.sort(e, axis=1))
 
 
+def _scattered_classes(grid):
+    """The former class table, kept as the oracle of Grid.displacement_classes:
+    class offsets scattered from the E edge rows, form_index cast from int64."""
+    offs = grid.edge_offset.astype(np.int64)
+    key = np.zeros(len(offs), dtype=np.int64)
+    for k in range(grid.n):
+        key = key * 5 + offs[:, k] + 2
+    present = np.bincount(key, minlength=5 ** grid.n) > 0
+    cls = (np.cumsum(present) - 1)[key]
+    class_offset = np.zeros((int(present.sum()), grid.n), dtype=np.int64)
+    class_offset[cls] = offs
+    form_index = (grid.edges * len(class_offset) + cls[:, None]).astype(np.int32)
+    return class_offset * np.asarray(grid.spacing), form_index
+
+
 def test_displacement_classes_hold_bit_equal_displacements():
-    for name, N in _GRIDS:
+    for name, N in _GRIDS + [("cube3", 6), ("cube4", 5), ("interval", 7)]:
         g = G.build_grid(G.topology_from_name(name), N, 3)
         disp, index = g.displacement_classes()
+        for got, want in zip((disp, index), _scattered_classes(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         cls = index[:, 0] - g.edges[:, 0] * len(disp)
         assert np.array_equal(index[:, 1] - g.edges[:, 1] * len(disp), cls)
         assert np.array_equal(disp[cls], _edge_disp(g))
