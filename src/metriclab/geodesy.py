@@ -114,7 +114,7 @@ class GeodesyError(ValueError):
 
 
 _CHUNK = 64  # sources per Dijkstra block in every search
-_SLAB = 4096  # box points per slab of a lifted box's CSR fill (_lifted_graph)
+_SLAB = 1024  # box points per slab of a lifted box's CSR fill (_lifted_graph)
 _STORED_ROWS = 16  # single-source rows a field's row store keeps (_rows)
 _BLOCK_BYTES = 2 ** 30  # ceiling on the estimated bytes of one Dijkstra block
 
@@ -574,6 +574,7 @@ def _lifted_graph(field, lo, shape):
     weight = np.full((g.num_vertices, 2 * K), np.nan)  # per vertex and move; nan: no edge
     cls, w = index[:, 0] % K, field.edge_lengths()
     weight[g.edges[:, 0], column[cls]], weight[g.edges[:, 1], column[K + cls]] = w, w
+    del cls  # before the box's arrays are made
     vertex = g.lattice_vid[np.ix_(*[(l + np.arange(s)) % n
                                     for l, s, n in zip(lo, shape, g.lattice_shape)])].ravel()
     mask = (~np.isnan(weight))[vertex].reshape(*shape, 2 * K)

@@ -233,8 +233,8 @@ def test_lifted_graph_equals_the_two_pass_build(kind, N, spd, slab, lo, shape):
 
 def test_lifted_graph_peaks_at_its_csr_mask_and_one_slab():
     # the hexagonal torus at N = 128, in the box around both (1, 0) base
-    # lines at that class's stencil walk; a single (P, 2K) float64 gather in
-    # place of the slabs peaks 10 MB higher and fails
+    # lines at that class's stencil walk: 12.0 MB.  A single (P, 2K) float64
+    # gather in place of the slabs peaks at 22.9 MB and fails
     f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), [[1.0, 0.5], [0.5, 1.0]])
     g = f.grid
     base = geo._loop_base_vertices(g, (1, 0))
@@ -251,7 +251,8 @@ def test_lifted_graph_peaks_at_its_csr_mask_and_one_slab():
     csr = graph.indptr.nbytes + graph.indices.nbytes + graph.data.nbytes
     table = g.num_vertices * 2 * K * 8 + vertex.nbytes  # per-vertex weights, vertex map
     slab = geo._SLAB * 2 * K * 8  # one (_SLAB, 2K) float64 or int64 array
-    # the bool mask, one slab's two temporaries and as much for small set-up arrays
+    # the bool mask; a slab's weight gather and int64 targets, each with its
+    # compressed copy
     assert peak <= csr + table + P * 2 * K + 4 * slab
 
 
