@@ -52,7 +52,6 @@ class MetricField:
         self._csr = None
         self._lambda_min = None
         self._lambda_max = None
-        self._exact_translations = None  # per axis, set by geodesy's loop engine
         self._rows = {}  # source: (cut-off, read-only row of graph()), kept by geodesy._rows
         self._cell_tensors = None
         self._cell_det = None

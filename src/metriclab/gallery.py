@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -78,6 +79,9 @@ class ExperimentConfig:
         unread = ", ".join(sorted(set(self.tolerance_overrides) - set(tolerances)))
         if unread:
             raise GalleryError(f"operation {self.operation!r} reads no tolerance {unread}")
+        for name, value in self.tolerance_overrides.items():
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise GalleryError(f"tolerance {name} = {value!r}: must be a finite number >= 0")
 
     def tol(self, name: str) -> float:
         return float(self.tolerance_overrides.get(name, _TOLERANCES[name]))
@@ -104,9 +108,20 @@ def _bump_metric(grid, seed, base="flat", amplitude=0.25):
     return F.conformal_rescale(flat, u - u.mean())
 
 
+def _disk(grid, center, radius):
+    """(distance of each vertex from the centre, radius), or GalleryError
+    unless the centre is a finite chart point and the radius finite and > 0."""
+    center, radius = np.asarray(center, dtype=float), float(radius)
+    if center.shape != (grid.n,) or not np.isfinite(center).all() or not 0 < radius < np.inf:
+        raise GalleryError(f"a disk needs a finite centre of {grid.n} coordinates and a finite "
+                           f"radius > 0, got {center.tolist()} and {radius!r}")
+    return np.linalg.norm(grid.coords - center, axis=1), radius
+
+
 def _piecewise_disk(grid, seed, center=DISK[0], radius=DISK[1],
                     g_inside=((4.0, 0.0), (0.0, 4.0))):
-    inside = np.linalg.norm(grid.coords - np.asarray(center), axis=1) < float(radius)
+    r, radius = _disk(grid, center, radius)
+    inside = r < radius
     return F.piecewise_metric(grid, inside, F.constant_metric(grid, np.asarray(g_inside)),
                               F.flat_metric(grid))
 
@@ -243,11 +258,13 @@ def _op_involution(config, field):
 
 def _op_gadograph(config, field, center=DISK[0], radius=DISK[1]):
     coords = field.grid.coords
-    r = np.linalg.norm(coords - np.asarray(center), axis=1)
+    r, radius = _disk(field.grid, center, radius)
     inside = r < radius
+    boundary = np.where(inside & (r > radius - 2.5 * max(field.grid.spacing)))[0]
+    if len(boundary) == 0:  # no probe: boundary_hypothesis would hold vacuously
+        raise GalleryError(f"the boundary band of the disk of radius {radius!r} holds no vertex")
     vol_g = M.region_volume(field, inside)
     vol_e = M.region_volume(F.flat_metric(field.grid), inside)
-    boundary = np.where(inside & (r > radius - 2.5 * max(field.grid.spacing)))[0]
     probes = boundary[:: max(1, len(boundary) // 8)][:8]
     hyp_ok = True
     for q in probes:

@@ -74,11 +74,16 @@ so every such path meets the band of lattice columns 0, 1, N/2 and N/2 + 1
 columns N/2 and N/2 + 1 onto columns 0 and 1, so those two, with both poles,
 are the sources: 2N of them, instead of half the sphere.
 
-One source per symmetry orbit.  A unit lattice translation T along a periodic
-axis that maps every edge to an edge of bit-equal length (_distortion 0) is an
-automorphism of the graph; it commutes with the deck group and with the
-antipode (on sphere2/rp2 it is a longitude rotation, the poles fixed).  The
-check costs O(E) per axis, once per field.  scipy's computed distances within
+One source per symmetry orbit.  On torus2, cylinder, sphere2 and rp2 a unit
+lattice translation T along a periodic axis (on sphere2/rp2 a longitude
+rotation, the poles fixed) maps the edge set onto itself, each edge to an
+edge of the same offset class up to sign, and commutes with the deck group
+and with the antipode.  An edge length is a fixed IEEE function of its two
+end tensors and its class, unchanged when the ends swap or the offset is
+negated; so a T that keeps every tensor bit for bit (O(V) comparisons per
+axis) keeps every edge length bit for bit and is an automorphism of the
+graph.  A T that keeps every length but not every tensor is missed, which
+costs extra sources, never a wrong result.  scipy's computed distances within
 a cut-off are the unique fixed point of d(x) = min over d(u) < d(x) of
 fl(d(u) + w(u, x)), which depends neither on heap order nor on the box,
 once the box holds the ball of the cut-off radius around the source; so the
@@ -451,27 +456,15 @@ class LoopWitness:
 
 def _orbit_representatives(field: MetricField, base) -> np.ndarray:
     """The base vertices to search: those that come first in base among their
-    orbit under the unit lattice translations along periodic axes that are
-    exact automorphisms of the graph (module docstring), in the order of
-    base.  The check costs O(E) per axis and is made once per field."""
+    orbit under the unit lattice translations along periodic axes that keep
+    every tensor bit for bit, so every edge length (module docstring), in the
+    order of base."""
     g = field.grid
     vid = g.lattice_vid
-    if field._exact_translations is None:
-        graph = field.graph()
-
-        def step(k):  # vertex map of one lattice step along axis k
-            box, unit = [np.arange(N) for N in g.lattice_shape], np.eye(g.n, dtype=np.int64)[k]
-            target = _moved(g.lattice_shape, g.topology.periodic, box, unit)[1]
-            out = np.empty(g.num_vertices, dtype=np.int64)
-            out[vid.ravel()] = vid.ravel()[target]
-            return out
-
-        field._exact_translations = tuple(
-            bool(periodic) and _distortion(graph, step(k)) == 0
-            for k, periodic in enumerate(g.topology.periodic))
+    tensors = field.tensors[vid]
     orbit = vid
-    for k, exact in enumerate(field._exact_translations):
-        if exact:
+    for k, periodic in enumerate(g.topology.periodic):
+        if periodic and np.array_equal(tensors, np.roll(tensors, 1, axis=k)):
             orbit = np.take(orbit, np.zeros(vid.shape[k], dtype=np.int64), axis=k)
     label = np.empty(g.num_vertices, dtype=np.int64)
     label[vid] = orbit
@@ -729,11 +722,10 @@ def _deck_loop(field: MetricField, classes, base, ub: float, best):
     """The checked witness of the class that takes the lead from best (a
     LoopWitness, or None) in one joint search of classes from base
     (_deck_lift), or best when none takes it.  Only the first base vertex of
-    each orbit is searched, found before the box is built, since the check
-    copies the field's graph.  The classes are walked in order: one takes
-    the lead only when shorter by 1e-15, and the walk stops at the first
-    whose lower bound, sqrt(lambda_min) |c|, reaches the lead.  Nothing holds
-    the search's box once it returns."""
+    each orbit is searched.  The classes are walked in order: one takes the
+    lead only when shorter by 1e-15, and the walk stops at the first whose
+    lower bound, sqrt(lambda_min) |c|, reaches the lead.  Nothing holds the
+    search's box once it returns."""
     lam = _sqrt_lambda_min(field)  # a degenerate metric fails here, before any box
     reach = float(field.edge_lengths().max())
     graph, vertex, sources, isometries = _deck_lift(

@@ -27,6 +27,7 @@ tests keep as the oracle, so points and lengths equal its bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -278,10 +279,11 @@ def coarea_profile(field: MetricField, fvals, t_count: int = 256) -> CoareaProfi
     f must be 1-Lipschitz on the stencil graph (edge slack 1e-6).  Levels are
     the t_count cell midpoints of [min f, max f]; endpoint levels are
     degenerate for marching squares and carry no length.  MeasureError for a
-    t_count below 2, whose trapezoid total would be 0 or undefined.
+    t_count that is not an integer, or is below 2, whose trapezoid total
+    would be 0 or undefined.
     """
-    if not t_count >= 2:
-        raise MeasureError(f"t_count must be at least 2, got {t_count!r}")
+    if not (isinstance(t_count, numbers.Integral) and t_count >= 2):
+        raise MeasureError(f"t_count must be at least 2 and an integer, got {t_count!r}")
     fvals = np.asarray(fvals, dtype=float)
     if not check_one_lipschitz(field, fvals):
         raise MeasureError("f is not 1-Lipschitz on the stencil graph")

@@ -23,6 +23,7 @@ an engine failure is an honest "no certificate", never a false one.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -115,12 +116,15 @@ def _straddle_counts(fu, fv, levels) -> np.ndarray:
 
 def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = None,
                    budget: int = 32) -> SeparatingCut:
-    """Cut level curves until every complement component has radius < R."""
+    """Cut level curves until every complement component has radius < R, in
+    at most budget cuts (WidthError unless budget is an integer >= 0)."""
     g = field.grid
     if g.n != 2 or g.topology.kind == "rp2":
         raise WidthError("separating cuts are implemented for plain 2-D fields")
     if R <= 0:
         raise WidthError("R must be positive")
+    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+        raise WidthError(f"budget must be an integer >= 0, got {budget!r}")
     n = g.n
     if r1 is None:
         r1 = R
@@ -146,7 +150,7 @@ def separating_cut(field: MetricField, R: float, r0: float = None, r1: float = N
         comp = next((c for c in comps if radius_of(c)[0] >= R), None)
         if comp is None:
             break
-        if iterations == budget:
+        if iterations >= budget:
             reasons.append(f"iteration budget {budget} exhausted")
             break
         iterations += 1

@@ -1544,6 +1544,83 @@ def test_orbit_sources_match_the_search_of_every_source(name):
     _assert_same_as_every_source(make(), classes)
 
 
+def _exact_axes(f):
+    """Per chart axis, whether _orbit_representatives joins a lattice line
+    along it (off the pole column of sphere2/rp2) into one orbit: whether it
+    takes the unit lattice step along that axis as exact."""
+    vid = f.grid.lattice_vid
+    return tuple(len(geo._orbit_representatives(f, np.unique(line))) == 1
+                 for line in (vid[:, 1], vid[1, :]))
+
+
+def _oracle_exact_axes(f):
+    """Per chart axis, whether the unit lattice step along it is periodic and
+    maps every edge of the graph to an edge of bit-equal length."""
+    g, vid = f.grid, f.grid.lattice_vid
+    exact = []
+    for k, periodic in enumerate(g.topology.periodic):
+        step = np.empty(g.num_vertices, dtype=np.int64)
+        step[vid] = np.roll(vid, -1, axis=k)  # lattice point i goes to i + e_k
+        exact.append(periodic and geo._distortion(f.graph(), step) == 0)
+    return tuple(exact)
+
+
+def _assert_tensor_exact_is_oracle_exact(f):
+    for tensor_exact, oracle_exact in zip(_exact_axes(f), _oracle_exact_axes(f), strict=True):
+        assert oracle_exact or not tensor_exact
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_tensor_and_graph_translation_tests_agree(name):
+    f = ORBIT_CASES[name][0]()
+    assert _exact_axes(f) == _oracle_exact_axes(f)
+
+
+def _family_field(kind, N, family, seed, axis, ulp):
+    """A field of one family on kind at N, with one tensor entry one ulp off
+    when ulp: a constant (on sphere2/rp2 the round) metric, rescaled by a
+    cosine of one chart axis or by a seeded bump, or a seeded random SPD
+    field (on sphere2/rp2 the round metric)."""
+    g = G.build_grid(G.topology_from_name(kind), N, 3)
+    rng = np.random.default_rng(seed)
+    sphere = kind in ("sphere2", "rp2")
+    if family == "spd" and not sphere:
+        f = F.random_spd_metric(g, seed, (0.5, 2.0))
+    else:
+        a, c = rng.uniform(0.5, 2.0, 2)
+        f = F.round_sphere_metric(g) if sphere else F.constant_metric(g, [[a, 0.3], [0.3, c]])
+        u = np.zeros(g.num_vertices)
+        if family == "cosine":
+            u = 0.3 * np.cos(2 * math.pi * g.coords[:, axis] + rng.uniform(0, 6.3))
+        elif family == "bump":
+            u = F._cosine_mixture(g, rng, 3, 0.2)
+        if kind == "rp2":
+            u = 0.5 * (u + u[g.antipode_map])  # invariant under the identification
+        f = F.conformal_rescale(f, u)
+    t = f.tensors.copy()
+    if ulp:
+        v = int(rng.integers(g.num_vertices))
+        t[v, 0, 0] = np.nextafter(t[v, 0, 0], np.inf)
+    return F.MetricField(g, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["torus2", "cylinder", "sphere2", "rp2"]),
+       N=st.sampled_from([6, 8, 10, 12, 16]),
+       family=st.sampled_from(["constant", "cosine", "bump", "spd"]),
+       seed=st.integers(0, 2 ** 16), axis=st.integers(0, 1), ulp=st.booleans())
+def test_a_tensor_exact_translation_is_a_graph_automorphism(kind, N, family, seed, axis, ulp):
+    _assert_tensor_exact_is_oracle_exact(_family_field(kind, N, family, seed, axis, ulp))
+
+
+def test_the_property_catches_a_test_that_always_says_exact(monkeypatch):
+    f = _family_field("torus2", 8, "spd", 3, 0, False)
+    _assert_tensor_exact_is_oracle_exact(f)
+    monkeypatch.setattr(geo, "_orbit_representatives", lambda field, base: base[:1])
+    with pytest.raises(AssertionError):
+        _assert_tensor_exact_is_oracle_exact(f)
+
+
 def _y_cosine_80():
     g = G.build_grid(G.torus2(), 80, 3)
     return F.conformal_metric(g, 0.3 * np.cos(2 * math.pi * (g.coords[:, 0] - 1 / 80)))
@@ -1612,14 +1689,14 @@ def test_orbit_sources_are_counted(monkeypatch):
         calls.clear()
         geo.shortest_loop_in_class(f, cls)
         assert [n for n, _ in calls] == [1, 1]  # the search and the witness's chains
-    assert f._exact_translations == (True, True)
-    assert len(checks) == 2  # one per axis, for all four classes
+    assert _exact_axes(f) == (True, True)
+    assert len(checks) == 0  # the tensors answer, and no graph is permuted
     f = _bump_torus(32, 0, "flat")
     for cls in [(1, 0), (0, 1)]:
         calls.clear()
         geo.shortest_loop_in_class(f, cls)
         assert sum(n for n, _ in calls) == len(geo._loop_base_vertices(f.grid, cls)) + 1
-    assert f._exact_translations == (False, False)
+    assert _exact_axes(f) == (False, False)
     N = 64
     f = _round("rp2", N)
     calls.clear()
@@ -1634,7 +1711,7 @@ def test_orbits_collapse_along_exact_axes_only(N, k, amp, phase):
     g = G.build_grid(G.torus2(), N, 3)
     f = F.conformal_metric(g, amp * np.cos(2 * math.pi * k * g.coords[:, 1] + phase))
     _assert_same_as_every_source(f, [(1, 0), (0, 1), (1, 1)])
-    assert f._exact_translations == (True, False)
+    assert _exact_axes(f) == (True, False)
     # x-translations join the two base columns, and each base row into one orbit
     assert len(geo._orbit_representatives(f, geo._loop_base_vertices(g, (1, 0)))) == N
     assert len(geo._orbit_representatives(f, geo._loop_base_vertices(g, (0, 1)))) == 2
@@ -1652,7 +1729,7 @@ def test_a_tensor_entry_one_ulp_off_gets_no_reduction(monkeypatch):
     base = geo._loop_base_vertices(g, (1, 0))
     assert len(geo._orbit_representatives(f, base)) == 1
     assert np.array_equal(geo._orbit_representatives(off, base), base)
-    assert off._exact_translations == (False, False)
+    assert _exact_axes(off) == (False, False)
     calls = _counting_dijkstra(monkeypatch)
     geo.shortest_loop_in_class(off, (1, 0))
     assert sum(n for n, _ in calls) == len(base) + 1

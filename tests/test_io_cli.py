@@ -271,6 +271,61 @@ def test_undeclared_config_items_are_refused(tmp_path, capsys, text, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
+_DISK = "[domain]\nkind = square\n\n[metric]\nbuilder = piecewise_disk\n\n"
+
+
+@pytest.mark.parametrize("radius", [math.nan, -0.1, math.inf, 5.0])
+def test_gadograph_refuses_a_disk_without_boundary_probes(tmp_path, capsys, radius):
+    # nan and -0.1 reported PASS on both rows: no probe, and a region volume of 0 against 0
+    item = gal.ExperimentConfig("d", "square", "piecewise_disk", "gadograph", [16],
+                                operation_params={"radius": radius})
+    with pytest.raises(gal.GalleryError, match="disk"):
+        gal.run_config(item)
+    cfg = tmp_path / "disk.ini"
+    cfg.write_text(_DISK + f"[experiment]\noperation = gadograph\nresolutions = 16\n"
+                           f"radius = {radius}\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"radius": math.nan}, {"radius": -0.1},
+                                    {"radius": math.inf}, {"center": (math.nan, 0.5)},
+                                    {"center": (0.5, math.inf)}, {"center": (0.5,)}])
+def test_the_disk_builder_refuses_a_disk_that_is_not_one(params):
+    item = gal.ExperimentConfig("d", "square", "piecewise_disk", "volume", [16],
+                                metric_params=params, operation_params={"reference": 1.0})
+    with pytest.raises(gal.GalleryError, match="a disk needs"):
+        gal.run_config(item)
+    assert gal._METRICS["piecewise_disk"](G.build_grid(G.square(), 16, 3), None, radius=5.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -0.01])
+def test_a_tolerance_override_is_a_finite_number_at_least_zero(monkeypatch, tmp_path, capsys,
+                                                               value):
+    # volume = inf made a volume of 1 PASS against a reference of 5
+    with pytest.raises(gal.GalleryError, match="tolerance volume"):
+        gal.ExperimentConfig("v", "square", "flat", "volume", [16],
+                             operation_params={"reference": 5.0},
+                             tolerance_overrides={"volume": value})
+    built = []
+    monkeypatch.setattr(gal, "build_grid", lambda *args: built.append(args))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[domain]\nkind = square\n\n[experiment]\noperation = volume\n"
+                   f"resolutions = 16\nreference = 5.0\ntolerances = volume={value}\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "volume" in err
+    assert built == []
+
+
+def test_a_zero_tolerance_override_is_accepted():
+    item = gal.ExperimentConfig("v", "square", "flat", "volume", [16],
+                                operation_params={"reference": 5.0},
+                                tolerance_overrides={"volume": 0})
+    (row,) = gal.run_config(item)
+    assert row.verdict == "FAIL"
+
+
 # one small run of each operation, with keys that reach every tolerance it reads
 _SMALL_RUNS = {
     "volume": ("sphere2", "round_sphere", 16, {"reference": 4 * math.pi}),

@@ -116,16 +116,18 @@ def test_ball_volume_refuses_a_nan_radius():
     assert M.ball_volume(f, 0, math.inf) == M.volume(f)
 
 
-@pytest.mark.parametrize("t_count", [1, 0, -5])
+@pytest.mark.parametrize("t_count", [1, 0, -5, 2.5, 3.0])
 def test_coarea_refuses_fewer_than_two_levels(t_count):
     # one level reported a total of 0 and a defect of the whole volume; none
-    # divided by zero
+    # divided by zero; 2.5 built three levels, the last at max f, and a total
+    # of 0.6 against a volume of 1
     g = G.build_grid(G.square(), 16, 3)
     f = F.flat_metric(g)
     d = geo.distance_field(f, G.face_vertices(g, "A")).dist
     with pytest.raises(M.MeasureError, match="t_count must be at least 2"):
         M.coarea_profile(f, d, t_count)
     assert M.coarea_profile(f, d, 2).total > 0
+    assert len(M.coarea_profile(f, d, np.int64(3)).t_grid) == 3
 
 
 def test_coarea_rejects_non_lipschitz():

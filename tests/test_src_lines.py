@@ -1,6 +1,7 @@
 """tools/src_lines.py counts code lines by its stated rule, no module of
-src/metriclab imports a name that it never uses, and every private top-level
-name of src/metriclab is read somewhere in it."""
+src/metriclab imports a name that it never uses, every private top-level
+name of src/metriclab is read somewhere in it, and no module assigns a
+private attribute of an object other than self."""
 
 import ast
 import importlib.util
@@ -115,3 +116,39 @@ def test_the_private_name_check_finds_a_helper_never_read():
 def test_every_private_name_is_read():
     texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_names(texts) == []
+
+
+def _foreign_private_writes(text: str) -> list:
+    """'line: X._name' for each assignment or augmented assignment, annotated
+    or not and at any depth of a target tuple, to a private attribute of an
+    object X other than self."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"{t.lineno}: {ast.unparse(t)}" for target in targets for t in ast.walk(target)
+                  if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                  and t.attr.startswith("_")
+                  and not (isinstance(t.value, ast.Name) and t.value.id == "self")]
+    return found
+
+
+def test_the_private_write_check_finds_a_write_on_another_object():
+    text = ("class A:\n    def __init__(self):\n        self._cache = None\n"
+            "        self._n: int = 0\n        self._n += 1\n"
+            "def f(field, other):\n    field._cache = 1\n    field._rows[0] = 2\n"
+            "    other.grid._n += 1\n    a, (b, field._x) = 1, (2, 3)\n"
+            "    field.public = 4\n    field._y: int = 5\n    return field._cache\n")
+    assert _foreign_private_writes(text) == [
+        "7: field._cache", "9: other.grid._n", "10: field._x", "12: field._y"]
+
+
+def test_no_module_writes_a_private_attribute_of_another_object():
+    # a cache belongs to the object that declares it; only its own methods set it
+    writes = {path.name: _foreign_private_writes(path.read_text())
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in writes.items() if found} == {}

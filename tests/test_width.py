@@ -76,6 +76,19 @@ def test_separating_cut_succeeds_on_its_last_allowed_cut(R, needed):
     assert max(rad for rad, _ in cut.component_radii) < R
 
 
+@pytest.mark.parametrize("budget", [-1, 2.5])
+def test_separating_cut_refuses_a_budget_that_is_not_a_count(budget):
+    # both ran the 42 cuts of no budget (flat square N = 33, R = 0.2)
+    f = F.flat_metric(G.build_grid(G.square(), 33, 3))
+    with pytest.raises(W.WidthError, match="budget must be an integer >= 0"):
+        W.separating_cut(f, 0.2, budget=budget)
+    with pytest.raises(W.WidthError, match="budget must be an integer >= 0"):
+        W.width_upper_bound(f, 0.2, budget=budget)
+    cut = W.separating_cut(f, 0.2, budget=0)
+    assert not cut.valid and cut.iterations == 0
+    assert cut.reasons == ["iteration budget 0 exhausted"]
+
+
 def test_separating_cut_validates_band(square65):
     with pytest.raises(W.WidthError):
         W.separating_cut(square65, 0.5, 0.6, 0.4)
