@@ -42,7 +42,6 @@ from .fields import (
     round_sphere_metric,
 )
 from .geodesy import (
-    DistanceField,
     LoopWitness,
     RadiusResult,
     distance_field,

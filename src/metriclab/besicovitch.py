@@ -12,6 +12,7 @@ straight-line homotopy argument needs nothing more).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -74,7 +75,7 @@ def face_distance_map(field: MetricField):
     fmap = np.empty((g.num_vertices, g.n))
     d = []
     for i, (fa, fb) in enumerate(pairs):
-        dist = distance_field(field, face_vertices(g, fa), quotient=False).dist
+        dist = distance_field(field, face_vertices(g, fa), quotient=False)
         d.append(float(dist[face_vertices(g, fb)].min()))
         fmap[:, i] = np.minimum(dist, d[-1])
     return fmap, tuple(d)
@@ -213,7 +214,10 @@ def verify_besicovitch(field: MetricField, rel_tol: float = 0.01) -> Besicovitch
 
     PASS iff slack >= -rel_tol * product and the boundary degree check holds
     (for n in {2, 3}; otherwise exact face containment is the certificate).
+    BesicovitchError unless rel_tol is a finite number >= 0.
     """
+    if not (isinstance(rel_tol, numbers.Real) and 0 <= rel_tol < math.inf):
+        raise BesicovitchError(f"rel_tol must be a finite number >= 0, got {rel_tol!r}")
     fmap, d = face_distance_map(field)
     vol = measure.volume(field)
     product = float(np.prod(d))
@@ -265,10 +269,13 @@ def cylinder_check(field: MetricField, tol: float = 0.01) -> CylinderReport:
     failing.  The conclusion asserts every interior level of the distance to
     the bottom circle has length >= 1 - tol and the coarea total >= 1 - tol;
     interior levels leave out 2% of the level range at each end.
+    BesicovitchError unless tol is a finite number >= 0.
     """
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise BesicovitchError(f"tol must be a finite number >= 0, got {tol!r}")
     if field.grid.topology.kind != "cylinder":
         raise BesicovitchError("cylinder_check needs cylinder topology")
-    f = distance_field(field, face_vertices(field.grid, "B")).dist
+    f = distance_field(field, face_vertices(field.grid, "B"))
     bdist = float(f[face_vertices(field.grid, "B'")].min())
     s = systole(field).length
     hyp = bdist >= 1.0 - tol and s >= 1.0 - tol

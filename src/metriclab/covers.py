@@ -15,6 +15,7 @@ and to model cut graphs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -69,8 +70,7 @@ def partition_of_unity(field: MetricField, cover: Cover) -> PartitionOfUnity:
         if len(comp) == 0:
             phi[i] = 1.0
             continue
-        d = distance_field(field, comp, quotient=False).dist
-        phi[i] = d
+        phi[i] = distance_field(field, comp, quotient=False)
     Phi = phi.sum(axis=0)
     if np.any(Phi <= 0):
         raise CoverError("cover gap: Phi vanishes at some vertex")
@@ -134,10 +134,11 @@ def slicing_cover(field: MetricField, p: int, R: float,
     Intervals ((i - 2/3) R, (i + 2/3) R) around the distance field from p give
     multiplicity at most 2 by interval combinatorics.  Component radii are
     reported (certified upper bounds), with no claim that they stay below R.
+    CoverError unless 0 < R < inf.
     """
-    if R <= 0:
-        raise CoverError("R must be positive")
-    d = distance_field(field, [p]).dist
+    if not 0 < R < math.inf:  # NaN fails too
+        raise CoverError(f"R must be positive and finite, got {R!r}")
+    d = distance_field(field, [p])
     finite = np.isfinite(d)
     imax = int(np.floor(d[finite].max() / R + 2.0 / 3.0))
     sets, centers, radii = [], [], []

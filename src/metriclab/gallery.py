@@ -224,7 +224,7 @@ def _op_cylinder(config, field, area_reference=1.0):
 
 
 def _op_coarea(config, field, face="A", t_count=256):
-    f = geo.distance_field(field, face_vertices(field.grid, face)).dist
+    f = geo.distance_field(field, face_vertices(field.grid, face))
     prof = M.coarea_profile(field, f, int(t_count))
     rows = [
         ("coarea_total", prof.total, prof.volume, "derived", config.tol("coarea")),
@@ -268,7 +268,7 @@ def _op_gadograph(config, field, center=DISK[0], radius=DISK[1]):
     probes = boundary[:: max(1, len(boundary) // 8)][:8]
     hyp_ok = True
     for q in probes:
-        d = geo.distance_field(field, [int(q)]).dist
+        d = geo.distance_field(field, [int(q)])
         eu = np.linalg.norm(coords[boundary] - coords[q], axis=1)
         hyp_ok &= bool((d[boundary] >= eu - 1e-9).all())
     rows = [
@@ -407,7 +407,7 @@ def _write_artifacts(config, field, N, figs, out_dir, figures):
         _write_text(base + "-certificate.txt", mio.certificate_text(
             figs["certificate"], field.grid, os.path.basename(base + "-field.txt")))
     if figures and field.grid.n == 2 and field.grid.topology.kind != "rp2":
-        vals = geo.distance_field(field, [0], quotient=False).dist
+        vals = geo.distance_field(field, [0], quotient=False)
         overlays = figs.get("curves", []) + figs.get("loops", [])
         _write_text(base + ".svg", mio.svg_heatmap(field.grid, vals, curves=overlays))
 

@@ -4,8 +4,11 @@ All distances are exact shortest paths on the weighted stencil graph (edge
 weights from MetricField.edge_lengths), from one kernel, _shortest_paths, the
 package's only call of scipy's Dijkstra.  It raises GeodesyError, before any
 allocation, for empty sources, sources outside 0..V-1 and blocks estimated
-above _BLOCK_BYTES (1 GiB).  Metrication against the continuum is bounded by
-the stencil distortion (about 2.75 percent for the 16-neighbor stencil).
+above _BLOCK_BYTES (1 GiB).  A distance field is the plain (V,) array of
+distances to the nearest source; only a loop witness (_halves) asks for
+predecessors, to walk its two chains.  Metrication against the continuum is
+bounded by the stencil distortion (about 2.75 percent for the 16-neighbor
+stencil).
 
 Every minimum over sources goes through one engine: Dijkstras from 64 sources
 at a time, each cut off at the running best, reduced to one value per source.
@@ -180,21 +183,6 @@ def _rows(field: MetricField, sources, limit=np.inf) -> list:
             for cut, row in map(found.get, sources)]
 
 
-@dataclass
-class DistanceField:
-    """Multi-source shortest-path distances with predecessors."""
-
-    field: MetricField
-    sources: np.ndarray
-    dist: np.ndarray
-    parent: np.ndarray
-    source_of: np.ndarray
-
-    def path_to(self, v: int) -> np.ndarray:
-        """Unwrapped chart polyline from the nearest source to v."""
-        return _unwrap_chain(self.field.grid, _chain(self.parent, v))
-
-
 def _chain(pred, v) -> list:
     """Vertices from the root of a predecessor array to v."""
     chain = [int(v)]
@@ -238,15 +226,15 @@ def _unwrap_chain(grid, chain) -> np.ndarray:
     return pts
 
 
-def distance_field(field: MetricField, sources, quotient: bool = True) -> DistanceField:
-    """Exact multi-source distances; on rp2 (quotient=True) sources are
-    augmented with their antipodes so distances live in the quotient."""
+def distance_field(field: MetricField, sources, quotient: bool = True) -> np.ndarray:
+    """(V,) exact distances to the nearest source; on rp2 (quotient=True)
+    sources are augmented with their antipodes so distances live in the
+    quotient."""
     g = field.grid
     sources = _sources(sources, g.num_vertices)
     if quotient and g.topology.kind == "rp2":
         sources = np.unique(np.concatenate([sources, g.antipode_map[sources]]))
-    dist, pred, src = _shortest_paths(field.graph(), sources, predecessors=True, min_only=True)
-    return DistanceField(field, sources, dist, pred, src)
+    return _shortest_paths(field.graph(), sources, min_only=True)
 
 
 def distance_matrix(field: MetricField, sources) -> np.ndarray:
@@ -262,8 +250,7 @@ def face_distance(field: MetricField, face_a: str, face_b: str) -> float:
         raise GridError(f"faces {face_a!r} and {face_b!r} are not an opposite pair")
     va = face_vertices(g, face_a)
     vb = face_vertices(g, face_b)
-    d = distance_field(field, va, quotient=False)
-    return float(d.dist[vb].min())
+    return float(distance_field(field, va, quotient=False)[vb].min())
 
 
 # ---------------------------------------------------------------------------

@@ -373,9 +373,6 @@ class Grid:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
-
     def stencil(self) -> StencilCSR:
         """The CSR pattern of the directed stencil entries (see StencilCSR)."""
         if self._stencil is None:
@@ -421,11 +418,6 @@ class Grid:
         if self._axis_values is None:
             self._axis_values = [np.unique(c, return_inverse=True) for c in self.coords.T]
         return self._axis_values
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """The distinct neighbours of v, ascending."""
-        s = self.stencil()
-        return s.indices[s.indptr[v]:s.indptr[v + 1]]
 
     def edge_index(self, a, b) -> np.ndarray:
         """Index in edges of the edge joining a[k] and b[k], in either orientation."""

@@ -71,7 +71,7 @@ def ball_volume(field: MetricField, p: int, r: float, dist=None) -> float:
     if not r >= 0:  # NaN fails too
         raise MeasureError(f"r must be nonnegative, got {r!r}")
     if dist is None:
-        dist = distance_field(field, [p]).dist
+        dist = distance_field(field, [p])
     g = field.grid
     cells = g.cells
     valid = cells >= 0
@@ -244,7 +244,10 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
 
 
 def level_set_measure(field: MetricField, fvals, t: float) -> float:
-    """(n-1)-volume of the discrete level set {f = t} (literal g-length, n=2)."""
+    """(n-1)-volume of the discrete level set {f = t} (literal g-length, n=2).
+    MeasureError for a t that is NaN."""
+    if math.isnan(t):
+        raise MeasureError("level t is NaN")
     fvals = np.asarray(fvals, dtype=float)
     finite = fvals[np.isfinite(fvals)]
     if t < finite.min() or t > finite.max():
@@ -330,7 +333,7 @@ def volume_profile(field: MetricField, r_grid, center_sample: int = 64) -> Volum
         centers = np.unique(np.linspace(0, V - 1, center_sample).astype(np.int64))
     best = np.zeros(len(r_grid))
     for p in centers:
-        dist = distance_field(field, [int(p)]).dist
+        dist = distance_field(field, [int(p)])
         for i, r in enumerate(r_grid):
             best[i] = max(best[i], ball_volume(field, int(p), r, dist=dist))
     return VolumeProfileTable(r_grid, best, centers, sampled=len(centers) < V)

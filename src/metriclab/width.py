@@ -232,7 +232,7 @@ def _group_radii(field: MetricField, group: np.ndarray, others: list, R: float):
     graph = field.graph()
 
     def separation():
-        d = distance_field(field, group, quotient=False).dist
+        d = distance_field(field, group, quotient=False)
         return d, min(float(d[o].min()) for o in others)
 
     ub = set_radius_upper(field, group, rounds=1)[0]
@@ -349,7 +349,7 @@ def validate_certificate(field: MetricField, cert: WidthCertificate):
                        f"multiplicity {mult} certifies")
     graph = field.graph()
     for s, center, stored in zip(cover.sets, cover.centers, cover.radii):
-        d = distance_field(field, [int(center)], quotient=False).dist
+        d = distance_field(field, [int(center)], quotient=False)
         ecc = float(d[np.asarray(s)].max(initial=0.0))
         if not ecc < cert.R:
             reasons.append(f"set radius {ecc:.6g} not below R = {cert.R:.6g}")

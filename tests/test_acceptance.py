@@ -145,7 +145,7 @@ def test_criterion_07_loewner_strictness():
 def test_criterion_08_coarea_equality_distance_function():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
     prof = M.coarea_profile(f, d, 256)
     assert prof.total == pytest.approx(prof.volume, rel=0.01)
     _report(8, f"flat square coarea total {prof.total:.5f} matches vol "

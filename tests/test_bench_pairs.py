@@ -64,3 +64,25 @@ def test_claim_is_not_met_when_the_gain_lies_within_the_parent_iqr():
     verdict = tool.claim("m", s, "lower")
     assert s["change_better_in"] == 10 and not verdict["met"]
     assert verdict["median_gain"] == pytest.approx(0.05) and verdict["parent_iqr"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("parent,change,verdict", [
+    # the median 30 % worse, against a bound of 25 %
+    ([1.0, 1.01, 0.99, 1.0, 1.02], [1.3, 1.31, 1.29, 1.3, 1.32], "worse"),
+    # the parent's IQR is 0.6 of its median, above the bound, and some run of
+    # the change reads worse than the parent's best
+    ([0.6, 1.4, 1.0, 0.7, 1.3], [0.95, 1.0, 1.05, 0.9, 1.1], "unresolved"),
+    # as wide, but every run of the change beats every run of the parent
+    ([0.6, 1.4, 1.0, 0.7, 1.3], [0.5, 0.55, 0.45, 0.52, 0.58], "within bound"),
+    # the median 20 % worse, within the bound, on a tight spread
+    ([1.0, 1.01, 0.99, 1.0, 1.02], [1.2, 1.21, 1.19, 1.2, 1.22], "within bound"),
+])
+def test_regression_verdict_against_the_bound(parent, change, verdict):
+    tool = _tool()
+    pairs = _pairs(parent, change)
+    s = tool.summarize(pairs, {"m": "lower"})["m"]
+    assert tool.regression("m", s, pairs, "lower", 0.25) == verdict
+    # read as a metric where higher is better, a worse median is a better one
+    if verdict == "worse":
+        s = tool.summarize(pairs, {"m": "higher"})["m"]
+        assert tool.regression("m", s, pairs, "higher", 0.25) == "within bound"

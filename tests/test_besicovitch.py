@@ -207,6 +207,20 @@ def test_cylinder_check_cases():
     assert short.boundary_distance == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -0.01])
+def test_tolerances_are_finite_numbers_at_least_zero(tol):
+    # on the flat cylinder scaled by 0.25 the boundary distance and systole
+    # are 0.5: tol = inf made it applicable and passed, and rel_tol = nan
+    # turned every verdict into a FAIL
+    cyl = F.flat_metric(G.build_grid(G.cylinder(), 24, 3)).scaled(0.25)
+    with pytest.raises(B.BesicovitchError, match="tol must be a finite number >= 0"):
+        B.cylinder_check(cyl, tol)
+    sq = F.flat_metric(G.build_grid(G.square(), 8, 3))
+    with pytest.raises(B.BesicovitchError, match="rel_tol must be a finite number >= 0"):
+        B.verify_besicovitch(sq, tol)
+    assert B.verify_besicovitch(sq, 0).passed and not B.cylinder_check(cyl, 0).applicable
+
+
 def test_cylinder_check_runs_one_distance_field_from_the_bottom(monkeypatch):
     g = G.build_grid(G.cylinder(), 32, 3)
     field = F.constant_metric(g, [[4.0, 0.0], [0.0, 1.0]])

@@ -173,6 +173,14 @@ def test_slicing_cover_radii_not_bounded_by_R():
     assert max(cov.radii) > R
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_slicing_cover_refuses_a_width_that_is_not_positive_and_finite(R):
+    # nan raised a bare ValueError, and inf returned a single set
+    f = F.flat_metric(G.build_grid(G.square(), 9, 3))
+    with pytest.raises(C.CoverError, match="R must be positive and finite"):
+        C.slicing_cover(f, 0, R)
+
+
 def test_partition_requires_union():
     g = G.build_grid(G.square(), 12, 1)
     f = F.flat_metric(g)

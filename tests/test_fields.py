@@ -87,7 +87,7 @@ def test_round_sphere_volume_and_antipodal_distance():
     south = np.where(g.coords[:, 1] == 0.0)[0][0]
     north = np.where(g.coords[:, 1] == 1.0)[0][0]
     d = geo.distance_field(f, [south], quotient=False)
-    assert d.dist[north] == pytest.approx(math.pi, rel=0.02)
+    assert d[north] == pytest.approx(math.pi, rel=0.02)
 
 
 def test_round_rp2_sys_and_volume():

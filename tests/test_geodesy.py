@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import weakref
@@ -9,21 +10,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from metriclab import besicovitch as B
 from metriclab import fields as F
 from metriclab import gallery
 from metriclab import geodesy as geo
 from metriclab import grid as G
 from metriclab import covers as C
+from metriclab import measure as M
+from metriclab import width as W
 
 HEX = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def _shortest_path_tree(field, sources):
+    """Distances to the nearest source, and the unwrapped chart polyline of a
+    shortest path to a vertex, built as the loop witnesses build theirs."""
+    dist, pred, _ = geo._shortest_paths(field.graph(), sources, predecessors=True,
+                                        min_only=True)
+    return dist, lambda v: geo._unwrap_chain(field.grid, geo._chain(pred, v))
 
 
 def test_distance_to_face_is_coordinate_exact():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)
     d = geo.distance_field(f, G.face_vertices(g, "A"))
-    assert np.allclose(d.dist, g.coords[:, 0], atol=1e-12)
-    assert (d.dist[G.face_vertices(g, "A")] == 0).all()
+    assert np.allclose(d, g.coords[:, 0], atol=1e-12)
+    assert (d[G.face_vertices(g, "A")] == 0).all()
 
 
 def test_edge_relaxation_invariant():
@@ -31,7 +43,7 @@ def test_edge_relaxation_invariant():
     f = F.random_spd_metric(g, 5, (0.5, 2.0))
     d = geo.distance_field(f, [0])
     e, w = g.edges, f.edge_lengths()
-    gap = d.dist[e[:, 1]] - d.dist[e[:, 0]]
+    gap = d[e[:, 1]] - d[e[:, 0]]
     assert (np.abs(gap) <= w + 1e-12).all()
 
 
@@ -39,7 +51,7 @@ def test_corner_distance_within_stencil_distortion():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)
     d = geo.distance_field(f, [g.vertex_at((0, 0))])
-    ratio = d.dist[g.vertex_at((63, 63))] / math.sqrt(2)
+    ratio = d[g.vertex_at((63, 63))] / math.sqrt(2)
     assert 1.0 - 1e-12 <= ratio <= 1.028
 
 
@@ -64,7 +76,7 @@ def test_sphere_pole_to_pole():
     south = np.where(g.coords[:, 1] == 0.0)[0][0]
     north = np.where(g.coords[:, 1] == 1.0)[0][0]
     d = geo.distance_field(f, [south], quotient=False)
-    assert d.dist[north] == pytest.approx(math.pi, rel=0.02)
+    assert d[north] == pytest.approx(math.pi, rel=0.02)
 
 
 SOURCE_OPS = {
@@ -183,8 +195,8 @@ def test_triangle_inequality_random_triples():
 def test_source_monotonicity():
     g = G.build_grid(G.square(), 24, 3)
     f = F.random_spd_metric(g, 2, (0.5, 2.0))
-    small = geo.distance_field(f, [0]).dist
-    large = geo.distance_field(f, [0, g.num_vertices // 2]).dist
+    small = geo.distance_field(f, [0])
+    large = geo.distance_field(f, [0, g.num_vertices // 2])
     assert (large <= small + 1e-12).all()
 
 
@@ -193,18 +205,18 @@ def test_rp2_equivariance():
     f = F.round_sphere_metric(g, 1.0)
     anti = g.antipode_map
     for x in (2, 17, 101):
-        dx = geo.distance_field(f, [x], quotient=False).dist
-        dax = geo.distance_field(f, [int(anti[x])], quotient=False).dist
+        dx = geo.distance_field(f, [x], quotient=False)
+        dax = geo.distance_field(f, [int(anti[x])], quotient=False)
         assert np.allclose(dx[anti], dax, atol=1e-9)
 
 
 def test_path_extraction_matches_distance():
     g = G.build_grid(G.square(), 24, 3)
     f = F.random_spd_metric(g, 8, (0.5, 2.0))
-    d = geo.distance_field(f, [0])
+    dist, path_to = _shortest_path_tree(f, [0])
     target = g.num_vertices - 1
-    pts = d.path_to(target)
-    assert F.polyline_length(f, pts) == pytest.approx(d.dist[target], abs=1e-10)
+    pts = path_to(target)
+    assert F.polyline_length(f, pts) == pytest.approx(dist[target], abs=1e-10)
 
 
 def test_radius_disconnected_is_flagged():
@@ -329,7 +341,7 @@ def test_set_radius_upper_center_stays_within():
     a, b = g.vertex_at((0, 2)), g.vertex_at((2, 0))
     ecc, center = geo.set_radius_upper(f, [a, b], rounds=4, within=[a, b])
     assert center in (a, b)
-    assert ecc == geo.distance_field(f, [center]).dist[[a, b]].max()
+    assert ecc == geo.distance_field(f, [center])[[a, b]].max()
 
 
 def test_set_radius_upper_takes_its_center_from_within():
@@ -337,7 +349,7 @@ def test_set_radius_upper_takes_its_center_from_within():
     f = F.flat_metric(G.build_grid(G.square(), 9, 3))
     ecc, center = geo.set_radius_upper(f, [0, 1], within=[80])
     assert center == 80
-    assert ecc == geo.distance_field(f, [80]).dist[[0, 1]].max()
+    assert ecc == geo.distance_field(f, [80])[[0, 1]].max()
 
 
 def test_radius_memory_is_bounded():
@@ -374,7 +386,7 @@ def test_set_radius_upper_bounds_exact_from_within(N, seed, S, rounds):
     toward = geo.distance_matrix(f, S)[:, center].max()
     assert exact <= toward
     assert abs(upper - toward) <= geo._reversal_slack(f.graph()) * toward
-    assert upper == geo.distance_field(f, [center]).dist[S].max()
+    assert upper == geo.distance_field(f, [center])[S].max()
 
 
 def test_set_radii_of_a_subset_across_two_components():
@@ -779,7 +791,7 @@ def test_min_antipodal_distance_matches_dense_oracle(kind, N):
         length, v = geo.min_antipodal_distance(f)
         assert abs(length - vals.min()) <= 1e-12 * vals.min()
         # v comes from the band; ties may pick another minimizer than the oracle's
-        attained = geo.distance_field(f, [v], quotient=False).dist[g.antipode_map[v]]
+        attained = geo.distance_field(f, [v], quotient=False)[g.antipode_map[v]]
         assert attained <= vals.min() * (1 + 1e-12)
         if kind == "rp2":
             w = geo.systole(f)
@@ -822,16 +834,16 @@ def test_rp2_path_through_pole_and_seam_matches_distance():
     g = G.build_grid(G.rp2(), 24, 3)
     f = F.round_sphere_metric(g, 1.0)
     south, north = 0, 1
-    d = geo.distance_field(f, [south], quotient=False)
-    pts = d.path_to(north)
-    assert F.polyline_length(f, pts) == pytest.approx(d.dist[north], abs=1e-10)
+    dist, path_to = _shortest_path_tree(f, [south])
+    pts = path_to(north)
+    assert F.polyline_length(f, pts) == pytest.approx(dist[north], abs=1e-10)
     # from just left of the longitude seam to just right of it, at mid-latitude
     j = g.lattice_shape[1] // 3
     left, right = int(g.lattice_vid[-1, j]), int(g.lattice_vid[2, j])
-    d = geo.distance_field(f, [left], quotient=False)
-    pts = d.path_to(right)
+    dist, path_to = _shortest_path_tree(f, [left])
+    pts = path_to(right)
     assert pts[-1, 0] > 1.0  # unwrapped across the seam
-    assert F.polyline_length(f, pts) == pytest.approx(d.dist[right], abs=1e-10)
+    assert F.polyline_length(f, pts) == pytest.approx(dist[right], abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1144,9 +1156,9 @@ def test_paths_from_a_pole_keep_their_length():
     g = G.build_grid(G.rp2(), 24, 3)
     f = _rp2_bump(g)
     for pole in (0, 1):
-        d = geo.distance_field(f, [pole], quotient=False)
+        dist, path_to = _shortest_path_tree(f, [pole])
         for v in range(g.num_vertices):
-            assert abs(F.polyline_length(f, d.path_to(v)) - d.dist[v]) <= 1e-12 * (1 + d.dist[v])
+            assert abs(F.polyline_length(f, path_to(v)) - dist[v]) <= 1e-12 * (1 + dist[v])
 
 
 @settings(max_examples=20, deadline=None)
@@ -1161,9 +1173,9 @@ def test_path_lengths_match_distances_with_longitude_dependent_metrics(kind, hal
     u = amp * np.cos(2 * math.pi * freq * x + phase) * np.sin(math.pi * y) ** 2
     f = F.conformal_rescale(F.round_sphere_metric(g, 1.0), u)
     src = data.draw(st.integers(0, g.num_vertices - 1))
-    d = geo.distance_field(f, [src], quotient=False)
+    dist, path_to = _shortest_path_tree(f, [src])
     for v in range(g.num_vertices):
-        assert abs(F.polyline_length(f, d.path_to(v)) - d.dist[v]) <= 1e-12 * (1 + d.dist[v])
+        assert abs(F.polyline_length(f, path_to(v)) - dist[v]) <= 1e-12 * (1 + dist[v])
 
 
 # ---------------------------------------------------------------------------
@@ -1450,7 +1462,7 @@ def test_class_without_a_loop_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the edge lookup behind path_to
+# the edge lookup behind _unwrap_chain
 
 
 def _reference_edge_index(grid, a, b):
@@ -1471,7 +1483,9 @@ def test_edge_index_matches_the_per_call_lookup(kind, N):
     e = g.edges
     for a, b in ((e[:, 0], e[:, 1]), (e[:, 1], e[:, 0])):
         assert np.array_equal(g.edge_index(a, b), _reference_edge_index(g, a, b))
-    far = next(v for v in range(1, g.num_vertices) if v not in g.neighbors(0))
+    s = g.stencil()
+    far = next(v for v in range(1, g.num_vertices)
+               if v not in s.indices[s.indptr[0]:s.indptr[1]])
     with pytest.raises(G.GridError):
         g.edge_index(np.array([0]), np.array([far]))
     for b in (-1, g.num_vertices):  # row * V + b would read the row before or after
@@ -1483,11 +1497,11 @@ def test_edge_index_matches_the_per_call_lookup(kind, N):
 def test_path_to_polylines_are_unchanged(kind, monkeypatch):
     g = G.build_grid(G.topology_from_name(kind), 16, 3)
     f = _rp2_bump(g) if kind != "torus2" else F.random_spd_metric(g, 2, (0.5, 2.0))
-    d = geo.distance_field(f, [0, g.num_vertices // 3], quotient=False)
-    paths = [d.path_to(v) for v in range(g.num_vertices)]
+    _, path_to = _shortest_path_tree(f, [0, g.num_vertices // 3])
+    paths = [path_to(v) for v in range(g.num_vertices)]
     monkeypatch.setattr(G.Grid, "edge_index", _reference_edge_index)
     for v, pts in enumerate(paths):
-        assert np.array_equal(pts, d.path_to(v))
+        assert np.array_equal(pts, path_to(v))
 
 
 # ---------------------------------------------------------------------------
@@ -1677,6 +1691,26 @@ def test_each_loop_search_runs_its_pinned_dijkstras(monkeypatch, name):
     monkeypatch.setattr(geo, "_shortest_paths", counting)
     search(f)
     assert (len(calls), sum(calls)) == (total, with_predecessors)
+
+
+def test_no_distance_field_asks_for_predecessors(monkeypatch):
+    # only a loop witness walks a predecessor chain: face distances, coarea
+    # levels and the set radii of a width certificate and its recheck read
+    # distances alone
+    asked, real = [], geo._shortest_paths
+    signature = inspect.signature(real)
+
+    def counting(*args, **kwargs):
+        asked.append(signature.bind(*args, **kwargs).arguments.get("predecessors", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "_shortest_paths", counting)
+    sq = F.random_spd_metric(G.build_grid(G.square(), 16, 3), 0, (0.5, 2.0))
+    B.verify_besicovitch(sq)
+    M.coarea_profile(sq, B.face_distance_map(sq)[0][:, 0])
+    flat = F.flat_metric(G.build_grid(G.square(), 17, 3))
+    W.validate_certificate(flat, W.width_upper_bound(flat, 0.45))
+    assert asked and not any(asked)
 
 
 def test_orbit_sources_are_counted(monkeypatch):

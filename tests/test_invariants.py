@@ -58,7 +58,7 @@ def test_distance_fields_are_1_lipschitz_on_every_edge(kind, seed, quotient, dat
     f = _field(kind, data.draw(_resolution(kind)), seed)
     g = f.grid
     sources = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=4))
-    d = geo.distance_field(f, sources, quotient=quotient).dist
+    d = geo.distance_field(f, sources, quotient=quotient)
     a, b = d[g.edges[:, 0]], d[g.edges[:, 1]]
     w = f.edge_lengths()
     assert (b <= a + w).all() and (a <= b + w).all()
@@ -74,8 +74,8 @@ def test_scaling_the_tensors_by_a_power_of_four_scales_exactly(kind, seed, k, da
     assert np.array_equal(s.edge_lengths(), unit * f.edge_lengths())
     sources = data.draw(st.lists(st.integers(0, f.grid.num_vertices - 1), min_size=1,
                                  max_size=3))
-    assert np.array_equal(geo.distance_field(s, sources).dist,
-                          unit * geo.distance_field(f, sources).dist)
+    assert np.array_equal(geo.distance_field(s, sources),
+                          unit * geo.distance_field(f, sources))
     r, rs = geo.radius(f), geo.radius(s)
     assert (rs.value, rs.center) == (unit * r.value, r.center)
     assert M.volume(s) == 4.0 ** k * M.volume(f)
@@ -96,8 +96,8 @@ def test_the_round_antipode_preserves_distances_exactly(kind, N):
     anti = f.grid.antipode_map
     assert geo._distortion(f.graph(), anti) == 0.0
     for u in range(0, f.grid.num_vertices, max(1, f.grid.num_vertices // 24)):
-        d = geo.distance_field(f, [u], quotient=False).dist
-        assert np.array_equal(d, geo.distance_field(f, [anti[u]], quotient=False).dist[anti])
+        d = geo.distance_field(f, [u], quotient=False)
+        assert np.array_equal(d, geo.distance_field(f, [anti[u]], quotient=False)[anti])
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,6 +109,6 @@ def test_antipode_invariant_rescales_preserve_distances_within_their_distortion(
     graph = f.graph()
     tol = geo._distortion(graph, anti) + geo._reversal_slack(graph)
     u = data.draw(st.integers(0, f.grid.num_vertices - 1))
-    d = geo.distance_field(f, [u], quotient=False).dist
-    e = geo.distance_field(f, [anti[u]], quotient=False).dist[anti]
+    d = geo.distance_field(f, [u], quotient=False)
+    e = geo.distance_field(f, [anti[u]], quotient=False)[anti]
     assert (np.abs(d - e) <= tol * np.maximum(d, e)).all()

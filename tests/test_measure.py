@@ -62,7 +62,7 @@ def test_ball_volume_zero_disk_and_total():
 def test_ball_volume_monotone():
     g = G.build_grid(G.square(), 33, 3)
     f = F.random_spd_metric(g, 3, (0.5, 2.0))
-    d = geo.distance_field(f, [g.vertex_at((16, 16))]).dist
+    d = geo.distance_field(f, [g.vertex_at((16, 16))])
     vols = [M.ball_volume(f, g.vertex_at((16, 16)), r, dist=d)
             for r in np.linspace(0, 1.5, 12)]
     assert all(b >= a - 1e-15 for a, b in zip(vols, vols[1:]))
@@ -71,7 +71,7 @@ def test_ball_volume_monotone():
 def test_level_set_flat_square():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
     assert M.level_set_measure(f, d, 0.5) == pytest.approx(1.0, rel=0.01)
 
 
@@ -79,22 +79,29 @@ def test_level_set_sphere_equator():
     g = G.build_grid(G.sphere2(), 64, 3)
     f = F.round_sphere_metric(g, 1.0)
     north = np.where(g.coords[:, 1] == 1.0)[0][0]
-    d = geo.distance_field(f, [north], quotient=False).dist
+    d = geo.distance_field(f, [north], quotient=False)
     assert M.level_set_measure(f, d, math.pi / 2) == pytest.approx(2 * math.pi, rel=0.02)
 
 
 def test_level_set_out_of_range_warns_and_zero():
     g = G.build_grid(G.square(), 16, 1)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
     with pytest.warns(UserWarning):
         assert M.level_set_measure(f, d, -0.5) == 0.0
+
+
+def test_level_set_refuses_a_nan_level():
+    # it returned 0.0 with no warning
+    g = G.build_grid(G.square(), 16, 1)
+    with pytest.raises(M.MeasureError, match="level t is NaN"):
+        M.level_set_measure(F.flat_metric(g), g.coords[:, 0], math.nan)
 
 
 def test_coarea_flat_square_fubini():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
     prof = M.coarea_profile(f, d, 256)
     assert prof.total == pytest.approx(prof.volume, rel=0.01)
     assert (prof.a >= 0).all()
@@ -123,7 +130,7 @@ def test_coarea_refuses_fewer_than_two_levels(t_count):
     # of 0.6 against a volume of 1
     g = G.build_grid(G.square(), 16, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
     with pytest.raises(M.MeasureError, match="t_count must be at least 2"):
         M.coarea_profile(f, d, t_count)
     assert M.coarea_profile(f, d, 2).total > 0
@@ -140,7 +147,7 @@ def test_coarea_rejects_non_lipschitz():
 def test_coarea_inequality_one_sided():
     g = G.build_grid(G.torus2(), 32, 3)
     f = F.random_spd_metric(g, 21, (0.5, 2.0))
-    d = geo.distance_field(f, [0]).dist
+    d = geo.distance_field(f, [0])
     prof = M.coarea_profile(f, d, 128)
     assert prof.total <= prof.volume * 1.02
 
@@ -148,7 +155,7 @@ def test_coarea_inequality_one_sided():
 def test_cylinder_coarea_levels_at_least_circumference():
     g = G.build_grid(G.cylinder(), 48, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "B")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "B"))
     prof = M.coarea_profile(f, d, 128)
     inner = (prof.t_grid > 0.05) & (prof.t_grid < 0.95)
     assert prof.a[inner].min() >= 1.0 - 1e-9
@@ -201,7 +208,7 @@ def test_ladder_lengths_equal_per_level_passes(name):
     f = metric(g)
     mask = rng.random(len(g.cells)) < 0.6 if name.startswith("masked") else None
     seen = set()
-    for fvals in (geo.distance_field(f, [g.num_vertices // 3], quotient=False).dist,
+    for fvals in (geo.distance_field(f, [g.num_vertices // 3], quotient=False),
                   rng.random(g.num_vertices)):
         # levels equal to vertex values, unsorted and repeated, plus a sweep
         levels = np.concatenate([fvals[rng.integers(0, g.num_vertices, 30)],
@@ -215,7 +222,7 @@ def test_ladder_lengths_equal_per_level_passes(name):
 def test_ladder_lengths_blocks_do_not_change_lengths(monkeypatch):
     g = G.build_grid(G.square(), 24, 3)
     f = F.random_spd_metric(g, 2, (0.5, 2.0))
-    fvals = geo.distance_field(f, [0]).dist
+    fvals = geo.distance_field(f, [0])
     levels = np.linspace(0.0, fvals.max(), 200)
     want = M.ladder_lengths(f, fvals, levels)
     for pairs in (1, 7, 100):
@@ -313,7 +320,7 @@ def _ladder_peak(N):
     """tracemalloc peak of one 256-level ladder of a distance row on the SPD square."""
     g = G.build_grid(G.square(), N, 3)
     f = F.random_spd_metric(g, 1, (0.5, 2.0))
-    fvals = geo.distance_field(f, [0]).dist
+    fvals = geo.distance_field(f, [0])
     levels = np.linspace(0.0, fvals.max(), 258)[1:-1]
     M.ladder_lengths(f, fvals, levels)
     tracemalloc.start()
@@ -332,7 +339,7 @@ def test_ladder_memory_grows_at_most_as_v_to_the_five_fourths():
 def test_lengths_call_no_einsum(monkeypatch):
     g = G.build_grid(G.square(), 17, 3)
     f = F.flat_metric(g)
-    d = geo.distance_field(f, G.face_vertices(g, "A")).dist
+    d = geo.distance_field(f, G.face_vertices(g, "A"))
 
     def einsum(*args, **kwargs):
         raise AssertionError("np.einsum called")

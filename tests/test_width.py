@@ -60,7 +60,7 @@ def test_forced_cut_on_torus_bounds_and_radii(torus48_flat):
     for c in cut.curves:
         assert c.length <= c.ball_bound * 1.05
     for comp, (rad, center) in zip(cut.components, cut.component_radii):
-        d = geo.distance_field(torus48_flat, [int(center)], quotient=False).dist
+        d = geo.distance_field(torus48_flat, [int(center)], quotient=False)
         assert d[comp].max() == pytest.approx(rad, abs=1e-12)
         assert rad < 0.5
 
@@ -155,7 +155,7 @@ def _claim_holds(field, cert):
         if not 0 <= c < V or (len(s) and not 0 <= s[0] <= s[-1] < V):
             return False
         count[s] += 1
-        ecc = geo.distance_field(field, [c], quotient=False).dist[s].max(initial=0.0)
+        ecc = geo.distance_field(field, [c], quotient=False)[s].max(initial=0.0)
         if not (ecc < cert.R and ecc <= geo._widened(r, field.graph())):
             return False
     m = int(count.max())
@@ -370,7 +370,7 @@ def _reference_group_radii(field, group, others, R):
     rad, center = geo.set_radius_exact(field, group)
     thick = group
     if others:
-        d = geo.distance_field(field, group, quotient=False).dist
+        d = geo.distance_field(field, group, quotient=False)
         sep = min(float(d[o].min()) for o in others)
         r_x = min(sep / 10.0, max(0.0, (R - rad) / 2.0))
         if r_x > 0:

@@ -14,8 +14,13 @@ even pairs the change first.  These are the conditions under which
 by about 20 % with the checkout's path and with compiled bytecode in
 src/metriclab, although no code differed (CHANGES.md has the runs).
 
-The tool prints each end-to-end metric's median and quartiles on both sides
-and the pairs the change won and lost (ties count for neither).  It writes the
+The tool prints each end-to-end metric's median and quartiles on both sides,
+the pairs the change won and lost (ties count for neither) and a verdict
+against the metric's bound in BENCHMARK.json, which the summary stores:
+"worse" when the change's median is worse than the parent's by more than
+bound x the parent's median; else "unresolved" when the parent's IQR / median
+exceeds the bound and not every run of the change beats every run of the
+parent; else "within bound".  It writes the
 pairs and the summary to --out as JSON in the layout of the BENCH_*.json
 files; an existing --out for the same two revisions gains the workload and
 seed as one more entry.  Standard library only.
@@ -76,6 +81,19 @@ def summarize(pairs, better):
             "pairs": len(pairs),
         }
     return out
+
+
+def regression(metric, s, pairs, direction, bound):
+    """The no-regression verdict on `metric` (module docstring), from its
+    summary s (see summarize), the pairs it summarises, its direction and its
+    relative bound."""
+    sign = 1 if direction == "lower" else -1
+    runs = {side: [sign * p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
+    if sign * (s["change_median"] - s["parent_median"]) > bound * s["parent_median"]:
+        return "worse"
+    if s["parent_iqr"] > bound * s["parent_median"] and max(runs["change"]) >= min(runs["parent"]):
+        return "unresolved"
+    return "within bound"
 
 
 def claim(metric, s, direction):
@@ -146,7 +164,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     with open(ROOT / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
     if args.claim is not None and args.claim not in better:
         ap.error(f"--claim must name an end-to-end metric: {', '.join(better)}")
     revs = {side: _git("rev-parse", "--short", rev).decode().strip()
@@ -186,10 +206,11 @@ def main(argv=None) -> int:
     correct = all(p[side]["correct"] for p in pairs for side in SIDES)
     summary = summarize(pairs, better) if correct else {}
     for name, s in summary.items():
+        s["verdict"] = regression(name, s, pairs, better[name], bound[name])
         print(f"{name:12s} parent {s['parent_median']:.4g} {s['parent_quartiles']}  "
               f"change {s['change_median']:.4g} {s['change_quartiles']}  "
               f"change better in {s['change_better_in']}, worse in "
-              f"{s['change_worse_in']} of {s['pairs']}")
+              f"{s['change_worse_in']} of {s['pairs']}: {s['verdict']} (bound {bound[name]:g})")
     if not correct:
         print("some run was not correct: no summary", file=sys.stderr)
 
