@@ -137,7 +137,7 @@ def main(argv=None) -> int:
         return _cmd_validate(args)
     try:
         config = _load_config(args)
-    except (gal.GalleryError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (gal.GalleryError, OSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "run":

@@ -134,7 +134,8 @@ def slicing_cover(field: MetricField, p: int, R: float,
     Intervals ((i - 2/3) R, (i + 2/3) R) around the distance field from p give
     multiplicity at most 2 by interval combinatorics.  Component radii are
     reported (certified upper bounds), with no claim that they stay below R.
-    CoverError unless 0 < R < inf.
+    CoverError unless 0 < R < inf; GeodesyError (set_radius_upper) unless
+    radius_rounds is an integer >= 0.
     """
     if not 0 < R < math.inf:  # NaN fails too
         raise CoverError(f"R must be positive and finite, got {R!r}")

@@ -367,10 +367,12 @@ _OPERATIONS = {
 def run_config(config: ExperimentConfig, out_dir=None, resolution=None, figures=False):
     """Execute an experiment at each resolution; returns all ReportRows.
 
-    Deterministic for fixed config (its seed included).  A missing required key
-    raises GalleryError before any grid is built.
+    Deterministic for fixed config (its seed included).  A missing required
+    builder or operation key raises GalleryError before any grid is built.
     """
     operation = _OPERATIONS[config.operation][0]
+    _bind("metric builder", config.metric, inspect.signature(_METRICS[config.metric]).bind,
+          config.metric_params)
     _bind("operation", config.operation, inspect.signature(operation).bind,
           config.operation_params)
     resolutions = config.resolutions if resolution is None else [int(resolution)]

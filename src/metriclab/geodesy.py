@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -394,8 +395,11 @@ def set_radius_upper(field: MetricField, subset, rounds: int = 3,
     center.  The candidates' rows, in blocks of _CHUNK, are cut off at that
     ecc padded as every cut-off is (_padded): a candidate whose ecc lies
     beyond could not beat it, and one cut-off for all of them keeps the
-    least ecc within it and its first candidate.
+    least ecc within it and its first candidate.  GeodesyError unless rounds
+    is an integer >= 0.
     """
+    if not (isinstance(rounds, numbers.Integral) and rounds >= 0):
+        raise GeodesyError(f"rounds must be an integer >= 0, got {rounds!r}")
     subset = np.asarray(subset, dtype=np.int64)
     graph = field.graph()
     penalty = np.zeros(graph.shape[0])

@@ -2,7 +2,8 @@
 
 Formats are deliberately simple and diffable:
 
-* domain descriptors and certificates: flat key = value lines in [section] blocks,
+* configs, domain descriptors and certificates: flat key = value lines in
+  [section] blocks, all read by one strict reader (_sections),
 * metric fields: one row per vertex (index, chart coordinates, upper-triangle
   tensor entries), 17 significant digits,
 * witness loops and profiles: small tabular text files,
@@ -13,6 +14,7 @@ Formats are deliberately simple and diffable:
 from __future__ import annotations
 
 import configparser
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +46,19 @@ def domain_text(grid: Grid) -> str:
                                "stencil_order": grid.stencil_order, "mask": top.mask_name})
 
 
-def _sections(lines) -> dict:
-    """{section: {key: value}} from [name] headers and key = value lines.  A
-    repeated header starts its section afresh; blank lines, # lines and lines
-    before the first header are skipped; a line splits at its first =."""
-    sections, current = {}, None
-    for ln in lines:
-        s = ln.strip()
-        if s.startswith("[") and s.endswith("]"):
-            current = sections[s[1:-1]] = {}
-        elif current is not None and s and not s.startswith("#"):
-            k, _, v = s.partition("=")
-            current[k.strip()] = v.strip()
-    return sections
+def _sections(text: str, source) -> dict:
+    """{section: {key: value}} of [name] blocks of key = value lines; the one
+    reader of configs, certificates and field headers.  Keys keep their case
+    (force_R is not force_r) and a % is a plain character.  ValueError, naming
+    the source and line, for a line before the first header, a repeated
+    section or key, or a line without = or :."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    try:
+        cp.read_string(text, str(source))
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from exc
+    return {sec: dict(cp.items(sec)) for sec in cp.sections()}
 
 
 def grid_from_descriptor(domain: dict) -> Grid:
@@ -85,47 +87,42 @@ def write_field(field: MetricField, path):
 
 
 def read_field(path) -> MetricField:
-    """The field of a write_field file.  GridError if the [domain] or
-    [tensors] header is missing, or unless the rows hold each vertex of the
-    grid once, at its chart coordinates (%.17g reads back exactly)."""
+    """The field of a write_field file.  GridError if its [domain] block is
+    missing or malformed, if its [tensors] line is missing, or unless the
+    table below that line holds each vertex of the grid once, at its chart
+    coordinates (%.17g reads back exactly)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     try:
         split = lines.index("[tensors]")
     except ValueError:
         raise GridError("field file is missing the [tensors] section")
-    domain = _sections(lines[:split]).get("domain")
-    if domain is None:
-        raise GridError("field file is missing the [domain] section")
+    try:
+        domain = _sections("\n".join(lines[:split]), path)["domain"]
+    except (KeyError, ValueError) as exc:
+        raise GridError(f"field file has no readable [domain] section: {exc}") from exc
     grid = grid_from_descriptor(domain)
-    n = grid.n
-    ncols = 1 + n + n * (n + 1) // 2
-    rows = np.empty((grid.num_vertices, ncols - 1))
-    seen = np.zeros(grid.num_vertices, dtype=bool)
-    for ln in lines[split + 1:]:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != ncols:
-            raise GridError(f"field file row {ln!r} has {len(parts)} columns, "
-                            f"expected {ncols}")
-        v = int(parts[0])
-        if not 0 <= v < grid.num_vertices or seen[v]:
-            raise GridError(f"field file row index {v} is outside 0..{grid.num_vertices - 1} "
-                            "or repeated")
-        seen[v] = True
-        rows[v] = [float(x) for x in parts[1:]]
-    if not seen.all():
-        raise GridError(f"field file has {seen.sum()} rows, expected {grid.num_vertices}")
-    moved = np.flatnonzero((rows[:, :n] != grid.coords).any(axis=1))
+    n, V = grid.n, grid.num_vertices
+    i, j = np.triu_indices(n)
+    with warnings.catch_warnings():  # a table of no rows is refused below
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(lines[split + 1:], ndmin=2)
+        except ValueError as exc:
+            raise GridError(f"field file rows: {exc}") from exc
+    table = table[np.argsort(table[:, 0])]
+    if not np.array_equal(table[:, 0], np.arange(V)):
+        raise GridError(f"field file has {len(table)} rows, not one indexed by each of 0..{V - 1}")
+    if table.shape[1] != 1 + n + len(i):
+        raise GridError(f"field file rows have {table.shape[1]} columns, expected {1 + n + len(i)}")
+    coords = table[:, 1:n + 1]
+    moved = np.flatnonzero((coords != grid.coords).any(axis=1))
     if len(moved):
         v = moved[0]
-        raise GridError(f"field file row {v} is at {rows[v, :n].tolist()}, "
+        raise GridError(f"field file row {v} is at {coords[v].tolist()}, "
                         f"not at vertex {v}'s coordinates {grid.coords[v].tolist()}")
-    tensors = np.empty((grid.num_vertices, n, n))
-    i, j = np.triu_indices(n)
-    tensors[:, i, j] = tensors[:, j, i] = rows[:, n:]
+    tensors = np.empty((V, n, n))
+    tensors[:, i, j] = tensors[:, j, i] = table[:, n + 1:]
     return MetricField(grid, tensors)
 
 
@@ -204,7 +201,7 @@ def certificate_text(cert, grid: Grid, field_path: str = "") -> str:
 def parse_certificate(text: str):
     """Returns (domain, field_path, WidthCertificate): domain is the [domain]
     section as a dict, and the field hash is the certificate's field_hash."""
-    sections = _sections(text.splitlines())
+    sections = _sections(text, "certificate")
     cert_kv, field_kv = sections.get("certificate", {}), sections.get("field", {})
     nsets = int(cert_kv.get("num_sets", 0))
     sets, centers, radii = [], [], []
@@ -278,17 +275,10 @@ def make_row(experiment, resolution, quantity, computed, reference, provenance,
 
 
 def parse_config(path):
-    """{section: {key: value}} of a config file.  Keys keep their case (force_R
-    is not force_r); ValueError for a file configparser cannot read, such as
-    one without a header, with a repeated section or with a line without =."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    try:
-        if not cp.read(path):
-            raise FileNotFoundError(path)
-        return {sec: dict(cp.items(sec)) for sec in cp.sections()}
-    except configparser.Error as exc:
-        raise ValueError(f"malformed config {path}: {exc}") from exc
+    """{section: {key: value}} of a config file, read by _sections; OSError
+    for a file that cannot be opened."""
+    with open(path) as fh:
+        return _sections(fh.read(), path)
 
 
 # ---------------------------------------------------------------------------

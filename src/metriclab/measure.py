@@ -245,11 +245,13 @@ def ladder_lengths(field: MetricField, fvals, levels, cell_mask=None) -> np.ndar
 
 def level_set_measure(field: MetricField, fvals, t: float) -> float:
     """(n-1)-volume of the discrete level set {f = t} (literal g-length, n=2).
-    MeasureError for a t that is NaN."""
+    MeasureError for a t that is NaN, or for f without a finite value."""
     if math.isnan(t):
         raise MeasureError("level t is NaN")
     fvals = np.asarray(fvals, dtype=float)
     finite = fvals[np.isfinite(fvals)]
+    if not len(finite):
+        raise MeasureError("f has no finite value")
     if t < finite.min() or t > finite.max():
         warnings.warn("level t lies outside the range of f; measure is 0")
         return 0.0
@@ -320,10 +322,10 @@ def volume_profile(field: MetricField, r_grid, center_sample: int = 64) -> Volum
     """Max ball volume over a deterministic stratified center sample.
 
     A vertex sample lower-bounds the true sup; `sampled` flags whether any
-    centers were skipped.
+    centers were skipped.  MeasureError unless center_sample is an integer >= 1.
     """
-    if center_sample < 1:
-        raise MeasureError("center_sample must be at least 1")
+    if not (isinstance(center_sample, numbers.Integral) and center_sample >= 1):
+        raise MeasureError(f"center_sample must be an integer >= 1, got {center_sample!r}")
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     g = field.grid
     V = g.num_vertices

@@ -181,6 +181,14 @@ def test_slicing_cover_refuses_a_width_that_is_not_positive_and_finite(R):
         C.slicing_cover(f, 0, R)
 
 
+@pytest.mark.parametrize("rounds", [-1, math.nan, 2.5])
+def test_slicing_cover_refuses_radius_rounds_that_are_not_a_count(rounds):
+    # nan and 2.5 were a bare TypeError from a slice in set_radius_upper
+    f = F.flat_metric(G.build_grid(G.square(), 8, 3))
+    with pytest.raises(geo.GeodesyError, match="rounds must be an integer >= 0"):
+        C.slicing_cover(f, 0, 0.5, radius_rounds=rounds)
+
+
 def test_partition_requires_union():
     g = G.build_grid(G.square(), 12, 1)
     f = F.flat_metric(g)

@@ -352,6 +352,14 @@ def test_set_radius_upper_takes_its_center_from_within():
     assert ecc == geo.distance_field(f, [80])[[0, 1]].max()
 
 
+@pytest.mark.parametrize("rounds", [-1, math.nan, 2.5])
+def test_set_radius_upper_refuses_rounds_that_are_not_a_count(rounds):
+    # -1 searched every vertex but one and returned a number; nan and 2.5 were a bare TypeError
+    f = F.flat_metric(G.build_grid(G.square(), 8, 3))
+    with pytest.raises(geo.GeodesyError, match="rounds must be an integer >= 0"):
+        geo.set_radius_upper(f, [0, 1, 2], rounds=rounds)
+
+
 def test_radius_memory_is_bounded():
     import tracemalloc
 

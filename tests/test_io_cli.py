@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import math
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import besicovitch as B
 from metriclab import cli
@@ -138,6 +142,36 @@ def test_certificate_roundtrip_and_cli_validation(tmp_path, capsys):
     assert cli.main(["validate-certificate", str(cert_path),
                      "--field", str(tmp_path / "cube.txt")]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def width_certificate(tmp_path_factory):
+    """(directory, text) of the certificate of the flat square at N = 33 and
+    R = 0.55, which validates next to the field file that it names."""
+    out = tmp_path_factory.mktemp("certificate")
+    g = G.build_grid(G.square(), 33, 3)
+    f = F.flat_metric(g)
+    mio.write_field(f, out / "field.txt")
+    text = mio.certificate_text(W.width_upper_bound(f, 0.55), g, "field.txt")
+    (out / "cert.txt").write_text(text)
+    assert cli.main(["validate-certificate", str(out / "cert.txt")]) == 0
+    return out, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_duplicated_certificate_line_is_a_parse_error(width_certificate, data):
+    # a repeated key or header was read once (the last key won), and a repeated key
+    # line of the same value validated with exit 0
+    out, text = width_certificate
+    lines = text.splitlines()
+    k = data.draw(st.sampled_from([k for k, ln in enumerate(lines)
+                                   if ln.strip() and not ln.startswith("#")]))
+    (out / "dup.txt").write_text("\n".join(lines[:k + 1] + lines[k:]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["validate-certificate", str(out / "dup.txt")]) == 2, lines[k]
+    assert "parse error" in err.getvalue()
 
 
 def test_report_rows_and_verdicts():
@@ -434,14 +468,19 @@ def test_a_missing_required_key_exits_2_before_any_grid_is_built(tmp_path, capsy
         raise AssertionError("build_grid called")
 
     monkeypatch.setattr(gal, "build_grid", build_grid)
-    cfg = tmp_path / "no-reference.ini"
-    cfg.write_text(
-        "[domain]\nkind = sphere2\n\n[metric]\nbuilder = round_sphere\n\n"
-        "[experiment]\nid = no-reference\noperation = volume\nresolutions = 16\n"
-    )
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "reference" in err
+    # an operation key, and a builder key (that one exited 3 once the grid was built)
+    for name, text, key in [
+            ("no-reference", "[domain]\nkind = sphere2\n\n[metric]\nbuilder = round_sphere\n\n"
+             "[experiment]\nid = no-reference\noperation = volume\nresolutions = 16\n",
+             "reference"),
+            ("no-g", "[domain]\nkind = square\n\n[metric]\nbuilder = constant\n\n"
+             "[experiment]\nid = no-g\noperation = volume\nresolutions = 16\n"
+             "reference = 1.0\n", "'g'")]:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err, err
     with pytest.raises(gal.GalleryError, match="reference"):
         gal.refine(gal.ExperimentConfig("v", "sphere2", "round_sphere", "volume",
                                         [8, 16, 32]), "volume")

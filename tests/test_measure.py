@@ -98,6 +98,21 @@ def test_level_set_refuses_a_nan_level():
         M.level_set_measure(F.flat_metric(g), g.coords[:, 0], math.nan)
 
 
+def test_level_set_refuses_a_function_without_a_finite_value():
+    # it was numpy's bare "zero-size array" ValueError
+    g = G.build_grid(G.square(), 8, 3)
+    with pytest.raises(M.MeasureError, match="no finite value"):
+        M.level_set_measure(F.flat_metric(g), np.full(g.num_vertices, np.inf), 0.5)
+
+
+@pytest.mark.parametrize("center_sample", [math.nan, 2.5, 0])
+def test_volume_profile_refuses_a_center_sample_that_is_not_a_count(center_sample):
+    # nan and 2.5 were a TypeError from np.linspace
+    f = F.flat_metric(G.build_grid(G.square(), 8, 3))
+    with pytest.raises(M.MeasureError, match="center_sample must be an integer >= 1"):
+        M.volume_profile(f, [0.1], center_sample=center_sample)
+
+
 def test_coarea_flat_square_fubini():
     g = G.build_grid(G.square(), 64, 3)
     f = F.flat_metric(g)

@@ -1,7 +1,8 @@
 """tools/src_lines.py counts code lines by its stated rule, no module of
 src/metriclab imports a name that it never uses, every private top-level
-name of src/metriclab is read somewhere in it, and no module assigns a
-private attribute of an object other than self."""
+name of src/metriclab is read somewhere in it, no module assigns a
+private attribute of an object other than self, and no module reads one of
+an object other than self or a module that it imports."""
 
 import ast
 import importlib.util
@@ -152,3 +153,41 @@ def test_no_module_writes_a_private_attribute_of_another_object():
     writes = {path.name: _foreign_private_writes(path.read_text())
               for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in writes.items() if found} == {}
+
+
+def _foreign_private_reads(text: str) -> list:
+    """'line: X._name' for each read of a private (not dunder) attribute of an
+    object X other than self or a module that the text imports (import M, or
+    from . import M)."""
+    tree = ast.parse(text)
+    modules = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or (isinstance(node, ast.ImportFrom) and node.module is None)
+               for a in node.names}
+    found = [t for t in ast.walk(tree)
+             if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Load)
+             and t.attr.startswith("_") and not t.attr.startswith("__")
+             and not (isinstance(t.value, ast.Name) and t.value.id in modules | {"self"})]
+    return [f"{t.lineno}: {ast.unparse(t)}"
+            for t in sorted(found, key=lambda t: (t.lineno, t.col_offset))]
+
+
+def test_the_private_read_check_finds_a_read_on_another_object():
+    text = ("import numpy as np\nfrom . import fields as F\nfrom .grid import Grid\n"
+            "class A:\n    def f(self, field):\n        return self._cache, field._rows\n"
+            "def g(field, other):\n    F._cosine_mixture(field)\n    np._NoValue\n"
+            "    Grid._private\n    other.grid._n += 1\n    field._rows[0] = 2\n"
+            "    field._cache = 1\n    return field.__class__, field.public\n")
+    assert _foreign_private_reads(text) == [
+        "6: field._rows", "10: Grid._private", "12: field._rows"]
+
+
+# the one known case: geodesy._rows keeps the row store that a field declares
+# (MetricField._rows, left empty by the field's own methods) and is its only reader
+KNOWN_FOREIGN_READS = {"geodesy.py": ["field._rows"]}
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    reads = {path.name: [r.split(": ", 1)[1] for r in _foreign_private_reads(path.read_text())]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == KNOWN_FOREIGN_READS
