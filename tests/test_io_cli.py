@@ -161,8 +161,8 @@ def width_certificate(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_duplicated_certificate_line_is_a_parse_error(width_certificate, data):
-    # a repeated key or header was read once (the last key won), and a repeated key
-    # line of the same value validated with exit 0
+    # the former line reader restarted a repeated section and kept the last of two
+    # keys, so a certificate with any one line duplicated validated (exit 0)
     out, text = width_certificate
     lines = text.splitlines()
     k = data.draw(st.sampled_from([k for k, ln in enumerate(lines)
