@@ -10,6 +10,17 @@ predecessors, to walk its two chains.  Metrication against the continuum is
 bounded by the stencil distortion (about 2.75 percent for the 16-neighbor
 stencil).
 
+A plain block (no predecessors, not min_only) of at least _SPLIT (2^19)
+rows x vertices is split across k = min(cores, rows // _PIECE) processes
+when k >= 2, cores being the process's CPU affinity (_split_block): the
+caller forks k - 1 children, and each process fills its interleaved share of
+the rows of one anonymous shared mapping.  Each row of a block is its own
+search from its source over the same graph and cut-off, so a Dijkstra call
+on a few of the rows returns those rows bit for bit as the call on the whole
+block does: a split changes no distance, loop, witness or golden.  Processes,
+not threads: scipy's Dijkstra holds the GIL.  Small blocks, distance fields
+and witness searches never split, since a fork costs about a millisecond.
+
 Every minimum over sources goes through one engine: Dijkstras from 64 sources
 at a time, each cut off at the running best, reduced to one value per source.
 
@@ -107,7 +118,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import numbers
+import os
+import signal
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -126,6 +140,8 @@ _CHUNK = 64  # sources per Dijkstra block in every search
 _SLAB = 1024  # box points per slab of a lifted box's CSR fill (_lifted_graph)
 _STORED_ROWS = 16  # single-source rows a field's row store keeps (_rows)
 _BLOCK_BYTES = 2 ** 30  # ceiling on the estimated bytes of one Dijkstra block
+_SPLIT = 2 ** 19  # rows x vertices from which a plain Dijkstra block is split across cores
+_PIECE = 8  # rows per Dijkstra call in a split block
 
 
 def _padded(bound: float) -> float:
@@ -141,18 +157,81 @@ def _sources(sources, V: int) -> np.ndarray:
     return sources
 
 
+def _cores() -> int:
+    """The cores this process may run on (its affinity); 1 where os.fork or
+    os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _shortest_paths(graph, sources, limit=np.inf, predecessors=False, min_only=False):
     """scipy's Dijkstra from the checked sources, cut off at limit, with predecessors when
-    asked (min_only: one row, from the nearest source); GeodesyError when the block,
-    estimated at rows x V x 8 bytes (x 1.5 with predecessors), exceeds _BLOCK_BYTES."""
+    asked (min_only: one row, from the nearest source).  A plain block of at least
+    _SPLIT rows x vertices is split across k = min(cores, rows // _PIECE) >= 2
+    processes (_split_block).  GeodesyError when the block, estimated at rows x V x 8
+    bytes (x 1.5 with predecessors; a split block adds one _PIECE-row piece per
+    process), exceeds _BLOCK_BYTES."""
     V = graph.shape[0]
     sources = _sources(sources, V)
-    nbytes = int((1 if min_only else len(sources)) * V * 8 * (1.5 if predecessors else 1))
+    rows = 1 if min_only else len(sources)
+    k = 1 if min_only or predecessors or rows * V < _SPLIT else min(_cores(), rows // _PIECE)
+    nbytes = int(rows * V * 8 * (1.5 if predecessors else 1))
+    if k > 1:
+        nbytes += k * _PIECE * V * 8  # one piece per process, beside the shared block
     if nbytes > _BLOCK_BYTES:
         raise GeodesyError(f"a Dijkstra block from {len(sources)} sources over {V} vertices "
                            f"needs about {nbytes} bytes, above the ceiling of {_BLOCK_BYTES}")
+    if k > 1:
+        return _split_block(graph, sources, limit, k)
     return dijkstra(graph, directed=True, indices=sources, limit=limit,
                     return_predecessors=predecessors, min_only=min_only)
+
+
+def _split_block(graph, sources, limit, k: int) -> np.ndarray:
+    """The (rows, V) block of _shortest_paths, filled by k processes in one
+    anonymous shared mapping: process j (the caller is 0, the others forked
+    children) fills rows j, j + k, ... in pieces of at most _PIECE rows, each
+    one plain Dijkstra call, so every row is bit for bit that of one call over
+    the whole block (module docstring).  A fork that fails leaves its share to
+    the caller.  Every child is reaped before this returns or raises, and
+    killed first when the caller's own share raises (an interrupt included).
+    GeodesyError when a child does not exit 0."""
+    rows, V = len(sources), graph.shape[0]
+    block = np.frombuffer(mmap.mmap(-1, rows * V * 8), dtype=np.float64).reshape(rows, V)
+
+    def fill(j):
+        mine = np.arange(j, rows, k)
+        for p in range(0, len(mine), _PIECE):
+            piece = mine[p:p + _PIECE]
+            block[piece] = dijkstra(graph, directed=True, indices=sources[piece], limit=limit)
+
+    children = []
+    try:
+        for j in range(1, k):
+            try:
+                pid = os.fork()
+            except OSError:
+                fill(j)
+                continue
+            if pid == 0:  # the child: it leaves only through os._exit
+                code = 1
+                try:
+                    fill(j)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        fill(0)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    if any(codes):
+        raise GeodesyError(f"a Dijkstra worker process failed: exit codes {codes}")
+    return block
 
 
 def _rows(field: MetricField, sources, limit=np.inf) -> list:

@@ -61,7 +61,14 @@ def _sections(text: str, source) -> dict:
     return {sec: dict(cp.items(sec)) for sec in cp.sections()}
 
 
+_DOMAIN_KEYS = ("kind", "resolution", "stencil_order", "mask")
+
+
 def grid_from_descriptor(domain: dict) -> Grid:
+    """The grid of a [domain] section; GridError for a key it does not know."""
+    unknown = [k for k in domain if k not in _DOMAIN_KEYS]
+    if unknown:
+        raise GridError(f"unknown [domain] key {', '.join(unknown)}")
     kind = domain["kind"]
     if domain.get("mask"):
         kind = f"{kind}:{domain['mask']}"
@@ -200,10 +207,22 @@ def certificate_text(cert, grid: Grid, field_path: str = "") -> str:
 
 def parse_certificate(text: str):
     """Returns (domain, field_path, WidthCertificate): domain is the [domain]
-    section as a dict, and the field hash is the certificate's field_hash."""
+    section as a dict, and the field hash is the certificate's field_hash.
+    ValueError for a section or key that certificate_text does not write,
+    a [set k] with k >= num_sets included."""
     sections = _sections(text, "certificate")
     cert_kv, field_kv = sections.get("certificate", {}), sections.get("field", {})
     nsets = int(cert_kv.get("num_sets", 0))
+    known = {"domain": _DOMAIN_KEYS, "field": ("path", "hash"),
+             "certificate": ("n_width", "R", "r0", "r1", "multiplicity", "valid", "reasons",
+                             "num_sets")}
+    known.update((f"set {i}", ("center", "radius", "vertices"))
+                 for i in range(min(nsets, len(sections))))  # no more sets than sections
+    unknown = [f"section [{s}]" for s in sections if s not in known]
+    unknown += [f"[{s}] key {k}" for s, kv in sections.items() if s in known
+                for k in kv if k not in known[s]]
+    if unknown:
+        raise ValueError(f"certificate: unknown {', '.join(unknown)}")
     sets, centers, radii = [], [], []
     for i in range(nsets):
         kv = sections[f"set {i}"]

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py summarises pairs by its stated rule; no benchmark runs here."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,9 @@ def test_regression_verdict_against_the_bound(parent, change, verdict):
     if verdict == "worse":
         s = tool.summarize(pairs, {"m": "higher"})["m"]
         assert tool.regression("m", s, pairs, "higher", 0.25) == "within bound"
+
+
+def test_host_records_the_cores_of_the_affinity_beside_the_machine_cores():
+    host = _tool()._host()
+    assert host["cores"] == os.cpu_count()
+    assert host["cpu_affinity"] == len(os.sched_getaffinity(0))

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import os
+import time
 import weakref
 from unittest import mock
 
@@ -360,10 +362,11 @@ def test_set_radius_upper_refuses_rounds_that_are_not_a_count(rounds):
         geo.set_radius_upper(f, [0, 1, 2], rounds=rounds)
 
 
-def test_radius_memory_is_bounded():
+def test_radius_memory_is_bounded(monkeypatch):
     import tracemalloc
 
     f = F.flat_metric(G.build_grid(G.square(), 48, 3))
+    split = _split_blocks(monkeypatch)
     tracemalloc.start()
     try:
         r = geo.radius(f)
@@ -371,6 +374,7 @@ def test_radius_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert r.value == pytest.approx(math.sqrt(2) / 2, rel=0.03)
+    assert split == []  # tracemalloc sees every block
     # at most one (64, V) block is alive: the peak is near 1.6 MiB; an all-pairs
     # matrix took 46 MiB
     assert peak < 8 * 2 ** 20
@@ -707,6 +711,160 @@ def test_the_block_ceiling_bounds_distance_matrix_and_not_the_chunked_searches(m
     assert (r.value, r.center, r.connected, r.per_component) == dense
 
 
+def _split_blocks(monkeypatch):
+    """Record (rows, V, processes) of every block that _shortest_paths splits."""
+    split, real = [], geo._split_block
+
+    def recording(graph, sources, limit, k):
+        split.append((len(sources), graph.shape[0], k))
+        return real(graph, sources, limit, k)
+
+    monkeypatch.setattr(geo, "_split_block", recording)
+    return split
+
+
+def _forced_split(monkeypatch, cores):
+    """Split every plain block of at least 2 _PIECE rows across `cores` processes."""
+    monkeypatch.setattr(geo, "_SPLIT", 0)
+    monkeypatch.setattr(geo, "_cores", lambda: cores)
+    return _split_blocks(monkeypatch)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["square", "torus2"]), N=st.integers(5, 10),
+       seed=st.integers(0, 10_000), rows=st.integers(16, 41), cores=st.sampled_from([2, 3]),
+       limit=st.sampled_from([np.inf, 0.3]))
+@example(kind="torus2", N=6, seed=0, rows=17, cores=2, limit=0.3)
+@example(kind="square", N=7, seed=1, rows=25, cores=3, limit=np.inf)
+def test_a_split_block_equals_one_dijkstra_call(kind, N, seed, rows, cores, limit):
+    f = F.random_spd_metric(G.build_grid(G.topology_from_name(kind), N, 3), seed, (0.5, 2.0))
+    graph = f.graph()
+    sources = np.random.default_rng(seed).integers(0, graph.shape[0], rows)
+    with pytest.MonkeyPatch.context() as mp:
+        split = _forced_split(mp, cores)
+        block = geo._shortest_paths(graph, sources, limit)
+    assert split == [(rows, graph.shape[0], min(cores, rows // geo._PIECE))]
+    assert np.array_equal(block, dijkstra(graph, directed=True, indices=sources, limit=limit))
+    _assert_no_child_process()
+
+
+def test_a_split_systole_equals_the_serial_one(monkeypatch):
+    f = _bump_torus(32, 3, "hexagonal")
+    serial = geo.systole(f)
+    split = _forced_split(monkeypatch, 3)
+    w = geo.systole(f)
+    assert split and all(k == 3 for _, _, k in split)
+    assert (w.length, w.cls, w.base_vertex) == (serial.length, serial.cls, serial.base_vertex)
+    assert np.array_equal(w.points, serial.points)
+
+
+def _split_case(monkeypatch, cores=2, rows=32):
+    """A random SPD square, rows sources and their plain block, with every
+    block split across `cores` processes."""
+    f = F.random_spd_metric(G.build_grid(G.square(), 12, 3), 7, (0.5, 2.0))
+    graph = f.graph()
+    sources = np.arange(rows) * 5 % graph.shape[0]
+    block = dijkstra(graph, directed=True, indices=sources)
+    return graph, sources, block, _forced_split(monkeypatch, cores)
+
+
+def test_a_failing_worker_raises_a_geodesy_error(monkeypatch):
+    graph, sources, _, split = _split_case(monkeypatch)
+    parent, real = os.getpid(), geo.dijkstra
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker's Dijkstra fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "dijkstra", failing)
+    with pytest.raises(geo.GeodesyError, match=r"worker process failed: exit codes \[1\]"):
+        geo._shortest_paths(graph, sources)
+    assert len(split) == 1
+    _assert_no_child_process()
+
+
+def test_an_interrupted_block_kills_and_reaps_its_workers(monkeypatch):
+    # the workers would sleep for a minute: the caller's interrupt must kill
+    # them, not wait for them
+    graph, sources, _, split = _split_case(monkeypatch, cores=3)
+    parent, real, pieces = os.getpid(), geo.dijkstra, []
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        pieces.append(1)
+        if len(pieces) == 2:  # the caller's second piece
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "dijkstra", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        geo._shortest_paths(graph, sources)
+    assert time.monotonic() - start < 30
+    assert len(split) == 1 and len(pieces) == 2
+    _assert_no_child_process()
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("case", ["one core", "below the threshold", "min_only", "predecessors"])
+def test_no_fork_for_one_core_small_blocks_or_other_kinds_of_call(monkeypatch, case):
+    graph, sources, block, split = _split_case(monkeypatch, cores=1 if case == "one core" else 2)
+    if case == "below the threshold":
+        monkeypatch.setattr(geo, "_SPLIT", len(sources) * graph.shape[0] + 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    kwargs = {"min_only": True} if case == "min_only" else (
+        {"predecessors": True} if case == "predecessors" else {})
+    got = geo._shortest_paths(graph, sources, **kwargs)
+    want = dijkstra(graph, directed=True, indices=sources, **{
+        {"min_only": "min_only", "predecessors": "return_predecessors"}[k]: v
+        for k, v in kwargs.items()})
+    assert split == []
+    for a, b in zip(got if kwargs else [got], want if kwargs else [want]):
+        assert np.array_equal(a, b)
+
+
+def test_the_core_count_is_the_affinity_where_fork_exists(monkeypatch):
+    assert geo._cores() == len(os.sched_getaffinity(0))
+    for name in ("fork", "sched_getaffinity"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, name)
+            assert geo._cores() == 1
+
+
+def test_a_failing_fork_leaves_its_share_to_the_caller(monkeypatch):
+    graph, sources, block, split = _split_case(monkeypatch, cores=3, rows=43)
+
+    def failing():
+        raise OSError("no process")
+
+    monkeypatch.setattr(os, "fork", failing)
+    assert np.array_equal(geo._shortest_paths(graph, sources), block)
+    assert split == [(43, graph.shape[0], 3)]
+    _assert_no_child_process()
+
+
+def test_a_split_block_counts_its_shared_block_and_a_piece_per_process(monkeypatch):
+    graph, sources, block, split = _split_case(monkeypatch, cores=3)
+    V = graph.shape[0]
+    nbytes = len(sources) * V * 8 + 3 * geo._PIECE * V * 8
+    monkeypatch.setattr(geo, "_BLOCK_BYTES", nbytes - 1)
+    with pytest.raises(geo.GeodesyError, match=f"needs about {nbytes} bytes"):
+        geo._shortest_paths(graph, sources)
+    assert split == []
+    monkeypatch.setattr(geo, "_BLOCK_BYTES", nbytes)
+    assert np.array_equal(geo._shortest_paths(graph, sources), block)
+
+
 def test_loops_on_a_degenerate_metric_raise_a_geodesy_error():
     g = G.build_grid(G.torus2(), 12, 3)
     t = np.broadcast_to(np.eye(2), (g.num_vertices, 2, 2)).copy()
@@ -824,10 +982,11 @@ def test_min_antipodal_distance_searches_the_band_only(monkeypatch):
     assert sum(n for n, _ in calls) == len(geo._orbit_representatives(f, band)) + 1
 
 
-def test_rp2_systole_memory_is_bounded():
+def test_rp2_systole_memory_is_bounded(monkeypatch):
     import tracemalloc
 
     f = F.round_sphere_metric(G.build_grid(G.rp2(), 64, 3), 1.0)
+    split = _split_blocks(monkeypatch)
     tracemalloc.start()
     try:
         w = geo.systole(f)
@@ -835,6 +994,7 @@ def test_rp2_systole_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert w.length == pytest.approx(math.pi, rel=0.02)
+    assert split == []  # tracemalloc sees every block
     assert peak < 16 * 2 ** 20
 
 
@@ -1281,19 +1441,26 @@ def test_joint_search_matches_the_sequential_walk_on_bump_tori(N, seed, base):
     _assert_matches_sequential(_bump_torus(N, seed, base))
 
 
-def _joint_calls(monkeypatch):
-    """Record (classes, ub, tracemalloc peak) of every _deck_loop call."""
+def _joint_calls(monkeypatch, cores=1):
+    """Record (classes, ub, tracemalloc peak, bytes of each split block) of
+    every _deck_loop call, on `cores` cores.  tracemalloc cannot see a split
+    block's shared mapping, so a peak counts every block only when the last
+    entry is empty, as it is on one core."""
     import tracemalloc
 
     calls = []
     real = geo._deck_loop
+    monkeypatch.setattr(geo, "_cores", lambda: cores)
+    split = _split_blocks(monkeypatch)
 
     def traced(field, classes, base, ub, best):
+        split.clear()
         tracemalloc.start()
         try:
             return real(field, classes, base, ub, best)
         finally:
-            calls.append((list(classes), ub, tracemalloc.get_traced_memory()[1]))
+            calls.append((list(classes), ub, tracemalloc.get_traced_memory()[1],
+                          [rows * V * 8 for rows, V, _ in split]))
             tracemalloc.stop()
 
     monkeypatch.setattr(geo, "_deck_loop", traced)
@@ -1305,7 +1472,7 @@ def test_systole_searches_each_class_once(monkeypatch):
     calls = _joint_calls(monkeypatch)
 
     def searched():
-        out = [c for classes, _, _ in calls for c in classes]
+        out = [c for classes, *_ in calls for c in classes]
         calls.clear()
         return out
 
@@ -1351,7 +1518,8 @@ def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
     boxes = _recorded_boxes(monkeypatch)
     calls = _joint_calls(monkeypatch)
     geo.systole(f)
-    (_, ub01, _), (joint, ub, peak) = calls
+    (_, ub01, _, split01), (joint, ub, peak, split) = calls
+    assert split01 == split == []  # tracemalloc sees every block
     # one ub, the least of the (0, 1) walk and every joint class's walk,
     # bounds both searches
     first, base = geo._loop_base_vertices(g, (0, 1)), geo._loop_base_vertices(g, (1, 0))
@@ -1372,6 +1540,20 @@ def test_joint_window_and_memory_are_no_larger(monkeypatch, name):
     # plus half a (64, V) block (22.8 MB and 17.7 MB)
     P = boxes[1]
     assert peak <= 16 * P * 12 + 4 * (P + 1) + 64 * P * 8 + 32 * P * 8
+
+
+def test_a_split_joint_search_stays_within_the_serial_bound(monkeypatch):
+    # the joint search of test_joint_window_and_memory_are_no_larger split
+    # across two processes: its traced peak plus the shared block, which
+    # tracemalloc cannot see, stays within that test's bound
+    f = _bump_torus(64, 1, "hexagonal")
+    boxes = _recorded_boxes(monkeypatch)
+    calls = _joint_calls(monkeypatch, cores=2)
+    geo.systole(f)
+    (_, _, _, split01), (_, _, peak, split) = calls
+    P = boxes[1]
+    assert split01 and split and max(split) == 64 * P * 8
+    assert peak + max(split) <= 16 * P * 12 + 4 * (P + 1) + 64 * P * 8 + 32 * P * 8
 
 
 @pytest.mark.parametrize("name", ["hex-64", "bump-flat-32"])
@@ -1396,13 +1578,14 @@ def test_systole_holds_one_box_at_a_time(monkeypatch, name):
     assert events == ["orbits", ("box", 0)] * 2
 
 
-def test_hexagonal_systole_memory_is_bounded():
+def test_hexagonal_systole_memory_is_bounded(monkeypatch):
     import tracemalloc
 
     # one 24,025-point box at a time, built with no copy of the field's graph
     # on top: the search peaked at 20.9 MiB with two boxes of 43,992 points
     f = F.constant_metric(G.build_grid(G.torus2(), 128, 3), HEX)
     f.graph()
+    split = _split_blocks(monkeypatch)
     tracemalloc.start()
     try:
         w = geo.systole(f)
@@ -1410,6 +1593,7 @@ def test_hexagonal_systole_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert w.cls == (0, 1) and w.length == 1.0
+    assert split == []  # tracemalloc sees every block
     assert peak <= 12 * 2 ** 20
 
 

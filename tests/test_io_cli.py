@@ -174,6 +174,44 @@ def test_a_duplicated_certificate_line_is_a_parse_error(width_certificate, data)
     assert "parse error" in err.getvalue()
 
 
+@pytest.mark.parametrize("edit", ["set beyond num_sets", "certificate key", "extra section",
+                                  "domain key", "field key", "set key"])
+def test_an_unknown_certificate_section_or_key_is_a_parse_error(width_certificate, edit):
+    # the reader took only the sections and keys it knew: each of these
+    # certificates validated (exit 0)
+    out, text = width_certificate
+    nsets = int(text.split("num_sets = ")[1].split()[0])
+    first_set = text[text.index("[set 0]"):].split("\n\n")[0].strip()
+    section, line = {"certificate key": ("certificate", "bogus = 1"),
+                     "domain key": ("domain", "bogus = 1"),
+                     "field key": ("field", "bogus = 1"),
+                     "set key": ("set 0", "bogus = 1")}.get(edit, (None, None))
+    if section is not None:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    elif edit == "extra section":
+        text += "[extra]\nkey = 1\n"
+    else:
+        text += "\n" + first_set.replace("[set 0]", f"[set {nsets}]") + "\n"
+    with pytest.raises(ValueError, match="unknown"):
+        mio.parse_certificate(text)
+    (out / "unknown.txt").write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["validate-certificate", str(out / "unknown.txt")]) == 2
+    assert "parse error" in err.getvalue() and "unknown" in err.getvalue()
+
+
+def test_an_unknown_domain_key_of_a_field_file_is_refused(tmp_path):
+    g = G.build_grid(G.square(), 5, 3)
+    mio.write_field(F.flat_metric(g), tmp_path / "field.txt")
+    text = (tmp_path / "field.txt").read_text()
+    (tmp_path / "field.txt").write_text(text.replace("[domain]\n", "[domain]\nbogus = 1\n"))
+    with pytest.raises(G.GridError, match=r"unknown \[domain\] key bogus"):
+        mio.read_field(tmp_path / "field.txt")
+    with pytest.raises(G.GridError, match=r"unknown \[domain\] key bogus"):
+        mio.grid_from_descriptor({"kind": "square", "resolution": "5", "bogus": "1"})
+
+
 def test_report_rows_and_verdicts():
     row = mio.make_row("e", 8, "q", 1.005, 1.0, "paper", 0.01)
     assert row.verdict == "PASS"

@@ -143,8 +143,9 @@ def _host():
             versions[package] = metadata.version(package)
         except metadata.PackageNotFoundError:
             versions[package] = None
-    return {"cpu": cpu, "cores": os.cpu_count(), "python": platform.python_version(),
-            **versions}
+    # the Dijkstra kernel splits large blocks across the cores of the affinity
+    return {"cpu": cpu, "cores": os.cpu_count(), "cpu_affinity": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), **versions}
 
 
 def main(argv=None) -> int:
