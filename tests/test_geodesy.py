@@ -822,15 +822,12 @@ def test_no_fork_for_one_core_small_blocks_or_other_kinds_of_call(monkeypatch, c
     if case == "below the threshold":
         monkeypatch.setattr(geo, "_SPLIT", len(sources) * graph.shape[0] + 1)
     monkeypatch.setattr(os, "fork", _no_fork)
-    kwargs = {"min_only": True} if case == "min_only" else (
-        {"predecessors": True} if case == "predecessors" else {})
-    got = geo._shortest_paths(graph, sources, **kwargs)
-    want = dijkstra(graph, directed=True, indices=sources, **{
-        {"min_only": "min_only", "predecessors": "return_predecessors"}[k]: v
-        for k, v in kwargs.items()})
+    min_only, predecessors = case == "min_only", case == "predecessors"
+    got = geo._shortest_paths(graph, sources, min_only=min_only, predecessors=predecessors)
+    want = dijkstra(graph, directed=True, indices=sources, min_only=min_only,
+                    return_predecessors=predecessors)
     assert split == []
-    for a, b in zip(got if kwargs else [got], want if kwargs else [want]):
-        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_the_core_count_is_the_affinity_where_fork_exists(monkeypatch):
